@@ -162,13 +162,15 @@ def run_qlms_batch(received, reference, length: int, step_size: float, delay: in
             active &= ~blown
             if not active.any():
                 break
-        weights += step_size * quat.mul(e[:, None, :], quat.conj(x)) * active[:, None, None]
-        broken = active & ~np.isfinite(weights).all(axis=(1, 2))
+        updated = weights + step_size * quat.mul(e[:, None, :], quat.conj(x))
+        broken = active & ~np.isfinite(updated).all(axis=(1, 2))
         if broken.any():
             diverged_at[broken] = t
             active &= ~broken
             if not active.any():
                 break
+        # a select, not a multiply by `active`: a frozen lane's update may be NaN
+        weights = np.where(active[:, None, None], updated, weights)
     return QlmsBatch(weights, traces, diverged_at)
 
 

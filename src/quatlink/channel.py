@@ -156,18 +156,24 @@ def convolve(signal, taps) -> np.ndarray:
 
     Samples before the start of the signal are zero; the output has the same
     length as the input (tail truncated).  `signal` is (..., N, 4) and `taps`
-    (..., M, 4); leading axes broadcast.
+    (..., M, 4); leading axes broadcast.  The products are taken in the
+    complex-pair form of `quat.to_pairs`, one tap at a time, so the
+    temporaries are the size of the output.
     """
     signal, taps = quat._q(signal), quat._q(taps)
     if signal.ndim < 2 or signal.shape[-2] == 0 or taps.ndim < 2 or taps.shape[-2] == 0:
         raise DimensionMismatchError("signal and taps must be nonempty quaternion sequences")
     n = signal.shape[-2]
-    out = np.zeros(np.broadcast_shapes(signal.shape[:-2], taps.shape[:-2]) + (n, 4))
-    for m in range(taps.shape[-2]):
-        out[..., m:, :] += quat.mul(taps[..., m, None, :], signal[..., : n - m, :])
-        if m + 1 >= n:
-            break
-    return out
+    sa, sb = quat.to_pairs(signal)
+    sa_conj, sb_conj = sa.conj(), sb.conj()
+    ta, tb = quat.to_pairs(taps)
+    shape = np.broadcast_shapes(sa.shape[:-1], ta.shape[:-1]) + (n,)
+    out_a, out_b = np.zeros(shape, dtype=np.complex128), np.zeros(shape, dtype=np.complex128)
+    for m in range(min(taps.shape[-2], n)):
+        wa, wb = ta[..., m, None], tb[..., m, None]
+        out_a[..., m:] += wa * sa[..., : n - m] - wb * sb_conj[..., : n - m]
+        out_b[..., m:] += wa * sb[..., : n - m] + wb * sa_conj[..., : n - m]
+    return quat.from_pairs(out_a, out_b)
 
 
 def apply_siso(model: ChannelModel, signal, rng: np.random.Generator) -> np.ndarray:

@@ -141,11 +141,12 @@ def to_complex_adjoint(m) -> np.ndarray:
     Writing each entry q = a + b*j with a = q0 + q1*i and b = q2 + q3*i, the
     image is the block matrix [[A, B], [-conj(B), conj(A)]].  The map is a
     ring homomorphism, so products (and hence solves) can be cross-checked
-    through ordinary complex arithmetic.
+    through ordinary complex arithmetic.  Leading axes are a batch.
     """
-    m = _mat(m)
-    a = m[..., 0] + 1j * m[..., 1]
-    b = m[..., 2] + 1j * m[..., 3]
+    m = quat._q(m)
+    if m.ndim < 3 or m.shape[-3] == 0 or m.shape[-2] == 0:
+        raise DimensionMismatchError(f"expected a (..., rows, cols, 4) quaternion matrix, got shape {m.shape}")
+    a, b = quat.to_pairs(m)
     return np.block([[a, b], [-b.conj(), a.conj()]])
 
 
@@ -169,21 +170,21 @@ def from_complex_adjoint(cm) -> np.ndarray:
 
 
 def vector_to_adjoint(v) -> np.ndarray:
-    """First column of the adjoint embedding of a column vector: (n, 4) -> (2n,) complex."""
-    v = _vec(v)
-    a = v[:, 0] + 1j * v[:, 1]
-    b = v[:, 2] + 1j * v[:, 3]
-    return np.concatenate([a, -b.conj()])
+    """First column of the adjoint embedding of a column vector: (..., n, 4) -> (..., 2n) complex."""
+    v = quat._q(v)
+    if v.ndim < 2 or v.shape[-2] == 0:
+        raise DimensionMismatchError(f"expected a (..., n, 4) quaternion vector, got shape {v.shape}")
+    a, b = quat.to_pairs(v)
+    return np.concatenate([a, -b.conj()], axis=-1)
 
 
 def vector_from_adjoint(z) -> np.ndarray:
-    """Invert `vector_to_adjoint`: (2n,) complex -> (n, 4)."""
+    """Invert `vector_to_adjoint`: (..., 2n) complex -> (..., n, 4)."""
     z = np.asarray(z, dtype=np.complex128)
-    if z.ndim != 1 or z.shape[0] % 2:
+    if z.ndim < 1 or z.shape[-1] % 2:
         raise DimensionMismatchError(f"adjoint vector must have even length, got shape {z.shape}")
-    n = z.shape[0] // 2
-    a, b = z[:n], -z[n:].conj()
-    return np.stack([a.real, a.imag, b.real, b.imag], axis=-1)
+    n = z.shape[-1] // 2
+    return quat.from_pairs(z[..., :n], -z[..., n:].conj())
 
 
 def mean_outer_h(vectors) -> np.ndarray:
@@ -196,8 +197,7 @@ def mean_outer_h(vectors) -> np.ndarray:
     v = quat._q(vectors)
     if v.ndim != 3 or v.shape[0] == 0:
         raise DimensionMismatchError(f"expected a (N, n, 4) stack, got shape {v.shape}")
-    a = v[..., 0] + 1j * v[..., 1]  # (N, n)
-    b = v[..., 2] + 1j * v[..., 3]
+    a, b = quat.to_pairs(v)  # (N, n) each
     top = np.concatenate([a, b], axis=0)  # columns of the embedded vectors
     bot = np.concatenate([-b.conj(), a.conj()], axis=0)
     m = np.concatenate([top, bot], axis=1).T  # (2n, 2N)

@@ -21,6 +21,8 @@ __all__ = [
     "norm_sq",
     "inverse",
     "real",
+    "to_pairs",
+    "from_pairs",
     "add",
     "sub",
     "negate",
@@ -88,6 +90,21 @@ def inverse(a) -> np.ndarray:
 def real(a) -> np.ndarray:
     """Real part q0."""
     return _q(a)[..., 0]
+
+
+def to_pairs(q) -> tuple[np.ndarray, np.ndarray]:
+    """Complex-pair form q = a + b*j with a = q0 + q1*i and b = q2 + q3*i.
+
+    In this form (a1 + b1 j)(a2 + b2 j) = (a1 a2 - b1 conj(b2)) + (a1 b2 + b1 conj(a2)) j:
+    four complex products in place of sixteen real ones.
+    """
+    q = _q(q)
+    return q[..., 0] + 1j * q[..., 1], q[..., 2] + 1j * q[..., 3]
+
+
+def from_pairs(a, b) -> np.ndarray:
+    """Inverse of `to_pairs`: complex arrays a, b -> (..., 4) components."""
+    return np.stack((a.real, a.imag, b.real, b.imag), axis=-1)
 
 
 def add(a, b) -> np.ndarray:

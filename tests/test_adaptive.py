@@ -204,6 +204,22 @@ class TestBatchKernel:
         assert np.isnan(batch.traces[1, cut + 1 :]).all()
         assert np.isfinite(batch.traces[0]).all()
 
+    def test_frozen_lane_keeps_finite_weights(self):
+        """An inf in one lane's input freezes that lane with its pre-divergence weights."""
+        rng = np.random.default_rng(73)
+        signals = rng.normal(size=(2, 40, 4))
+        references = rng.normal(size=(2, 40, 4))
+        signals[0, 10, 1] = np.inf
+        with np.errstate(invalid="ignore"):  # lane 0's products with inf are NaN
+            batch = adaptive.run_qlms_batch(signals[:, None], references, 4, 0.05, 0)
+        assert batch.diverged_at.tolist() == [10, -1]
+        before = adaptive.run_qlms_batch(signals[:1, None, :10], references[:1, :10], 4, 0.05, 0)
+        assert np.isfinite(batch.weights[0]).all()
+        assert np.array_equal(batch.weights[0], before.weights[0])
+        solo = adaptive.run_qlms_batch(signals[1:, None], references[1:], 4, 0.05, 0)
+        assert np.array_equal(batch.weights[1], solo.weights[0])
+        assert np.array_equal(batch.traces[1], solo.traces[0])
+
 
 class TestStackedRegressors:
     def test_lag_matrix_layout(self):

@@ -222,6 +222,17 @@ class TestMainEndToEnd:
         assert cli.main(["run", *self.ARGS, "--out", str(blocker)]) == 1
         assert "cannot write" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["siso", "mimo"])
+    def test_delay_beyond_half_run_scores_the_tail(self, mode, tmp_path):
+        """delay > N//2 is valid: SER is scored over t in [delay, N) instead of failing."""
+        out = tmp_path / "out"
+        argv = ["run", "--mode", mode, "--runs", "2", "--symbols", "20", "--delay", "15", "--out", str(out)]
+        assert cli.main(argv) == 0
+        summary = cli.parse_kv_lines((out / "summary.txt").read_text(encoding="utf-8"))
+        rates = [float(v) for k, v in summary.items() if k.startswith("ser")]
+        assert len(rates) == (2 if mode == "mimo" else 1)
+        assert all(np.isfinite(rate) for rate in rates)
+
     def test_experiment_failure_exits_nonzero(self, tmp_path, capsys):
         args = ["run", "--runs", "2", "--symbols", "150", "--mu", "50.0", "--out", str(tmp_path / "out")]
         assert cli.main(args) == 1

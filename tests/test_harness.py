@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from quatlink import adaptive, channel, harness, modem, quat
+from quatlink import adaptive, channel, harness, linalg, modem, quat
 from quatlink.errors import ExperimentFailedError
 from quatlink.harness import ExperimentConfig, convergence_iteration, summarize
 
@@ -249,3 +249,18 @@ class TestCurveAssembly:
         traces = np.zeros((1, 50))
         curve = harness._build_curve(traces, np.array([True]), 0, 4.0, 0)
         assert (curve.mse_per_iteration == harness.CURVE_DB_FLOOR).all()
+
+
+class TestEqualizerDecisions:
+    @pytest.mark.parametrize("streams,start", [(1, 150), (2, 150), (1, 5)])
+    def test_match_lag_matrix_route(self, streams, start):
+        """Decisions from the batched FIR equal those from materialized lag matrices."""
+        rng = np.random.default_rng(98)
+        lanes, n, length = 8, 300, 15
+        received = rng.normal(size=(lanes, streams, n, 4))
+        weights = rng.normal(size=(lanes, streams * length, 4))
+        decided = harness._equalizer_decisions(received, weights, start)
+        for lane in range(lanes):
+            rx = received[lane, 0] if streams == 1 else received[lane]
+            output = linalg.dot_left(weights[lane][None], adaptive.lag_matrix(rx, length))
+            assert np.array_equal(decided[lane], modem.hard_decisions(output)[start:])

@@ -220,3 +220,74 @@ class TestEvaluateMse:
         _, trace = run_qlms(received, symbols, length, 0.01, delay)
         qlms_steady = np.nanmean(trace[-2500:])
         assert wiener_mse <= qlms_steady
+
+
+def quaternion_elimination_db(received, symbols, length, delay):
+    """One run's Wiener dB the long way: lag matrix, mean_outer_h, quaternion Gaussian elimination."""
+    from quatlink.adaptive import lag_matrix
+
+    regressors = lag_matrix(received, length)[delay:]
+    refs = symbols[: symbols.shape[0] - delay]
+    r = linalg.mean_outer_h(regressors)
+    p = quat.mul(regressors, quat.conj(refs)[:, None, :]).mean(axis=0)
+    size = r.shape[0]
+    ridge = 1e-8 * r[np.arange(size), np.arange(size), 0].sum() / size
+    weights = quat.conj(linalg.solve(r + ridge * linalg.identity(size), p))
+    errors = refs - linalg.dot_left(weights[None], regressors)
+    return 10.0 * np.log10(quat.norm_sq(errors).mean() / quat.norm_sq(refs).mean())
+
+
+class TestBatchedRuns:
+    def group(self, n=600):
+        """Eight runs, each over its own random channel."""
+        instances = [equalization_instance(seed, n=n) for seed in range(100, 108)]
+        return np.stack([rx for rx, _ in instances]), np.stack([s for _, s in instances])
+
+    def test_group_matches_quaternion_elimination_per_run(self):
+        received, symbols = self.group()
+        length, delay = 15, 7
+        problem = wiener.estimate_statistics(received, symbols, length, delay)
+        report = wiener.evaluate_mse(wiener.solve_wiener(problem), received, symbols, length, delay)
+        assert report.db.shape == (8,)
+        for run in range(8):
+            oracle = quaternion_elimination_db(received[run], symbols[run], length, delay)
+            assert abs(report.db[run] - oracle) < 1e-12
+
+    def test_each_run_equals_its_single_run_call(self):
+        received, symbols = self.group(n=300)
+        length, delay = 6, 2
+        problem = wiener.estimate_statistics(received, symbols, length, delay)
+        weights = wiener.solve_wiener(problem)
+        report = wiener.evaluate_mse(weights, received, symbols, length, delay)
+        for run in range(8):
+            single = wiener.estimate_statistics(received[run], symbols[run], length, delay)
+            assert np.allclose(problem.autocorrelation[run], single.autocorrelation, rtol=0, atol=1e-13)
+            assert np.allclose(weights[run], wiener.solve_wiener(single), rtol=0, atol=1e-12)
+            alone = wiener.evaluate_mse(weights[run], received[run], symbols[run], length, delay)
+            assert abs(report.db[run] - alone.db) < 1e-12
+
+    def test_stacked_statistics_match_lag_matrix_outer_average(self):
+        from quatlink.adaptive import lag_matrix
+
+        rng = np.random.default_rng(96)
+        streams, reference = rng.normal(size=(2, 120, 4)), rng.normal(size=(120, 4))
+        length, delay = 5, 3
+        problem = wiener.estimate_statistics(streams, reference, length, delay)
+        regressors = lag_matrix(streams, length)[delay:]
+        refs = reference[: 120 - delay]
+        assert problem.autocorrelation.shape == (2 * length, 2 * length, 4)
+        assert np.allclose(problem.autocorrelation, linalg.mean_outer_h(regressors), rtol=0, atol=1e-13)
+        cross = quat.mul(regressors, quat.conj(refs)[:, None, :]).mean(axis=0)
+        assert np.allclose(problem.cross_correlation, cross, rtol=0, atol=1e-13)
+
+    def test_indefinite_hermitian_problem_solves(self):
+        """A Hermitian R with eigenvalues of both signs has no Cholesky factor but is invertible."""
+        r = linalg.identity(3)
+        r[1, 1] = -2.0 * quat.ONE
+        r[0, 2] = quat.quat(0.3, 0.1, -0.2, 0.5)
+        r[2, 0] = quat.conj(r[0, 2])
+        eigenvalues = np.linalg.eigvalsh(linalg.to_complex_adjoint(r))
+        assert eigenvalues.min() < 0.0 < eigenvalues.max()
+        p = np.random.default_rng(97).normal(size=(3, 4))
+        weights = wiener.solve_wiener(wiener.WienerProblem(r, p, 1), ridge=0.0)
+        assert np.allclose(weights, quat.conj(linalg.solve(r, p)), rtol=0, atol=1e-12)
