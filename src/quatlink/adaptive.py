@@ -18,6 +18,25 @@ weight vector of length C*L laid out [stream 0 lags, stream 1 lags, ...].
 `run_qlms_batch` advances many independent trials in lockstep over the time
 axis, which is what makes ensemble averaging over hundreds of Monte Carlo
 runs cheap; `run_qlms` is the single-trial view of the same kernel.
+
+The arithmetic is done in the complex-pair form of `quat.to_pairs`,
+q = a + b*j with complex a and b, where
+
+    (wa + wb j)(xa + xb j) = (wa xa - wb conj(xb)) + (wa xb + wb conj(xa)) j
+    e * conj(x)            = (ea conj(xa) + eb conj(xb)) + (eb xa - ea xb) j
+
+are four complex multiplies each instead of sixteen real ones.  The batch
+kernel keeps the trials (lanes) on the last axis: the weights are (C, L, B)
+pairs, and the received batch streams through a (C, L-1 + _BLOCK, B) window
+that holds the samples newest first.  Each block of samples is written into
+the window straight from `received`, so no padded copy of the batch is made,
+and every regressor is a plain slice of the window.  Lanes last lets the sum
+over taps add whole rows of a (C*L, 4B) float64 view, one row after another
+in tap order, which is the order `dot_left` sums in; a complex `.sum(-1)`
+over (B, L) would use numpy's pairwise order, so a lane's result would depend
+on the tap count in a way no stepwise evaluation reproduces.  `predict` and
+`qlms_step` are the one-lane case of the same arithmetic, so stepping them by
+hand reproduces the kernel bit for bit.
 """
 
 from dataclasses import dataclass
@@ -27,11 +46,13 @@ import numpy as np
 from . import quat
 from .channel import SYMBOL_ENERGY
 from .errors import DimensionMismatchError, DivergenceError
-from .linalg import dot_left
 
 # A squared error beyond one million times the symbol energy means the filter
 # blew up; fail loudly instead of polluting Monte Carlo averages.
 ERROR_ENERGY_LIMIT = 1e6 * SYMBOL_ENERGY
+
+# samples taken from the received batch into the kernel's window at a time
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -63,12 +84,39 @@ def initial_state(length: int, step_size: float) -> EqualizerState:
     return EqualizerState(np.zeros((length, 4)), step_size)
 
 
+def _one_lane(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(L, 4) components -> the (L, 1) pairs a, b of one kernel lane (views, no rounding)."""
+    pairs = np.ascontiguousarray(q).view(np.complex128)
+    return pairs[:, :1], pairs[:, 1:]
+
+
+def _outputs(wa, wb, xa, xb, xa_conj, xb_conj) -> np.ndarray:
+    """Filter outputs, (B, 4) quaternions, from (..., B) weight and regressor pairs.
+
+    The product of each tap is one row of a float64 view; the rows are added
+    one after another in tap order, as `dot_left` adds them.
+    """
+    products = np.empty(wa.shape + (2,), dtype=np.complex128)
+    np.subtract(wa * xa, wb * xb_conj, out=products[..., 0])
+    np.add(wa * xb, wb * xa_conj, out=products[..., 1])
+    lanes = wa.shape[-1]
+    return products.reshape(-1, 2 * lanes).view(np.float64).sum(axis=0).reshape(lanes, 4)
+
+
+def _updated(wa, wb, e, xa, xb, xa_conj, xb_conj, step_size: float):
+    """Weight pairs after w += mu * e * conj(x), for (B, 4) errors e."""
+    e_pairs = e.view(np.complex128)
+    ea, eb = e_pairs[:, 0], e_pairs[:, 1]
+    return wa + step_size * (ea * xa_conj + eb * xb_conj), wb + step_size * (eb * xa - ea * xb)
+
+
 def predict(state: EqualizerState, regressor) -> np.ndarray:
     """Equalizer output dot_left(weights, regressor)."""
     regressor = quat._q(regressor)
     if regressor.shape != (state.length, 4):
         raise DimensionMismatchError(f"regressor shape {regressor.shape} does not match length {state.length}")
-    return dot_left(state.weights, regressor)
+    (wa, wb), (xa, xb) = _one_lane(state.weights), _one_lane(regressor)
+    return _outputs(wa, wb, xa, xb, xa.conj(), xb.conj())[0]
 
 
 def error(state: EqualizerState, regressor, reference) -> np.ndarray:
@@ -79,7 +127,9 @@ def error(state: EqualizerState, regressor, reference) -> np.ndarray:
 def qlms_step(state: EqualizerState, regressor, reference) -> tuple[EqualizerState, np.ndarray]:
     """One QLMS update; returns the new state and the pre-update error."""
     e = error(state, regressor, reference)
-    weights = state.weights + state.step_size * quat.mul(e, quat.conj(quat._q(regressor)))
+    (wa, wb), (xa, xb) = _one_lane(state.weights), _one_lane(quat._q(regressor))
+    ua, ub = _updated(wa, wb, e[None], xa, xb, xa.conj(), xb.conj(), state.step_size)
+    weights = quat.from_pairs(ua[:, 0], ub[:, 0])
     if not np.isfinite(weights).all():
         raise DivergenceError("weights became non-finite", 0, quat.norm_sq(e)[None], weights)
     return EqualizerState(weights, state.step_size), e
@@ -93,19 +143,12 @@ def lag_matrix(signal, length: int) -> np.ndarray:
     concatenated.
     """
     signal = quat._q(signal)
-    single = signal.ndim == 2
-    rx = signal[None, None] if single else signal[None]
-    view = _lag_view(rx, length)[0]  # (C, N, L, 4)
-    stacked = np.moveaxis(view, 0, 1)  # (N, C, L, 4)
-    return stacked.reshape(stacked.shape[0], -1, 4)
-
-
-def _lag_view(rx: np.ndarray, length: int) -> np.ndarray:
-    """(B, C, N, 4) -> (B, C, N, L, 4) view with X[..., n, l, :] = rx[..., n-l, :]."""
-    b, c, n, _ = rx.shape
-    padded = np.concatenate([np.zeros((b, c, length - 1, 4)), rx], axis=2)
-    win = np.lib.stride_tricks.sliding_window_view(padded, length, axis=2)
-    return np.moveaxis(win[..., ::-1], -1, -2)
+    streams = signal[None] if signal.ndim == 2 else signal
+    c, n, _ = streams.shape
+    padded = np.concatenate([np.zeros((c, length - 1, 4)), streams], axis=1)
+    win = np.lib.stride_tricks.sliding_window_view(padded, length, axis=1)  # (C, N, 4, L)
+    lags = np.moveaxis(win[..., ::-1], -1, -2)  # (C, N, L, 4) with lags[c, n, l] = s[c, n-l]
+    return np.moveaxis(lags, 0, 1).reshape(n, c * length, 4)
 
 
 @dataclass(frozen=True)
@@ -145,32 +188,61 @@ def run_qlms_batch(received, reference, length: int, step_size: float, delay: in
     if not step_size >= 0.0:
         raise ValueError("step size must be nonnegative")
 
-    lags = _lag_view(received, length)
-    weights = np.zeros((b, c * length, 4))
+    # While the block of samples from t0 runs, position p of the windows holds
+    # the pairs of sample t0 + _BLOCK - 1 - p: newest first, with the L-1
+    # samples before t0 in the last positions, so x[t] is the slice from
+    # p = _BLOCK - 1 - (t - t0).
+    xa_window = np.zeros((c, length - 1 + _BLOCK, b), dtype=np.complex128)
+    xb_window = np.zeros_like(xa_window)
+    wa = np.zeros((c, length, b), dtype=np.complex128)
+    wb = np.zeros_like(wa)
     traces = np.full((b, n), np.nan)
     diverged_at = np.full(b, -1, dtype=np.int64)
     active = np.ones(b, dtype=bool)
 
-    for t in range(delay, n):
-        x = lags[:, :, t].reshape(b, c * length, 4)
-        e = reference[:, t - delay] - quat.mul(weights, x).sum(axis=-2)
-        err = quat.norm_sq(e)
-        traces[active, t] = err[active]
-        blown = active & ~(err <= error_energy_limit)  # catches NaN errors too
-        if blown.any():
-            diverged_at[blown] = t
-            active &= ~blown
-            if not active.any():
-                break
-        updated = weights + step_size * quat.mul(e[:, None, :], quat.conj(x))
-        broken = active & ~np.isfinite(updated).all(axis=(1, 2))
-        if broken.any():
-            diverged_at[broken] = t
-            active &= ~broken
-            if not active.any():
-                break
-        # a select, not a multiply by `active`: a frozen lane's update may be NaN
-        weights = np.where(active[:, None, None], updated, weights)
+    # A frozen lane keeps being evaluated: with an inf or NaN sample in its
+    # window its products overflow or turn NaN on every later step.  Those
+    # values are never committed and diverged_at already reports the lane, so
+    # numpy's overflow and invalid-value warnings would say nothing new.
+    with np.errstate(invalid="ignore", over="ignore"):
+        for t in range(n):
+            i = t % _BLOCK
+            if i == 0:
+                stop = min(t + _BLOCK, n)
+                xa_window[:, _BLOCK:] = xa_window[:, : length - 1]
+                xb_window[:, _BLOCK:] = xb_window[:, : length - 1]
+                block = np.moveaxis(received[:, :, t:stop], 0, 2)[:, ::-1]  # (C, m, B, 4), newest first
+                fill = slice(_BLOCK - (stop - t), _BLOCK)
+                xa_window.real[:, fill], xa_window.imag[:, fill] = block[..., 0], block[..., 1]
+                xb_window.real[:, fill], xb_window.imag[:, fill] = block[..., 2], block[..., 3]
+            if t < delay:
+                continue
+
+            p = _BLOCK - 1 - i
+            xa, xb = xa_window[:, p : p + length], xb_window[:, p : p + length]
+            xa_conj, xb_conj = xa.conj(), xb.conj()
+            e = reference[:, t - delay] - _outputs(wa, wb, xa, xb, xa_conj, xb_conj)
+            err = quat.norm_sq(e)
+            traces[active, t] = err[active]
+            blown = active & ~(err <= error_energy_limit)  # catches NaN errors too
+            if blown.any():
+                diverged_at[blown] = t
+                active &= ~blown
+                if not active.any():
+                    break
+            ua, ub = _updated(wa, wb, e, xa, xb, xa_conj, xb_conj, step_size)
+            if not (np.isfinite(ua.view(np.float64)).all() and np.isfinite(ub.view(np.float64)).all()):
+                broken = active & ~(np.isfinite(ua).all(axis=(0, 1)) & np.isfinite(ub).all(axis=(0, 1)))
+                diverged_at[broken] = t
+                active &= ~broken
+                if not active.any():
+                    break
+            if not active.all():
+                # a select, not a multiply by `active`: a frozen lane's update may be NaN
+                ua, ub = np.where(active, ua, wa), np.where(active, ub, wb)
+            wa, wb = ua, ub
+
+    weights = np.moveaxis(quat.from_pairs(wa, wb), 2, 0).reshape(b, c * length, 4)
     return QlmsBatch(weights, traces, diverged_at)
 
 

@@ -206,11 +206,17 @@ def noise_variance_for_snr(signal_power: float, snr_db: float) -> float:
     `signal_power` is the expected norm_sq of the signal the SNR refers to
     (the noiseless channel output for receiver-side SNR).  The total noise
     power signal_power / 10^(snr/10) is split equally over the four
-    components.  An infinite SNR yields exactly zero variance.
+    components.  An infinite SNR yields exactly zero variance, and so does an
+    SNR whose power ratio exceeds the float range.  An SNR so low that the
+    ratio underflows to zero yields an infinite variance.
     """
     if not signal_power > 0.0:
         raise ValueError("signal power must be positive")
-    return signal_power / (10.0 ** (snr_db / 10.0)) / 4.0
+    try:
+        ratio = 10.0 ** (float(snr_db) / 10.0)
+    except OverflowError:
+        return 0.0
+    return float(signal_power) / ratio / 4.0 if ratio > 0.0 else np.inf
 
 
 def expected_output_power(taps, symbol_energy: float = SYMBOL_ENERGY) -> float:

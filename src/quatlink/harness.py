@@ -104,6 +104,8 @@ class ExperimentConfig:
             raise ValueError(f"step_size: must be positive, got {self.step_size}")
         if np.isnan(self.snr_db):
             raise ValueError("snr_db: must not be NaN")
+        if not np.isfinite(noise_variance_for_snr(SYMBOL_ENERGY, self.snr_db)):
+            raise ValueError(f"snr_db: too low for a finite noise variance, got {self.snr_db}")
         if self.delay < 0 or self.delay >= self.symbols_per_run:
             raise ValueError(f"delay: must satisfy 0 <= delay < symbols_per_run, got {self.delay}")
 

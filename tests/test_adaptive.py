@@ -1,12 +1,17 @@
 """Tests for the QLMS adaptive equalizer."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from quatlink import adaptive, channel, modem, quat, wiener
 from quatlink.errors import DimensionMismatchError, DivergenceError
 
-from oracles import dot_left_loop
+from oracles import dot_left_loop, table_conj, table_mul
+
+# samples per block of the batch kernel's sample window
+BLOCK = adaptive._BLOCK
 
 
 def random_symbols(seed, n):
@@ -96,23 +101,39 @@ class TestQlmsStep:
 
 class TestRunQlms:
     def test_trace_matches_stepwise_iteration(self):
-        """run_qlms must agree exactly with iterating qlms_step by hand."""
-        rng = np.random.default_rng(66)
-        n, length, mu, delay = 50, 4, 0.02, 2
-        signal = rng.normal(size=(n, 4))
-        reference = rng.normal(size=(n, 4))
-        final, trace = adaptive.run_qlms(signal, reference, length, mu, delay)
+        """run_qlms must agree exactly with iterating qlms_step by hand.
 
-        padded = np.concatenate([np.zeros((length - 1, 4)), signal])
-        state = adaptive.initial_state(length, mu)
-        expected = np.full(n, np.nan)
-        for t in range(delay, n):
-            regressor = padded[t : t + length][::-1].copy()
-            state, e = adaptive.qlms_step(state, regressor, reference[t - delay])
-            expected[t] = quat.norm_sq(e)
-        assert np.array_equal(trace[delay:], expected[delay:])
-        assert np.isnan(trace[:delay]).all()
-        assert np.allclose(final.weights, state.weights, atol=1e-15)
+        Past the first case, the inputs sit on the edges of the kernel's
+        sample window: lengths either side of a block boundary, a delay past
+        the first block, a run shorter than the filter, and a filter longer
+        than a block.
+        """
+        rng = np.random.default_rng(66)
+        cases = [
+            (50, 4, 0.02, 2),
+            (BLOCK - 1, 4, 0.02, 2),
+            (BLOCK, 4, 0.02, 2),
+            (BLOCK + 1, 4, 0.02, 2),
+            (600, 4, 0.02, 2),
+            (600, 4, 0.02, BLOCK + 44),
+            (3, 5, 0.02, 1),
+            (2 * BLOCK + 100, BLOCK + 44, 0.0005, 3),
+        ]
+        for n, length, mu, delay in cases:
+            signal = rng.normal(size=(n, 4))
+            reference = rng.normal(size=(n, 4))
+            final, trace = adaptive.run_qlms(signal, reference, length, mu, delay)
+
+            padded = np.concatenate([np.zeros((length - 1, 4)), signal])
+            state = adaptive.initial_state(length, mu)
+            expected = np.full(n, np.nan)
+            for t in range(delay, n):
+                regressor = padded[t : t + length][::-1].copy()
+                state, e = adaptive.qlms_step(state, regressor, reference[t - delay])
+                expected[t] = quat.norm_sq(e)
+            assert np.array_equal(trace[delay:], expected[delay:])
+            assert np.isnan(trace[:delay]).all()
+            assert np.allclose(final.weights, state.weights, atol=1e-15)
 
     def test_zero_step_size_keeps_trace_flat(self):
         symbols = random_symbols(1, 300)
@@ -170,14 +191,16 @@ class TestRunQlms:
 
 class TestBatchKernel:
     def test_single_run_equals_batch_lane(self):
+        """A lane's result must not depend on the batch size, odd sizes included."""
         rng = np.random.default_rng(69)
-        signals = rng.normal(size=(5, 80, 4))
-        references = rng.normal(size=(5, 80, 4))
-        batch = adaptive.run_qlms_batch(signals[:, None], references, 6, 0.02, 3)
-        for lane in range(5):
-            state, trace = adaptive.run_qlms(signals[lane], references[lane], 6, 0.02, 3)
-            assert np.array_equal(trace[3:], batch.traces[lane, 3:])
-            assert np.array_equal(state.weights, batch.weights[lane])
+        for lanes in (5, 7, 129):
+            signals = rng.normal(size=(lanes, 80, 4))
+            references = rng.normal(size=(lanes, 80, 4))
+            batch = adaptive.run_qlms_batch(signals[:, None], references, 6, 0.02, 3)
+            for lane in range(lanes):
+                state, trace = adaptive.run_qlms(signals[lane], references[lane], 6, 0.02, 3)
+                assert np.array_equal(trace[3:], batch.traces[lane, 3:])
+                assert np.array_equal(state.weights, batch.weights[lane])
 
     def test_chunking_does_not_change_results(self):
         rng = np.random.default_rng(70)
@@ -219,6 +242,38 @@ class TestBatchKernel:
         solo = adaptive.run_qlms_batch(signals[1:, None], references[1:], 4, 0.05, 0)
         assert np.array_equal(batch.weights[1], solo.weights[0])
         assert np.array_equal(batch.traces[1], solo.traces[0])
+
+    def test_frozen_lane_raises_no_warnings(self):
+        """The inf that freezes a lane is reported by diverged_at, not by numpy warnings."""
+        rng = np.random.default_rng(73)
+        signals = rng.normal(size=(2, 40, 4))
+        references = rng.normal(size=(2, 40, 4))
+        signals[0, 10, 1] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = adaptive.run_qlms_batch(signals[:, None], references, 4, 0.05, 0)
+        assert batch.diverged_at.tolist() == [10, -1]
+
+    @pytest.mark.parametrize("streams", [1, 2])
+    def test_matches_table_arithmetic(self, streams):
+        """Traces and weights agree with QLMS stepped in basis-table arithmetic."""
+        rng = np.random.default_rng(75)
+        lanes, n, length, mu, delay = 3, 300, 5, 0.01, 4
+        signals = rng.normal(size=(lanes, streams, n, 4))
+        references = rng.normal(size=(lanes, n, 4))
+        batch = adaptive.run_qlms_batch(signals, references, length, mu, delay)
+        for lane in range(lanes):
+            padded = np.concatenate([np.zeros((streams, length - 1, 4)), signals[lane]], axis=1)
+            weights = np.zeros((streams * length, 4))
+            trace = np.full(n, np.nan)
+            for t in range(delay, n):
+                regressor = np.concatenate([padded[c, t : t + length][::-1] for c in range(streams)])
+                e = references[lane, t - delay] - dot_left_loop(weights, regressor)
+                trace[t] = e @ e
+                weights = weights + mu * np.array([table_mul(e, table_conj(x)) for x in regressor])
+            assert batch.diverged_at[lane] == -1
+            assert np.allclose(batch.traces[lane, delay:], trace[delay:], rtol=1e-12, atol=0.0)
+            assert np.allclose(batch.weights[lane], weights, rtol=1e-12, atol=1e-15)
 
 
 class TestStackedRegressors:

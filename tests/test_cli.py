@@ -237,3 +237,27 @@ class TestMainEndToEnd:
         args = ["run", "--runs", "2", "--symbols", "150", "--mu", "50.0", "--out", str(tmp_path / "out")]
         assert cli.main(args) == 1
         assert "failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["siso", "mimo"])
+    def test_snr_beyond_float_range_runs_noiseless(self, mode, tmp_path):
+        """--snr-db 1e308 overflows the power ratio and must run exactly as inf does."""
+        outputs = {}
+        for snr in ("1e308", "inf"):
+            out = tmp_path / snr
+            assert cli.main(["run", "--mode", mode, "--runs", "2", "--symbols", "60", "--snr-db", snr, "--out", str(out)]) == 0
+            outputs[snr] = out
+        for curve in sorted(outputs["inf"].glob("learning_curve*.csv")):
+            assert (outputs["1e308"] / curve.name).read_bytes() == curve.read_bytes()
+        summaries = [(outputs[snr] / "summary.txt").read_text(encoding="utf-8").splitlines() for snr in outputs]
+        assert [line for line in summaries[0] if not line.startswith("snr_db=")] == [
+            line for line in summaries[1] if not line.startswith("snr_db=")
+        ]
+
+    @pytest.mark.parametrize("snr", ["-1e308", "-inf"])
+    @pytest.mark.parametrize("mode", ["siso", "mimo"])
+    def test_snr_without_finite_noise_is_usage_error(self, mode, snr, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["run", "--mode", mode, f"--snr-db={snr}", "--out", str(tmp_path / "out")])
+        assert excinfo.value.code == 2
+        assert "--snr-db" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
