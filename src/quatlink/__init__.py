@@ -9,7 +9,7 @@ __version__ = "0.1.0"
 
 from . import adaptive, channel, cli, harness, linalg, modem, quat, wiener
 from .adaptive import EqualizerState, QlmsBatch, run_qlms, run_qlms_batch
-from .channel import ChannelModel, MimoChannelModel, derive_rng, make_rng
+from .channel import MimoChannelModel, derive_rng, make_rng
 from .errors import (
     DimensionMismatchError,
     DivergenceError,
@@ -20,9 +20,9 @@ from .errors import (
 from .harness import (
     ExperimentConfig,
     ExperimentSummary,
+    ExperimentResult,
     LearningCurve,
-    MimoExperimentResult,
-    SisoExperimentResult,
+    run_experiment,
     run_mimo_experiment,
     run_siso_experiment,
     summarize,
@@ -43,7 +43,6 @@ __all__ = [
     "QlmsBatch",
     "run_qlms",
     "run_qlms_batch",
-    "ChannelModel",
     "MimoChannelModel",
     "derive_rng",
     "make_rng",
@@ -54,9 +53,9 @@ __all__ = [
     "SingularMatrixError",
     "ExperimentConfig",
     "ExperimentSummary",
+    "ExperimentResult",
     "LearningCurve",
-    "MimoExperimentResult",
-    "SisoExperimentResult",
+    "run_experiment",
     "run_mimo_experiment",
     "run_siso_experiment",
     "summarize",

@@ -85,9 +85,9 @@ def initial_state(length: int, step_size: float) -> EqualizerState:
 
 
 def _one_lane(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(L, 4) components -> the (L, 1) pairs a, b of one kernel lane (views, no rounding)."""
-    pairs = np.ascontiguousarray(q).view(np.complex128)
-    return pairs[:, :1], pairs[:, 1:]
+    """(L, 4) components -> the (L, 1) pairs a, b of one kernel lane."""
+    a, b = quat.to_pairs(q)
+    return a[:, None], b[:, None]
 
 
 def _outputs(wa, wb, xa, xb, xa_conj, xb_conj) -> np.ndarray:

@@ -37,35 +37,10 @@ def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
 
 
 @dataclass(frozen=True)
-class ChannelModel:
-    """FIR tap vector (num_taps, 4) plus per-component noise variance."""
-
-    taps: np.ndarray
-    noise_variance_per_component: float = 0.0
-
-    def __post_init__(self):
-        taps = quat._q(self.taps)
-        if taps.ndim != 2 or taps.shape[0] < 1:
-            raise DimensionMismatchError(f"taps must be a (num_taps, 4) array, got shape {taps.shape}")
-        if not np.isfinite(taps).all() or not quat.norm_sq(taps).sum() > 0.0:
-            raise ValueError("taps must be finite with at least one nonzero tap")
-        if not self.noise_variance_per_component >= 0.0:
-            raise ValueError("noise variance must be nonnegative")
-        object.__setattr__(self, "taps", taps)
-
-    @property
-    def num_taps(self) -> int:
-        return self.taps.shape[0]
-
-    @property
-    def energy(self) -> float:
-        """Total channel energy sum_m norm_sq(taps[m])."""
-        return float(quat.norm_sq(self.taps).sum())
-
-
-@dataclass(frozen=True)
 class MimoChannelModel:
-    """Grid of FIR tap vectors, shape (num_rx, num_tx, num_taps, 4)."""
+    """Grid of FIR tap vectors, shape (num_rx, num_tx, num_taps, 4); a SISO
+    channel is the (1, 1, num_taps, 4) grid.
+    """
 
     grid: np.ndarray
     noise_variance_per_component: float = 0.0
@@ -79,18 +54,6 @@ class MimoChannelModel:
         if not self.noise_variance_per_component >= 0.0:
             raise ValueError("noise variance must be nonnegative")
         object.__setattr__(self, "grid", grid)
-
-    @property
-    def num_rx(self) -> int:
-        return self.grid.shape[0]
-
-    @property
-    def num_tx(self) -> int:
-        return self.grid.shape[1]
-
-    @property
-    def num_taps(self) -> int:
-        return self.grid.shape[2]
 
 
 def gaussian_quaternions(rng: np.random.Generator, variance_per_component: float, count=None) -> np.ndarray:
@@ -124,11 +87,6 @@ def random_channel_taps(rng: np.random.Generator, num_taps: int, normalize: bool
     if normalize:
         taps = taps / np.sqrt(quat.norm_sq(taps).sum())
     return taps
-
-
-def random_channel(rng: np.random.Generator, num_taps: int, normalize: bool = True,
-                   noise_variance_per_component: float = 0.0) -> ChannelModel:
-    return ChannelModel(random_channel_taps(rng, num_taps, normalize), noise_variance_per_component)
 
 
 def random_mimo_grid(rng: np.random.Generator, num_rx: int, num_tx: int, num_taps: int,
@@ -176,12 +134,6 @@ def convolve(signal, taps) -> np.ndarray:
     return quat.from_pairs(out_a, out_b)
 
 
-def apply_siso(model: ChannelModel, signal, rng: np.random.Generator) -> np.ndarray:
-    """Convolve with the channel taps and add one noise quaternion per sample."""
-    clean = convolve(signal, model.taps)
-    return clean + gaussian_quaternions(rng, model.noise_variance_per_component, clean.shape[:-1])
-
-
 def apply_mimo(model: MimoChannelModel, signals, rng: np.random.Generator) -> np.ndarray:
     """Superpose the per-path convolutions and add noise per receive stream.
 
@@ -189,11 +141,9 @@ def apply_mimo(model: MimoChannelModel, signals, rng: np.random.Generator) -> np
     stream r = sum_t convolve(signals[t], grid[r, t]) + noise.  Noise is
     independent across receive streams with the model's shared variance.
     """
-    signals = quat._q(signals)
-    if signals.ndim != 3 or signals.shape[0] != model.num_tx:
-        raise DimensionMismatchError(
-            f"expected {model.num_tx} input streams of equal length, got shape {signals.shape}"
-        )
+    signals, num_tx = quat._q(signals), model.grid.shape[1]
+    if signals.ndim != 3 or signals.shape[0] != num_tx:
+        raise DimensionMismatchError(f"expected {num_tx} input streams of equal length, got shape {signals.shape}")
     # grid (R, T, M, 4) against signals (T, N, 4): broadcast over (R, T), then
     # sum the per-transmitter contributions.
     clean = convolve(signals[None, :, :, :], model.grid).sum(axis=1)

@@ -31,8 +31,8 @@ from .harness import (
     ExperimentConfig,
     MODE_MIMO,
     MODE_SISO,
-    MimoExperimentResult,
-    SisoExperimentResult,
+    SNR_REF_RECEIVER,
+    SNR_REF_TRANSMITTER,
     run_experiment,
     summarize,
 )
@@ -42,27 +42,27 @@ DEFAULT_OUT_DIR = "quatlink_out"
 
 _DEFAULTS = ExperimentConfig()
 
-# config field -> CLI flag; also fixes the echo order
-_FLAG_BY_FIELD = {
-    "mode": "--mode",
-    "num_channel_taps": "--taps",
-    "equalizer_length": "--eq-len",
-    "snr_db": "--snr-db",
-    "snr_reference_point": "--snr-ref",
-    "num_runs": "--runs",
-    "symbols_per_run": "--symbols",
-    "step_size": "--mu",
-    "delay": "--delay",
-    "master_seed": "--seed",
-    "normalize_channel": "--normalize-channel",
-    "mimo_tx": None,
-    "mimo_rx": None,
-}
-
-_CONFIG_FIELDS = [f.name for f in dataclasses.fields(ExperimentConfig)]
-_BOOL_FIELDS = {"normalize_channel"}
-_INT_FIELDS = {"num_channel_taps", "equalizer_length", "num_runs", "symbols_per_run", "delay", "master_seed", "mimo_tx", "mimo_rx"}
-_FLOAT_FIELDS = {"snr_db", "step_size"}
+# One row per config field, in the config echo order: field, CLI flag (None
+# for file-only fields), value type (a tuple lists the allowed strings),
+# metavar, and help text, whose {} is filled with the default.
+_FIELDS = (
+    ("mode", "--mode", (MODE_SISO, MODE_MIMO), None, "experiment layout (default: {})"),
+    ("num_channel_taps", "--taps", int, "N", "channel tap count (default: {})"),
+    ("equalizer_length", "--eq-len", int, "L", "equalizer length (default: {})"),
+    ("snr_db", "--snr-db", float, "X", "SNR in dB, 'inf' disables noise (default: {})"),
+    ("snr_reference_point", "--snr-ref", (SNR_REF_RECEIVER, SNR_REF_TRANSMITTER), None,
+     "where the SNR is referenced (default: {})"),
+    ("num_runs", "--runs", int, "N", "Monte Carlo runs (default: {})"),
+    ("symbols_per_run", "--symbols", int, "N", "symbols per run (default: {})"),
+    ("step_size", "--mu", float, "X", "QLMS step size (default: {})"),
+    ("delay", "--delay", int, "D", "equalization delay in symbols (default: {})"),
+    ("master_seed", "--seed", int, "S", f"master seed; falls back to ${SEED_ENV_VAR}, then {{}}"),
+    ("normalize_channel", "--normalize-channel", bool, None, "rescale channels to exactly unit energy (default: {})"),
+    ("mimo_tx", None, int, None, None),
+    ("mimo_rx", None, int, None, None),
+)
+_TYPES = {field: kind for field, _, kind, _, _ in _FIELDS}
+_FLAGS = {field: flag for field, flag, _, _, _ in _FIELDS}
 
 
 @dataclass(frozen=True)
@@ -81,21 +81,17 @@ def _format_value(value) -> str:
 
 
 def _parse_field(name: str, raw: str):
-    raw = raw.strip()
-    if name in _BOOL_FIELDS:
+    raw, kind = raw.strip(), _TYPES[name]
+    if kind is bool:
         if raw not in ("on", "off"):
             raise ValueError(f"{name}: expected 'on' or 'off', got {raw!r}")
         return raw == "on"
-    if name in _INT_FIELDS:
-        return int(raw)
-    if name in _FLOAT_FIELDS:
-        return float(raw)
-    return raw
+    return raw if isinstance(kind, tuple) else kind(raw)
 
 
 def config_to_lines(config: ExperimentConfig) -> list[str]:
     """Config echo: one key=value line per field, in declaration order."""
-    return [f"{name}={_format_value(getattr(config, name))}" for name in _CONFIG_FIELDS]
+    return [f"{name}={_format_value(getattr(config, name))}" for name in _TYPES]
 
 
 def parse_kv_lines(text: str) -> dict[str, str]:
@@ -121,7 +117,7 @@ def config_values_from_mapping(mapping: dict[str, str], ignore_unknown: bool = F
     values = {}
     unknown = []
     for key, raw in mapping.items():
-        if key in _CONFIG_FIELDS:
+        if key in _TYPES:
             values[key] = _parse_field(key, raw)
         else:
             unknown.append(key)
@@ -141,31 +137,18 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     )
     commands = parser.add_subparsers(dest="command", required=True)
     run = commands.add_parser("run", help="run an experiment and write CSV/summary/manifest files")
-    d = _DEFAULTS
-    run.add_argument("--mode", choices=(MODE_SISO, MODE_MIMO), help=f"experiment layout (default: {d.mode})")
-    run.add_argument("--taps", type=int, metavar="N", help=f"channel tap count (default: {d.num_channel_taps})")
-    run.add_argument("--eq-len", type=int, metavar="L", help=f"equalizer length (default: {d.equalizer_length})")
-    run.add_argument("--snr-db", type=float, metavar="X", help=f"SNR in dB, 'inf' disables noise (default: {d.snr_db})")
-    run.add_argument(
-        "--snr-ref",
-        choices=("receiver", "transmitter"),
-        help=f"where the SNR is referenced (default: {d.snr_reference_point})",
-    )
-    run.add_argument("--runs", type=int, metavar="N", help=f"Monte Carlo runs (default: {d.num_runs})")
-    run.add_argument("--symbols", type=int, metavar="N", help=f"symbols per run (default: {d.symbols_per_run})")
-    run.add_argument("--mu", type=float, metavar="X", help=f"QLMS step size (default: {d.step_size})")
-    run.add_argument("--delay", type=int, metavar="D", help=f"equalization delay in symbols (default: {d.delay})")
-    run.add_argument(
-        "--seed",
-        type=int,
-        metavar="S",
-        help=f"master seed; falls back to ${SEED_ENV_VAR}, then {d.master_seed}",
-    )
-    run.add_argument(
-        "--normalize-channel",
-        choices=("on", "off"),
-        help=f"rescale channels to exactly unit energy (default: {'on' if d.normalize_channel else 'off'})",
-    )
+    for field, flag, kind, metavar, text in _FIELDS:
+        if flag is None:
+            continue
+        choices = ("on", "off") if kind is bool else kind if isinstance(kind, tuple) else None
+        run.add_argument(
+            flag,
+            dest=field,
+            type=None if choices else kind,
+            choices=choices,
+            metavar=metavar,
+            help=text.format(_format_value(getattr(_DEFAULTS, field))),
+        )
     run.add_argument("--out", metavar="DIR", help=f"output directory (default: {DEFAULT_OUT_DIR})")
     run.add_argument("--config", metavar="PATH", help="key=value config file; flags override it")
     run.add_argument("--workers", type=int, metavar="N", help="worker processes for the Monte Carlo runs (default: 1)")
@@ -188,20 +171,10 @@ def parse_args(argv) -> CliInvocation:
         except ValueError as exc:
             run_parser.error(f"--config: {exc}")
 
-    flag_values = {
-        "mode": ns.mode,
-        "num_channel_taps": ns.taps,
-        "equalizer_length": ns.eq_len,
-        "snr_db": ns.snr_db,
-        "snr_reference_point": ns.snr_ref,
-        "num_runs": ns.runs,
-        "symbols_per_run": ns.symbols,
-        "step_size": ns.mu,
-        "delay": ns.delay,
-        "master_seed": ns.seed,
-        "normalize_channel": None if ns.normalize_channel is None else ns.normalize_channel == "on",
-    }
-    values.update({field: value for field, value in flag_values.items() if value is not None})
+    for field, kind in _TYPES.items():
+        value = getattr(ns, field, None)
+        if value is not None:
+            values[field] = _parse_field(field, value) if kind is bool else value
 
     if "master_seed" not in values and SEED_ENV_VAR in os.environ:
         try:
@@ -215,7 +188,7 @@ def parse_args(argv) -> CliInvocation:
     except ValueError as exc:
         message = str(exc)
         field = message.split(":", 1)[0]
-        flag = _FLAG_BY_FIELD.get(field)
+        flag = _FLAGS.get(field)
         run_parser.error(message if flag is None else message.replace(field, flag, 1))
 
     workers = 1 if ns.workers is None else ns.workers
@@ -233,23 +206,23 @@ def emit_learning_curve_csv(curve, path: Path) -> None:
 
 
 def _summary_lines(result, config: ExperimentConfig) -> list[str]:
-    lines: list[str] = []
-    if isinstance(result, SisoExperimentResult):
-        record = summarize(result)
-        lines.append(f"steady_state_db={_format_value(record.steady_state_db)}")
-        lines.append(f"convergence_iteration={record.convergence_iteration}")
-        lines.append(f"ser={_format_value(record.symbol_error_rate)}")
-        lines.append(f"wiener_mse_db={_format_value(record.wiener_mse_db)}")
-        lines.append(f"runs_diverged={record.runs_diverged}")
-    elif isinstance(result, MimoExperimentResult):
-        lines.append(f"runs_diverged={result.runs_diverged}")
-        for stream, record in enumerate(summarize(result)):
+    records = summarize(result)
+    if config.mode == MODE_SISO:
+        (record,) = records
+        lines = [
+            f"steady_state_db={_format_value(record.steady_state_db)}",
+            f"convergence_iteration={record.convergence_iteration}",
+            f"ser={_format_value(record.symbol_error_rate)}",
+            f"wiener_mse_db={_format_value(record.wiener_mse_db)}",
+            f"runs_diverged={record.runs_diverged}",
+        ]
+    else:
+        lines = [f"runs_diverged={result.runs_diverged}"]
+        for stream, record in enumerate(records):
             lines.append(f"steady_state_db_stream{stream}={_format_value(record.steady_state_db)}")
             lines.append(f"convergence_iteration_stream{stream}={record.convergence_iteration}")
             lines.append(f"ser_stream{stream}={_format_value(record.symbol_error_rate)}")
             lines.append(f"runs_diverged_stream{stream}={record.runs_diverged}")
-    else:
-        raise ValueError(f"cannot emit a summary for {type(result).__name__}")
     return lines + config_to_lines(config)
 
 
@@ -279,8 +252,7 @@ def write_outputs(result, config: ExperimentConfig, out_dir: Path) -> list[Path]
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     curve_names = _curve_filenames(config)
-    curves = result.curves if isinstance(result, MimoExperimentResult) else [result.curve]
-    for name, curve in zip(curve_names, curves):
+    for name, curve in zip(curve_names, result.curves):
         emit_learning_curve_csv(curve, out_dir / name)
         written.append(out_dir / name)
     emit_summary(result, config, out_dir / "summary.txt")
@@ -302,10 +274,14 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"cannot write outputs: {exc}", file=sys.stderr)
         return 1
-    if isinstance(result, MimoExperimentResult):
+    if invocation.config.mode == MODE_MIMO:
         steady = ", ".join(f"stream{s} {c.steady_state_db:.2f} dB" for s, c in enumerate(result.curves))
     else:
         steady = f"{result.curve.steady_state_db:.2f} dB"
     print(f"steady state: {steady}")
     print(f"wrote {', '.join(str(p) for p in written)}")
     return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,15 +1,19 @@
-"""Seeded Monte Carlo experiments: SISO equalization and 2x2 MIMO separation.
+"""Seeded Monte Carlo experiments: SISO equalization and rx-by-tx MIMO separation.
 
-Every run draws its own channel, symbol stream, and noise from generators
-keyed by (master seed, run index, purpose, stream index), so the full result
-set is a pure function of the configuration and runs can be chunked across
-processes without changing a single bit of the output.  Runs advance in
-lockstep through the batched QLMS kernel, which keeps ensemble averaging over
-hundreds of runs cheap.  After adaptation, the SER decisions and (in SISO) the
-block Wiener baseline are computed for a fixed group of 8 runs or lanes at a
-time: one batched call per group amortizes numpy's per-call cost, while the
-group's temporaries stay small (whole-chunk groups raise the peak resident
-memory of a 64 x 5000 run by about 65% in SISO and 55% in MIMO).
+SISO is the 1x1 case of MIMO, so both modes take one path.  Every run draws
+a random (rx, tx) grid of FIR channels, one symbol stream per transmitter and
+the receiver noise from generators keyed by (master seed, run index,
+purpose, stream index), so the full result set is a pure function of the
+configuration and runs can be chunked across processes without changing a
+single bit of the output.  Each (run, transmitted stream) pair is one lane
+of the batched QLMS kernel: the run's received streams against that
+stream's symbols.  Lanes advance in lockstep, which keeps ensemble averaging
+over hundreds of runs cheap.  After adaptation, the SER decisions and (in
+SISO only) the block Wiener baseline are computed for a fixed group of 8
+lanes at a time: one batched call per group amortizes numpy's per-call
+cost, while the group's temporaries stay small (whole-chunk groups raise the
+peak resident memory of a 64 x 5000 run by about 65% in SISO and 55% in
+MIMO).  `_MODES` holds everything that differs between the modes.
 
 Learning curves are the per-run error traces converted to dB (floored at
 -100 dB relative to the reference power) and averaged pointwise across the
@@ -20,7 +24,7 @@ counted and reported.
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -30,18 +34,16 @@ from .channel import (
     MimoChannelModel,
     SYMBOL_ENERGY,
     apply_mimo,
-    derive_rng,
-    expected_output_power,
-    gaussian_quaternions,
     convolve,
+    derive_rng,
     noise_variance_for_snr,
-    random_channel_taps,
     random_mimo_grid,
 )
 from .errors import ExperimentFailedError
 
 # Not called here; perfbench/tracer.py wraps these module attributes by name.
 from .adaptive import lag_matrix  # noqa: F401
+from .channel import gaussian_quaternions, random_channel_taps  # noqa: F401
 from .linalg import dot_left  # noqa: F401
 
 MODE_SISO = "siso"
@@ -56,6 +58,20 @@ _PURPOSE_NOISE = 2
 
 # MIMO streams are scaled to unit power (norm_sq = 1 per symbol)
 MIMO_STREAM_SCALE = 0.5
+
+
+class _Mode(NamedTuple):
+    """Everything that differs between the modes."""
+
+    layout: Callable  # config -> (receive streams, transmit streams)
+    stream_scale: float
+    with_wiener: bool  # whether the per-run block Wiener stage runs
+
+
+_MODES = {
+    MODE_SISO: _Mode(lambda config: (1, 1), 1.0, True),
+    MODE_MIMO: _Mode(lambda config: (config.mimo_rx, config.mimo_tx), MIMO_STREAM_SCALE, False),
+}
 
 # dB floor for per-sample trace entries, relative to the reference power
 CURVE_DB_FLOOR = -100.0
@@ -125,22 +141,36 @@ class LearningCurve:
 
 
 @dataclass(frozen=True)
-class SisoExperimentResult:
-    curve: LearningCurve
-    wiener_mse_db: float
-    symbol_error_rate: float
-    runs_diverged: int
-    per_run_qlms_db: np.ndarray
-    per_run_wiener_db: np.ndarray
-    per_run_traces: np.ndarray  # (runs, N) linear, NaN in warm-up / after divergence
+class ExperimentResult:
+    """Per transmitted stream: one learning curve and one SER (a SISO run has
+    one stream).  The per-run arrays are indexed (run, stream); per-run
+    Wiener figures and `wiener_mse_db` come from the SISO Wiener stage and
+    are NaN and None in MIMO.
+    """
 
-
-@dataclass(frozen=True)
-class MimoExperimentResult:
     curves: tuple[LearningCurve, ...]
     symbol_error_rates: tuple[float, ...]
-    runs_diverged: int
-    per_run_traces: np.ndarray  # (runs, streams, N) linear
+    runs_diverged: int  # runs with at least one diverged stream
+    per_run_traces: np.ndarray  # (runs, streams, N) linear, NaN in warm-up / after divergence
+    per_run_qlms_db: np.ndarray  # (runs, streams) mean of the last quarter, NaN if diverged
+    per_run_wiener_db: np.ndarray  # (runs, streams)
+    wiener_mse_db: Optional[float]
+
+    @property
+    def curve(self) -> LearningCurve:
+        """The learning curve of a one-stream result."""
+        return _only(self.curves)
+
+    @property
+    def symbol_error_rate(self) -> float:
+        """The SER of a one-stream result."""
+        return _only(self.symbol_error_rates)
+
+
+def _only(values: tuple):
+    if len(values) != 1:
+        raise ValueError(f"result has {len(values)} streams; pick one from the per-stream tuple")
+    return values[0]
 
 
 @dataclass(frozen=True)
@@ -153,7 +183,7 @@ class ExperimentSummary:
 
 
 def _reference_power(config: ExperimentConfig) -> float:
-    scale = MIMO_STREAM_SCALE if config.mode == MODE_MIMO else 1.0
+    scale = _MODES[config.mode].stream_scale
     return SYMBOL_ENERGY * scale * scale
 
 
@@ -216,50 +246,16 @@ def _post_adaptation(config: ExperimentConfig, received: np.ndarray, references:
     return {"errors": errors, "decisions": decisions, "wiener_db": wiener_db}
 
 
-def _siso_run_data(config: ExperimentConfig, run: int):
-    taps = random_channel_taps(
-        derive_rng(config.master_seed, run, _PURPOSE_CHANNEL, 0),
-        config.num_channel_taps,
-        config.normalize_channel,
-    )
-    indices = derive_rng(config.master_seed, run, _PURPOSE_SYMBOLS, 0).integers(
-        0, modem.NUM_SYMBOLS, config.symbols_per_run
-    )
-    reference = modem.index_to_symbol(indices)
-    clean = convolve(reference, taps)
-    if config.snr_reference_point == SNR_REF_RECEIVER:
-        signal_power = expected_output_power(taps)
-    else:
-        signal_power = SYMBOL_ENERGY
-    variance = noise_variance_for_snr(signal_power, config.snr_db)
-    received = clean + gaussian_quaternions(
-        derive_rng(config.master_seed, run, _PURPOSE_NOISE, 0), variance, clean.shape[:-1]
-    )
-    return received, reference, indices
-
-
-def _siso_chunk(config: ExperimentConfig, start: int, stop: int) -> dict:
-    draws = [_siso_run_data(config, r) for r in range(start, stop)]
-    received, references, indices = (np.stack(parts) for parts in zip(*draws))
-    del draws  # the stacked copies replace the per-run arrays
-    received = received[:, None]
-    batch = run_qlms_batch(received, references, config.equalizer_length, config.step_size, config.delay)
-
-    n = config.symbols_per_run
-    alive = batch.diverged_at < 0
-    qlms_db = np.full(stop - start, np.nan)
-    qlms_db[alive] = 10.0 * np.log10(
-        np.nanmean(batch.traces[alive, 3 * n // 4 :], axis=1) / _reference_power(config)
-    )
-    stage = _post_adaptation(config, received, references, indices, batch, with_wiener=True)
-    return {"traces": batch.traces, "diverged_at": batch.diverged_at, "qlms_db": qlms_db, **stage}
-
-
-def _mimo_run_data(config: ExperimentConfig, run: int):
+def _run_data(config: ExperimentConfig, run: int):
+    """One run's received streams (rx, N, 4), transmitted streams (tx, N, 4)
+    and their symbol indices (tx, N), for the (rx, tx) layout of the mode.
+    """
+    mode = _MODES[config.mode]
+    num_rx, num_tx = mode.layout(config)
     grid = random_mimo_grid(
         derive_rng(config.master_seed, run, _PURPOSE_CHANNEL, 0),
-        config.mimo_rx,
-        config.mimo_tx,
+        num_rx,
+        num_tx,
         config.num_channel_taps,
         config.normalize_channel,
     )
@@ -268,13 +264,13 @@ def _mimo_run_data(config: ExperimentConfig, run: int):
             derive_rng(config.master_seed, run, _PURPOSE_SYMBOLS, s).integers(
                 0, modem.NUM_SYMBOLS, config.symbols_per_run
             )
-            for s in range(config.mimo_tx)
+            for s in range(num_tx)
         ]
     )
-    streams = MIMO_STREAM_SCALE * modem.index_to_symbol(indices)
+    streams = mode.stream_scale * modem.index_to_symbol(indices)
     stream_power = _reference_power(config)
     if config.snr_reference_point == SNR_REF_RECEIVER:
-        signal_power = stream_power * float(quat.norm_sq(grid).sum()) / config.mimo_rx
+        signal_power = stream_power * float(quat.norm_sq(grid).sum()) / num_rx
     else:
         signal_power = stream_power
     variance = noise_variance_for_snr(signal_power, config.snr_db)
@@ -283,105 +279,92 @@ def _mimo_run_data(config: ExperimentConfig, run: int):
     return received, streams, indices
 
 
-def _mimo_chunk(config: ExperimentConfig, start: int, stop: int) -> dict:
-    draws = [_mimo_run_data(config, r) for r in range(start, stop)]
+def _chunk(config: ExperimentConfig, start: int, stop: int) -> dict:
+    """Runs [start, stop): every result array indexed (run, stream, ...)."""
+    draws = [_run_data(config, r) for r in range(start, stop)]
     received, streams, indices = (np.stack(parts) for parts in zip(*draws))
     del draws  # the stacked copies replace the per-run arrays
-    n, num_streams = config.symbols_per_run, config.mimo_tx
+    n, num_streams = config.symbols_per_run, streams.shape[1]
     # one lane per (run, stream): the run's received streams, that stream's reference
     lanes_rx = np.repeat(received, num_streams, axis=0)
     del received
     lanes_ref = streams.reshape(-1, n, 4)
     batch = run_qlms_batch(lanes_rx, lanes_ref, config.equalizer_length, config.step_size, config.delay)
 
-    stage = _post_adaptation(config, lanes_rx, lanes_ref, indices.reshape(-1, n), batch, with_wiener=False)
-    shape = (stop - start, num_streams)
-    return {
-        "traces": batch.traces.reshape(*shape, n),
-        "diverged_at": batch.diverged_at.reshape(shape),
-        "errors": stage["errors"].reshape(shape),
-        "decisions": stage["decisions"].reshape(shape),
-    }
+    alive = batch.diverged_at < 0
+    qlms_db = np.full(alive.size, np.nan)
+    qlms_db[alive] = 10.0 * np.log10(
+        np.nanmean(batch.traces[alive, 3 * n // 4 :], axis=1) / _reference_power(config)
+    )
+    with_wiener = _MODES[config.mode].with_wiener
+    stage = _post_adaptation(config, lanes_rx, lanes_ref, indices.reshape(-1, n), batch, with_wiener)
+    lanes = {"traces": batch.traces, "diverged_at": batch.diverged_at, "qlms_db": qlms_db, **stage}
+    return {name: value.reshape((stop - start, num_streams) + value.shape[1:]) for name, value in lanes.items()}
 
 
-def _run_chunks(chunk_fn, config: ExperimentConfig, workers: int) -> list[dict]:
+def _run_chunks(config: ExperimentConfig, workers: int) -> list[dict]:
     bounds = [(start, min(start + _CHUNK_RUNS, config.num_runs)) for start in range(0, config.num_runs, _CHUNK_RUNS)]
     if workers <= 1 or len(bounds) == 1:
-        return [chunk_fn(config, start, stop) for start, stop in bounds]
+        return [_chunk(config, start, stop) for start, stop in bounds]
     max_workers = min(workers, len(bounds), os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=max_workers) as pool:
-        futures = [pool.submit(chunk_fn, config, start, stop) for start, stop in bounds]
+        futures = [pool.submit(_chunk, config, start, stop) for start, stop in bounds]
         return [f.result() for f in futures]
 
 
-def run_siso_experiment(config: ExperimentConfig, workers: int = 1) -> SisoExperimentResult:
-    """Monte Carlo SISO equalization: averaged learning curve, block Wiener
-    baseline on the same data, and hard-decision SER from the final weights.
-    """
-    config.validate()
-    if config.mode != MODE_SISO:
-        raise ValueError(f"mode: expected '{MODE_SISO}', got {config.mode!r}")
-    chunks = _run_chunks(_siso_chunk, config, workers)
-
-    traces = np.concatenate([c["traces"] for c in chunks])
-    diverged_at = np.concatenate([c["diverged_at"] for c in chunks])
-    alive = diverged_at < 0
-    diverged = int((~alive).sum())
-    curve = _build_curve(traces, alive, config.delay, _reference_power(config), diverged)
-
-    wiener_db = np.concatenate([c["wiener_db"] for c in chunks])
-    qlms_db = np.concatenate([c["qlms_db"] for c in chunks])
-    errors = int(np.concatenate([c["errors"] for c in chunks]).sum())
-    decisions = int(np.concatenate([c["decisions"] for c in chunks]).sum())
-    wiener_linear = (10.0 ** (wiener_db[alive] / 10.0)).mean()
-    return SisoExperimentResult(
-        curve=curve,
-        wiener_mse_db=float(10.0 * np.log10(wiener_linear)),
-        symbol_error_rate=errors / decisions if decisions else float("nan"),
-        runs_diverged=diverged,
-        per_run_qlms_db=qlms_db,
-        per_run_wiener_db=wiener_db,
-        per_run_traces=traces,
-    )
-
-
-def run_mimo_experiment(config: ExperimentConfig, workers: int = 1) -> MimoExperimentResult:
-    """Monte Carlo 2x2 (generally rx-by-tx) MIMO separation and equalization.
+def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
+    """Monte Carlo equalization (SISO) or rx-by-tx separation (MIMO).
 
     Each transmitted stream gets its own stacked-regressor equalizer spanning
-    all receive streams (weight length mimo_rx * equalizer_length); curves and
-    SER are reported per transmitted stream.
+    all receive streams (weight length rx * equalizer_length).  Curves and
+    SER are reported per transmitted stream, the SER from the hard decisions
+    of each surviving run's final weights; SISO adds the block Wiener
+    baseline on the same data.
     """
     config.validate()
-    if config.mode != MODE_MIMO:
-        raise ValueError(f"mode: expected '{MODE_MIMO}', got {config.mode!r}")
-    chunks = _run_chunks(_mimo_chunk, config, workers)
-
-    traces = np.concatenate([c["traces"] for c in chunks])  # (runs, streams, N)
-    diverged_at = np.concatenate([c["diverged_at"] for c in chunks])
-    errors = np.concatenate([c["errors"] for c in chunks])
-    decisions = np.concatenate([c["decisions"] for c in chunks])
+    chunks = _run_chunks(config, workers)
+    traces, diverged_at, qlms_db, wiener_db, errors, decisions = (
+        np.concatenate([c[name] for c in chunks])
+        for name in ("traces", "diverged_at", "qlms_db", "wiener_db", "errors", "decisions")
+    )
+    alive = diverged_at < 0
     reference_power = _reference_power(config)
 
     curves = []
     rates = []
-    for s in range(config.mimo_tx):
-        alive = diverged_at[:, s] < 0
-        curves.append(
-            _build_curve(traces[:, s], alive, config.delay, reference_power, int((~alive).sum()))
-        )
-        total = int(decisions[alive, s].sum())
-        rates.append(int(errors[alive, s].sum()) / total if total else float("nan"))
-    return MimoExperimentResult(
+    for s in range(traces.shape[1]):
+        lanes = alive[:, s]
+        curves.append(_build_curve(traces[:, s], lanes, config.delay, reference_power, int((~lanes).sum())))
+        total = int(decisions[lanes, s].sum())
+        rates.append(int(errors[lanes, s].sum()) / total if total else float("nan"))
+    wiener_mse_db = None
+    if _MODES[config.mode].with_wiener:
+        wiener_mse_db = float(10.0 * np.log10((10.0 ** (wiener_db[alive] / 10.0)).mean()))
+    return ExperimentResult(
         curves=tuple(curves),
         symbol_error_rates=tuple(rates),
-        runs_diverged=int((diverged_at >= 0).any(axis=1).sum()),
+        runs_diverged=int((~alive).any(axis=1).sum()),
         per_run_traces=traces,
+        per_run_qlms_db=qlms_db,
+        per_run_wiener_db=wiener_db,
+        wiener_mse_db=wiener_mse_db,
     )
 
 
-def run_experiment(config: ExperimentConfig, workers: int = 1):
-    return run_siso_experiment(config, workers) if config.mode == MODE_SISO else run_mimo_experiment(config, workers)
+def _in_mode(config: ExperimentConfig, mode: str) -> ExperimentConfig:
+    if config.mode != mode:
+        raise ValueError(f"mode: expected '{mode}', got {config.mode!r}")
+    return config
+
+
+def run_siso_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
+    """`run_experiment` for a SISO config."""
+    return run_experiment(_in_mode(config, MODE_SISO), workers)
+
+
+def run_mimo_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
+    """`run_experiment` for a MIMO config."""
+    return run_experiment(_in_mode(config, MODE_MIMO), workers)
 
 
 def convergence_iteration(curve_db: np.ndarray, steady_state_db: float, threshold_db: float = 1.0) -> int:
@@ -401,32 +384,18 @@ def convergence_iteration(curve_db: np.ndarray, steady_state_db: float, threshol
     return int(hits[0]) if hits.size else curve_db.size - 1
 
 
-def summarize(result):
-    """Condense an experiment result into flat summary records.
-
-    A SISO result yields one ExperimentSummary; a MIMO result yields a tuple
-    with one entry per transmitted stream.
-    """
-    if isinstance(result, SisoExperimentResult):
-        curve = result.curve
-        return ExperimentSummary(
+def summarize(result: ExperimentResult) -> tuple[ExperimentSummary, ...]:
+    """Condense an experiment result into one flat record per transmitted stream."""
+    curves = getattr(result, "curves", ())
+    if not curves:
+        raise ValueError(f"cannot summarize {type(result).__name__}: it has no learning curves")
+    return tuple(
+        ExperimentSummary(
             steady_state_db=curve.steady_state_db,
             convergence_iteration=convergence_iteration(curve.mse_per_iteration, curve.steady_state_db),
-            symbol_error_rate=result.symbol_error_rate,
+            symbol_error_rate=rate,
             wiener_mse_db=result.wiener_mse_db,
-            runs_diverged=result.runs_diverged,
+            runs_diverged=curve.runs_diverged,
         )
-    if isinstance(result, MimoExperimentResult):
-        if not result.curves:
-            raise ValueError("cannot summarize an experiment with no streams")
-        return tuple(
-            ExperimentSummary(
-                steady_state_db=curve.steady_state_db,
-                convergence_iteration=convergence_iteration(curve.mse_per_iteration, curve.steady_state_db),
-                symbol_error_rate=rate,
-                wiener_mse_db=None,
-                runs_diverged=curve.runs_diverged,
-            )
-            for curve, rate in zip(result.curves, result.symbol_error_rates)
-        )
-    raise ValueError(f"cannot summarize object of type {type(result).__name__}")
+        for curve, rate in zip(curves, result.symbol_error_rates)
+    )

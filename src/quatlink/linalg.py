@@ -46,46 +46,11 @@ def dot_left(w, s) -> np.ndarray:
     return quat.mul(w, s).sum(axis=-2)
 
 
-def outer_h(a, b) -> np.ndarray:
-    """Outer product M[r, c] = a[r] * conj(b[c])."""
-    a, b = _vec(a), _vec(b)
-    return quat.mul(a[:, None, :], quat.conj(b)[None, :, :])
-
-
-def hermitian_transpose(m) -> np.ndarray:
-    """Conjugate transpose: result[c, r] = conj(m[r, c])."""
-    return quat.conj(_mat(m).swapaxes(0, 1))
-
-
 def identity(n: int) -> np.ndarray:
     """n-by-n quaternion identity matrix."""
     m = np.zeros((n, n, 4))
     m[np.arange(n), np.arange(n), 0] = 1.0
     return m
-
-
-def matvec(m, v) -> np.ndarray:
-    """(m v)[r] = sum_c m[r, c] * v[c]."""
-    m, v = _mat(m), _vec(v)
-    if m.shape[1] != v.shape[0]:
-        raise DimensionMismatchError(f"matrix has {m.shape[1]} columns, vector has {v.shape[0]} entries")
-    return quat.mul(m, v[None, :, :]).sum(axis=1)
-
-
-def matmul(a, b) -> np.ndarray:
-    """(a b)[r, c] = sum_k a[r, k] * b[k, c]."""
-    a, b = _mat(a), _mat(b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionMismatchError(f"inner dimensions differ: {a.shape[1]} vs {b.shape[0]}")
-    return quat.mul(a[:, :, None, :], b[None, :, :, :]).sum(axis=1)
-
-
-def vec_add(a, b) -> np.ndarray:
-    return _vec(a) + _vec(b)
-
-
-def vec_scale(v, factor: float) -> np.ndarray:
-    return _vec(v) * float(factor)
 
 
 def solve(a, b) -> np.ndarray:
@@ -188,7 +153,8 @@ def vector_from_adjoint(z) -> np.ndarray:
 
 
 def mean_outer_h(vectors) -> np.ndarray:
-    """Average of outer_h(v, v) over the leading axis of a (N, n, 4) stack.
+    """Average of the outer products M[r, c] = v[r] * conj(v[c]) over the
+    leading axis of a (N, n, 4) stack.
 
     Computed as one Gramian in the complex adjoint image (the embedding is a
     ring homomorphism, so this equals averaging the quaternion outer products

@@ -58,11 +58,6 @@ def demodulate(received) -> np.ndarray:
     return index_to_symbol(hard_decisions(received))
 
 
-def symbol_index(symbols) -> np.ndarray:
-    """Pack exact constellation points back into their indices."""
-    return hard_decisions(symbols)
-
-
 def count_errors(sent_indices, decided_indices) -> tuple[int, int]:
     """(symbol errors, bit errors) between two index sequences.
 

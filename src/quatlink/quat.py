@@ -23,10 +23,6 @@ __all__ = [
     "real",
     "to_pairs",
     "from_pairs",
-    "add",
-    "sub",
-    "negate",
-    "scale",
 ]
 
 
@@ -96,29 +92,14 @@ def to_pairs(q) -> tuple[np.ndarray, np.ndarray]:
     """Complex-pair form q = a + b*j with a = q0 + q1*i and b = q2 + q3*i.
 
     In this form (a1 + b1 j)(a2 + b2 j) = (a1 a2 - b1 conj(b2)) + (a1 b2 + b1 conj(a2)) j:
-    four complex products in place of sixteen real ones.
+    four complex products in place of sixteen real ones.  The pairs are
+    contiguous copies out of a complex view of the components, exact for
+    every value; q0 + 1j*q1 is not, as 1j*inf has the real part 0*inf = NaN.
     """
-    q = _q(q)
-    return q[..., 0] + 1j * q[..., 1], q[..., 2] + 1j * q[..., 3]
+    pairs = np.ascontiguousarray(_q(q)).view(np.complex128)
+    return pairs[..., 0].copy(), pairs[..., 1].copy()
 
 
 def from_pairs(a, b) -> np.ndarray:
     """Inverse of `to_pairs`: complex arrays a, b -> (..., 4) components."""
     return np.stack((a.real, a.imag, b.real, b.imag), axis=-1)
-
-
-def add(a, b) -> np.ndarray:
-    return _q(a) + _q(b)
-
-
-def sub(a, b) -> np.ndarray:
-    return _q(a) - _q(b)
-
-
-def negate(a) -> np.ndarray:
-    return -_q(a)
-
-
-def scale(a, factor) -> np.ndarray:
-    """Multiply by a real scalar (commutes with everything)."""
-    return _q(a) * np.asarray(factor, dtype=np.float64)[..., None]

@@ -38,6 +38,16 @@ def dot_left_loop(w, s):
     return acc
 
 
+def outer_h_loop(a, b):
+    """Outer product M[r, c] = a[r] * conj(b[c]), one entry at a time."""
+    return np.array([[table_mul(x, table_conj(y)) for y in b] for x in a])
+
+
+def hermitian_transpose_loop(m):
+    """Conjugate transpose result[c, r] = conj(m[r, c]), one entry at a time."""
+    return np.array([[table_conj(m[r, c]) for r in range(m.shape[0])] for c in range(m.shape[1])])
+
+
 def matvec_loop(m, v):
     return np.stack([dot_left_loop(m[r], v) for r in range(m.shape[0])])
 

@@ -73,12 +73,14 @@ class TestRandomChannel:
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
-            channel.ChannelModel(np.zeros((3, 4)))
+            channel.MimoChannelModel(np.full((1, 1, 3, 4), np.inf))
         with pytest.raises(ValueError):
-            channel.ChannelModel(np.ones((3, 4)), noise_variance_per_component=-0.1)
-        model = channel.random_channel(channel.make_rng(0), 4)
-        assert model.num_taps == 4
-        assert np.isclose(model.energy, 1.0, atol=1e-12)
+            channel.MimoChannelModel(np.ones((1, 1, 3, 4)), noise_variance_per_component=-0.1)
+        with pytest.raises(DimensionMismatchError):
+            channel.MimoChannelModel(np.ones((3, 4)))
+        model = channel.MimoChannelModel(channel.random_mimo_grid(channel.make_rng(0), 1, 1, 4))
+        assert model.grid.shape == (1, 1, 4, 4)
+        assert np.isclose(quat.norm_sq(model.grid).sum(), 1.0, atol=1e-12)
 
 
 class TestConvolve:
@@ -103,6 +105,15 @@ class TestConvolve:
         rhs = channel.convolve(a, taps) + channel.convolve(b, taps)
         assert np.allclose(lhs, rhs, atol=1e-12)
 
+    def test_infinite_component_matches_oracle(self):
+        """An infinite i component stays infinite: 1j*inf must not make the pair's real part NaN."""
+        signal = np.zeros((3, 4))
+        signal[1, 1] = np.inf
+        taps = np.ones((2, 4))
+        out = channel.convolve(signal, taps)
+        assert np.array_equal(out, convolve_loop(signal, taps))
+        assert np.array_equal(out[2], [-np.inf, np.inf, np.inf, -np.inf])
+
     def test_taps_longer_than_signal(self):
         signal = quat.ONE[None]
         taps = np.stack([np.array(quat.I), np.array(quat.J), np.array(quat.K)])
@@ -121,37 +132,43 @@ class TestConvolve:
             assert np.array_equal(batched[i], channel.convolve(signals[i], taps[i]))
 
 
+def one_path(taps, variance=0.0):
+    """SISO channel: the 1x1 grid of a tap vector."""
+    return channel.MimoChannelModel(np.asarray(taps)[None, None], variance)
+
+
 class TestApplySiso:
+    """SISO is the 1x1 case of apply_mimo: one input and one output stream."""
+
     def test_noiseless_identity_channel(self):
         rng = np.random.default_rng(54)
         signal = rng.normal(size=(20, 4))
-        model = channel.ChannelModel(quat.ONE[None], 0.0)
-        assert np.allclose(channel.apply_siso(model, signal, channel.make_rng(0)), signal)
+        out = channel.apply_mimo(one_path(quat.ONE[None]), signal[None], channel.make_rng(0))
+        assert np.allclose(out[0], signal)
 
     def test_pure_noise_power(self):
         variance = 0.25
-        model = channel.ChannelModel(quat.ONE[None], variance)
-        out = channel.apply_siso(model, np.zeros((100_000, 4)), channel.make_rng(1))
+        out = channel.apply_mimo(one_path(quat.ONE[None], variance), np.zeros((1, 100_000, 4)), channel.make_rng(1))
         assert np.isclose(quat.norm_sq(out).mean(), 4 * variance, rtol=0.05)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(55)
-        signal = rng.normal(size=(64, 4))
-        model = channel.ChannelModel(rng.normal(size=(4, 4)), 0.1)
-        a = channel.apply_siso(model, signal, channel.make_rng(9))
-        b = channel.apply_siso(model, signal, channel.make_rng(9))
+        signal = rng.normal(size=(1, 64, 4))
+        model = one_path(rng.normal(size=(4, 4)), 0.1)
+        a = channel.apply_mimo(model, signal, channel.make_rng(9))
+        b = channel.apply_mimo(model, signal, channel.make_rng(9))
         assert np.array_equal(a, b)
 
 
 class TestApplyMimo:
     def test_one_by_one_equals_siso(self):
+        """The 1x1 case is the tap convolution plus one noise quaternion per sample."""
         rng = np.random.default_rng(56)
         signal = rng.normal(size=(50, 4))
         taps = rng.normal(size=(3, 4))
-        siso = channel.apply_siso(channel.ChannelModel(taps, 0.2), signal, channel.make_rng(3))
-        mimo = channel.apply_mimo(
-            channel.MimoChannelModel(taps[None, None], 0.2), signal[None], channel.make_rng(3)
-        )
+        noise_rng = channel.make_rng(3)
+        siso = channel.convolve(signal, taps) + channel.gaussian_quaternions(noise_rng, 0.2, 50)
+        mimo = channel.apply_mimo(one_path(taps, 0.2), signal[None], channel.make_rng(3))
         assert np.array_equal(mimo[0], siso)
 
     def test_identity_grid_passthrough(self):

@@ -1,5 +1,11 @@
 """Tests for the command-line front end and its file formats."""
 
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -161,6 +167,10 @@ class TestConfigEcho:
         recovered = cli.config_from_mapping(cli.parse_kv_lines("\n".join(lines)))
         assert recovered == config
 
+    def test_echo_covers_every_field_in_declaration_order(self):
+        names = [line.split("=", 1)[0] for line in cli.config_to_lines(ExperimentConfig())]
+        assert names == [field.name for field in dataclasses.fields(ExperimentConfig)]
+
     def test_ignore_unknown_skips_metrics(self):
         text = "steady_state_db=-11.5\nmode=siso\nnum_runs=4\n"
         config = cli.config_from_mapping(cli.parse_kv_lines(text), ignore_unknown=True)
@@ -215,6 +225,16 @@ class TestMainEndToEnd:
         summary = (out / "summary.txt").read_text(encoding="utf-8")
         for key in ("steady_state_db_stream0=", "ser_stream1=", "runs_diverged="):
             assert key in summary
+
+    def test_python_dash_m_runs(self, tmp_path):
+        """`python -m quatlink run ...` runs the experiment, as the `quatlink` command does."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / "out"
+        argv = [sys.executable, "-m", "quatlink", "run", "--runs", "2", "--symbols", "60", "--out", str(out)]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert (out / "summary.txt").exists()
 
     def test_unwritable_out_dir_fails_nonzero(self, tmp_path, capsys):
         blocker = tmp_path / "blocked"

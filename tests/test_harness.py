@@ -87,7 +87,7 @@ class TestSisoExperiment:
         config = small(num_runs=16, symbols_per_run=1000)
         result = harness.run_siso_experiment(config)
         floor = harness._reference_power(config) * 10.0 ** (harness.CURVE_DB_FLOOR / 10.0)
-        per_run_db = 10 * np.log10(np.maximum(result.per_run_traces[:, config.delay :], floor) / 4.0)
+        per_run_db = 10 * np.log10(np.maximum(result.per_run_traces[:, 0, config.delay :], floor) / 4.0)
         steady = per_run_db[:, 500:]
         averaged = steady.mean(axis=0)
         assert averaged.var() < steady.var(axis=1).mean()
@@ -105,6 +105,21 @@ class TestSisoExperiment:
         config = small(step_size=50.0, num_runs=2, symbols_per_run=150)
         with pytest.raises(ExperimentFailedError):
             harness.run_siso_experiment(config)
+
+    @pytest.mark.parametrize("reference_point", ["receiver", "transmitter"])
+    def test_draw_is_the_single_channel_draw(self, reference_point):
+        """The 1x1 draw reproduces, bit for bit, one tap vector, one stream and calibrated noise."""
+        config = small(snr_reference_point=reference_point)
+        received, streams, indices = harness._run_data(config, 3)
+        taps = channel.random_channel_taps(channel.derive_rng(11, 3, 0, 0), config.num_channel_taps)
+        sent = channel.derive_rng(11, 3, 1, 0).integers(0, modem.NUM_SYMBOLS, config.symbols_per_run)
+        symbols = modem.index_to_symbol(sent)
+        power = channel.expected_output_power(taps) if reference_point == "receiver" else channel.SYMBOL_ENERGY
+        variance = channel.noise_variance_for_snr(power, config.snr_db)
+        noise = channel.gaussian_quaternions(channel.derive_rng(11, 3, 2, 0), variance, config.symbols_per_run)
+        assert np.array_equal(indices, sent[None])
+        assert np.array_equal(streams, symbols[None])
+        assert np.array_equal(received, (channel.convolve(symbols, taps) + noise)[None])
 
     def test_transmitter_reference_point_runs(self):
         result = harness.run_siso_experiment(small(snr_reference_point="transmitter", num_runs=3))
@@ -138,17 +153,22 @@ class TestWorkersAndChunking:
 
 class TestMimoExperiment:
     def test_shapes_and_determinism(self):
-        config = small(mode="mimo", num_runs=4, symbols_per_run=500)
-        a = harness.run_mimo_experiment(config)
-        b = harness.run_mimo_experiment(config)
-        assert len(a.curves) == config.mimo_tx == len(a.symbol_error_rates)
-        for ca, cb in zip(a.curves, b.curves):
-            assert np.array_equal(ca.mse_per_iteration, cb.mse_per_iteration)
-        assert a.symbol_error_rates == b.symbol_error_rates
-        assert a.per_run_traces.shape == (4, 2, 500)
+        for mode, streams in (("mimo", 2), ("siso", 1)):
+            config = small(mode=mode, num_runs=4, symbols_per_run=500)
+            a = harness.run_experiment(config)
+            b = harness.run_experiment(config)
+            assert len(a.curves) == streams == len(a.symbol_error_rates)
+            for ca, cb in zip(a.curves, b.curves):
+                assert np.array_equal(ca.mse_per_iteration, cb.mse_per_iteration)
+            assert a.symbol_error_rates == b.symbol_error_rates
+            assert a.per_run_traces.shape == (4, streams, 500)
+            assert a.per_run_qlms_db.shape == a.per_run_wiener_db.shape == (4, streams)
+            assert np.isfinite(a.per_run_qlms_db).all()
+            assert np.isfinite(a.per_run_wiener_db).all() == (mode == "siso")
+            assert (a.wiener_mse_db is None) == (mode == "mimo")
 
     def test_streams_have_unit_power(self):
-        _, streams, _ = harness._mimo_run_data(small(mode="mimo"), 0)
+        _, streams, _ = harness._run_data(small(mode="mimo"), 0)
         assert np.allclose(quat.norm_sq(streams), 1.0)
 
     def test_swap_symmetry(self):
@@ -215,7 +235,7 @@ class TestSummaries:
 
     def test_summarize_siso(self):
         result = harness.run_siso_experiment(small(num_runs=3))
-        record = summarize(result)
+        (record,) = summarize(result)
         assert record.steady_state_db == result.curve.steady_state_db
         assert record.wiener_mse_db == result.wiener_mse_db
         assert record.runs_diverged == 0
@@ -226,6 +246,8 @@ class TestSummaries:
         records = summarize(result)
         assert len(records) == 2
         assert all(r.wiener_mse_db is None for r in records)
+        with pytest.raises(ValueError, match="2 streams"):
+            result.curve
 
     def test_summarize_rejects_junk(self):
         with pytest.raises(ValueError):

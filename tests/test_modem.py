@@ -28,7 +28,7 @@ class TestModulate:
         """index = b0 + 2 b1 + 4 b2 + 8 b3 with bit m on component m."""
         symbols = modem.modulate(ALL_BITS)
         expected = ALL_BITS @ np.array([1, 2, 4, 8])
-        assert np.array_equal(modem.symbol_index(symbols), expected)
+        assert np.array_equal(modem.hard_decisions(symbols), expected)
         assert np.array_equal(modem.index_to_symbol(expected), symbols)
 
     def test_rejects_non_bits(self):

@@ -6,7 +6,7 @@ import pytest
 from quatlink import channel, linalg, modem, quat, wiener
 from quatlink.errors import InsufficientDataError, SingularMatrixError
 
-from oracles import table_conj, table_mul
+from oracles import hermitian_transpose_loop, matvec_loop, outer_h_loop, table_conj, table_mul
 
 
 def equalization_instance(seed, n=4000, snr_db=20.0):
@@ -62,11 +62,11 @@ class TestEstimateStatistics:
         received, symbols = equalization_instance(82, n=800)
         problem = wiener.estimate_statistics(received, symbols, length=8, delay=3)
         r = problem.autocorrelation
-        assert np.allclose(r, linalg.hermitian_transpose(r), atol=1e-12)
+        assert np.allclose(r, hermitian_transpose_loop(r), atol=1e-12)
         rng = np.random.default_rng(0)
         for _ in range(20):
             x = rng.normal(size=(8, 4))
-            quad = sum(quat.real(quat.mul(quat.conj(x[l]), linalg.matvec(r, x)[l])) for l in range(8))
+            quad = sum(quat.real(quat.mul(quat.conj(x[l]), matvec_loop(r, x)[l])) for l in range(8))
             assert quad >= -1e-12 * quat.norm_sq(x).sum()
 
     def test_insufficient_data(self):
@@ -90,7 +90,7 @@ class TestSolveWiener:
     def test_singular_without_ridge(self):
         """A rank-one sample autocorrelation must trip the singularity guard."""
         v = np.random.default_rng(95).normal(size=(3, 4))
-        problem = wiener.WienerProblem(linalg.outer_h(v, v), v, 1)
+        problem = wiener.WienerProblem(outer_h_loop(v, v), v, 1)
         with pytest.raises(SingularMatrixError, match="ridge"):
             wiener.solve_wiener(problem, ridge=0.0)
         wiener.solve_wiener(problem)  # default ridge regularizes it
@@ -207,6 +207,15 @@ class TestEvaluateMse:
             count += 1
         assert np.isclose(report.linear, total / count, rtol=1e-12)
         assert report.sample_count == count
+
+    def test_infinite_sample_gives_infinite_mse(self):
+        """An infinite i component reaches the error as infinities, not as NaN."""
+        symbols = modem.index_to_symbol(channel.make_rng(96).integers(0, 16, 6))
+        signal = symbols.copy()
+        signal[2] = quat.quat(0.0, np.inf)
+        report = wiener.evaluate_mse(np.ones((1, 4)), signal, symbols, length=1, delay=0)
+        assert report.linear == np.inf
+        assert report.db == np.inf
 
     def test_wiener_beats_qlms_on_same_data(self):
         """The block solution is the in-sample optimum among tested filters."""
