@@ -26,11 +26,16 @@ q = a + b*j with complex a and b, where
     e * conj(x)            = (ea conj(xa) + eb conj(xb)) + (eb xa - ea xb) j
 
 are four complex multiplies each instead of sixteen real ones.  The batch
-kernel keeps the trials (lanes) on the last axis: the weights are (C, L, B)
-pairs, and the received batch streams through a (C, L-1 + _BLOCK, B) window
-that holds the samples newest first.  Each block of samples is written into
-the window straight from `received`, so no padded copy of the batch is made,
-and every regressor is a plain slice of the window.  Lanes last lets the sum
+kernel takes R runs with S lanes each, in (run, stream) order, and keeps the
+trials (lanes) on the last axis: the weights are (C, L, B) pairs, and the
+run batch streams through a (C, L-1 + _BLOCK, B) window that holds the
+samples newest first.  Each block of samples is written into the window
+straight from `received`, each run's samples broadcast over its S lanes
+through a (C, L-1 + _BLOCK, R, S) view of the window, so neither a padded
+nor a per-lane copy of the batch is made, and every regressor is a plain
+slice of the window.  The references are indices into a small symbol table,
+looked up one block at a time, so a batch of int8 symbol indices stands in
+for a float copy of every lane's references.  Lanes last lets the sum
 over taps add whole rows of a (C*L, 4B) float64 view, one row after another
 in tap order, which is the order `dot_left` sums in; a complex `.sum(-1)`
 over (B, L) would use numpy's pairwise order, so a lane's result would depend
@@ -167,20 +172,43 @@ class QlmsBatch:
 
 
 def run_qlms_batch(received, reference, length: int, step_size: float, delay: int = 0,
-                   error_energy_limit: float = ERROR_ENERGY_LIMIT) -> QlmsBatch:
-    """Run QLMS over a (B, C, N, 4) batch against (B, N, 4) references.
+                   error_energy_limit: float = ERROR_ENERGY_LIMIT, symbols=None) -> QlmsBatch:
+    """Run QLMS over a batch of R runs, (R, C, N, 4), with S = B / R lanes per run.
 
-    At iteration n the desired output is reference[n - delay]; iterations
-    with n < delay are logged as warm-up without adapting.  A trial whose
-    squared error exceeds `error_energy_limit`, or whose weights go
-    non-finite, is frozen on the spot and reported in `diverged_at`.
+    The B lanes are ordered (run, stream): lane k equalizes run k // S, so
+    the runs' received streams are held once however many lanes share them.
+    `reference` gives each lane's desired output: (B, N, 4) quaternions, or,
+    with a (K, 4) table `symbols`, (B, N) integer indices into it (such as
+    int8 symbol indices and the scaled constellation).  At iteration n the
+    desired output is reference[n - delay]; iterations with n < delay are
+    logged as warm-up without adapting.  A trial whose squared error exceeds
+    `error_energy_limit`, or whose weights go non-finite, is frozen on the
+    spot and reported in `diverged_at`.
     """
-    received, reference = quat._q(received), quat._q(reference)
+    received = quat._q(received)
     if received.ndim != 4:
-        raise DimensionMismatchError(f"expected a (B, C, N, 4) batch, got shape {received.shape}")
-    b, c, n, _ = received.shape
-    if reference.shape != (b, n, 4):
-        raise DimensionMismatchError(f"references must be (B, N, 4) = ({b}, {n}, 4), got {reference.shape}")
+        raise DimensionMismatchError(f"expected a (R, C, N, 4) batch, got shape {received.shape}")
+    runs, c, n, _ = received.shape
+    if symbols is None:
+        # the references are their own table, indexed by row number
+        reference = quat._q(reference)
+        if reference.ndim != 3 or reference.shape[1] != n:
+            raise DimensionMismatchError(f"references must be (B, N, 4) with N = {n}, got {reference.shape}")
+        b = reference.shape[0]
+        symbols, indices = reference.reshape(-1, 4), np.arange(b * n).reshape(b, n)
+    else:
+        symbols, indices = quat._q(symbols), np.asarray(reference)
+        if symbols.ndim != 2 or indices.ndim != 2 or indices.shape[1] != n:
+            raise DimensionMismatchError(
+                f"need (K, 4) symbols and (B, N) indices with N = {n}, got {symbols.shape} and {indices.shape}"
+            )
+        if not np.issubdtype(indices.dtype, np.integer):
+            raise ValueError(f"symbol indices must be integers, got {indices.dtype}")
+        if indices.size and not (0 <= indices.min() and indices.max() < symbols.shape[0]):
+            raise ValueError(f"symbol indices must lie in [0, {symbols.shape[0]})")
+        b = indices.shape[0]
+    if runs < 1 or b < 1 or b % runs:
+        raise DimensionMismatchError(f"{b} reference lanes do not split evenly over {runs} runs")
     if length < 1 or n < 1:
         raise DimensionMismatchError("need at least one tap and one sample")
     if delay < 0:
@@ -191,9 +219,11 @@ def run_qlms_batch(received, reference, length: int, step_size: float, delay: in
     # While the block of samples from t0 runs, position p of the windows holds
     # the pairs of sample t0 + _BLOCK - 1 - p: newest first, with the L-1
     # samples before t0 in the last positions, so x[t] is the slice from
-    # p = _BLOCK - 1 - (t - t0).
-    xa_window = np.zeros((c, length - 1 + _BLOCK, b), dtype=np.complex128)
+    # p = _BLOCK - 1 - (t - t0).  The windows are filled as (C, P, R, S), each
+    # run's samples broadcast over its S lanes, and read as (C, P, B).
+    xa_window = np.zeros((c, length - 1 + _BLOCK, runs, b // runs), dtype=np.complex128)
     xb_window = np.zeros_like(xa_window)
+    xa_lanes, xb_lanes = xa_window.reshape(c, -1, b), xb_window.reshape(c, -1, b)
     wa = np.zeros((c, length, b), dtype=np.complex128)
     wb = np.zeros_like(wa)
     traces = np.full((b, n), np.nan)
@@ -211,17 +241,20 @@ def run_qlms_batch(received, reference, length: int, step_size: float, delay: in
                 stop = min(t + _BLOCK, n)
                 xa_window[:, _BLOCK:] = xa_window[:, : length - 1]
                 xb_window[:, _BLOCK:] = xb_window[:, : length - 1]
-                block = np.moveaxis(received[:, :, t:stop], 0, 2)[:, ::-1]  # (C, m, B, 4), newest first
+                block = np.moveaxis(received[:, :, t:stop], 0, 2)[:, ::-1, :, None]  # (C, m, R, 1, 4), newest first
                 fill = slice(_BLOCK - (stop - t), _BLOCK)
                 xa_window.real[:, fill], xa_window.imag[:, fill] = block[..., 0], block[..., 1]
                 xb_window.real[:, fill], xb_window.imag[:, fill] = block[..., 2], block[..., 3]
+                # the block's desired outputs, reference[first] onwards
+                first = max(t - delay, 0)
+                targets = symbols[indices[:, first : max(stop - delay, 0)]]
             if t < delay:
                 continue
 
             p = _BLOCK - 1 - i
-            xa, xb = xa_window[:, p : p + length], xb_window[:, p : p + length]
+            xa, xb = xa_lanes[:, p : p + length], xb_lanes[:, p : p + length]
             xa_conj, xb_conj = xa.conj(), xb.conj()
-            e = reference[:, t - delay] - _outputs(wa, wb, xa, xb, xa_conj, xb_conj)
+            e = targets[:, t - delay - first] - _outputs(wa, wb, xa, xb, xa_conj, xb_conj)
             err = quat.norm_sq(e)
             traces[active, t] = err[active]
             blown = active & ~(err <= error_energy_limit)  # catches NaN errors too

@@ -254,6 +254,40 @@ class TestBatchKernel:
             batch = adaptive.run_qlms_batch(signals[:, None], references, 4, 0.05, 0)
         assert batch.diverged_at.tolist() == [10, -1]
 
+    @pytest.mark.parametrize("per_run", [1, 2, 3])
+    def test_run_batch_with_symbol_indices_matches_repeated_lanes(self, per_run):
+        """S lanes sharing each run's window, with index references, equal the
+        float call on np.repeat-ed lanes bit for bit, frozen lane included."""
+        rng = np.random.default_rng(76)
+        runs, streams, n, length, mu, delay = 3, 2, 600, 4, 0.01, 300  # the run crosses BLOCK
+        received = rng.normal(size=(runs, streams, n, 4))
+        received[1, 0, 450, 2] = np.inf  # freezes every lane of run 1
+        indices = rng.integers(0, modem.NUM_SYMBOLS, (runs * per_run, n)).astype(np.int8)
+        table = 0.5 * modem.CONSTELLATION
+        shared = adaptive.run_qlms_batch(received, indices, length, mu, delay, symbols=table)
+        repeated = adaptive.run_qlms_batch(
+            np.repeat(received, per_run, axis=0), 0.5 * modem.index_to_symbol(indices), length, mu, delay
+        )
+        assert np.array_equal(shared.traces, repeated.traces, equal_nan=True)
+        assert np.array_equal(shared.weights, repeated.weights)
+        assert np.array_equal(shared.diverged_at, repeated.diverged_at)
+        frozen = np.repeat([False, True, False], per_run)
+        assert (shared.diverged_at[frozen] == 450).all() and (shared.diverged_at[~frozen] == -1).all()
+
+    def test_bad_symbol_indices_rejected(self):
+        received = np.zeros((2, 1, 10, 4))
+        table = modem.CONSTELLATION
+        with pytest.raises(ValueError, match="indices"):
+            adaptive.run_qlms_batch(received, np.full((2, 10), 16), 3, 0.01, symbols=table)
+        with pytest.raises(ValueError, match="indices"):
+            adaptive.run_qlms_batch(received, np.full((2, 10), -1), 3, 0.01, symbols=table)
+        with pytest.raises(ValueError, match="integers"):
+            adaptive.run_qlms_batch(received, np.zeros((2, 10)), 3, 0.01, symbols=table)
+        with pytest.raises(DimensionMismatchError, match="split evenly"):
+            adaptive.run_qlms_batch(received, np.zeros((3, 10), dtype=np.int8), 3, 0.01, symbols=table)
+        with pytest.raises(DimensionMismatchError):
+            adaptive.run_qlms_batch(received, np.zeros((2, 9), dtype=np.int8), 3, 0.01, symbols=table)
+
     @pytest.mark.parametrize("streams", [1, 2])
     def test_matches_table_arithmetic(self, streams):
         """Traces and weights agree with QLMS stepped in basis-table arithmetic."""

@@ -1,6 +1,10 @@
 """Tests for the Monte Carlo experiment harness."""
 
 import dataclasses
+import itertools
+import os
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,6 +18,20 @@ SMALL = ExperimentConfig(num_runs=6, symbols_per_run=600, master_seed=11)
 
 def small(**overrides):
     return dataclasses.replace(SMALL, **overrides)
+
+
+def assert_same_result(a, b):
+    """Every field of two ExperimentResults equal, bit for bit."""
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if field.name == "curves":
+            for ca, cb in zip(x, y, strict=True):
+                assert np.array_equal(ca.mse_per_iteration, cb.mse_per_iteration)
+                assert (ca.steady_state_db, ca.runs_diverged) == (cb.steady_state_db, cb.runs_diverged)
+        elif isinstance(x, np.ndarray):
+            assert np.array_equal(x, y, equal_nan=True), field.name
+        else:
+            assert x == y, field.name
 
 
 class TestConfigValidation:
@@ -136,12 +154,28 @@ class TestWorkersAndChunking:
         assert serial.symbol_error_rate == parallel.symbol_error_rate
 
     def test_chunk_size_does_not_change_results(self, monkeypatch):
-        config = small(num_runs=9, symbols_per_run=300)
-        whole = harness.run_siso_experiment(config)
-        monkeypatch.setattr(harness, "_CHUNK_RUNS", 4)
-        chunked = harness.run_siso_experiment(config)
-        assert np.array_equal(whole.per_run_traces, chunked.per_run_traces, equal_nan=True)
-        assert whole.curve.steady_state_db == chunked.curve.steady_state_db
+        """Every result array is the same for any chunking and worker count, in both modes."""
+        for mode in ("siso", "mimo"):
+            config = small(mode=mode, num_runs=9, symbols_per_run=300)
+            whole = harness.run_experiment(config)
+            for chunk_runs, workers in itertools.product((1, 4, harness._CHUNK_RUNS), (1, 2)):
+                with monkeypatch.context() as patch:
+                    patch.setattr(harness, "_CHUNK_RUNS", chunk_runs)
+                    chunked = harness.run_experiment(config, workers)
+                assert_same_result(whole, chunked)
+
+    def test_chunks_split_runs_evenly(self, monkeypatch):
+        """At most _CHUNK_RUNS runs per chunk, sizes within one, a chunk per pool worker."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", ThreadPoolExecutor)
+        sizes = []
+        monkeypatch.setattr(harness, "_chunk", lambda config, start, stop: sizes.append(stop - start))
+        for runs, workers, expected in ((200, 1, [50] * 4), (64, 1, [64]), (256, 1, [64] * 4), (130, 1, [44, 43, 43]),
+                                        (200, 2, [50] * 4), (128, 2, [64] * 2), (9, 2, [5, 4]), (9, 8, [5, 4]),
+                                        (1, 2, [1])):
+            sizes.clear()
+            harness._run_chunks(small(num_runs=runs), workers)
+            assert sorted(sizes, reverse=True) == expected
 
     def test_workers_apply_to_mimo(self, monkeypatch):
         monkeypatch.setattr(harness, "_CHUNK_RUNS", 2)
@@ -149,6 +183,21 @@ class TestWorkersAndChunking:
         serial = harness.run_mimo_experiment(config, workers=1)
         parallel = harness.run_mimo_experiment(config, workers=2)
         assert np.array_equal(serial.per_run_traces, parallel.per_run_traces, equal_nan=True)
+
+
+class TestChunkMemory:
+    def test_chunk_holds_its_data_once(self):
+        """A MIMO chunk's traced peak stays within 3x its received batch: no
+        per-stream copy of the batch and no float copy of the references."""
+        config = small(mode="mimo", num_runs=32, symbols_per_run=4000)
+        received_bytes = config.num_runs * config.mimo_rx * config.symbols_per_run * 4 * 8
+        tracemalloc.start()
+        try:
+            harness._chunk(config, 0, config.num_runs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * received_bytes
 
 
 class TestMimoExperiment:
