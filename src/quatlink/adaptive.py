@@ -56,8 +56,10 @@ from .errors import DimensionMismatchError, DivergenceError
 # blew up; fail loudly instead of polluting Monte Carlo averages.
 ERROR_ENERGY_LIMIT = 1e6 * SYMBOL_ENERGY
 
-# samples taken from the received batch into the kernel's window at a time
-_BLOCK = 256
+# samples taken from the received batch into the kernel's window at a time; the
+# results do not depend on it, and a short block keeps the window and the
+# block's targets small when a batch has hundreds of lanes
+_BLOCK = 64
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,10 @@ a random (rx, tx) grid of FIR channels, one symbol stream per transmitter and
 the receiver noise from generators keyed by (master seed, run index,
 purpose, stream index), so the full result set is a pure function of the
 configuration and runs can be chunked across processes without changing a
-single bit of the output.  A chunk allocates its received streams (R, rx,
-N, 4) and int8 symbol indices (R, tx, N) once and fills them run by run.
+single bit of the output.  Chunks are sized by received samples, not runs
+(`_CHUNK_SAMPLES`), so many short runs share one wide kernel batch.  A chunk
+allocates its received streams (R, rx, N, 4) and int8 symbol indices
+(R, tx, N) once and fills them run by run.
 Each (run, transmitted stream) pair is one lane of the batched QLMS kernel:
 the run's received streams against that stream's symbols.  The kernel
 shares each run's received streams among its lanes and looks the
@@ -18,7 +20,9 @@ SISO only) the block Wiener baseline are computed for a fixed group of 8
 lanes at a time: one batched call per group amortizes numpy's per-call
 cost, while the group's temporaries stay small (whole-chunk groups raise
 the peak resident memory of a 64 x 5000 chunk from 63 to 124 MB in SISO and
-from 73 to 183 MB in MIMO).  `_MODES` holds everything that differs between
+from 73 to 183 MB in MIMO).  The Wiener optimum is scored from the same
+statistics it is solved from (`wiener.statistics_mse`), so the block is not
+filtered a second time.  `_MODES` holds everything that differs between
 the modes.
 
 Learning curves are the per-run error traces converted to dB (floored at
@@ -82,9 +86,10 @@ _MODES = {
 # dB floor for per-sample trace entries, relative to the reference power
 CURVE_DB_FLOOR = -100.0
 
-# most runs per kernel batch: it bounds a chunk's memory (each lane's result is
-# bit-independent of its batch, so the chunking never changes the output)
-_CHUNK_RUNS = 64
+# most received samples (runs x rx x N) per kernel batch: it bounds a chunk's
+# memory at the size of a 64-run 2x2 MIMO chunk of 5000 symbols (each lane's
+# result is bit-independent of its batch, so the chunking never changes the output)
+_CHUNK_SAMPLES = 64 * 2 * 5000
 
 # lanes per batched post-adaptation group (SER, Wiener); see the module docstring
 _GROUP_LANES = 8
@@ -205,12 +210,21 @@ def _steady_state_db(curve_db: np.ndarray) -> float:
     return float(curve_db[-tail:].mean())
 
 
-def _build_curve(traces: np.ndarray, alive: np.ndarray, delay: int, reference_power: float,
-                 diverged: int) -> LearningCurve:
+def _build_curve(config: ExperimentConfig, traces: np.ndarray, diverged_at: np.ndarray, stream: int) -> LearningCurve:
+    """The learning curve of one transmitted stream from its (runs, N) traces and
+    (runs,) divergence iterations.  If every run diverged, the error names the
+    earliest divergence.  A run's draws depend only on the config and its
+    (master_seed, run) key, so the same config with run + 1 runs replays it.
+    """
+    alive = diverged_at < 0
     if not alive.any():
-        raise ExperimentFailedError(f"all {alive.size} runs diverged")
-    curve_db = _db_traces(traces[alive][:, delay:], reference_power).mean(axis=0)
-    return LearningCurve(curve_db, _steady_state_db(curve_db), diverged)
+        run = int(np.argmin(diverged_at))
+        raise ExperimentFailedError(
+            f"all {alive.size} runs diverged on stream {stream}; the first was run {run} of master_seed"
+            f" {config.master_seed}, at iteration {int(diverged_at[run])}"
+        )
+    curve_db = _db_traces(traces[alive][:, config.delay :], _reference_power(config)).mean(axis=0)
+    return LearningCurve(curve_db, _steady_state_db(curve_db), int((~alive).sum()))
 
 
 def _equalizer_decisions(received: np.ndarray, weights: np.ndarray, start: int) -> np.ndarray:
@@ -252,8 +266,7 @@ def _post_adaptation(config: ExperimentConfig, received: np.ndarray, indices: np
         if with_wiener:
             references = symbols[sent]
             problem = wiener.estimate_statistics(rx, references, length, delay)
-            optimal = wiener.solve_wiener(problem)
-            wiener_db[group] = wiener.evaluate_mse(optimal, rx, references, length, delay).db
+            wiener_db[group] = wiener.statistics_mse(problem, wiener.solve_wiener(problem), references).db
     return {"errors": errors, "decisions": decisions, "wiener_db": wiener_db}
 
 
@@ -323,12 +336,15 @@ def _chunk(config: ExperimentConfig, start: int, stop: int) -> dict:
 
 
 def _run_chunks(config: ExperimentConfig, workers: int) -> list[dict]:
-    """Every run, in chunks of at most _CHUNK_RUNS runs whose sizes differ by at
-    most one, and at least one chunk per pool worker.
+    """Every run, in chunks of at most _CHUNK_SAMPLES received samples (but at
+    least one run) whose sizes differ by at most one run, and at least one
+    chunk per pool worker.
     """
     runs = config.num_runs
+    num_rx, _ = _MODES[config.mode].layout(config)
+    chunk_runs = max(1, _CHUNK_SAMPLES // (num_rx * config.symbols_per_run))
     pool_size = max(1, min(workers, os.cpu_count() or 1))
-    count = min(max(pool_size, -(-runs // _CHUNK_RUNS)), runs)
+    count = min(max(pool_size, -(-runs // chunk_runs)), runs)
     bounds = [(runs * k // count, runs * (k + 1) // count) for k in range(count)]
     if pool_size == 1 or count == 1:
         return [_chunk(config, start, stop) for start, stop in bounds]
@@ -353,13 +369,12 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
         for name in ("traces", "diverged_at", "qlms_db", "wiener_db", "errors", "decisions")
     )
     alive = diverged_at < 0
-    reference_power = _reference_power(config)
 
     curves = []
     rates = []
     for s in range(traces.shape[1]):
         lanes = alive[:, s]
-        curves.append(_build_curve(traces[:, s], lanes, config.delay, reference_power, int((~lanes).sum())))
+        curves.append(_build_curve(config, traces[:, s], diverged_at[:, s], s))
         total = int(decisions[lanes, s].sum())
         rates.append(int(errors[lanes, s].sum()) / total if total else float("nan"))
     wiener_mse_db = None

@@ -274,6 +274,27 @@ class TestBatchKernel:
         frozen = np.repeat([False, True, False], per_run)
         assert (shared.diverged_at[frozen] == 450).all() and (shared.diverged_at[~frozen] == -1).all()
 
+    @pytest.mark.parametrize("length", [4, 70])
+    def test_block_length_does_not_change_results(self, monkeypatch, length):
+        """Traces, weights and diverged_at are the same bit for bit for any window
+        block, with S = 2 lanes per run, a delay across blocks, filters longer
+        than a block and one frozen lane."""
+        rng = np.random.default_rng(77)
+        runs, streams, n, mu, delay = 3, 2, 600, 0.0005, 300
+        received = rng.normal(size=(runs, streams, n, 4))
+        indices = rng.integers(0, modem.NUM_SYMBOLS, (2 * runs, n)).astype(np.int8)
+        indices[3, 200] = modem.NUM_SYMBOLS  # the table's inf row freezes lane 3 alone, at t = 500
+        table = np.concatenate([0.5 * modem.CONSTELLATION, [[np.inf, 0.0, 0.0, 0.0]]])
+        results = []
+        for block in (1, 3, 64, 256):
+            monkeypatch.setattr(adaptive, "_BLOCK", block)
+            results.append(adaptive.run_qlms_batch(received, indices, length, mu, delay, symbols=table))
+        assert results[0].diverged_at.tolist() == [-1, -1, -1, 500, -1, -1]
+        for other in results[1:]:
+            assert np.array_equal(other.traces, results[0].traces, equal_nan=True)
+            assert np.array_equal(other.weights, results[0].weights)
+            assert np.array_equal(other.diverged_at, results[0].diverged_at)
+
     def test_bad_symbol_indices_rejected(self):
         received = np.zeros((2, 1, 10, 4))
         table = modem.CONSTELLATION

@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quatlink import cli
+from quatlink import cli, harness
 from quatlink.harness import ExperimentConfig, LearningCurve
 
 
@@ -257,6 +258,20 @@ class TestMainEndToEnd:
         args = ["run", "--runs", "2", "--symbols", "150", "--mu", "50.0", "--out", str(tmp_path / "out")]
         assert cli.main(args) == 1
         assert "failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["siso", "mimo"])
+    def test_failure_names_a_replayable_run(self, mode, tmp_path, capsys):
+        """--mu 5 diverges every run; the error names the seed, run, stream and
+        iteration of the first divergence, and that run alone diverges there."""
+        args = ["run", "--mode", mode, "--mu", "5", "--runs", "3", "--symbols", "200", "--seed", "4"]
+        assert cli.main(args + ["--out", str(tmp_path / "out")]) == 1
+        found = re.search(r"on stream (\d+); the first was run (\d+) of master_seed (\d+), at iteration (\d+)",
+                          capsys.readouterr().err)
+        stream, run, seed, iteration = (int(v) for v in found.groups())
+        config = parse(*args[1:]).config
+        assert seed == config.master_seed
+        assert iteration == harness._chunk(config, 0, config.num_runs)["diverged_at"][:, stream].min()
+        assert harness._chunk(config, run, run + 1)["diverged_at"][0, stream] == iteration
 
     @pytest.mark.parametrize("mode", ["siso", "mimo"])
     def test_snr_beyond_float_range_runs_noiseless(self, mode, tmp_path):

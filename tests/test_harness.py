@@ -9,7 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from quatlink import adaptive, channel, harness, linalg, modem, quat
+from quatlink import adaptive, channel, harness, linalg, modem, quat, wiener
 from quatlink.errors import ExperimentFailedError
 from quatlink.harness import ExperimentConfig, convergence_iteration, summarize
 
@@ -110,6 +110,17 @@ class TestSisoExperiment:
         averaged = steady.mean(axis=0)
         assert averaged.var() < steady.var(axis=1).mean()
 
+    def test_wiener_db_matches_evaluate_mse(self):
+        """Each run's Wiener dB, scored from its statistics, equals filtering the run again."""
+        config = small(num_runs=5)
+        result = harness.run_siso_experiment(config)
+        for run in range(config.num_runs):
+            received, streams, _ = harness._run_data(config, run)
+            length, delay = config.equalizer_length, config.delay
+            optimal = wiener.solve_wiener(wiener.estimate_statistics(received, streams[0], length, delay))
+            report = wiener.evaluate_mse(optimal, received, streams[0], length, delay)
+            assert abs(result.per_run_wiener_db[run, 0] - report.db) <= 1e-9
+
     def test_wiener_dominates_every_run(self):
         result = harness.run_siso_experiment(small(num_runs=12))
         alive = np.isfinite(result.per_run_qlms_db)
@@ -154,31 +165,42 @@ class TestWorkersAndChunking:
         assert serial.symbol_error_rate == parallel.symbol_error_rate
 
     def test_chunk_size_does_not_change_results(self, monkeypatch):
-        """Every result array is the same for any chunking and worker count, in both modes."""
-        for mode in ("siso", "mimo"):
+        """Every result array is the same for any chunking and worker count, in both
+        modes: one run, four runs and the default cap per chunk."""
+        for mode, rx in (("siso", 1), ("mimo", 2)):
             config = small(mode=mode, num_runs=9, symbols_per_run=300)
             whole = harness.run_experiment(config)
-            for chunk_runs, workers in itertools.product((1, 4, harness._CHUNK_RUNS), (1, 2)):
+            caps = (1, 4 * rx * config.symbols_per_run, harness._CHUNK_SAMPLES)
+            for cap, workers in itertools.product(caps, (1, 2)):
                 with monkeypatch.context() as patch:
-                    patch.setattr(harness, "_CHUNK_RUNS", chunk_runs)
+                    patch.setattr(harness, "_CHUNK_SAMPLES", cap)
                     chunked = harness.run_experiment(config, workers)
                 assert_same_result(whole, chunked)
 
     def test_chunks_split_runs_evenly(self, monkeypatch):
-        """At most _CHUNK_RUNS runs per chunk, sizes within one, a chunk per pool worker."""
+        """At most _CHUNK_SAMPLES received samples (or one run) per chunk, sizes
+        within one, a chunk per pool worker."""
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(harness, "ProcessPoolExecutor", ThreadPoolExecutor)
         sizes = []
         monkeypatch.setattr(harness, "_chunk", lambda config, start, stop: sizes.append(stop - start))
-        for runs, workers, expected in ((200, 1, [50] * 4), (64, 1, [64]), (256, 1, [64] * 4), (130, 1, [44, 43, 43]),
-                                        (200, 2, [50] * 4), (128, 2, [64] * 2), (9, 2, [5, 4]), (9, 8, [5, 4]),
-                                        (1, 2, [1])):
+        cases = (
+            ("siso", 200, 5000, 1, [100, 100]), ("siso", 200, 5000, 2, [100, 100]),
+            ("mimo", 200, 5000, 1, [50] * 4), ("mimo", 200, 5000, 2, [50] * 4),
+            ("siso", 64, 5000, 1, [64]), ("mimo", 64, 5000, 1, [64]), ("siso", 256, 400, 1, [256]),
+            ("siso", 128, 5000, 2, [64, 64]), ("siso", 130, 5000, 1, [65, 65]), ("mimo", 130, 5000, 1, [44, 43, 43]),
+            ("siso", 9, 600, 2, [5, 4]), ("siso", 9, 600, 8, [5, 4]), ("siso", 1, 600, 2, [1]),
+            ("siso", 3, 2 * harness._CHUNK_SAMPLES, 1, [1, 1, 1]),
+        )
+        for mode, runs, n, workers, expected in cases:
             sizes.clear()
-            harness._run_chunks(small(num_runs=runs), workers)
+            harness._run_chunks(small(mode=mode, num_runs=runs, symbols_per_run=n), workers)
             assert sorted(sizes, reverse=True) == expected
+            rx = 2 if mode == "mimo" else 1
+            assert all(size * rx * n <= harness._CHUNK_SAMPLES or size == 1 for size in sizes)
 
     def test_workers_apply_to_mimo(self, monkeypatch):
-        monkeypatch.setattr(harness, "_CHUNK_RUNS", 2)
+        monkeypatch.setattr(harness, "_CHUNK_SAMPLES", 2 * 2 * 300)  # two runs per chunk
         config = small(mode="mimo", num_runs=4, symbols_per_run=300)
         serial = harness.run_mimo_experiment(config, workers=1)
         parallel = harness.run_mimo_experiment(config, workers=2)
@@ -198,6 +220,19 @@ class TestChunkMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * received_bytes
+
+    def test_wide_siso_chunk_stays_small(self):
+        """A 256-lane SISO chunk of short runs peaks within 2.5x its received batch:
+        the kernel's window and per-block targets stay small however wide the batch."""
+        config = small(num_runs=256, symbols_per_run=400)
+        received_bytes = config.num_runs * config.symbols_per_run * 4 * 8
+        tracemalloc.start()
+        try:
+            harness._chunk(config, 0, config.num_runs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * received_bytes
 
 
 class TestMimoExperiment:
@@ -307,18 +342,19 @@ class TestCurveAssembly:
     def test_diverged_runs_excluded_and_counted(self):
         traces = np.ones((4, 100))
         traces[2] = 1000.0  # pretend this run diverged; it must not pollute the curve
-        alive = np.array([True, True, False, True])
-        curve = harness._build_curve(traces, alive, delay=10, reference_power=4.0, diverged=1)
+        diverged_at = np.array([-1, -1, 40, -1])
+        curve = harness._build_curve(small(delay=10), traces, diverged_at, 0)
         assert curve.runs_diverged == 1
         assert np.allclose(curve.mse_per_iteration, 10 * np.log10(1.0 / 4.0))
 
     def test_all_dead_raises(self):
-        with pytest.raises(ExperimentFailedError):
-            harness._build_curve(np.ones((2, 10)), np.array([False, False]), 0, 4.0, 2)
+        message = "on stream 1; the first was run 1 of master_seed 11, at iteration 3"
+        with pytest.raises(ExperimentFailedError, match=message):
+            harness._build_curve(small(delay=0), np.ones((2, 10)), np.array([7, 3]), 1)
 
     def test_floor_applies(self):
         traces = np.zeros((1, 50))
-        curve = harness._build_curve(traces, np.array([True]), 0, 4.0, 0)
+        curve = harness._build_curve(small(delay=0), traces, np.array([-1]), 0)
         assert (curve.mse_per_iteration == harness.CURVE_DB_FLOOR).all()
 
 

@@ -1,10 +1,12 @@
 """Tests for the block Wiener solution."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from quatlink import channel, linalg, modem, quat, wiener
-from quatlink.errors import InsufficientDataError, SingularMatrixError
+from quatlink.errors import DimensionMismatchError, InsufficientDataError, SingularMatrixError
 
 from oracles import hermitian_transpose_loop, matvec_loop, outer_h_loop, table_conj, table_mul
 
@@ -229,6 +231,50 @@ class TestEvaluateMse:
         _, trace = run_qlms(received, symbols, length, 0.01, delay)
         qlms_steady = np.nanmean(trace[-2500:])
         assert wiener_mse <= qlms_steady
+
+
+class TestStatisticsMse:
+    @pytest.mark.parametrize("snr_db", [20.0, 40.0, np.inf])
+    @pytest.mark.parametrize("n,delay", [(600, 7), (600, 400), (10, 3)])
+    def test_matches_evaluate_mse(self, snr_db, n, delay):
+        """J(w) from R, p and the reference power equals filtering the block again,
+        for the optimum and perturbed weights, with delay > N//2 and with N < L."""
+        instances = [equalization_instance(seed, n=n, snr_db=snr_db) for seed in range(110, 114)]
+        received, symbols = np.stack([rx for rx, _ in instances]), np.stack([s for _, s in instances])
+        length = 15
+        problem = wiener.estimate_statistics(received, symbols, length, delay)
+        optimal = wiener.solve_wiener(problem)
+        perturbed = optimal + 0.05 * np.random.default_rng(97).normal(size=optimal.shape)
+        for weights in (optimal, perturbed):
+            expected = wiener.evaluate_mse(weights, received, symbols, length, delay)
+            report = wiener.statistics_mse(problem, weights, symbols)
+            assert np.abs(report.db - expected.db).max() <= 1e-9
+            assert np.allclose(report.linear, expected.linear, rtol=1e-9, atol=1e-12)
+            assert np.array_equal(report.reference_power, expected.reference_power)
+            assert report.sample_count == expected.sample_count == n - delay
+            single = wiener.statistics_mse(
+                wiener.estimate_statistics(received[0], symbols[0], length, delay), weights[0], symbols[0]
+            )
+            assert isinstance(single.db, float) and abs(single.db - expected.db[0]) <= 1e-9
+
+    def test_perfect_fit_and_silence_hit_the_floor(self):
+        symbols = modem.index_to_symbol(channel.make_rng(91).integers(0, 16, 500))
+        weights = np.zeros((1, 4))
+        weights[0] = quat.ONE
+        silence = np.zeros_like(symbols)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fitted = wiener.statistics_mse(wiener.estimate_statistics(symbols, symbols, 1), weights, symbols)
+            silent = wiener.statistics_mse(wiener.estimate_statistics(silence, silence, 1), weights, silence)
+        assert fitted.db == silent.db == wiener.DB_FLOOR
+
+    def test_mismatched_inputs_rejected(self):
+        received, symbols = equalization_instance(95, n=50)
+        problem = wiener.estimate_statistics(received, symbols, 3, 2)
+        with pytest.raises(DimensionMismatchError):
+            wiener.statistics_mse(problem, np.zeros((4, 4)), symbols)
+        with pytest.raises(ValueError, match="does not cover"):
+            wiener.statistics_mse(problem, np.zeros((3, 4)), symbols[:40])
 
 
 def quaternion_elimination_db(received, symbols, length, delay):
