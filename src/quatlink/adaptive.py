@@ -19,29 +19,24 @@ weight vector of length C*L laid out [stream 0 lags, stream 1 lags, ...].
 axis, which is what makes ensemble averaging over hundreds of Monte Carlo
 runs cheap; `run_qlms` is the single-trial view of the same kernel.
 
-The arithmetic is done in the complex-pair form of `quat.to_pairs`,
-q = a + b*j with complex a and b, where
-
-    (wa + wb j)(xa + xb j) = (wa xa - wb conj(xb)) + (wa xb + wb conj(xa)) j
-    e * conj(x)            = (ea conj(xa) + eb conj(xb)) + (eb xa - ea xb) j
-
-are four complex multiplies each instead of sixteen real ones.  The batch
-kernel takes R runs with S lanes each, in (run, stream) order, and keeps the
-trials (lanes) on the last axis: the weights are (C, L, B) pairs, and the
-run batch streams through a (C, L-1 + _BLOCK, B) window that holds the
-samples newest first.  Each block of samples is written into the window
-straight from `received`, each run's samples broadcast over its S lanes
-through a (C, L-1 + _BLOCK, R, S) view of the window, so neither a padded
-nor a per-lane copy of the batch is made, and every regressor is a plain
-slice of the window.  The references are indices into a small symbol table,
-looked up one block at a time, so a batch of int8 symbol indices stands in
-for a float copy of every lane's references.  Lanes last lets the sum
-over taps add whole rows of a (C*L, 4B) float64 view, one row after another
-in tap order, which is the order `dot_left` sums in; a complex `.sum(-1)`
-over (B, L) would use numpy's pairwise order, so a lane's result would depend
-on the tap count in a way no stepwise evaluation reproduces.  `predict` and
-`qlms_step` are the one-lane case of the same arithmetic, so stepping them by
-hand reproduces the kernel bit for bit.
+The arithmetic is real matrix-vector products.  R(x) is the 4x4 real matrix
+with w * x = R(x) w and e * conj(x) = R(x)^T e, so a regressor of C*L samples
+gives the 4 x 4CL block A = [R(x_k)] and a step is two matmuls: the output
+A w, then w += mu * (A^T e).  The batch kernel takes R runs with S lanes
+each, in (run, stream) order, and streams the run batch through two windows
+of L-1 + `_BLOCK` samples that hold R(x) newest first, so that a step's A
+and A^T are plain column-major slices.  A block of samples is copied and
+negated into the first window once per run, however many lanes share it,
+and transposed into the second.  numpy's `matmul` broadcasts a run's slices
+over its S lanes: one small BLAS gemv per lane, far below OpenBLAS's
+threading threshold, so results do not depend on the BLAS thread count.
+Column-major is on purpose: that gemv adds each tap's product rounded, where
+the row-major one fuses multiply-adds, and mu scales A^T e after the
+product, so real inputs round as classical LMS does.  The references are
+indices into a small symbol table, looked up one block at a time, so int8
+symbol indices stand in for a float copy of every lane's references.
+`predict` and `qlms_step` are the one-lane case of the same matmuls, so
+stepping them by hand reproduces the kernel bit for bit.
 """
 
 from dataclasses import dataclass
@@ -56,10 +51,15 @@ from .errors import DimensionMismatchError, DivergenceError
 # blew up; fail loudly instead of polluting Monte Carlo averages.
 ERROR_ENERGY_LIMIT = 1e6 * SYMBOL_ENERGY
 
-# samples taken from the received batch into the kernel's window at a time; the
-# results do not depend on it, and a short block keeps the window and the
-# block's targets small when a batch has hundreds of lanes
-_BLOCK = 64
+# samples taken from the received batch into the kernel's windows at a time;
+# the results do not depend on it.  The windows hold 32 reals per sample and
+# stream, so a short block keeps them small when a batch has hundreds of runs,
+# while a block shorter than the L-1 = 14 samples carried over makes the
+# shift overlap itself (8 ran ~10% slower on 64 2x2 MIMO runs, 2-core x86_64)
+_BLOCK = 16
+
+# R(x), the matrix with w * x = R(x) w, has R(x)[i, j] = _SIGNS[i, j] * x[i ^ j]
+_SIGNS = np.array([[1, -1, -1, -1], [1, 1, 1, -1], [1, -1, 1, 1], [1, 1, -1, 1]], dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -91,30 +91,17 @@ def initial_state(length: int, step_size: float) -> EqualizerState:
     return EqualizerState(np.zeros((length, 4)), step_size)
 
 
-def _one_lane(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(L, 4) components -> the (L, 1) pairs a, b of one kernel lane."""
-    a, b = quat.to_pairs(q)
-    return a[:, None], b[:, None]
+def _fill_columns(out, x) -> None:
+    """Write R(x) of quaternions x (..., R, 4) into out (..., 4, R, 4), R(x)[i, j] at out[..., j, :, i]."""
+    for (i, j), sign in np.ndenumerate(_SIGNS):
+        np.multiply(x[..., i ^ j], sign, out=out[..., j, :, i])  # exact, inf and NaN included
 
 
-def _outputs(wa, wb, xa, xb, xa_conj, xb_conj) -> np.ndarray:
-    """Filter outputs, (B, 4) quaternions, from (..., B) weight and regressor pairs.
-
-    The product of each tap is one row of a float64 view; the rows are added
-    one after another in tap order, as `dot_left` adds them.
-    """
-    products = np.empty(wa.shape + (2,), dtype=np.complex128)
-    np.subtract(wa * xa, wb * xb_conj, out=products[..., 0])
-    np.add(wa * xb, wb * xa_conj, out=products[..., 1])
-    lanes = wa.shape[-1]
-    return products.reshape(-1, 2 * lanes).view(np.float64).sum(axis=0).reshape(lanes, 4)
-
-
-def _updated(wa, wb, e, xa, xb, xa_conj, xb_conj, step_size: float):
-    """Weight pairs after w += mu * e * conj(x), for (B, 4) errors e."""
-    e_pairs = e.view(np.complex128)
-    ea, eb = e_pairs[:, 0], e_pairs[:, 1]
-    return wa + step_size * (ea * xa_conj + eb * xb_conj), wb + step_size * (eb * xa - ea * xb)
+def _blocks(regressor) -> tuple[np.ndarray, np.ndarray]:
+    """A and A^T of a (K, 4) regressor, both column-major as the kernel reads them."""
+    columns = np.empty((regressor.shape[0], 4, 1, 4))
+    _fill_columns(columns, regressor[:, None])
+    return columns.reshape(-1, 4).T, np.ascontiguousarray(columns.transpose(3, 0, 1, 2)).reshape(4, -1).T
 
 
 def predict(state: EqualizerState, regressor) -> np.ndarray:
@@ -122,8 +109,7 @@ def predict(state: EqualizerState, regressor) -> np.ndarray:
     regressor = quat._q(regressor)
     if regressor.shape != (state.length, 4):
         raise DimensionMismatchError(f"regressor shape {regressor.shape} does not match length {state.length}")
-    (wa, wb), (xa, xb) = _one_lane(state.weights), _one_lane(regressor)
-    return _outputs(wa, wb, xa, xb, xa.conj(), xb.conj())[0]
+    return (_blocks(regressor)[0] @ state.weights.reshape(-1, 1))[:, 0]
 
 
 def error(state: EqualizerState, regressor, reference) -> np.ndarray:
@@ -134,9 +120,7 @@ def error(state: EqualizerState, regressor, reference) -> np.ndarray:
 def qlms_step(state: EqualizerState, regressor, reference) -> tuple[EqualizerState, np.ndarray]:
     """One QLMS update; returns the new state and the pre-update error."""
     e = error(state, regressor, reference)
-    (wa, wb), (xa, xb) = _one_lane(state.weights), _one_lane(quat._q(regressor))
-    ua, ub = _updated(wa, wb, e[None], xa, xb, xa.conj(), xb.conj(), state.step_size)
-    weights = quat.from_pairs(ua[:, 0], ub[:, 0])
+    weights = state.weights + (state.step_size * (_blocks(quat._q(regressor))[1] @ e[:, None])).reshape(-1, 4)
     if not np.isfinite(weights).all():
         raise DivergenceError("weights became non-finite", 0, quat.norm_sq(e)[None], weights)
     return EqualizerState(weights, state.step_size), e
@@ -219,18 +203,25 @@ def run_qlms_batch(received, reference, length: int, step_size: float, delay: in
         raise ValueError("step size must be nonnegative")
 
     # While the block of samples from t0 runs, position p of the windows holds
-    # the pairs of sample t0 + _BLOCK - 1 - p: newest first, with the L-1
-    # samples before t0 in the last positions, so x[t] is the slice from
-    # p = _BLOCK - 1 - (t - t0).  The windows are filled as (C, P, R, S), each
-    # run's samples broadcast over its S lanes, and read as (C, P, B).
-    xa_window = np.zeros((c, length - 1 + _BLOCK, runs, b // runs), dtype=np.complex128)
-    xb_window = np.zeros_like(xa_window)
-    xa_lanes, xb_lanes = xa_window.reshape(c, -1, b), xb_window.reshape(c, -1, b)
-    wa = np.zeros((c, length, b), dtype=np.complex128)
-    wb = np.zeros_like(wa)
+    # R(x) of each stream's sample t0 + _BLOCK - 1 - p: newest first, with the
+    # L-1 samples before t0 in the last positions, so the regressor of x[t]
+    # is the slice from p = _BLOCK - 1 - (t - t0), its 4CL columns in (lag,
+    # stream, component) order as the (R, S, 4CL, 1) weights are.
+    # forward[p, c, j, r] is column j of R(x); backward, its transpose, holds
+    # row i at backward[r, i, p, c].
+    lanes, width = b // runs, 4 * c * length
+    forward = np.zeros((length - 1 + _BLOCK, c, 4, runs, 4))
+    backward = np.zeros((runs, 4, length - 1 + _BLOCK, c, 4))
+    a_of = [forward[p : p + length].reshape(width, runs, 4).transpose(1, 2, 0)[:, None] for p in range(_BLOCK)]
+    a_t_of = [backward[:, None, :, p : p + length].reshape(runs, 1, 4, width).mT for p in range(_BLOCK)]
+    weights = np.zeros((runs, lanes, width, 1))
+    updated = np.empty_like(weights)
+    outputs = np.empty((4, b))  # component-major, so the error's norm adds whole rows
+    output_lanes = outputs.T.reshape(runs, lanes, 4, 1)
     traces = np.full((b, n), np.nan)
     diverged_at = np.full(b, -1, dtype=np.int64)
     active = np.ones(b, dtype=bool)
+    all_active = True
 
     # A frozen lane keeps being evaluated: with an inf or NaN sample in its
     # window its products overflow or turn NaN on every later step.  Those
@@ -241,12 +232,10 @@ def run_qlms_batch(received, reference, length: int, step_size: float, delay: in
             i = t % _BLOCK
             if i == 0:
                 stop = min(t + _BLOCK, n)
-                xa_window[:, _BLOCK:] = xa_window[:, : length - 1]
-                xb_window[:, _BLOCK:] = xb_window[:, : length - 1]
-                block = np.moveaxis(received[:, :, t:stop], 0, 2)[:, ::-1, :, None]  # (C, m, R, 1, 4), newest first
-                fill = slice(_BLOCK - (stop - t), _BLOCK)
-                xa_window.real[:, fill], xa_window.imag[:, fill] = block[..., 0], block[..., 1]
-                xb_window.real[:, fill], xb_window.imag[:, fill] = block[..., 2], block[..., 3]
+                forward[_BLOCK:] = forward[: length - 1]
+                samples = np.ascontiguousarray(received[:, :, t:stop].transpose(2, 1, 0, 3))  # (m, C, R, 4)
+                _fill_columns(forward[_BLOCK - (stop - t) : _BLOCK][::-1], samples)
+                backward[...] = forward.transpose(3, 4, 0, 1, 2)
                 # the block's desired outputs, reference[first] onwards
                 first = max(t - delay, 0)
                 targets = symbols[indices[:, first : max(stop - delay, 0)]]
@@ -254,30 +243,38 @@ def run_qlms_batch(received, reference, length: int, step_size: float, delay: in
                 continue
 
             p = _BLOCK - 1 - i
-            xa, xb = xa_lanes[:, p : p + length], xb_lanes[:, p : p + length]
-            xa_conj, xb_conj = xa.conj(), xb.conj()
-            e = targets[:, t - delay - first] - _outputs(wa, wb, xa, xb, xa_conj, xb_conj)
-            err = quat.norm_sq(e)
-            traces[active, t] = err[active]
-            blown = active & ~(err <= error_energy_limit)  # catches NaN errors too
-            if blown.any():
+            np.matmul(a_of[p], weights, out=output_lanes)
+            e = targets[:, t - delay - first].T - outputs
+            err = quat.norm_sq(e.T)
+            traces[:, t] = err
+            if not err.max() <= error_energy_limit:  # catches NaN errors too
+                blown = active & ~(err <= error_energy_limit)
+                # non-finite weights make every output non-finite, so an update
+                # that broke them shows here; undo it and date the divergence to it
+                broken = blown & ~np.isfinite(weights).all(axis=(2, 3)).reshape(b)
+                np.copyto(weights, updated, where=broken.reshape(runs, lanes, 1, 1))
                 diverged_at[blown] = t
+                diverged_at[broken] = t - 1
                 active &= ~blown
+                all_active = False
                 if not active.any():
                     break
-            ua, ub = _updated(wa, wb, e, xa, xb, xa_conj, xb_conj, step_size)
-            if not (np.isfinite(ua.view(np.float64)).all() and np.isfinite(ub.view(np.float64)).all()):
-                broken = active & ~(np.isfinite(ua).all(axis=(0, 1)) & np.isfinite(ub).all(axis=(0, 1)))
-                diverged_at[broken] = t
-                active &= ~broken
-                if not active.any():
-                    break
-            if not active.all():
+            np.matmul(a_t_of[p], e.T.reshape(runs, lanes, 4, 1), out=updated)
+            updated *= step_size
+            updated += weights
+            if not all_active:
                 # a select, not a multiply by `active`: a frozen lane's update may be NaN
-                ua, ub = np.where(active, ua, wa), np.where(active, ub, wb)
-            wa, wb = ua, ub
+                np.copyto(updated, weights, where=~active.reshape(runs, lanes, 1, 1))
+            weights, updated = updated, weights
+        else:
+            # the last update has no next output to show a break
+            broken = active & ~np.isfinite(weights).all(axis=(2, 3)).reshape(b)
+            np.copyto(weights, updated, where=broken.reshape(runs, lanes, 1, 1))
+            diverged_at[broken] = n - 1
 
-    weights = np.moveaxis(quat.from_pairs(wa, wb), 2, 0).reshape(b, c * length, 4)
+    for lane in np.flatnonzero(diverged_at >= 0):
+        traces[lane, diverged_at[lane] + 1 :] = np.nan
+    weights = weights.reshape(b, length, c, 4).swapaxes(1, 2).reshape(b, c * length, 4)
     return QlmsBatch(weights, traces, diverged_at)
 
 

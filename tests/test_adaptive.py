@@ -61,6 +61,19 @@ class TestStateAndPredict:
         assert quat.norm_sq(e) == quat.norm_sq(r)
 
 
+class TestRightMatrix:
+    def test_right_multiplication_identities(self):
+        """R(x) w = w * x and R(x)^T e = e * conj(x): the two products of a kernel step."""
+        rng = np.random.default_rng(78)
+        units = rng.normal(size=(200, 3, 4))
+        units /= np.sqrt(quat.norm_sq(units))[..., None]
+        for x, w, e in units:
+            a, a_t = adaptive._blocks(x[None])
+            assert np.array_equal(a_t, a.T)
+            assert np.allclose(a @ w, quat.mul(w, x), rtol=0.0, atol=1e-15)
+            assert np.allclose(a_t @ e, quat.mul(e, quat.conj(x)), rtol=0.0, atol=1e-15)
+
+
 class TestQlmsStep:
     def test_zero_error_is_fixed_point(self):
         rng = np.random.default_rng(64)
@@ -191,7 +204,8 @@ class TestRunQlms:
 
 class TestBatchKernel:
     def test_single_run_equals_batch_lane(self):
-        """A lane's result must not depend on the batch size, odd sizes included."""
+        """A lane's result must not depend on the batch size, odd sizes included,
+        nor on sharing its run's stacked regressors with another lane."""
         rng = np.random.default_rng(69)
         for lanes in (5, 7, 129):
             signals = rng.normal(size=(lanes, 80, 4))
@@ -199,6 +213,15 @@ class TestBatchKernel:
             batch = adaptive.run_qlms_batch(signals[:, None], references, 6, 0.02, 3)
             for lane in range(lanes):
                 state, trace = adaptive.run_qlms(signals[lane], references[lane], 6, 0.02, 3)
+                assert np.array_equal(trace[3:], batch.traces[lane, 3:])
+                assert np.array_equal(state.weights, batch.weights[lane])
+        table = 0.5 * modem.CONSTELLATION
+        for runs in (1, 5, 129):
+            received = rng.normal(size=(runs, 2, 80, 4))
+            indices = rng.integers(0, modem.NUM_SYMBOLS, (2 * runs, 80)).astype(np.int8)
+            batch = adaptive.run_qlms_batch(received, indices, 6, 0.02, 3, symbols=table)
+            for lane in range(2 * runs):
+                state, trace = adaptive.run_qlms(received[lane // 2], table[indices[lane]], 6, 0.02, 3)
                 assert np.array_equal(trace[3:], batch.traces[lane, 3:])
                 assert np.array_equal(state.weights, batch.weights[lane])
 
@@ -242,6 +265,26 @@ class TestBatchKernel:
         solo = adaptive.run_qlms_batch(signals[1:, None], references[1:], 4, 0.05, 0)
         assert np.array_equal(batch.weights[1], solo.weights[0])
         assert np.array_equal(batch.traces[1], solo.traces[0])
+
+    @pytest.mark.parametrize("at", [10, 39])
+    def test_weight_overflow_freezes_lane(self, at):
+        """A finite error whose update overflows the weights freezes the lane at
+        that iteration with its pre-update weights, the last iteration included."""
+        rng = np.random.default_rng(79)
+        signals = rng.normal(size=(2, 40, 4))
+        references = rng.normal(size=(2, 40, 4))
+        # lane 0 keeps zero weights, so its output stays 0 until the update that overflows
+        references[0] = 0.0
+        references[0, at] = 1.0
+        signals[0, at] = 1e308
+        with np.errstate(over="ignore", invalid="ignore"):
+            batch = adaptive.run_qlms_batch(signals[:, None], references, 4, 0.05, 0)
+        assert batch.diverged_at.tolist() == [at, -1]
+        assert np.isfinite(batch.traces[0, : at + 1]).all() and np.isnan(batch.traces[0, at + 1 :]).all()
+        assert np.array_equal(batch.weights[0], np.zeros((4, 4)))
+        solo = adaptive.run_qlms_batch(signals[1:, None], references[1:], 4, 0.05, 0)
+        assert np.array_equal(batch.traces[1], solo.traces[0])
+        assert np.array_equal(batch.weights[1], solo.weights[0])
 
     def test_frozen_lane_raises_no_warnings(self):
         """The inf that freezes a lane is reported by diverged_at, not by numpy warnings."""
@@ -290,6 +333,10 @@ class TestBatchKernel:
             monkeypatch.setattr(adaptive, "_BLOCK", block)
             results.append(adaptive.run_qlms_batch(received, indices, length, mu, delay, symbols=table))
         assert results[0].diverged_at.tolist() == [-1, -1, -1, 500, -1, -1]
+        # the frozen lane reads NaN after its divergence; its run's other lane keeps going
+        traces = results[0].traces
+        assert np.isfinite(traces[3, delay:500]).all() and np.isnan(traces[3, 501:]).all()
+        assert np.isfinite(traces[2, delay:]).all()
         for other in results[1:]:
             assert np.array_equal(other.traces, results[0].traces, equal_nan=True)
             assert np.array_equal(other.weights, results[0].weights)
