@@ -8,11 +8,10 @@ the block Wiener solution, and a seeded Monte Carlo harness with a CLI.
 __version__ = "0.1.0"
 
 from . import adaptive, channel, cli, harness, linalg, modem, quat, wiener
-from .adaptive import EqualizerState, QlmsBatch, run_qlms, run_qlms_batch
+from .adaptive import QlmsBatch, run_qlms_batch
 from .channel import MimoChannelModel, derive_rng, make_rng
 from .errors import (
     DimensionMismatchError,
-    DivergenceError,
     ExperimentFailedError,
     InsufficientDataError,
     SingularMatrixError,
@@ -39,15 +38,12 @@ __all__ = [
     "modem",
     "quat",
     "wiener",
-    "EqualizerState",
     "QlmsBatch",
-    "run_qlms",
     "run_qlms_batch",
     "MimoChannelModel",
     "derive_rng",
     "make_rng",
     "DimensionMismatchError",
-    "DivergenceError",
     "ExperimentFailedError",
     "InsufficientDataError",
     "SingularMatrixError",

@@ -12,31 +12,30 @@ factor order matters because quaternions do not commute.  For real-valued
 inputs this collapses to classical real LMS.
 
 Multi-stream (MIMO) equalization reuses the same machinery: a (C, N, 4)
-received array yields regressors that stack per-stream lag vectors, giving a
+received run yields regressors that stack per-stream lag vectors, giving a
 weight vector of length C*L laid out [stream 0 lags, stream 1 lags, ...].
 
-`run_qlms_batch` advances many independent trials in lockstep over the time
-axis, which is what makes ensemble averaging over hundreds of Monte Carlo
-runs cheap; `run_qlms` is the single-trial view of the same kernel.
+`run_qlms_batch` is the one QLMS entry point.  It advances many independent
+trials in lockstep over the time axis, which is what makes ensemble
+averaging over hundreds of Monte Carlo runs cheap; a single trial is the
+one-run batch.  The references are indices into a small symbol table,
+looked up one block at a time, so int8 symbol indices stand in for a float
+copy of every lane's references.
 
 The arithmetic is real matrix-vector products.  R(x) is the 4x4 real matrix
 with w * x = R(x) w and e * conj(x) = R(x)^T e, so a regressor of C*L samples
 gives the 4 x 4CL block A = [R(x_k)] and a step is two matmuls: the output
-A w, then w += mu * (A^T e).  The batch kernel takes R runs with S lanes
-each, in (run, stream) order, and streams the run batch through two windows
-of L-1 + `_BLOCK` samples that hold R(x) newest first, so that a step's A
-and A^T are plain column-major slices.  A block of samples is copied and
-negated into the first window once per run, however many lanes share it,
-and transposed into the second.  numpy's `matmul` broadcasts a run's slices
-over its S lanes: one small BLAS gemv per lane, far below OpenBLAS's
-threading threshold, so results do not depend on the BLAS thread count.
-Column-major is on purpose: that gemv adds each tap's product rounded, where
-the row-major one fuses multiply-adds, and mu scales A^T e after the
-product, so real inputs round as classical LMS does.  The references are
-indices into a small symbol table, looked up one block at a time, so int8
-symbol indices stand in for a float copy of every lane's references.
-`predict` and `qlms_step` are the one-lane case of the same matmuls, so
-stepping them by hand reproduces the kernel bit for bit.
+A w, then w += mu * (A^T e).  The kernel takes R runs with S lanes each, in
+(run, stream) order, and streams the run batch through two windows of
+L-1 + `_BLOCK` samples that hold R(x) newest first, so that a step's A and
+A^T are plain column-major slices.  A block of samples is copied and negated
+into the first window once per run, however many lanes share it, and
+transposed into the second.  numpy's `matmul` broadcasts a run's slices over
+its S lanes: one small BLAS gemv per lane, far below OpenBLAS's threading
+threshold, so results do not depend on the BLAS thread count.  Column-major
+is on purpose: that gemv adds each tap's product rounded, where the
+row-major one fuses multiply-adds, and mu scales A^T e after the product, so
+real inputs round as classical LMS does.
 """
 
 from dataclasses import dataclass
@@ -45,10 +44,11 @@ import numpy as np
 
 from . import quat
 from .channel import SYMBOL_ENERGY
-from .errors import DimensionMismatchError, DivergenceError
+from .errors import DimensionMismatchError
 
 # A squared error beyond one million times the symbol energy means the filter
-# blew up; fail loudly instead of polluting Monte Carlo averages.
+# blew up; the kernel freezes and reports the lane instead of letting it
+# pollute Monte Carlo averages.
 ERROR_ENERGY_LIMIT = 1e6 * SYMBOL_ENERGY
 
 # samples taken from the received batch into the kernel's windows at a time;
@@ -62,68 +62,10 @@ _BLOCK = 16
 _SIGNS = np.array([[1, -1, -1, -1], [1, 1, 1, -1], [1, -1, 1, 1], [1, 1, -1, 1]], dtype=np.float64)
 
 
-@dataclass(frozen=True)
-class EqualizerState:
-    """Weight vector (length, 4) plus the adaptation step size."""
-
-    weights: np.ndarray
-    step_size: float
-
-    def __post_init__(self):
-        weights = quat._q(self.weights)
-        if weights.ndim != 2 or weights.shape[0] < 1:
-            raise DimensionMismatchError(f"weights must be a (length, 4) array, got shape {weights.shape}")
-        if not np.isfinite(weights).all():
-            raise ValueError("weights must be finite")
-        if not self.step_size >= 0.0:
-            raise ValueError("step size must be nonnegative")
-        object.__setattr__(self, "weights", weights)
-
-    @property
-    def length(self) -> int:
-        return self.weights.shape[0]
-
-
-def initial_state(length: int, step_size: float) -> EqualizerState:
-    """All-zero weights, the standard starting point for LMS-family filters."""
-    if length < 1:
-        raise ValueError("equalizer length must be at least 1")
-    return EqualizerState(np.zeros((length, 4)), step_size)
-
-
 def _fill_columns(out, x) -> None:
     """Write R(x) of quaternions x (..., R, 4) into out (..., 4, R, 4), R(x)[i, j] at out[..., j, :, i]."""
     for (i, j), sign in np.ndenumerate(_SIGNS):
         np.multiply(x[..., i ^ j], sign, out=out[..., j, :, i])  # exact, inf and NaN included
-
-
-def _blocks(regressor) -> tuple[np.ndarray, np.ndarray]:
-    """A and A^T of a (K, 4) regressor, both column-major as the kernel reads them."""
-    columns = np.empty((regressor.shape[0], 4, 1, 4))
-    _fill_columns(columns, regressor[:, None])
-    return columns.reshape(-1, 4).T, np.ascontiguousarray(columns.transpose(3, 0, 1, 2)).reshape(4, -1).T
-
-
-def predict(state: EqualizerState, regressor) -> np.ndarray:
-    """Equalizer output dot_left(weights, regressor)."""
-    regressor = quat._q(regressor)
-    if regressor.shape != (state.length, 4):
-        raise DimensionMismatchError(f"regressor shape {regressor.shape} does not match length {state.length}")
-    return (_blocks(regressor)[0] @ state.weights.reshape(-1, 1))[:, 0]
-
-
-def error(state: EqualizerState, regressor, reference) -> np.ndarray:
-    """Instantaneous error reference - prediction; norm_sq of it is the cost."""
-    return quat._q(reference) - predict(state, regressor)
-
-
-def qlms_step(state: EqualizerState, regressor, reference) -> tuple[EqualizerState, np.ndarray]:
-    """One QLMS update; returns the new state and the pre-update error."""
-    e = error(state, regressor, reference)
-    weights = state.weights + (state.step_size * (_blocks(quat._q(regressor))[1] @ e[:, None])).reshape(-1, 4)
-    if not np.isfinite(weights).all():
-        raise DivergenceError("weights became non-finite", 0, quat.norm_sq(e)[None], weights)
-    return EqualizerState(weights, state.step_size), e
 
 
 def lag_matrix(signal, length: int) -> np.ndarray:
@@ -157,42 +99,32 @@ class QlmsBatch:
     diverged_at: np.ndarray
 
 
-def run_qlms_batch(received, reference, length: int, step_size: float, delay: int = 0,
-                   error_energy_limit: float = ERROR_ENERGY_LIMIT, symbols=None) -> QlmsBatch:
+def run_qlms_batch(received, indices, symbols, length: int, step_size: float, delay: int = 0) -> QlmsBatch:
     """Run QLMS over a batch of R runs, (R, C, N, 4), with S = B / R lanes per run.
 
     The B lanes are ordered (run, stream): lane k equalizes run k // S, so
     the runs' received streams are held once however many lanes share them.
-    `reference` gives each lane's desired output: (B, N, 4) quaternions, or,
-    with a (K, 4) table `symbols`, (B, N) integer indices into it (such as
-    int8 symbol indices and the scaled constellation).  At iteration n the
-    desired output is reference[n - delay]; iterations with n < delay are
-    logged as warm-up without adapting.  A trial whose squared error exceeds
-    `error_energy_limit`, or whose weights go non-finite, is frozen on the
-    spot and reported in `diverged_at`.
+    Lane k's desired outputs are symbols[indices[k]], from (B, N) integer
+    indices (such as int8 symbol indices) into a (K, 4) table (such as the
+    scaled constellation).  At iteration n the desired output is the one at
+    n - delay; iterations with n < delay are logged as warm-up without
+    adapting.  A trial whose squared error exceeds ERROR_ENERGY_LIMIT, or
+    whose weights go non-finite, is frozen on the spot and reported in
+    `diverged_at`.
     """
-    received = quat._q(received)
+    received, symbols, indices = quat._q(received), quat._q(symbols), np.asarray(indices)
     if received.ndim != 4:
         raise DimensionMismatchError(f"expected a (R, C, N, 4) batch, got shape {received.shape}")
     runs, c, n, _ = received.shape
-    if symbols is None:
-        # the references are their own table, indexed by row number
-        reference = quat._q(reference)
-        if reference.ndim != 3 or reference.shape[1] != n:
-            raise DimensionMismatchError(f"references must be (B, N, 4) with N = {n}, got {reference.shape}")
-        b = reference.shape[0]
-        symbols, indices = reference.reshape(-1, 4), np.arange(b * n).reshape(b, n)
-    else:
-        symbols, indices = quat._q(symbols), np.asarray(reference)
-        if symbols.ndim != 2 or indices.ndim != 2 or indices.shape[1] != n:
-            raise DimensionMismatchError(
-                f"need (K, 4) symbols and (B, N) indices with N = {n}, got {symbols.shape} and {indices.shape}"
-            )
-        if not np.issubdtype(indices.dtype, np.integer):
-            raise ValueError(f"symbol indices must be integers, got {indices.dtype}")
-        if indices.size and not (0 <= indices.min() and indices.max() < symbols.shape[0]):
-            raise ValueError(f"symbol indices must lie in [0, {symbols.shape[0]})")
-        b = indices.shape[0]
+    if symbols.ndim != 2 or indices.ndim != 2 or indices.shape[1] != n:
+        raise DimensionMismatchError(
+            f"need (K, 4) symbols and (B, N) indices with N = {n}, got {symbols.shape} and {indices.shape}"
+        )
+    if not np.issubdtype(indices.dtype, np.integer):
+        raise ValueError(f"symbol indices must be integers, got {indices.dtype}")
+    if indices.size and not (0 <= indices.min() and indices.max() < symbols.shape[0]):
+        raise ValueError(f"symbol indices must lie in [0, {symbols.shape[0]})")
+    b = indices.shape[0]
     if runs < 1 or b < 1 or b % runs:
         raise DimensionMismatchError(f"{b} reference lanes do not split evenly over {runs} runs")
     if length < 1 or n < 1:
@@ -247,8 +179,8 @@ def run_qlms_batch(received, reference, length: int, step_size: float, delay: in
             e = targets[:, t - delay - first].T - outputs
             err = quat.norm_sq(e.T)
             traces[:, t] = err
-            if not err.max() <= error_energy_limit:  # catches NaN errors too
-                blown = active & ~(err <= error_energy_limit)
+            if not err.max() <= ERROR_ENERGY_LIMIT:  # catches NaN errors too
+                blown = active & ~(err <= ERROR_ENERGY_LIMIT)
                 # non-finite weights make every output non-finite, so an update
                 # that broke them shows here; undo it and date the divergence to it
                 broken = blown & ~np.isfinite(weights).all(axis=(2, 3)).reshape(b)
@@ -277,30 +209,3 @@ def run_qlms_batch(received, reference, length: int, step_size: float, delay: in
     weights = weights.reshape(b, length, c, 4).swapaxes(1, 2).reshape(b, c * length, 4)
     return QlmsBatch(weights, traces, diverged_at)
 
-
-def run_qlms(signal, reference, length: int, step_size: float, delay: int = 0,
-             error_energy_limit: float = ERROR_ENERGY_LIMIT) -> tuple[EqualizerState, np.ndarray]:
-    """Adapt over one signal/reference pair; returns (final state, error trace).
-
-    `signal` is (N, 4) or, for stacked multi-stream equalization, (C, N, 4).
-    The trace holds norm_sq(e[n]) per iteration with NaN over the warm-up
-    prefix n < delay.  Divergence raises DivergenceError carrying the partial
-    trace up to the offending iteration.
-    """
-    signal, reference = quat._q(signal), quat._q(reference)
-    if signal.ndim == 2:
-        batch_rx = signal[None, None]
-    elif signal.ndim == 3:
-        batch_rx = signal[None]
-    else:
-        raise DimensionMismatchError(f"signal must be (N, 4) or (C, N, 4), got shape {signal.shape}")
-    if reference.ndim != 2 or reference.shape[0] != batch_rx.shape[2]:
-        raise DimensionMismatchError(
-            f"reference must match the signal length {batch_rx.shape[2]}, got shape {reference.shape}"
-        )
-    result = run_qlms_batch(batch_rx, reference[None], length, step_size, delay, error_energy_limit)
-    trace = result.traces[0]
-    if result.diverged_at[0] >= 0:
-        it = int(result.diverged_at[0])
-        raise DivergenceError(f"QLMS diverged at iteration {it}", it, trace[: it + 1], result.weights[0])
-    return EqualizerState(result.weights[0], step_size), trace

@@ -76,17 +76,8 @@ def gaussian_quaternions(rng: np.random.Generator, variance_per_component: float
 
 
 def random_channel_taps(rng: np.random.Generator, num_taps: int, normalize: bool = True) -> np.ndarray:
-    """Random FIR taps: Gaussian per component with variance 1/(4*num_taps).
-
-    Expected total channel energy is 1; with `normalize` the taps are rescaled
-    so the energy is exactly 1.
-    """
-    if num_taps < 1:
-        raise ValueError("need at least one tap")
-    taps = rng.normal(0.0, np.sqrt(1.0 / (4.0 * num_taps)), (num_taps, 4))
-    if normalize:
-        taps = taps / np.sqrt(quat.norm_sq(taps).sum())
-    return taps
+    """Random (num_taps, 4) FIR taps with unit expected energy: the 1x1 `random_mimo_grid`."""
+    return random_mimo_grid(rng, 1, 1, num_taps, normalize)[0, 0]
 
 
 def random_mimo_grid(rng: np.random.Generator, num_rx: int, num_tx: int, num_taps: int,

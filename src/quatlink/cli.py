@@ -86,7 +86,12 @@ def _parse_field(name: str, raw: str):
         if raw not in ("on", "off"):
             raise ValueError(f"{name}: expected 'on' or 'off', got {raw!r}")
         return raw == "on"
-    return raw if isinstance(kind, tuple) else kind(raw)
+    if isinstance(kind, tuple):
+        return raw
+    try:
+        return kind(raw)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
 def config_to_lines(config: ExperimentConfig) -> list[str]:

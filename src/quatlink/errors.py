@@ -4,7 +4,6 @@ __all__ = [
     "DimensionMismatchError",
     "SingularMatrixError",
     "InsufficientDataError",
-    "DivergenceError",
     "ExperimentFailedError",
 ]
 
@@ -19,21 +18,6 @@ class SingularMatrixError(ArithmeticError):
 
 class InsufficientDataError(ValueError):
     """Not enough samples to form the requested statistic."""
-
-
-class DivergenceError(RuntimeError):
-    """Adaptive filter blew up.
-
-    Carries the iteration index at which divergence was detected, the partial
-    squared-error trace up to and including that iteration, and the weights at
-    the time of detection.
-    """
-
-    def __init__(self, message: str, iteration: int, trace, weights):
-        super().__init__(message)
-        self.iteration = iteration
-        self.trace = trace
-        self.weights = weights
 
 
 class ExperimentFailedError(RuntimeError):

@@ -125,8 +125,12 @@ class ExperimentConfig:
                 f"snr_reference_point: must be '{SNR_REF_RECEIVER}' or '{SNR_REF_TRANSMITTER}',"
                 f" got {self.snr_reference_point!r}"
             )
-        for name in ("num_channel_taps", "equalizer_length", "num_runs", "symbols_per_run", "mimo_tx", "mimo_rx"):
-            if int(getattr(self, name)) < 1:
+        counts = ("num_channel_taps", "equalizer_length", "num_runs", "symbols_per_run", "mimo_tx", "mimo_rx")
+        for name in counts + ("delay", "master_seed"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name}: must be an integer, got {getattr(self, name)!r}")
+        for name in counts:
+            if getattr(self, name) < 1:
                 raise ValueError(f"{name}: must be at least 1, got {getattr(self, name)}")
         if not self.step_size > 0.0:
             raise ValueError(f"step_size: must be positive, got {self.step_size}")
@@ -321,9 +325,7 @@ def _chunk(config: ExperimentConfig, start: int, stop: int) -> dict:
     # lanes in (run, stream) order: a run's received streams against each stream's symbols
     lane_indices = indices.reshape(-1, n)
     symbols = mode.stream_scale * modem.CONSTELLATION
-    batch = run_qlms_batch(
-        received, lane_indices, config.equalizer_length, config.step_size, config.delay, symbols=symbols
-    )
+    batch = run_qlms_batch(received, lane_indices, symbols, config.equalizer_length, config.step_size, config.delay)
 
     alive = batch.diverged_at < 0
     qlms_db = np.full(alive.size, np.nan)

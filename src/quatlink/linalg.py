@@ -6,9 +6,12 @@ package fixes a single convention: coefficients multiply from the LEFT.  A
 matrix-vector product is (A x)[r] = sum_c A[r,c] * x[c] with A's entry as the
 left factor, and `dot_left(w, s)` is sum_l w[l] * s[l].
 
-`solve` runs quaternion Gaussian elimination with partial pivoting; the
-complex adjoint embedding (`to_complex_adjoint`) gives an independent route
-through ordinary complex linear algebra and is used as its cross-check.
+`solve` runs quaternion Gaussian elimination with partial pivoting.  The
+complex adjoint embedding of matrices (`to_complex_adjoint`) and of vectors
+(`vector_to_adjoint`, `vector_from_adjoint`) gives an independent route
+through ordinary complex linear algebra: the batched Wiener solve takes it,
+and the tests use it to cross-check `solve`.  `mean_outer_h`, the sample
+correlation matrix, averages the quaternion outer products directly.
 """
 
 import numpy as np
@@ -115,25 +118,6 @@ def to_complex_adjoint(m) -> np.ndarray:
     return np.block([[a, b], [-b.conj(), a.conj()]])
 
 
-def from_complex_adjoint(cm) -> np.ndarray:
-    """Invert `to_complex_adjoint`; defined only on matrices of adjoint form."""
-    cm = np.asarray(cm, dtype=np.complex128)
-    if cm.ndim != 2 or cm.shape[0] % 2 or cm.shape[1] % 2:
-        raise DimensionMismatchError(f"adjoint matrix must be 2r x 2c, got shape {cm.shape}")
-    r, c = cm.shape[0] // 2, cm.shape[1] // 2
-    a, b = cm[:r, :c], cm[:r, c:]
-    scale = max(float(np.abs(cm).max()), 1.0)
-    if not (
-        np.allclose(cm[r:, :c], -b.conj(), rtol=1e-9, atol=1e-12 * scale)
-        and np.allclose(cm[r:, c:], a.conj(), rtol=1e-9, atol=1e-12 * scale)
-    ):
-        raise ValueError("matrix does not have the complex adjoint block structure")
-    out = np.empty((r, c, 4))
-    out[..., 0], out[..., 1] = a.real, a.imag
-    out[..., 2], out[..., 3] = b.real, b.imag
-    return out
-
-
 def vector_to_adjoint(v) -> np.ndarray:
     """First column of the adjoint embedding of a column vector: (..., n, 4) -> (..., 2n) complex."""
     v = quat._q(v)
@@ -155,16 +139,8 @@ def vector_from_adjoint(z) -> np.ndarray:
 def mean_outer_h(vectors) -> np.ndarray:
     """Average of the outer products M[r, c] = v[r] * conj(v[c]) over the
     leading axis of a (N, n, 4) stack.
-
-    Computed as one Gramian in the complex adjoint image (the embedding is a
-    ring homomorphism, so this equals averaging the quaternion outer products
-    directly, at BLAS speed).
     """
     v = quat._q(vectors)
     if v.ndim != 3 or v.shape[0] == 0:
         raise DimensionMismatchError(f"expected a (N, n, 4) stack, got shape {v.shape}")
-    a, b = quat.to_pairs(v)  # (N, n) each
-    top = np.concatenate([a, b], axis=0)  # columns of the embedded vectors
-    bot = np.concatenate([-b.conj(), a.conj()], axis=0)
-    m = np.concatenate([top, bot], axis=1).T  # (2n, 2N)
-    return from_complex_adjoint(m @ m.conj().T / v.shape[0])
+    return quat.mul(v[:, :, None], quat.conj(v)[:, None]).mean(axis=0)

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from quatlink import adaptive, channel, modem, quat, wiener
-from quatlink.errors import DimensionMismatchError, DivergenceError
+from quatlink.errors import DimensionMismatchError
 
-from oracles import dot_left_loop, table_conj, table_mul
+from oracles import dot_left_loop, qlms_steps, table_conj, table_mul
 
 # samples per block of the batch kernel's sample window
 BLOCK = adaptive._BLOCK
@@ -19,46 +19,66 @@ def random_symbols(seed, n):
     return modem.index_to_symbol(rng.integers(0, modem.NUM_SYMBOLS, n))
 
 
+def run_batch(received, references, length, step_size, delay=0):
+    """The kernel on (R, C, N, 4) runs against (B, N, 4) references, each sample its own table row."""
+    b, n, _ = references.shape
+    indices = np.arange(b * n).reshape(b, n)
+    return adaptive.run_qlms_batch(received, indices, references.reshape(-1, 4), length, step_size, delay)
+
+
+def run_one(signal, reference, length, step_size, delay=0):
+    """One lane on an (N, 4) or (C, N, 4) signal: (final weights, trace)."""
+    signal = signal[None] if signal.ndim == 2 else signal
+    result = run_batch(signal[None], reference[None], length, step_size, delay)
+    assert result.diverged_at[0] == -1
+    return result.weights[0], result.traces[0]
+
+
 class TestStateAndPredict:
+    """The kernel starts from zero weights, and tap 0 multiplies the newest sample."""
+
     def test_initial_state_is_zero(self):
-        state = adaptive.initial_state(5, 0.1)
-        assert np.array_equal(state.weights, np.zeros((5, 4)))
-        assert state.length == 5
+        rng = np.random.default_rng(60)
+        weights, _ = run_one(rng.normal(size=(2, 30, 4)), rng.normal(size=(30, 4)), 5, 0.0)
+        assert np.array_equal(weights, np.zeros((10, 4)))
 
     def test_zero_weights_predict_zero(self):
-        state = adaptive.initial_state(4, 0.1)
+        """With no adaptation every output is zero, so the trace is norm_sq of the reference."""
         rng = np.random.default_rng(60)
-        assert np.array_equal(adaptive.predict(state, rng.normal(size=(4, 4))), np.zeros(4))
+        reference = rng.normal(size=(40, 4))
+        _, trace = run_one(rng.normal(size=(40, 4)), reference, 4, 0.0, delay=3)
+        assert np.array_equal(trace[3:], quat.norm_sq(reference[:37]))
 
     def test_unit_impulse_weight_selects_newest_sample(self):
-        weights = np.zeros((4, 4))
-        weights[0] = quat.ONE
-        state = adaptive.EqualizerState(weights, 0.1)
-        regressor = np.random.default_rng(61).normal(size=(4, 4))
-        assert np.allclose(adaptive.predict(state, regressor), regressor[0])
-
-    def test_predict_matches_bruteforce(self):
-        rng = np.random.default_rng(62)
-        weights, regressor = rng.normal(size=(8, 4)), rng.normal(size=(8, 4))
-        state = adaptive.EqualizerState(weights, 0.1)
-        assert np.allclose(adaptive.predict(state, regressor), dot_left_loop(weights, regressor), atol=1e-13)
+        """The first update from zero weights sets tap 0 alone, and the next output is tap 0 times
+        the newest sample."""
+        rng = np.random.default_rng(61)
+        signal, reference, mu = rng.normal(size=(2, 4)), rng.normal(size=(2, 4)), 0.1
+        weights, _ = run_one(signal[:1], reference[:1], 4, mu)
+        assert np.allclose(weights[0], mu * table_mul(reference[0], table_conj(signal[0])), rtol=0, atol=1e-15)
+        assert np.array_equal(weights[1:], np.zeros((3, 4)))
+        _, trace = run_one(signal, reference, 4, mu)
+        e = reference[1] - table_mul(weights[0], signal[1])
+        assert np.isclose(trace[1], e @ e, rtol=1e-13, atol=0.0)
 
     def test_dimension_mismatch(self):
-        state = adaptive.initial_state(4, 0.1)
+        indices, table = np.zeros((1, 10), dtype=np.int8), modem.CONSTELLATION
         with pytest.raises(DimensionMismatchError):
-            adaptive.predict(state, np.zeros((5, 4)))
+            adaptive.run_qlms_batch(np.zeros((1, 10, 4)), indices, table, 3, 0.1)
+        with pytest.raises(DimensionMismatchError):
+            adaptive.run_qlms_batch(np.zeros((1, 1, 10, 4)), indices, table[0], 3, 0.1)
+        with pytest.raises(DimensionMismatchError):
+            adaptive.run_qlms_batch(np.zeros((1, 1, 10, 4)), indices, table, 0, 0.1)
 
     def test_error_and_cost(self):
-        rng = np.random.default_rng(63)
-        state = adaptive.EqualizerState(rng.normal(size=(3, 4)), 0.1)
-        x = rng.normal(size=(3, 4))
-        reference = adaptive.predict(state, x)
-        assert np.allclose(adaptive.error(state, x, reference), np.zeros(4), atol=1e-15)
-        zero = adaptive.initial_state(3, 0.1)
-        r = quat.quat(1.0, -2.0, 0.5, 0.0)
-        e = adaptive.error(zero, x, r)
-        assert np.array_equal(e, r)
-        assert quat.norm_sq(e) == quat.norm_sq(r)
+        """The trace is norm_sq(reference - output): mu = 1 and x = 1 set the weight to q, then
+        the error on x = i is r - q * i, whose products are exact."""
+        q, r = quat.quat(1.0, -2.0, 0.5, 0.0), quat.quat(0.25, 3.0, -1.0, 2.0)
+        signal, reference = np.stack([quat.ONE, quat.I]), np.stack([q, r])
+        weights, trace = run_one(signal, reference, 1, 1.0)
+        e = r - quat.mul(q, quat.I)
+        assert np.array_equal(trace, [quat.norm_sq(q), quat.norm_sq(e)])
+        assert np.array_equal(weights[0], q + quat.mul(e, quat.conj(quat.I)))
 
 
 class TestRightMatrix:
@@ -67,54 +87,55 @@ class TestRightMatrix:
         rng = np.random.default_rng(78)
         units = rng.normal(size=(200, 3, 4))
         units /= np.sqrt(quat.norm_sq(units))[..., None]
-        for x, w, e in units:
-            a, a_t = adaptive._blocks(x[None])
-            assert np.array_equal(a_t, a.T)
+        columns = np.empty((200, 4, 1, 4))
+        adaptive._fill_columns(columns, units[:, :1])
+        for (x, w, e), a_t in zip(units, columns[:, :, 0]):
+            a = a_t.T
             assert np.allclose(a @ w, quat.mul(w, x), rtol=0.0, atol=1e-15)
             assert np.allclose(a_t @ e, quat.mul(e, quat.conj(x)), rtol=0.0, atol=1e-15)
 
 
 class TestQlmsStep:
     def test_zero_error_is_fixed_point(self):
+        """Once the output matches the reference the weights stop moving: mu = 1 and x = 1 set
+        the weight to q, and a reference q * x on the next sample leaves it at q."""
         rng = np.random.default_rng(64)
-        state = adaptive.EqualizerState(rng.normal(size=(3, 4)), 0.5)
-        x = rng.normal(size=(3, 4))
-        new_state, e = adaptive.qlms_step(state, x, adaptive.predict(state, x))
-        assert np.allclose(e, np.zeros(4), atol=1e-15)
-        assert np.allclose(new_state.weights, state.weights, atol=1e-15)
+        q, x = rng.normal(size=4), rng.normal(size=4)
+        weights, trace = run_one(np.stack([quat.ONE, x]), np.stack([q, quat.mul(q, x)]), 1, 1.0)
+        assert np.allclose(trace[1], 0.0, atol=1e-28)
+        assert np.allclose(weights[0], q, rtol=0.0, atol=1e-15)
 
     def test_hand_computed_update(self):
         """L=1, w=0, x=[i], r=j, mu=0.5: e=j and the new weight is 0.5*k."""
-        state = adaptive.initial_state(1, 0.5)
-        new_state, e = adaptive.qlms_step(state, quat.I[None], quat.J)
-        assert np.array_equal(e, quat.J)
-        assert np.array_equal(new_state.weights[0], 0.5 * np.array(quat.K))
+        weights, trace = run_one(quat.I[None], quat.J[None], 1, 0.5)
+        assert np.array_equal(trace, [quat.norm_sq(quat.J)])
+        assert np.array_equal(weights[0], 0.5 * np.array(quat.K))
 
     def test_real_inputs_collapse_to_classical_lms(self):
-        """With purely real data the update must equal w += mu*e*x exactly."""
+        """With purely real data the kernel must equal w += mu*e*x exactly, at every step."""
         rng = np.random.default_rng(65)
         mu, length, steps = 0.05, 6, 60
-        x_stream = np.zeros((steps + length, 4))
-        x_stream[:, 0] = rng.normal(size=steps + length)
+        signal = np.zeros((steps, 4))
+        signal[:, 0] = rng.normal(size=steps)
         target_taps = rng.normal(size=length)
-
+        padded = np.concatenate([np.zeros(length - 1), signal[:, 0]])
+        regressors = np.stack([padded[n : n + length][::-1] for n in range(steps)])
+        reference = np.zeros((steps, 4))
+        reference[:, 0] = regressors @ target_taps
         weights_real = np.zeros(length)
-        state = adaptive.initial_state(length, mu)
         for n in range(steps):
-            regressor = x_stream[n : n + length][::-1].copy()
-            reference_value = float(target_taps @ regressor[:, 0])
-            reference = quat.quat(reference_value)
             # classical real LMS, accumulation order matched for exact comparison
-            err = reference_value - (weights_real * regressor[:, 0]).sum()
-            weights_real = weights_real + mu * (err * regressor[:, 0])
-            state, _ = adaptive.qlms_step(state, regressor, reference)
-            assert np.array_equal(state.weights[:, 0], weights_real)
-            assert np.array_equal(state.weights[:, 1:], np.zeros((length, 3)))
+            err = reference[n, 0] - (weights_real * regressors[n]).sum()
+            weights_real = weights_real + mu * (err * regressors[n])
+            weights, trace = run_one(signal[: n + 1], reference[: n + 1], length, mu)
+            assert trace[n] == err * err
+            assert np.array_equal(weights[:, 0], weights_real)
+            assert np.array_equal(weights[:, 1:], np.zeros((length, 3)))
 
 
 class TestRunQlms:
     def test_trace_matches_stepwise_iteration(self):
-        """run_qlms must agree exactly with iterating qlms_step by hand.
+        """The kernel must agree exactly with QLMS stepped one matrix-vector product at a time.
 
         Past the first case, the inputs sit on the edges of the kernel's
         sample window: lengths either side of a block boundary, a delay past
@@ -135,45 +156,40 @@ class TestRunQlms:
         for n, length, mu, delay in cases:
             signal = rng.normal(size=(n, 4))
             reference = rng.normal(size=(n, 4))
-            final, trace = adaptive.run_qlms(signal, reference, length, mu, delay)
-
-            padded = np.concatenate([np.zeros((length - 1, 4)), signal])
-            state = adaptive.initial_state(length, mu)
-            expected = np.full(n, np.nan)
-            for t in range(delay, n):
-                regressor = padded[t : t + length][::-1].copy()
-                state, e = adaptive.qlms_step(state, regressor, reference[t - delay])
-                expected[t] = quat.norm_sq(e)
-            assert np.array_equal(trace[delay:], expected[delay:])
+            weights, trace = run_one(signal, reference, length, mu, delay)
+            expected, expected_weights = qlms_steps(signal[None], reference, length, mu, delay)
+            assert np.array_equal(trace, expected, equal_nan=True)
             assert np.isnan(trace[:delay]).all()
-            assert np.allclose(final.weights, state.weights, atol=1e-15)
+            assert np.array_equal(weights, expected_weights)
 
     def test_zero_step_size_keeps_trace_flat(self):
         symbols = random_symbols(1, 300)
-        _, trace = adaptive.run_qlms(symbols, symbols, length=3, step_size=0.0, delay=0)
+        _, trace = run_one(symbols, symbols, length=3, step_size=0.0, delay=0)
         assert np.allclose(trace, 4.0)
 
     def test_identity_channel_noiseless_convergence(self):
         """Error tail must drop at least 40 dB below the symbol energy."""
         symbols = random_symbols(2, 3000)
-        _, trace = adaptive.run_qlms(symbols, symbols, length=1, step_size=0.05, delay=0)
+        _, trace = run_one(symbols, symbols, length=1, step_size=0.05, delay=0)
         tail = trace[-300:].mean()
         assert 10 * np.log10(tail / 4.0) < -40.0
 
     def test_single_step_error_reduction(self):
-        """For 0 < mu < 2/|x|^2 the post-update error on the same sample shrinks."""
+        """For 0 < mu < 2/|x|^2 the post-update error on the same sample shrinks.
+
+        L = 1: a first random sample moves the weight off zero, then the
+        same sample x and reference r come twice."""
         rng = np.random.default_rng(67)
         for _ in range(50):
-            x = rng.normal(size=(1, 4))
+            x = rng.normal(size=4)
             r = rng.normal(size=4)
-            mu = rng.uniform(0.05, 1.95) / quat.norm_sq(x[0])
-            state = adaptive.EqualizerState(rng.normal(size=(1, 4)), mu)
-            before = quat.norm_sq(adaptive.error(state, x, r))
-            if before == 0.0:
+            mu = rng.uniform(0.05, 1.95) / quat.norm_sq(x)
+            signal = np.stack([0.1 * rng.normal(size=4), x, x])
+            reference = np.stack([rng.normal(size=4), r, r])
+            _, trace = run_one(signal, reference, 1, mu)
+            if trace[1] == 0.0:
                 continue
-            updated, _ = adaptive.qlms_step(state, x, r)
-            after = quat.norm_sq(adaptive.error(updated, x, r))
-            assert after < before
+            assert trace[2] < trace[1]
 
     def test_shift_property(self):
         """Delaying signal and reference together shifts the trace unchanged."""
@@ -181,25 +197,15 @@ class TestRunQlms:
         n, shift, length, delay = 400, 9, 5, 3
         signal = rng.normal(size=(n, 4))
         reference = rng.normal(size=(n, 4))
-        _, trace = adaptive.run_qlms(signal, reference, length, 0.02, delay)
+        _, trace = run_one(signal, reference, length, 0.02, delay)
         pad = np.zeros((shift, 4))
-        _, shifted = adaptive.run_qlms(
-            np.concatenate([pad, signal]), np.concatenate([pad, reference]), length, 0.02, delay
-        )
+        _, shifted = run_one(np.concatenate([pad, signal]), np.concatenate([pad, reference]), length, 0.02, delay)
         assert np.array_equal(shifted[shift + delay :], trace[delay:])
 
-    def test_divergence_raises_with_partial_trace(self):
-        symbols = random_symbols(3, 500)
-        with pytest.raises(DivergenceError) as excinfo:
-            adaptive.run_qlms(symbols, symbols, length=8, step_size=5.0, delay=0)
-        err = excinfo.value
-        assert err.iteration >= 0
-        assert err.trace.shape == (err.iteration + 1,)
-        assert np.isfinite(err.trace[:-1]).all()
-
     def test_reference_length_mismatch(self):
+        indices = np.zeros((1, 9), dtype=np.int8)
         with pytest.raises(DimensionMismatchError):
-            adaptive.run_qlms(np.zeros((10, 4)), np.zeros((9, 4)), 2, 0.1)
+            adaptive.run_qlms_batch(np.zeros((1, 1, 10, 4)), indices, modem.CONSTELLATION, 2, 0.1)
 
 
 class TestBatchKernel:
@@ -210,28 +216,28 @@ class TestBatchKernel:
         for lanes in (5, 7, 129):
             signals = rng.normal(size=(lanes, 80, 4))
             references = rng.normal(size=(lanes, 80, 4))
-            batch = adaptive.run_qlms_batch(signals[:, None], references, 6, 0.02, 3)
+            batch = run_batch(signals[:, None], references, 6, 0.02, 3)
             for lane in range(lanes):
-                state, trace = adaptive.run_qlms(signals[lane], references[lane], 6, 0.02, 3)
+                weights, trace = run_one(signals[lane], references[lane], 6, 0.02, 3)
                 assert np.array_equal(trace[3:], batch.traces[lane, 3:])
-                assert np.array_equal(state.weights, batch.weights[lane])
+                assert np.array_equal(weights, batch.weights[lane])
         table = 0.5 * modem.CONSTELLATION
         for runs in (1, 5, 129):
             received = rng.normal(size=(runs, 2, 80, 4))
             indices = rng.integers(0, modem.NUM_SYMBOLS, (2 * runs, 80)).astype(np.int8)
-            batch = adaptive.run_qlms_batch(received, indices, 6, 0.02, 3, symbols=table)
+            batch = adaptive.run_qlms_batch(received, indices, table, 6, 0.02, 3)
             for lane in range(2 * runs):
-                state, trace = adaptive.run_qlms(received[lane // 2], table[indices[lane]], 6, 0.02, 3)
+                weights, trace = run_one(received[lane // 2], table[indices[lane]], 6, 0.02, 3)
                 assert np.array_equal(trace[3:], batch.traces[lane, 3:])
-                assert np.array_equal(state.weights, batch.weights[lane])
+                assert np.array_equal(weights, batch.weights[lane])
 
     def test_chunking_does_not_change_results(self):
         rng = np.random.default_rng(70)
         signals = rng.normal(size=(7, 60, 4))
         references = rng.normal(size=(7, 60, 4))
-        whole = adaptive.run_qlms_batch(signals[:, None], references, 4, 0.03, 1)
-        first = adaptive.run_qlms_batch(signals[:3, None], references[:3], 4, 0.03, 1)
-        second = adaptive.run_qlms_batch(signals[3:, None], references[3:], 4, 0.03, 1)
+        whole = run_batch(signals[:, None], references, 4, 0.03, 1)
+        first = run_batch(signals[:3, None], references[:3], 4, 0.03, 1)
+        second = run_batch(signals[3:, None], references[3:], 4, 0.03, 1)
         rejoined = np.concatenate([first.traces, second.traces])
         assert np.array_equal(whole.traces, rejoined, equal_nan=True)
         assert np.array_equal(whole.weights, np.concatenate([first.weights, second.weights]))
@@ -243,7 +249,7 @@ class TestBatchKernel:
         # second lane gets a catastrophic scale so it alone diverges
         signals[1] *= 100.0
         references[1] *= 100.0
-        batch = adaptive.run_qlms_batch(signals[:, None], references, 6, 0.05, 0)
+        batch = run_batch(signals[:, None], references, 6, 0.05, 0)
         assert batch.diverged_at[0] == -1
         assert batch.diverged_at[1] >= 0
         cut = int(batch.diverged_at[1])
@@ -257,12 +263,12 @@ class TestBatchKernel:
         references = rng.normal(size=(2, 40, 4))
         signals[0, 10, 1] = np.inf
         with np.errstate(invalid="ignore"):  # lane 0's products with inf are NaN
-            batch = adaptive.run_qlms_batch(signals[:, None], references, 4, 0.05, 0)
+            batch = run_batch(signals[:, None], references, 4, 0.05, 0)
         assert batch.diverged_at.tolist() == [10, -1]
-        before = adaptive.run_qlms_batch(signals[:1, None, :10], references[:1, :10], 4, 0.05, 0)
+        before = run_batch(signals[:1, None, :10], references[:1, :10], 4, 0.05, 0)
         assert np.isfinite(batch.weights[0]).all()
         assert np.array_equal(batch.weights[0], before.weights[0])
-        solo = adaptive.run_qlms_batch(signals[1:, None], references[1:], 4, 0.05, 0)
+        solo = run_batch(signals[1:, None], references[1:], 4, 0.05, 0)
         assert np.array_equal(batch.weights[1], solo.weights[0])
         assert np.array_equal(batch.traces[1], solo.traces[0])
 
@@ -278,11 +284,11 @@ class TestBatchKernel:
         references[0, at] = 1.0
         signals[0, at] = 1e308
         with np.errstate(over="ignore", invalid="ignore"):
-            batch = adaptive.run_qlms_batch(signals[:, None], references, 4, 0.05, 0)
+            batch = run_batch(signals[:, None], references, 4, 0.05, 0)
         assert batch.diverged_at.tolist() == [at, -1]
         assert np.isfinite(batch.traces[0, : at + 1]).all() and np.isnan(batch.traces[0, at + 1 :]).all()
         assert np.array_equal(batch.weights[0], np.zeros((4, 4)))
-        solo = adaptive.run_qlms_batch(signals[1:, None], references[1:], 4, 0.05, 0)
+        solo = run_batch(signals[1:, None], references[1:], 4, 0.05, 0)
         assert np.array_equal(batch.traces[1], solo.traces[0])
         assert np.array_equal(batch.weights[1], solo.weights[0])
 
@@ -294,7 +300,7 @@ class TestBatchKernel:
         signals[0, 10, 1] = np.inf
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            batch = adaptive.run_qlms_batch(signals[:, None], references, 4, 0.05, 0)
+            batch = run_batch(signals[:, None], references, 4, 0.05, 0)
         assert batch.diverged_at.tolist() == [10, -1]
 
     @pytest.mark.parametrize("per_run", [1, 2, 3])
@@ -307,8 +313,8 @@ class TestBatchKernel:
         received[1, 0, 450, 2] = np.inf  # freezes every lane of run 1
         indices = rng.integers(0, modem.NUM_SYMBOLS, (runs * per_run, n)).astype(np.int8)
         table = 0.5 * modem.CONSTELLATION
-        shared = adaptive.run_qlms_batch(received, indices, length, mu, delay, symbols=table)
-        repeated = adaptive.run_qlms_batch(
+        shared = adaptive.run_qlms_batch(received, indices, table, length, mu, delay)
+        repeated = run_batch(
             np.repeat(received, per_run, axis=0), 0.5 * modem.index_to_symbol(indices), length, mu, delay
         )
         assert np.array_equal(shared.traces, repeated.traces, equal_nan=True)
@@ -331,7 +337,7 @@ class TestBatchKernel:
         results = []
         for block in (1, 3, 64, 256):
             monkeypatch.setattr(adaptive, "_BLOCK", block)
-            results.append(adaptive.run_qlms_batch(received, indices, length, mu, delay, symbols=table))
+            results.append(adaptive.run_qlms_batch(received, indices, table, length, mu, delay))
         assert results[0].diverged_at.tolist() == [-1, -1, -1, 500, -1, -1]
         # the frozen lane reads NaN after its divergence; its run's other lane keeps going
         traces = results[0].traces
@@ -346,15 +352,15 @@ class TestBatchKernel:
         received = np.zeros((2, 1, 10, 4))
         table = modem.CONSTELLATION
         with pytest.raises(ValueError, match="indices"):
-            adaptive.run_qlms_batch(received, np.full((2, 10), 16), 3, 0.01, symbols=table)
+            adaptive.run_qlms_batch(received, np.full((2, 10), 16), table, 3, 0.01)
         with pytest.raises(ValueError, match="indices"):
-            adaptive.run_qlms_batch(received, np.full((2, 10), -1), 3, 0.01, symbols=table)
+            adaptive.run_qlms_batch(received, np.full((2, 10), -1), table, 3, 0.01)
         with pytest.raises(ValueError, match="integers"):
-            adaptive.run_qlms_batch(received, np.zeros((2, 10)), 3, 0.01, symbols=table)
+            adaptive.run_qlms_batch(received, np.zeros((2, 10)), table, 3, 0.01)
         with pytest.raises(DimensionMismatchError, match="split evenly"):
-            adaptive.run_qlms_batch(received, np.zeros((3, 10), dtype=np.int8), 3, 0.01, symbols=table)
+            adaptive.run_qlms_batch(received, np.zeros((3, 10), dtype=np.int8), table, 3, 0.01)
         with pytest.raises(DimensionMismatchError):
-            adaptive.run_qlms_batch(received, np.zeros((2, 9), dtype=np.int8), 3, 0.01, symbols=table)
+            adaptive.run_qlms_batch(received, np.zeros((2, 9), dtype=np.int8), table, 3, 0.01)
 
     @pytest.mark.parametrize("streams", [1, 2])
     def test_matches_table_arithmetic(self, streams):
@@ -363,7 +369,7 @@ class TestBatchKernel:
         lanes, n, length, mu, delay = 3, 300, 5, 0.01, 4
         signals = rng.normal(size=(lanes, streams, n, 4))
         references = rng.normal(size=(lanes, n, 4))
-        batch = adaptive.run_qlms_batch(signals, references, length, mu, delay)
+        batch = run_batch(signals, references, length, mu, delay)
         for lane in range(lanes):
             padded = np.concatenate([np.zeros((streams, length - 1, 4)), signals[lane]], axis=1)
             weights = np.zeros((streams * length, 4))
@@ -397,12 +403,12 @@ class TestStackedRegressors:
         rng = np.random.default_rng(73)
         signal = rng.normal(size=(120, 4))
         reference = rng.normal(size=(120, 4))
-        single_state, single_trace = adaptive.run_qlms(signal, reference, 5, 0.02, 2)
+        single_weights, single_trace = run_one(signal, reference, 5, 0.02, 2)
         stacked_signal = np.stack([signal, np.zeros_like(signal)])
-        stacked_state, stacked_trace = adaptive.run_qlms(stacked_signal, reference, 5, 0.02, 2)
+        stacked_weights, stacked_trace = run_one(stacked_signal, reference, 5, 0.02, 2)
         assert np.array_equal(stacked_trace[2:], single_trace[2:])
-        assert np.array_equal(stacked_state.weights[:5], single_state.weights)
-        assert np.array_equal(stacked_state.weights[5:], np.zeros((5, 4)))
+        assert np.array_equal(stacked_weights[:5], single_weights)
+        assert np.array_equal(stacked_weights[5:], np.zeros((5, 4)))
 
 
 class TestAgainstWiener:
@@ -416,7 +422,7 @@ class TestAgainstWiener:
         received = clean + channel.gaussian_quaternions(rng, variance, clean.shape[0])
 
         length, delay = 15, 7
-        _, trace = adaptive.run_qlms(received, symbols, length, 0.01, delay)
+        _, trace = run_one(received, symbols, length, 0.01, delay)
         qlms_db = 10 * np.log10(np.nanmean(trace[-len(trace) // 4 :]) / 4.0)
         problem = wiener.estimate_statistics(received, symbols, length, delay)
         optimum = wiener.solve_wiener(problem)

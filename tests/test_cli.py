@@ -134,6 +134,15 @@ class TestConfigFile:
         with pytest.raises(ValueError):
             cli.parse_kv_lines("justakey\n")
 
+    @pytest.mark.parametrize("line,field", [("num_runs=2.5", "num_runs"), ("snr_db=abc", "snr_db")])
+    def test_unparsable_value_names_its_field(self, line, field, tmp_path, capsys):
+        path = tmp_path / "experiment.cfg"
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as excinfo:
+            parse("--config", str(path))
+        assert excinfo.value.code == 2
+        assert f"--config: {field}: " in capsys.readouterr().err
+
     def test_mimo_dimensions_settable_from_file(self, tmp_path):
         path = tmp_path / "experiment.cfg"
         path.write_text("mode=mimo\nmimo_tx=2\nmimo_rx=2\n", encoding="utf-8")

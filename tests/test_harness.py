@@ -59,6 +59,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=field):
             config.validate()
 
+    @pytest.mark.parametrize("field", ["num_runs", "symbols_per_run", "equalizer_length", "delay", "master_seed"])
+    def test_non_integer_counts_name_the_field(self, field):
+        with pytest.raises(ValueError, match=f"{field}: must be an integer"):
+            small(**{field: 2.5}).validate()
+
+    def test_numpy_integer_counts_accepted(self):
+        small(num_runs=np.int64(2), symbols_per_run=np.int32(100), delay=np.int8(3)).validate()
+
     def test_delay_must_fit_in_run(self):
         with pytest.raises(ValueError, match="delay"):
             small(delay=600).validate()
@@ -270,15 +278,11 @@ class TestMimoExperiment:
         received_swapped = channel.apply_mimo(swapped_model, swapped_streams, channel.make_rng(14))
         assert np.array_equal(received, received_swapped)
 
-        lanes = adaptive.run_qlms_batch(
-            np.stack([received, received]), np.stack([streams[0], streams[1]]), 5, 0.01, 2
-        )
+        # one run whose lane k is driven by stream k, each sample its own table row
+        indices = np.arange(2 * 400).reshape(2, 400)
+        lanes = adaptive.run_qlms_batch(received[None], indices, streams.reshape(-1, 4), 5, 0.01, 2)
         lanes_swapped = adaptive.run_qlms_batch(
-            np.stack([received_swapped, received_swapped]),
-            np.stack([swapped_streams[0], swapped_streams[1]]),
-            5,
-            0.01,
-            2,
+            received_swapped[None], indices, swapped_streams.reshape(-1, 4), 5, 0.01, 2
         )
         assert np.array_equal(lanes.traces[0, 2:], lanes_swapped.traces[1, 2:])
         assert np.array_equal(lanes.traces[1, 2:], lanes_swapped.traces[0, 2:])
@@ -291,9 +295,10 @@ class TestMimoExperiment:
         grid[0, 0, 0] = quat.ONE
         grid[1, 1, 0] = quat.ONE
         received = channel.apply_mimo(channel.MimoChannelModel(grid, 0.0), streams, rng)
+        indices = np.arange(2 * 2500).reshape(2, 2500)
+        lanes = adaptive.run_qlms_batch(received[None], indices, streams.reshape(-1, 4), 2, 0.02)
         for s in range(2):
-            _, trace = adaptive.run_qlms(received, streams[s], length=2, step_size=0.02, delay=0)
-            tail_db = 10 * np.log10(max(trace[-250:].mean(), 1e-30) / 4.0)
+            tail_db = 10 * np.log10(max(lanes.traces[s, -250:].mean(), 1e-30) / 4.0)
             assert tail_db <= -40.0
 
 

@@ -221,15 +221,15 @@ class TestEvaluateMse:
 
     def test_wiener_beats_qlms_on_same_data(self):
         """The block solution is the in-sample optimum among tested filters."""
-        from quatlink.adaptive import run_qlms
+        from quatlink.adaptive import run_qlms_batch
 
         received, symbols = equalization_instance(94, n=10_000)
         length, delay = 15, 7
         problem = wiener.estimate_statistics(received, symbols, length, delay)
         weights = wiener.solve_wiener(problem)
         wiener_mse = wiener.evaluate_mse(weights, received, symbols, length, delay).linear
-        _, trace = run_qlms(received, symbols, length, 0.01, delay)
-        qlms_steady = np.nanmean(trace[-2500:])
+        qlms = run_qlms_batch(received[None, None], np.arange(10_000)[None], symbols, length, 0.01, delay)
+        qlms_steady = np.nanmean(qlms.traces[0, -2500:])
         assert wiener_mse <= qlms_steady
 
 
