@@ -28,14 +28,14 @@ gives the 4 x 4CL block A = [R(x_k)] and a step is two matmuls: the output
 A w, then w += mu * (A^T e).  The kernel takes R runs with S lanes each, in
 (run, stream) order, and streams the run batch through two windows of
 L-1 + `_BLOCK` samples that hold R(x) newest first, so that a step's A and
-A^T are plain column-major slices.  A block of samples is copied and negated
-into the first window once per run, however many lanes share it, and
-transposed into the second.  numpy's `matmul` broadcasts a run's slices over
-its S lanes: one small BLAS gemv per lane, far below OpenBLAS's threading
-threshold, so results do not depend on the BLAS thread count.  Column-major
-is on purpose: that gemv adds each tap's product rounded, where the
-row-major one fuses multiply-adds, and mu scales A^T e after the product, so
-real inputs round as classical LMS does.
+A^T are plain column-major slices.  A block's R(x), gathered and signed by
+`quat.right_matrix`, goes into the first window once per run, however many
+lanes share it, and is transposed into the second.  numpy's `matmul`
+broadcasts a run's slices over its S lanes: one small BLAS gemv per lane,
+far below OpenBLAS's threading threshold, so results do not depend on the
+BLAS thread count.  Column-major is on purpose: that gemv adds each tap's
+product rounded, where the row-major one fuses multiply-adds, and mu scales
+A^T e after the product, so real inputs round as classical LMS does.
 """
 
 from dataclasses import dataclass
@@ -57,16 +57,6 @@ ERROR_ENERGY_LIMIT = 1e6 * SYMBOL_ENERGY
 # while a block shorter than the L-1 = 14 samples carried over makes the
 # shift overlap itself (8 ran ~10% slower on 64 2x2 MIMO runs, 2-core x86_64)
 _BLOCK = 16
-
-# R(x), the matrix with w * x = R(x) w, has R(x)[i, j] = _SIGNS[i, j] * x[i ^ j]
-_SIGNS = np.array([[1, -1, -1, -1], [1, 1, 1, -1], [1, -1, 1, 1], [1, 1, -1, 1]], dtype=np.float64)
-
-
-def _fill_columns(out, x) -> None:
-    """Write R(x) of quaternions x (..., R, 4) into out (..., 4, R, 4), R(x)[i, j] at out[..., j, :, i]."""
-    for (i, j), sign in np.ndenumerate(_SIGNS):
-        np.multiply(x[..., i ^ j], sign, out=out[..., j, :, i])  # exact, inf and NaN included
-
 
 def lag_matrix(signal, length: int) -> np.ndarray:
     """All regressors of a signal: row n is [s[n], s[n-1], ..., s[n-L+1]].
@@ -165,8 +155,10 @@ def run_qlms_batch(received, indices, symbols, length: int, step_size: float, de
             if i == 0:
                 stop = min(t + _BLOCK, n)
                 forward[_BLOCK:] = forward[: length - 1]
-                samples = np.ascontiguousarray(received[:, :, t:stop].transpose(2, 1, 0, 3))  # (m, C, R, 4)
-                _fill_columns(forward[_BLOCK - (stop - t) : _BLOCK][::-1], samples)
+                # R(x)[i, j] of sample t + q goes to forward[_BLOCK - 1 - q, c, j, r, i]; unnamed, so it is freed
+                forward[_BLOCK - (stop - t) : _BLOCK] = (
+                    quat.right_matrix(received[:, :, t:stop]).transpose(2, 1, 4, 0, 3)[::-1]
+                )
                 backward[...] = forward.transpose(3, 4, 0, 1, 2)
                 # the block's desired outputs, reference[first] onwards
                 first = max(t - delay, 0)

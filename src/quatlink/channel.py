@@ -105,24 +105,19 @@ def convolve(signal, taps) -> np.ndarray:
 
     Samples before the start of the signal are zero; the output has the same
     length as the input (tail truncated).  `signal` is (..., N, 4) and `taps`
-    (..., M, 4); leading axes broadcast.  The products are taken in the
-    complex-pair form of `quat.to_pairs`, one tap at a time, so the
-    temporaries are the size of the output.
+    (..., M, 4); leading axes broadcast.  The filter is sum_m L(taps[m])
+    signal[n-m] with L of `quat.left_matrix`: one broadcast matmul per tap,
+    on the samples as rows, so temporaries are the size of the output.
     """
     signal, taps = quat._q(signal), quat._q(taps)
     if signal.ndim < 2 or signal.shape[-2] == 0 or taps.ndim < 2 or taps.shape[-2] == 0:
         raise DimensionMismatchError("signal and taps must be nonempty quaternion sequences")
     n = signal.shape[-2]
-    sa, sb = quat.to_pairs(signal)
-    sa_conj, sb_conj = sa.conj(), sb.conj()
-    ta, tb = quat.to_pairs(taps)
-    shape = np.broadcast_shapes(sa.shape[:-1], ta.shape[:-1]) + (n,)
-    out_a, out_b = np.zeros(shape, dtype=np.complex128), np.zeros(shape, dtype=np.complex128)
+    matrices = quat.left_matrix(taps)
+    out = np.zeros(np.broadcast_shapes(signal.shape[:-2], taps.shape[:-2]) + (n, 4))
     for m in range(min(taps.shape[-2], n)):
-        wa, wb = ta[..., m, None], tb[..., m, None]
-        out_a[..., m:] += wa * sa[..., : n - m] - wb * sb_conj[..., : n - m]
-        out_b[..., m:] += wa * sb[..., : n - m] + wb * sa_conj[..., : n - m]
-    return quat.from_pairs(out_a, out_b)
+        out[..., m:, :] += signal[..., : n - m, :] @ matrices[..., m, :, :].mT
+    return out
 
 
 def apply_mimo(model: MimoChannelModel, signals, rng: np.random.Generator) -> np.ndarray:

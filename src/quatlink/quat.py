@@ -6,6 +6,10 @@ shape-(4,) array, a signal of N samples is (N, 4), and so on.  Every
 operation broadcasts over the leading axes (so the same `mul` multiplies two
 scalars, a tap by a whole signal, or two stacked signals) and never mutates
 its inputs.
+
+`mul` is the one place the sign convention is written.  The hot paths use
+real 4x4 forms whose signs are read off it: L(a) with a*b = L(a) b, R(b) with
+a*b = R(b) a, and `from_moments`, which turns sum a b^T into sum a*conj(b).
 """
 
 import numpy as np
@@ -20,7 +24,9 @@ __all__ = [
     "conj",
     "norm_sq",
     "inverse",
-    "real",
+    "left_matrix",
+    "right_matrix",
+    "from_moments",
     "to_pairs",
     "from_pairs",
 ]
@@ -83,18 +89,49 @@ def inverse(a) -> np.ndarray:
     return conj(a) / n[..., None]
 
 
-def real(a) -> np.ndarray:
-    """Real part q0."""
-    return _q(a)[..., 0]
+# With the basis units E, E[m] * E[n] = +-E[m ^ n], so entry [i, j] of each
+# real form below is a sign times component i ^ j.  The signs are component i
+# of E[i ^ j] * E[j], of E[j] * E[i ^ j] and of E[i ^ j] * conj(E[j]).
+_ROWS, _COLS = np.indices((4, 4))
+_XOR = _ROWS ^ _COLS
+_E = np.eye(4)
+_LEFT_SIGNS = mul(_E[_XOR], _E)[_ROWS, _COLS, _ROWS]
+_RIGHT_SIGNS = mul(_E, _E[_XOR])[_ROWS, _COLS, _ROWS]
+_MOMENT_SIGNS = mul(_E[_XOR], conj(_E))[_ROWS, _COLS, _ROWS]
+
+
+def _signed_gather(signs, x) -> np.ndarray:
+    """signs * x[..., _XOR], signed in place: exact for every value, inf and NaN included."""
+    matrix = _q(x)[..., _XOR]
+    matrix *= signs
+    return matrix
+
+
+def left_matrix(a) -> np.ndarray:
+    """L(a), shape (..., 4, 4): the real matrix with a*b = L(a) b."""
+    return _signed_gather(_LEFT_SIGNS, a)
+
+
+def right_matrix(b) -> np.ndarray:
+    """R(b), shape (..., 4, 4): the real matrix with a*b = R(b) a, so e*conj(b) = R(b)^T e."""
+    return _signed_gather(_RIGHT_SIGNS, b)
+
+
+def from_moments(moments) -> np.ndarray:
+    """sum a*conj(b) from the real moment matrices sum a b^T, (..., 4, 4) -> (..., 4).
+
+    A sign/XOR contraction: component i is sum_j sign[i, j] * moments[i ^ j, j].
+    """
+    return (_MOMENT_SIGNS * np.asarray(moments, dtype=np.float64)[..., _XOR, _COLS]).sum(axis=-1)
 
 
 def to_pairs(q) -> tuple[np.ndarray, np.ndarray]:
     """Complex-pair form q = a + b*j with a = q0 + q1*i and b = q2 + q3*i.
 
-    In this form (a1 + b1 j)(a2 + b2 j) = (a1 a2 - b1 conj(b2)) + (a1 b2 + b1 conj(a2)) j:
-    four complex products in place of sixteen real ones.  The pairs are
-    contiguous copies out of a complex view of the components, exact for
-    every value; q0 + 1j*q1 is not, as 1j*inf has the real part 0*inf = NaN.
+    It serves the complex adjoint maps of `linalg`, which the Wiener solve
+    takes.  The pairs are contiguous copies out of a complex view of the
+    components, exact for every value; q0 + 1j*q1 is not, as 1j*inf has the
+    real part 0*inf = NaN.
     """
     pairs = np.ascontiguousarray(_q(q)).view(np.complex128)
     return pairs[..., 0].copy(), pairs[..., 1].copy()

@@ -81,20 +81,6 @@ class TestStateAndPredict:
         assert np.array_equal(weights[0], q + quat.mul(e, quat.conj(quat.I)))
 
 
-class TestRightMatrix:
-    def test_right_multiplication_identities(self):
-        """R(x) w = w * x and R(x)^T e = e * conj(x): the two products of a kernel step."""
-        rng = np.random.default_rng(78)
-        units = rng.normal(size=(200, 3, 4))
-        units /= np.sqrt(quat.norm_sq(units))[..., None]
-        columns = np.empty((200, 4, 1, 4))
-        adaptive._fill_columns(columns, units[:, :1])
-        for (x, w, e), a_t in zip(units, columns[:, :, 0]):
-            a = a_t.T
-            assert np.allclose(a @ w, quat.mul(w, x), rtol=0.0, atol=1e-15)
-            assert np.allclose(a_t @ e, quat.mul(e, quat.conj(x)), rtol=0.0, atol=1e-15)
-
-
 class TestQlmsStep:
     def test_zero_error_is_fixed_point(self):
         """Once the output matches the reference the weights stop moving: mu = 1 and x = 1 set

@@ -246,6 +246,26 @@ class TestMainEndToEnd:
         assert proc.returncode == 0, proc.stderr
         assert (out / "summary.txt").exists()
 
+    @pytest.mark.parametrize("mode", ["siso", "mimo"])
+    def test_outputs_do_not_depend_on_blas_threads(self, mode, tmp_path):
+        """The CSVs and summary are the same bytes with one BLAS thread and with two: the FIR,
+        Wiener-moment and kernel products on the data path must not round by thread count."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            out = tmp_path / threads
+            argv = [sys.executable, "-m", "quatlink", "run", "--mode", mode, "--runs", "8", "--symbols", "5000",
+                    "--out", str(out)]
+            proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(out)
+        names = sorted(path.name for path in outputs[0].glob("learning_curve*.csv")) + ["summary.txt"]
+        assert len(names) == (2 if mode == "siso" else 3)
+        for name in names:
+            assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes(), name
+
     def test_unwritable_out_dir_fails_nonzero(self, tmp_path, capsys):
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory", encoding="utf-8")

@@ -192,5 +192,5 @@ class TestMeanOuterH:
         for _ in range(50):
             x = rand_vec(rng, 5)
             mx = matvec_loop(m, x)
-            quad = sum(quat.real(quat.mul(quat.conj(x[l]), mx[l])) for l in range(5))
+            quad = sum(quat.mul(quat.conj(x[l]), mx[l])[..., 0] for l in range(5))
             assert quad >= -1e-12 * quat.norm_sq(x).sum()

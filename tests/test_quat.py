@@ -104,7 +104,7 @@ class TestConjugate:
         rng = np.random.default_rng(6)
         a = rand_quats(rng, 500)
         self_products = quat.mul(a, quat.conj(a))
-        assert np.allclose(quat.real(self_products), quat.norm_sq(a), rtol=1e-12)
+        assert np.allclose(self_products[..., 0], quat.norm_sq(a), rtol=1e-12)
         assert np.allclose(self_products[..., 1:], 0.0, atol=1e-12)
 
 
@@ -149,6 +149,64 @@ class TestInverse:
             quat.inverse(batch)
 
 
+class TestRealMatrices:
+    """L(a) and R(b), the real 4x4 forms of the product, against `mul`."""
+
+    def test_left_multiplication_matches_mul(self):
+        """L(a) b = a * b, the product of an FIR tap a with a sample b."""
+        rng = np.random.default_rng(76)
+        units = rng.normal(size=(200, 2, 4))
+        units /= np.sqrt(quat.norm_sq(units))[..., None]
+        a, b = units[:, 0], units[:, 1]
+        product = (quat.left_matrix(a) @ b[..., None])[..., 0]
+        assert np.allclose(product, quat.mul(a, b), rtol=0.0, atol=1e-15)
+
+    def test_right_multiplication_identities(self):
+        """R(x) w = w * x and R(x)^T e = e * conj(x): the two products of a QLMS kernel step."""
+        rng = np.random.default_rng(78)
+        units = rng.normal(size=(200, 3, 4))
+        units /= np.sqrt(quat.norm_sq(units))[..., None]
+        x, w, e = units[:, 0], units[:, 1], units[:, 2]
+        a = quat.right_matrix(x)
+        assert np.allclose((a @ w[..., None])[..., 0], quat.mul(w, x), rtol=0.0, atol=1e-15)
+        assert np.allclose((a.mT @ e[..., None])[..., 0], quat.mul(e, quat.conj(x)), rtol=0.0, atol=1e-15)
+
+    def test_exact_on_integers(self):
+        rng = np.random.default_rng(77)
+        a, b = rng.integers(-5, 6, (2, 300, 4)).astype(float)
+        assert np.array_equal((quat.left_matrix(a) @ b[..., None])[..., 0], quat.mul(a, b))
+        assert np.array_equal((quat.right_matrix(b) @ a[..., None])[..., 0], quat.mul(a, b))
+
+    @pytest.mark.parametrize("form", ["left_matrix", "right_matrix"])
+    def test_inf_and_nan_land_unchanged(self, form):
+        """Entries are gathered and signed, so an inf or NaN component sits, signed, exactly
+        where the matching finite component would, and no 0 * inf turns into NaN."""
+        build = getattr(quat, form)
+        finite = build(quat.quat(7.0, 11.0, -0.5, 3.0))
+        expected = np.where(np.abs(finite) == 7.0, np.sign(finite) * np.inf, finite)
+        expected = np.where(np.abs(finite) == 11.0, np.nan, expected)
+        assert np.array_equal(build(quat.quat(np.inf, np.nan, -0.5, 3.0)), expected, equal_nan=True)
+        assert np.isfinite(finite).all() and np.isinf(expected).sum() == 4 and np.isnan(expected).sum() == 4
+
+
+class TestFromMoments:
+    """sum a * conj(b) from the real moments sum a b^T, against a direct sum of products."""
+
+    def test_exact_on_integers(self):
+        rng = np.random.default_rng(79)
+        a, b = rng.integers(-5, 6, (2, 100, 4)).astype(float)
+        moments = (a[:, :, None] * b[:, None, :]).sum(axis=0)
+        assert np.array_equal(quat.from_moments(moments), quat.mul(a, quat.conj(b)).sum(axis=0))
+
+    def test_runs_and_two_streams_on_floats(self):
+        """(G, N, C, 4) samples with C = 2 give every (stream, stream) moment of each run."""
+        rng = np.random.default_rng(80)
+        a, b = rng.normal(size=(2, 3, 50, 2, 4))
+        moments = np.einsum("gtca,gtdb->gcdab", a, b)
+        direct = quat.mul(a[:, :, :, None], quat.conj(b)[:, :, None, :]).sum(axis=1)
+        assert np.allclose(quat.from_moments(moments), direct, rtol=0.0, atol=1e-13)
+
+
 class TestPairs:
     def test_product_in_pairs_matches_mul(self):
         """(a1 + b1 j)(a2 + b2 j) = (a1 a2 - b1 conj(b2)) + (a1 b2 + b1 conj(a2)) j."""
@@ -170,7 +228,7 @@ class TestPlumbing:
     def test_construction_and_parts(self):
         q = quat.quat(1.0, 2.0, 3.0, 4.0)
         assert q.shape == (4,)
-        assert quat.real(q) == 1.0
+        assert q[..., 0] == 1.0
 
     def test_construction_broadcasts(self):
         q = quat.quat(np.ones(3), 0.0, 0.0, np.arange(3.0))

@@ -68,7 +68,7 @@ class TestEstimateStatistics:
         rng = np.random.default_rng(0)
         for _ in range(20):
             x = rng.normal(size=(8, 4))
-            quad = sum(quat.real(quat.mul(quat.conj(x[l]), matvec_loop(r, x)[l])) for l in range(8))
+            quad = sum(quat.mul(quat.conj(x[l]), matvec_loop(r, x)[l])[..., 0] for l in range(8))
             assert quad >= -1e-12 * quat.norm_sq(x).sum()
 
     def test_insufficient_data(self):
