@@ -23,19 +23,23 @@ looked up one block at a time, so int8 symbol indices stand in for a float
 copy of every lane's references.
 
 The arithmetic is real matrix-vector products.  R(x) is the 4x4 real matrix
-with w * x = R(x) w and e * conj(x) = R(x)^T e, so a regressor of C*L samples
-gives the 4 x 4CL block A = [R(x_k)] and a step is two matmuls: the output
-A w, then w += mu * (A^T e).  The kernel takes R runs with S lanes each, in
-(run, stream) order, and streams the run batch through two windows of
-L-1 + `_BLOCK` samples that hold R(x) newest first, so that a step's A and
-A^T are plain column-major slices.  A block's R(x), gathered and signed by
-`quat.right_matrix`, goes into the first window once per run, however many
-lanes share it, and is transposed into the second.  numpy's `matmul`
-broadcasts a run's slices over its S lanes: one small BLAS gemv per lane,
-far below OpenBLAS's threading threshold, so results do not depend on the
-BLAS thread count.  Column-major is on purpose: that gemv adds each tap's
-product rounded, where the row-major one fuses multiply-adds, and mu scales
-A^T e after the product, so real inputs round as classical LMS does.
+with w * x = R(x) w and e * conj(x) = R(x)^T e, so a regressor of C*L
+samples gives the 4 x 4CL block A = [R(x_k)] and a step is two matmuls: the
+output A w, then w += mu * (A^T e).  The kernel takes R runs with S lanes
+each, in (run, stream) order, and streams the run batch through two windows
+of L-1 + `_BLOCK` samples that hold R(x) newest first.  Each run's windows
+are contiguous, so a step's A is a column-major block with leading dimension
+4 and its A^T a column-major block of its own run's window.  A block's R(x),
+gathered and signed by `quat.right_matrix`, goes into the first window once
+per run, however many lanes share it, and is transposed run by run into the
+second.  Each step writes its outputs, errors and squared errors into
+buffers allocated once, and the block's references are looked up once per
+block.  numpy's `matmul` broadcasts a run's slices over its S lanes: one
+small BLAS gemv per lane, far below OpenBLAS's threading threshold, so
+results do not depend on the BLAS thread count.  Column-major is on purpose:
+that gemv adds each tap's product rounded, where the row-major one fuses
+multiply-adds, and mu scales A^T e after the product, so real inputs round
+as classical LMS does.
 """
 
 from dataclasses import dataclass
@@ -124,22 +128,29 @@ def run_qlms_batch(received, indices, symbols, length: int, step_size: float, de
     if not step_size >= 0.0:
         raise ValueError("step size must be nonnegative")
 
-    # While the block of samples from t0 runs, position p of the windows holds
-    # R(x) of each stream's sample t0 + _BLOCK - 1 - p: newest first, with the
-    # L-1 samples before t0 in the last positions, so the regressor of x[t]
-    # is the slice from p = _BLOCK - 1 - (t - t0), its 4CL columns in (lag,
-    # stream, component) order as the (R, S, 4CL, 1) weights are.
-    # forward[p, c, j, r] is column j of R(x); backward, its transpose, holds
-    # row i at backward[r, i, p, c].
+    # While the block of samples from t0 runs, position p of a run's windows
+    # holds R(x) of each stream's sample t0 + _BLOCK - 1 - p: newest first,
+    # with the L-1 samples before t0 in the last positions, so the regressor
+    # of x[t] is the slice from p = _BLOCK - 1 - (t - t0), its 4CL columns in
+    # (lag, stream, component) order as the (R, S, 4CL, 1) weights are.
+    # forward[r, p, c, j, i] is entry [i, j] of R(x), so a run's A is a
+    # column-major 4 x 4CL block; backward, its per-run transpose, holds row
+    # i at backward[r, i, p, c], so A^T is column-major too.
     lanes, width = b // runs, 4 * c * length
-    forward = np.zeros((length - 1 + _BLOCK, c, 4, runs, 4))
+    forward = np.zeros((runs, length - 1 + _BLOCK, c, 4, 4))
     backward = np.zeros((runs, 4, length - 1 + _BLOCK, c, 4))
-    a_of = [forward[p : p + length].reshape(width, runs, 4).transpose(1, 2, 0)[:, None] for p in range(_BLOCK)]
+    a_of = [forward[:, p : p + length].reshape(runs, width, 4).mT[:, None] for p in range(_BLOCK)]
     a_t_of = [backward[:, None, :, p : p + length].reshape(runs, 1, 4, width).mT for p in range(_BLOCK)]
     weights = np.zeros((runs, lanes, width, 1))
     updated = np.empty_like(weights)
-    outputs = np.empty((4, b))  # component-major, so the error's norm adds whole rows
+    # component-major: targets[:, q] holds the (4, B) desired outputs of the
+    # block's step q, and the squared error's norm adds whole rows
+    targets = np.empty((4, _BLOCK, b))
+    outputs = np.empty((4, b))
     output_lanes = outputs.T.reshape(runs, lanes, 4, 1)
+    e = np.empty((4, b))
+    e_lanes = e.T.reshape(runs, lanes, 4, 1)
+    squares = np.empty((4, b))
     traces = np.full((b, n), np.nan)
     diverged_at = np.full(b, -1, dtype=np.int64)
     active = np.ones(b, dtype=bool)
@@ -154,23 +165,25 @@ def run_qlms_batch(received, indices, symbols, length: int, step_size: float, de
             i = t % _BLOCK
             if i == 0:
                 stop = min(t + _BLOCK, n)
-                forward[_BLOCK:] = forward[: length - 1]
-                # R(x)[i, j] of sample t + q goes to forward[_BLOCK - 1 - q, c, j, r, i]; unnamed, so it is freed
-                forward[_BLOCK - (stop - t) : _BLOCK] = (
-                    quat.right_matrix(received[:, :, t:stop]).transpose(2, 1, 4, 0, 3)[::-1]
+                forward[:, _BLOCK:] = forward[:, : length - 1]
+                # R(x)[i, j] of sample t + q goes to forward[r, _BLOCK - 1 - q, c, j, i]; unnamed, so it is freed
+                forward[:, _BLOCK - (stop - t) : _BLOCK] = (
+                    quat.right_matrix(received[:, :, t:stop]).transpose(0, 2, 1, 4, 3)[:, ::-1]
                 )
-                backward[...] = forward.transpose(3, 4, 0, 1, 2)
+                backward[...] = forward.transpose(0, 4, 1, 2, 3)
                 # the block's desired outputs, reference[first] onwards
                 first = max(t - delay, 0)
-                targets = symbols[indices[:, first : max(stop - delay, 0)]]
+                block = indices[:, first : max(stop - delay, 0)].T
+                # the indices were checked above, so "clip" never clips; it lets take write in place
+                np.take(symbols.T, block, axis=1, out=targets[:, : block.shape[0]], mode="clip")
             if t < delay:
                 continue
 
             p = _BLOCK - 1 - i
             np.matmul(a_of[p], weights, out=output_lanes)
-            e = targets[:, t - delay - first].T - outputs
-            err = quat.norm_sq(e.T)
-            traces[:, t] = err
+            np.subtract(targets[:, t - delay - first], outputs, out=e)
+            np.multiply(e, e, out=squares)
+            err = np.add.reduce(squares, axis=0, out=traces[:, t])
             if not err.max() <= ERROR_ENERGY_LIMIT:  # catches NaN errors too
                 blown = active & ~(err <= ERROR_ENERGY_LIMIT)
                 # non-finite weights make every output non-finite, so an update
@@ -183,7 +196,7 @@ def run_qlms_batch(received, indices, symbols, length: int, step_size: float, de
                 all_active = False
                 if not active.any():
                     break
-            np.matmul(a_t_of[p], e.T.reshape(runs, lanes, 4, 1), out=updated)
+            np.matmul(a_t_of[p], e_lanes, out=updated)
             updated *= step_size
             updated += weights
             if not all_active:

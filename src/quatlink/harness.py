@@ -13,17 +13,18 @@ Each (run, transmitted stream) pair is one lane of the batched QLMS kernel:
 the run's received streams against that stream's symbols.  The kernel
 shares each run's received streams among its lanes and looks the
 references up in the scaled constellation block by block, so the chunk
-holds its data once; on a 64 x 5000 MIMO chunk the traced peak is 1.7x the
+holds its data once; on a 64 x 5000 MIMO chunk the traced peak is 1.45x the
 received batch.  Lanes advance in lockstep, which keeps ensemble averaging
-over hundreds of runs cheap.  After adaptation, the SER decisions and (in
-SISO only) the block Wiener baseline are computed for a fixed group of 8
-lanes at a time: one batched call per group amortizes numpy's per-call
-cost, while the group's temporaries stay small (whole-chunk groups raise
-the peak resident memory of a 64 x 5000 chunk from 63 to 124 MB in SISO and
-from 73 to 183 MB in MIMO).  The Wiener optimum is scored from the same
-statistics it is solved from (`wiener.statistics_mse`), so the block is not
-filtered a second time.  `_MODES` holds everything that differs between
-the modes.
+over hundreds of runs cheap.  After adaptation, the SER stage filters each
+run once for all its S lanes with their final weights, for max(1, 8 // S)
+runs at a time: one GEMM per tap and run gives every lane's output.  In SISO
+only, the block Wiener baseline takes a fixed group of 8 lanes at a time.
+Groups amortize numpy's per-call cost while their temporaries stay small
+(whole-chunk groups raise the peak resident memory of a 64 x 5000 chunk
+from 57 to 89 MB in SISO and from 68 to 98 MB in MIMO).  The Wiener optimum
+is scored from the same statistics it is solved from
+(`wiener.statistics_mse`), so the block is not filtered a second time.
+`_MODES` holds everything that differs between the modes.
 
 Learning curves are the per-run error traces converted to dB (floored at
 -100 dB relative to the reference power) and averaged pointwise across the
@@ -44,7 +45,6 @@ from .channel import (
     MimoChannelModel,
     SYMBOL_ENERGY,
     apply_mimo,
-    convolve,
     derive_rng,
     noise_variance_for_snr,
     random_mimo_grid,
@@ -53,7 +53,7 @@ from .errors import ExperimentFailedError
 
 # Not called here; perfbench/tracer.py wraps these module attributes by name.
 from .adaptive import lag_matrix  # noqa: F401
-from .channel import gaussian_quaternions, random_channel_taps  # noqa: F401
+from .channel import convolve, gaussian_quaternions, random_channel_taps  # noqa: F401
 from .linalg import dot_left  # noqa: F401
 
 MODE_SISO = "siso"
@@ -91,7 +91,8 @@ CURVE_DB_FLOOR = -100.0
 # result is bit-independent of its batch, so the chunking never changes the output)
 _CHUNK_SAMPLES = 64 * 2 * 5000
 
-# lanes per batched post-adaptation group (SER, Wiener); see the module docstring
+# lanes per batched post-adaptation group, which the SER stage rounds to whole
+# runs; see the module docstring
 _GROUP_LANES = 8
 
 # trailing moving-average window used when locating the convergence iteration
@@ -232,46 +233,79 @@ def _build_curve(config: ExperimentConfig, traces: np.ndarray, diverged_at: np.n
 
 
 def _equalizer_decisions(received: np.ndarray, weights: np.ndarray, start: int) -> np.ndarray:
-    """Hard decisions on the equalizer output at t in [start, N), for (G, C, N, 4)
-    received lanes and (G, C*L, 4) stacked weights [stream 0 lags, stream 1 lags, ...].
+    """Hard decisions on the equalizer output at t in [start, N) of every lane of G
+    runs: (G, C, N, 4) received streams and (G, S, C*L, 4) stacked weights
+    [stream 0 lags, stream 1 lags, ...] give (G, S, N - start) symbol indices.
+
+    With x the run's samples as rows of 4C reals and taps[m] the (4C, 4S)
+    matrix of L(w) of each lane's tap m, the output rows are sum_m x[t - m] @
+    taps[m]: one batched GEMM per tap gives all S lanes of a run at once.
     """
-    lanes, streams, _, _ = received.shape
-    taps = weights.reshape(lanes, streams, -1, 4)
+    runs, streams, n, _ = received.shape
+    lanes, length = weights.shape[1], weights.shape[2] // streams
     # the output from `start` on needs only the L-1 samples before it
-    history = max(start - (taps.shape[2] - 1), 0)
-    output = convolve(received[:, :, history:], taps).sum(axis=1)
-    return modem.hard_decisions(output[:, start - history :])
+    history = max(start - (length - 1), 0)
+    offset, span = start - history, n - history
+    # x[g, t, 4c + j]: component j of stream c at sample history + t
+    x = np.ascontiguousarray(received[:, :, history:].transpose(0, 2, 1, 3)).reshape(runs, span, 4 * streams)
+    # taps[g, m, 4c + j, 4s + i] = L(w[g, s, c, m])[i, j]
+    matrices = quat.left_matrix(weights.reshape(runs, lanes, streams, length, 4))
+    taps = matrices.transpose(0, 3, 2, 5, 1, 4).reshape(runs, length, 4 * streams, 4 * lanes)
+    output = x[:, offset:] @ taps[:, 0]
+    for m in range(1, min(length, span)):
+        lo = max(m - offset, 0)  # the first output row that tap m reaches
+        output[:, lo:] += x[:, lo + offset - m : span - m] @ taps[:, m]
+    return modem.hard_decisions(output.reshape(runs, n - start, lanes, 4)).transpose(0, 2, 1)
 
 
 def _post_adaptation(config: ExperimentConfig, received: np.ndarray, indices: np.ndarray, symbols: np.ndarray,
                      batch: QlmsBatch, with_wiener: bool) -> dict:
     """SER decisions from each lane's final weights and, with `with_wiener`, its
-    block Wiener dB, for the lanes that stayed sane, _GROUP_LANES at a time.
+    block Wiener dB, for the lanes that stayed sane.
 
     Lane k of the (run, stream) order equalizes run k // S of the (R, rx, N, 4)
     `received` against the symbol indices `indices[k]` into `symbols`.
     Decisions are scored over the iterations t in [max(N//2, delay), N), the
-    last half of the run where it has a delayed reference.
+    last half of the run where it has a delayed reference, for
+    max(1, _GROUP_LANES // S) runs at a time.  A run whose lanes all diverged
+    is skipped, and a diverged lane of a live run is filtered with zero
+    weights; either way a diverged lane reports no decisions.  The Wiener
+    stage takes _GROUP_LANES live lanes at a time.
     """
     lanes, n = indices.shape
-    per_run = lanes // received.shape[0]
+    runs = received.shape[0]
+    per_run = lanes // runs
     length, delay = config.equalizer_length, config.delay
     start = max(n // 2, delay)
-    errors = np.zeros(lanes, dtype=np.int64)
-    decisions = np.zeros(lanes, dtype=np.int64)
+    errors = np.zeros((runs, per_run), dtype=np.int64)
     wiener_db = np.full(lanes, np.nan)
-    alive = np.flatnonzero(batch.diverged_at < 0)
-    for first in range(0, alive.size, _GROUP_LANES):
-        group = alive[first : first + _GROUP_LANES]
-        rx, sent = received[group // per_run], indices[group]
-        decided = _equalizer_decisions(rx, batch.weights[group], start)
-        errors[group] = np.count_nonzero(decided != sent[:, start - delay : n - delay], axis=1)
-        decisions[group] = n - start
-        if with_wiener:
-            references = symbols[sent]
+    alive = (batch.diverged_at < 0).reshape(runs, per_run)
+    weights = batch.weights.reshape((runs, per_run) + batch.weights.shape[1:])
+    sent = indices.reshape(runs, per_run, n)[:, :, start - delay : n - delay]
+    group_runs = max(1, _GROUP_LANES // per_run)
+    for r0 in range(0, runs, group_runs):
+        r1 = min(r0 + group_runs, runs)
+        live = alive[r0:r1].any(axis=1)
+        if not live.any():
+            continue
+        rx, w, sent_group = received[r0:r1], weights[r0:r1], sent[r0:r1]
+        if not live.all():
+            rx, w, sent_group = rx[live], w[live], sent_group[live]
+        lane_alive = alive[r0:r1][live]
+        if not lane_alive.all():
+            w = np.where(lane_alive[:, :, None, None], w, 0.0)
+        decided = _equalizer_decisions(rx, w, start)
+        errors[r0:r1][live] = np.count_nonzero(decided != sent_group, axis=2)
+    errors[~alive] = 0
+    if with_wiener:
+        live_lanes = np.flatnonzero(alive.reshape(-1))
+        for first in range(0, live_lanes.size, _GROUP_LANES):
+            group = live_lanes[first : first + _GROUP_LANES]
+            rx, references = received[group // per_run], symbols[indices[group]]
             problem = wiener.estimate_statistics(rx, references, length, delay)
             wiener_db[group] = wiener.statistics_mse(problem, wiener.solve_wiener(problem), references).db
-    return {"errors": errors, "decisions": decisions, "wiener_db": wiener_db}
+    decisions = np.where(alive, n - start, 0).reshape(lanes)
+    return {"errors": errors.reshape(lanes), "decisions": decisions, "wiener_db": wiener_db}
 
 
 def _run_data(config: ExperimentConfig, run: int):

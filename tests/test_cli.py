@@ -246,23 +246,29 @@ class TestMainEndToEnd:
         assert proc.returncode == 0, proc.stderr
         assert (out / "summary.txt").exists()
 
-    @pytest.mark.parametrize("mode", ["siso", "mimo"])
-    def test_outputs_do_not_depend_on_blas_threads(self, mode, tmp_path):
+    @pytest.mark.parametrize(
+        "mode,grid,symbols", [("siso", 1, 5000), ("mimo", 2, 5000), ("mimo", 3, 20000)], ids=["siso", "mimo", "mimo3x3"]
+    )
+    def test_outputs_do_not_depend_on_blas_threads(self, mode, grid, symbols, tmp_path):
         """The CSVs and summary are the same bytes with one BLAS thread and with two: the FIR,
-        Wiener-moment and kernel products on the data path must not round by thread count."""
+        Wiener-moment, kernel and SER products on the data path must not round by thread count.
+        The 3x3 grid's per-tap SER GEMMs (10000 x 12 x 12 per run) are large enough for OpenBLAS
+        to split them over threads; the 2x2 grid's 2500 x 8 x 8 are not."""
         src = str(Path(cli.__file__).resolve().parents[1])
+        config = tmp_path / "grid.cfg"
+        config.write_text(f"mimo_tx={grid}\nmimo_rx={grid}\n", encoding="utf-8")
         outputs = []
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
             out = tmp_path / threads
-            argv = [sys.executable, "-m", "quatlink", "run", "--mode", mode, "--runs", "8", "--symbols", "5000",
-                    "--out", str(out)]
+            argv = [sys.executable, "-m", "quatlink", "run", "--mode", mode, "--runs", "8", "--symbols", str(symbols),
+                    "--config", str(config), "--out", str(out)]
             proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
             assert proc.returncode == 0, proc.stderr
             outputs.append(out)
         names = sorted(path.name for path in outputs[0].glob("learning_curve*.csv")) + ["summary.txt"]
-        assert len(names) == (2 if mode == "siso" else 3)
+        assert len(names) == (2 if mode == "siso" else grid + 1)
         for name in names:
             assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes(), name
 

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import os
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -363,16 +364,54 @@ class TestCurveAssembly:
         assert (curve.mse_per_iteration == harness.CURVE_DB_FLOOR).all()
 
 
+def lag_matrix_decisions(received, weights, length, start):
+    """Hard decisions at t >= start of one lane, its (C, N, 4) run against its (C*L, 4)
+    weights, through materialized lag matrices."""
+    output = linalg.dot_left(weights[None], adaptive.lag_matrix(received, length))
+    return modem.hard_decisions(output)[start:]
+
+
 class TestEqualizerDecisions:
     @pytest.mark.parametrize("streams,start", [(1, 150), (2, 150), (1, 5)])
     def test_match_lag_matrix_route(self, streams, start):
-        """Decisions from the batched FIR equal those from materialized lag matrices."""
+        """Decisions from the per-tap GEMMs equal those from materialized lag matrices, with one
+        lane per run and with two lanes sharing each run's received streams."""
         rng = np.random.default_rng(98)
-        lanes, n, length = 8, 300, 15
-        received = rng.normal(size=(lanes, streams, n, 4))
-        weights = rng.normal(size=(lanes, streams * length, 4))
-        decided = harness._equalizer_decisions(received, weights, start)
-        for lane in range(lanes):
-            rx = received[lane, 0] if streams == 1 else received[lane]
-            output = linalg.dot_left(weights[lane][None], adaptive.lag_matrix(rx, length))
-            assert np.array_equal(decided[lane], modem.hard_decisions(output)[start:])
+        runs, n, length = 4, 300, 15
+        received = rng.normal(size=(runs, streams, n, 4))
+        for lanes in (1, 2):
+            weights = rng.normal(size=(runs, lanes, streams * length, 4))
+            decided = harness._equalizer_decisions(received, weights, start)
+            assert decided.shape == (runs, lanes, n - start)
+            for run, lane in itertools.product(range(runs), range(lanes)):
+                oracle = lag_matrix_decisions(received[run], weights[run, lane], length, start)
+                assert np.array_equal(decided[run, lane], oracle)
+
+    @pytest.mark.parametrize("group_lanes", [1, 4, 8])
+    def test_dead_lanes_and_grouping(self, group_lanes, monkeypatch):
+        """A diverged lane reports no errors and no decisions, whether its run lives on or froze
+        whole on an inf sample; live lanes count as the per-lane route does, in any grouping,
+        and nothing overflows on the way."""
+        monkeypatch.setattr(harness, "_GROUP_LANES", group_lanes)
+        config = small(mode="mimo", num_runs=3, symbols_per_run=80, equalizer_length=5, delay=3)
+        rng = np.random.default_rng(7)
+        runs, n, length, delay = 3, config.symbols_per_run, config.equalizer_length, config.delay
+        received = rng.normal(size=(runs, 2, n, 4))
+        received[2, 1, n - 4] = np.inf  # run 2 froze: both its lanes diverged
+        indices = rng.integers(0, modem.NUM_SYMBOLS, size=(2 * runs, n)).astype(np.int8)
+        weights = rng.normal(size=(2 * runs, 2 * length, 4))
+        weights[1] = 1e308  # lane 1 of run 0 blew up: its products would overflow
+        diverged_at = np.array([-1, 40, -1, -1, 12, 12])
+        batch = adaptive.QlmsBatch(weights, np.zeros((2 * runs, n)), diverged_at)
+        symbols = harness.MIMO_STREAM_SCALE * modem.CONSTELLATION
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stage = harness._post_adaptation(config, received, indices, symbols, batch, with_wiener=False)
+        start = n // 2
+        for lane in range(2 * runs):
+            if diverged_at[lane] >= 0:
+                assert (stage["errors"][lane], stage["decisions"][lane]) == (0, 0)
+                continue
+            decided = lag_matrix_decisions(received[lane // 2], weights[lane], length, start)
+            assert stage["errors"][lane] == np.count_nonzero(decided != indices[lane, start - delay : n - delay])
+            assert stage["decisions"][lane] == n - start
