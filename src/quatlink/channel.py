@@ -3,7 +3,8 @@
 The received signal is the causal convolution of the transmitted signal with
 the channel taps plus per-sample noise.  Taps multiply the signal from the
 LEFT, matching the equalizer's weight convention (one consistent choice is
-required because quaternions do not commute).
+required because quaternions do not commute).  `mimo_convolve` is the one
+FIR body: data generation and every equalizer output go through it.
 
 All randomness flows through numpy Generators seeded via SeedSequence, so a
 given seed reproduces identical draws across runs and platforms.  Noise is
@@ -100,39 +101,55 @@ def random_mimo_grid(rng: np.random.Generator, num_rx: int, num_tx: int, num_tap
     return grid
 
 
+def mimo_convolve(signals, grid) -> np.ndarray:
+    """Causal MIMO FIR y[..., s, n] = sum_c sum_m grid[..., s, c, m] * signals[..., c, n-m].
+
+    `signals` (..., C, N, 4) and `grid` (..., S, C, M, 4) broadcast over their
+    leading run axes; the (..., S, N, 4) result is a view as long as the
+    signals, with zeros before their start.  Input stream c gives the rows
+    sum_m signals[c, t - m] @ taps[c, m], taps[c, m] being the (4, 4S) blocks
+    L(grid[s, c, m])^T of `quat.left_matrix`: one GEMM per tap for every output.
+    Streams are summed last, so swapping two with their grid columns changes no bit.
+    """
+    signals, grid = quat._q(signals), quat._q(grid)
+    if signals.ndim < 3 or grid.ndim < 4 or signals.shape[-3] != grid.shape[-3]:
+        raise DimensionMismatchError(f"signals {signals.shape} do not fit a (..., S, C, M, 4) grid {grid.shape}")
+    if signals.shape[-2] == 0 or grid.shape[-2] == 0:
+        raise DimensionMismatchError("signals and taps must be nonempty quaternion sequences")
+    n, (outputs, streams, length) = signals.shape[-2], grid.shape[-4:-1]
+    # taps[..., c, m, j, 4s + i] = L(grid[..., s, c, m])[i, j]
+    taps = np.moveaxis(quat.left_matrix(grid), (-4, -3, -1, -5, -2), (-5, -4, -3, -2, -1))
+    taps = taps.reshape(grid.shape[:-4] + (streams, length, 4, 4 * outputs))
+    out = None
+    for c in range(streams):
+        x, stream_taps = signals[..., c, :, :], taps[..., c, :, :, :]
+        y = x @ stream_taps[..., 0, :, :]
+        for m in range(1, min(length, n)):
+            y[..., m:, :] += x[..., : n - m, :] @ stream_taps[..., m, :, :]
+        out = y if out is None else out + y
+    return out.reshape(out.shape[:-1] + (outputs, 4)).swapaxes(-3, -2)
+
+
 def convolve(signal, taps) -> np.ndarray:
     """Causal FIR filtering y[n] = sum_m taps[m] * signal[n-m] (taps on the left).
 
-    Samples before the start of the signal are zero; the output has the same
-    length as the input (tail truncated).  `signal` is (..., N, 4) and `taps`
-    (..., M, 4); leading axes broadcast.  The filter is sum_m L(taps[m])
-    signal[n-m] with L of `quat.left_matrix`: one broadcast matmul per tap,
-    on the samples as rows, so temporaries are the size of the output.
+    `signal` is (..., N, 4) and `taps` (..., M, 4); leading axes broadcast.
+    The 1x1 case of `mimo_convolve`: same length as the input, zeros before it.
     """
     signal, taps = quat._q(signal), quat._q(taps)
-    if signal.ndim < 2 or signal.shape[-2] == 0 or taps.ndim < 2 or taps.shape[-2] == 0:
+    if signal.ndim < 2 or taps.ndim < 2:
         raise DimensionMismatchError("signal and taps must be nonempty quaternion sequences")
-    n = signal.shape[-2]
-    matrices = quat.left_matrix(taps)
-    out = np.zeros(np.broadcast_shapes(signal.shape[:-2], taps.shape[:-2]) + (n, 4))
-    for m in range(min(taps.shape[-2], n)):
-        out[..., m:, :] += signal[..., : n - m, :] @ matrices[..., m, :, :].mT
-    return out
+    return mimo_convolve(signal[..., None, :, :], taps[..., None, None, :, :])[..., 0, :, :]
 
 
 def apply_mimo(model: MimoChannelModel, signals, rng: np.random.Generator) -> np.ndarray:
-    """Superpose the per-path convolutions and add noise per receive stream.
+    """Filter the transmitted streams through the grid and add noise per receive stream.
 
     `signals` is (num_tx, N, 4); the result is (num_rx, N, 4) with output
     stream r = sum_t convolve(signals[t], grid[r, t]) + noise.  Noise is
     independent across receive streams with the model's shared variance.
     """
-    signals, num_tx = quat._q(signals), model.grid.shape[1]
-    if signals.ndim != 3 or signals.shape[0] != num_tx:
-        raise DimensionMismatchError(f"expected {num_tx} input streams of equal length, got shape {signals.shape}")
-    # grid (R, T, M, 4) against signals (T, N, 4): broadcast over (R, T), then
-    # sum the per-transmitter contributions.
-    clean = convolve(signals[None, :, :, :], model.grid).sum(axis=1)
+    clean = mimo_convolve(signals, model.grid)
     return clean + gaussian_quaternions(rng, model.noise_variance_per_component, clean.shape[:-1])
 
 

@@ -131,10 +131,6 @@ def config_values_from_mapping(mapping: dict[str, str], ignore_unknown: bool = F
     return values
 
 
-def config_from_mapping(mapping: dict[str, str], ignore_unknown: bool = False) -> ExperimentConfig:
-    return dataclasses.replace(_DEFAULTS, **config_values_from_mapping(mapping, ignore_unknown))
-
-
 def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     parser = argparse.ArgumentParser(
         prog="quatlink",

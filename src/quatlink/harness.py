@@ -15,13 +15,14 @@ shares each run's received streams among its lanes and looks the
 references up in the scaled constellation block by block, so the chunk
 holds its data once; on a 64 x 5000 MIMO chunk the traced peak is 1.45x the
 received batch.  Lanes advance in lockstep, which keeps ensemble averaging
-over hundreds of runs cheap.  After adaptation, the SER stage filters each
-run once for all its S lanes with their final weights, for max(1, 8 // S)
-runs at a time: one GEMM per tap and run gives every lane's output.  In SISO
-only, the block Wiener baseline takes a fixed group of 8 lanes at a time.
-Groups amortize numpy's per-call cost while their temporaries stay small
-(whole-chunk groups raise the peak resident memory of a 64 x 5000 chunk
-from 57 to 89 MB in SISO and from 68 to 98 MB in MIMO).  The Wiener optimum
+over hundreds of runs cheap.  After adaptation, one loop walks the chunk in
+slices of max(1, 8 // S) runs and takes each slice's live runs.  The SER
+stage filters each run once for all its S lanes with their final weights,
+as the S-output grid of `channel.mimo_convolve`; in SISO, the block Wiener
+baseline solves the same runs in the same pass.  Slices amortize numpy's
+per-call cost while their temporaries stay small (whole-chunk slices raise
+the peak resident memory of a 64 x 5000 chunk from 57 to 90 MB in SISO and
+from 68 to 115 MB in MIMO).  The Wiener optimum
 is scored from the same statistics it is solved from
 (`wiener.statistics_mse`), so the block is not filtered a second time.
 `_MODES` holds everything that differs between the modes.
@@ -46,6 +47,7 @@ from .channel import (
     SYMBOL_ENERGY,
     apply_mimo,
     derive_rng,
+    mimo_convolve,
     noise_variance_for_snr,
     random_mimo_grid,
 )
@@ -91,8 +93,7 @@ CURVE_DB_FLOOR = -100.0
 # result is bit-independent of its batch, so the chunking never changes the output)
 _CHUNK_SAMPLES = 64 * 2 * 5000
 
-# lanes per batched post-adaptation group, which the SER stage rounds to whole
-# runs; see the module docstring
+# lanes per post-adaptation slice, rounded to whole runs; see the module docstring
 _GROUP_LANES = 8
 
 # trailing moving-average window used when locating the convergence iteration
@@ -237,40 +238,30 @@ def _equalizer_decisions(received: np.ndarray, weights: np.ndarray, start: int) 
     runs: (G, C, N, 4) received streams and (G, S, C*L, 4) stacked weights
     [stream 0 lags, stream 1 lags, ...] give (G, S, N - start) symbol indices.
 
-    With x the run's samples as rows of 4C reals and taps[m] the (4C, 4S)
-    matrix of L(w) of each lane's tap m, the output rows are sum_m x[t - m] @
-    taps[m]: one batched GEMM per tap gives all S lanes of a run at once.
+    A run's S lanes are its S-output grid, so `mimo_convolve` filters the run
+    once for all of them.
     """
-    runs, streams, n, _ = received.shape
+    runs, streams = received.shape[:2]
     lanes, length = weights.shape[1], weights.shape[2] // streams
     # the output from `start` on needs only the L-1 samples before it
     history = max(start - (length - 1), 0)
-    offset, span = start - history, n - history
-    # x[g, t, 4c + j]: component j of stream c at sample history + t
-    x = np.ascontiguousarray(received[:, :, history:].transpose(0, 2, 1, 3)).reshape(runs, span, 4 * streams)
-    # taps[g, m, 4c + j, 4s + i] = L(w[g, s, c, m])[i, j]
-    matrices = quat.left_matrix(weights.reshape(runs, lanes, streams, length, 4))
-    taps = matrices.transpose(0, 3, 2, 5, 1, 4).reshape(runs, length, 4 * streams, 4 * lanes)
-    output = x[:, offset:] @ taps[:, 0]
-    for m in range(1, min(length, span)):
-        lo = max(m - offset, 0)  # the first output row that tap m reaches
-        output[:, lo:] += x[:, lo + offset - m : span - m] @ taps[:, m]
-    return modem.hard_decisions(output.reshape(runs, n - start, lanes, 4)).transpose(0, 2, 1)
+    output = mimo_convolve(received[..., history:, :], weights.reshape(runs, lanes, streams, length, 4))
+    return modem.hard_decisions(output[..., start - history :, :])
 
 
 def _post_adaptation(config: ExperimentConfig, received: np.ndarray, indices: np.ndarray, symbols: np.ndarray,
                      batch: QlmsBatch, with_wiener: bool) -> dict:
-    """SER decisions from each lane's final weights and, with `with_wiener`, its
-    block Wiener dB, for the lanes that stayed sane.
+    """SER decisions from each lane's final weights and, with `with_wiener` (SISO,
+    where a run is one lane), its block Wiener dB, for the lanes that stayed sane.
 
     Lane k of the (run, stream) order equalizes run k // S of the (R, rx, N, 4)
     `received` against the symbol indices `indices[k]` into `symbols`.
     Decisions are scored over the iterations t in [max(N//2, delay), N), the
-    last half of the run where it has a delayed reference, for
-    max(1, _GROUP_LANES // S) runs at a time.  A run whose lanes all diverged
-    is skipped, and a diverged lane of a live run is filtered with zero
-    weights; either way a diverged lane reports no decisions.  The Wiener
-    stage takes _GROUP_LANES live lanes at a time.
+    last half of the run where it has a delayed reference.  Both stages take
+    the live runs of each slice of max(1, _GROUP_LANES // S) runs.  A run
+    whose lanes all diverged is skipped, and a diverged lane of a live run is
+    filtered with zero weights; either way a diverged lane reports no
+    decisions.
     """
     lanes, n = indices.shape
     runs = received.shape[0]
@@ -278,34 +269,26 @@ def _post_adaptation(config: ExperimentConfig, received: np.ndarray, indices: np
     length, delay = config.equalizer_length, config.delay
     start = max(n // 2, delay)
     errors = np.zeros((runs, per_run), dtype=np.int64)
-    wiener_db = np.full(lanes, np.nan)
+    wiener_db = np.full((runs, per_run), np.nan)
     alive = (batch.diverged_at < 0).reshape(runs, per_run)
     weights = batch.weights.reshape((runs, per_run) + batch.weights.shape[1:])
-    sent = indices.reshape(runs, per_run, n)[:, :, start - delay : n - delay]
+    run_indices = indices.reshape(runs, per_run, n)
     group_runs = max(1, _GROUP_LANES // per_run)
     for r0 in range(0, runs, group_runs):
-        r1 = min(r0 + group_runs, runs)
-        live = alive[r0:r1].any(axis=1)
-        if not live.any():
+        group = r0 + np.flatnonzero(alive[r0 : r0 + group_runs].any(axis=1))
+        if not group.size:
             continue
-        rx, w, sent_group = received[r0:r1], weights[r0:r1], sent[r0:r1]
-        if not live.all():
-            rx, w, sent_group = rx[live], w[live], sent_group[live]
-        lane_alive = alive[r0:r1][live]
-        if not lane_alive.all():
-            w = np.where(lane_alive[:, :, None, None], w, 0.0)
+        rx, sent = received[group], run_indices[group]
+        w = np.where(alive[group][:, :, None, None], weights[group], 0.0)
         decided = _equalizer_decisions(rx, w, start)
-        errors[r0:r1][live] = np.count_nonzero(decided != sent_group, axis=2)
-    errors[~alive] = 0
-    if with_wiener:
-        live_lanes = np.flatnonzero(alive.reshape(-1))
-        for first in range(0, live_lanes.size, _GROUP_LANES):
-            group = live_lanes[first : first + _GROUP_LANES]
-            rx, references = received[group // per_run], symbols[indices[group]]
+        errors[group] = np.count_nonzero(decided != sent[:, :, start - delay : n - delay], axis=2)
+        if with_wiener:
+            references = symbols[sent[:, 0]]
             problem = wiener.estimate_statistics(rx, references, length, delay)
-            wiener_db[group] = wiener.statistics_mse(problem, wiener.solve_wiener(problem), references).db
+            wiener_db[group, 0] = wiener.statistics_mse(problem, wiener.solve_wiener(problem), references).db
+    errors[~alive] = 0
     decisions = np.where(alive, n - start, 0).reshape(lanes)
-    return {"errors": errors.reshape(lanes), "decisions": decisions, "wiener_db": wiener_db}
+    return {"errors": errors.reshape(lanes), "decisions": decisions, "wiener_db": wiener_db.reshape(lanes)}
 
 
 def _run_data(config: ExperimentConfig, run: int):

@@ -22,12 +22,12 @@ turns M's 4x4 blocks into R.  Only the solve takes the complex adjoint
 embedding (Zhang 1997, "Quaternions and matrices of quaternions"), where
 `eigvalsh` on an 8-run batch at L = 15 takes 0.28 ms on the 30x30 complex
 image against 0.71 ms on the 60x60 real form (2-core x86_64, one BLAS
-thread).  Any weights can be evaluated on data with `convolve`
+thread).  Any weights can be evaluated on data with `channel.mimo_convolve`
 (`evaluate_mse`), or on the block the statistics came from with the
 quadratic cost J(w) in R, p and the reference power (`statistics_mse`),
 which costs O(L^2) per run instead of a pass over the block.  The harness
-passes fixed groups of 8 runs, which keeps the temporaries small; larger
-groups buy little speed and raise peak memory.
+passes the live runs of each 8-run slice, which keeps the temporaries
+small; larger groups buy little speed and raise peak memory.
 """
 
 from dataclasses import dataclass
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quat
-from .channel import convolve
+from .channel import mimo_convolve
 from .errors import DimensionMismatchError, InsufficientDataError, SingularMatrixError
 from .linalg import SINGULARITY_RTOL, identity, to_complex_adjoint, vector_from_adjoint, vector_to_adjoint
 
@@ -206,8 +206,8 @@ def _report(linear: np.ndarray, reference_power: np.ndarray, count: int, batched
 def evaluate_mse(weights, signal, reference, length: int, delay: int = 0) -> MseReport:
     """Empirical mean of norm_sq(r[n-d] - dot_left(w, x[n])) over the block.
 
-    The equalizer output is the per-stream `convolve(signal, w)` summed over
-    streams.  The dB figure is normalized by the mean reference power and
+    The equalizer output is the one-output `mimo_convolve` of the streams
+    with w.  The dB figure is normalized by the mean reference power and
     floored at -100 dB so a perfect fit stays finite.
     """
     signal, reference, batched = _runs(signal, reference, length, delay)
@@ -217,7 +217,7 @@ def evaluate_mse(weights, signal, reference, length: int, delay: int = 0) -> Mse
         weights = weights[None]
     if weights.shape != (g, c * length, 4):
         raise DimensionMismatchError(f"weights {weights.shape[-2:]} do not match {c} streams of {length} lags")
-    output = convolve(signal, weights.reshape(g, c, length, 4)).sum(axis=1)
+    output = mimo_convolve(signal, weights.reshape(g, 1, c, length, 4))[:, 0]
     refs = reference[:, : n - delay]
     linear = quat.norm_sq(refs - output[:, delay:]).mean(axis=-1)
     return _report(linear, quat.norm_sq(refs).mean(axis=-1), n - delay, batched)

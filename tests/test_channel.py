@@ -132,6 +132,54 @@ class TestConvolve:
             assert np.array_equal(batched[i], channel.convolve(signals[i], taps[i]))
 
 
+def mimo_loop(signals, grid):
+    """Output stream s is the double-loop convolution of each input stream c with grid[s, c], summed over c."""
+    return np.stack([sum(convolve_loop(signals[c], taps) for c, taps in enumerate(row)) for row in grid])
+
+
+def small_integers(rng, shape):
+    """Quaternions with components in [-3, 3]: every product and sum below is exact."""
+    return rng.integers(-3, 4, size=shape).astype(np.float64)
+
+
+STREAM_LAYOUTS = pytest.mark.parametrize("outputs,streams", [(1, 1), (2, 2), (3, 2)])
+
+
+class TestMimoConvolve:
+    """The one filter body, pinned exactly against the loop oracle on small-integer inputs."""
+
+    @STREAM_LAYOUTS
+    def test_matches_loop_oracle(self, outputs, streams):
+        rng = np.random.default_rng(60)
+        signals, grid = small_integers(rng, (streams, 30, 4)), small_integers(rng, (outputs, streams, 4, 4))
+        out = channel.mimo_convolve(signals, grid)
+        assert out.shape == (outputs, 30, 4)
+        assert np.array_equal(out, mimo_loop(signals, grid))
+
+    @STREAM_LAYOUTS
+    def test_broadcast_run_axis(self, outputs, streams):
+        """Runs of signals against one grid, one signal set against runs of grids, and run by run."""
+        rng = np.random.default_rng(61)
+        signals, grids = small_integers(rng, (3, streams, 20, 4)), small_integers(rng, (3, outputs, streams, 5, 4))
+        shared_grid = channel.mimo_convolve(signals, grids[0])
+        shared_signals = channel.mimo_convolve(signals[0], grids)
+        paired = channel.mimo_convolve(signals, grids)
+        for run in range(3):
+            assert np.array_equal(shared_grid[run], mimo_loop(signals[run], grids[0]))
+            assert np.array_equal(shared_signals[run], mimo_loop(signals[0], grids[run]))
+            assert np.array_equal(paired[run], mimo_loop(signals[run], grids[run]))
+
+    @STREAM_LAYOUTS
+    def test_taps_longer_than_signal(self, outputs, streams):
+        rng = np.random.default_rng(62)
+        signals, grid = small_integers(rng, (streams, 3, 4)), small_integers(rng, (outputs, streams, 7, 4))
+        assert np.array_equal(channel.mimo_convolve(signals, grid), mimo_loop(signals, grid))
+
+    def test_stream_count_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            channel.mimo_convolve(np.zeros((3, 10, 4)), np.zeros((2, 2, 1, 4)))
+
+
 def one_path(taps, variance=0.0):
     """SISO channel: the 1x1 grid of a tap vector."""
     return channel.MimoChannelModel(np.asarray(taps)[None, None], variance)

@@ -174,7 +174,7 @@ class TestConfigEcho:
     def test_round_trip_through_mapping(self):
         config = ExperimentConfig(mode="mimo", snr_db=np.inf, master_seed=17, normalize_channel=False)
         lines = cli.config_to_lines(config)
-        recovered = cli.config_from_mapping(cli.parse_kv_lines("\n".join(lines)))
+        recovered = ExperimentConfig(**cli.config_values_from_mapping(cli.parse_kv_lines("\n".join(lines))))
         assert recovered == config
 
     def test_echo_covers_every_field_in_declaration_order(self):
@@ -183,10 +183,10 @@ class TestConfigEcho:
 
     def test_ignore_unknown_skips_metrics(self):
         text = "steady_state_db=-11.5\nmode=siso\nnum_runs=4\n"
-        config = cli.config_from_mapping(cli.parse_kv_lines(text), ignore_unknown=True)
+        config = ExperimentConfig(**cli.config_values_from_mapping(cli.parse_kv_lines(text), ignore_unknown=True))
         assert config.num_runs == 4
         with pytest.raises(ValueError):
-            cli.config_from_mapping(cli.parse_kv_lines(text))
+            ExperimentConfig(**cli.config_values_from_mapping(cli.parse_kv_lines(text)))
 
 
 class TestEmitters:
@@ -215,10 +215,11 @@ class TestMainEndToEnd:
         for key in ("steady_state_db=", "convergence_iteration=", "ser=", "wiener_mse_db=", "runs_diverged="):
             assert key in summary
         assert "runs_diverged=0" in summary
-        config = cli.config_from_mapping(cli.parse_kv_lines(summary), ignore_unknown=True)
+        config = ExperimentConfig(**cli.config_values_from_mapping(cli.parse_kv_lines(summary), ignore_unknown=True))
         assert config == ExperimentConfig(num_runs=4, symbols_per_run=600, master_seed=3)
         manifest = (out / "manifest.txt").read_text(encoding="utf-8")
-        assert cli.config_from_mapping(cli.parse_kv_lines(manifest), ignore_unknown=True) == config
+        values = cli.config_values_from_mapping(cli.parse_kv_lines(manifest), ignore_unknown=True)
+        assert ExperimentConfig(**values) == config
         assert "version=" in manifest
 
     def test_reruns_are_byte_identical(self, tmp_path):
@@ -252,8 +253,8 @@ class TestMainEndToEnd:
     def test_outputs_do_not_depend_on_blas_threads(self, mode, grid, symbols, tmp_path):
         """The CSVs and summary are the same bytes with one BLAS thread and with two: the FIR,
         Wiener-moment, kernel and SER products on the data path must not round by thread count.
-        The 3x3 grid's per-tap SER GEMMs (10000 x 12 x 12 per run) are large enough for OpenBLAS
-        to split them over threads; the 2x2 grid's 2500 x 8 x 8 are not."""
+        At 20000 symbols the 3x3 grid's per-tap FIR GEMMs (20000 x 4 x 12 per input stream in data
+        generation) are large enough for OpenBLAS to split them over threads."""
         src = str(Path(cli.__file__).resolve().parents[1])
         config = tmp_path / "grid.cfg"
         config.write_text(f"mimo_tx={grid}\nmimo_rx={grid}\n", encoding="utf-8")

@@ -415,3 +415,31 @@ class TestEqualizerDecisions:
             decided = lag_matrix_decisions(received[lane // 2], weights[lane], length, start)
             assert stage["errors"][lane] == np.count_nonzero(decided != indices[lane, start - delay : n - delay])
             assert stage["decisions"][lane] == n - start
+
+
+class TestWienerStage:
+    @pytest.mark.parametrize("group_lanes", [1, 4, 8])
+    def test_live_runs_match_one_run_solves(self, group_lanes, monkeypatch):
+        """The SISO Wiener stage runs inside the SER loop on each slice's live runs: a run that
+        froze on an inf sample gets NaN, and every live run gets, bit for bit, the dB of its own
+        one-run statistics, solve and score, however the runs are sliced."""
+        monkeypatch.setattr(harness, "_GROUP_LANES", group_lanes)
+        config = small(num_runs=9, symbols_per_run=120, equalizer_length=5, delay=2)
+        rng = np.random.default_rng(8)
+        runs, n, length, delay = config.num_runs, config.symbols_per_run, config.equalizer_length, config.delay
+        received = rng.normal(size=(runs, 1, n, 4))
+        received[5, 0, n - 3] = np.inf  # run 5 froze
+        indices = rng.integers(0, modem.NUM_SYMBOLS, size=(runs, n)).astype(np.int8)
+        diverged_at = np.full(runs, -1)
+        diverged_at[5] = n - 3
+        batch = adaptive.QlmsBatch(rng.normal(size=(runs, length, 4)), np.zeros((runs, n)), diverged_at)
+        symbols = modem.CONSTELLATION
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stage = harness._post_adaptation(config, received, indices, symbols, batch, with_wiener=True)
+        assert np.isnan(stage["wiener_db"][5])
+        for run in np.flatnonzero(diverged_at < 0):
+            references = symbols[indices[run]]
+            problem = wiener.estimate_statistics(received[run], references, length, delay)
+            expected = wiener.statistics_mse(problem, wiener.solve_wiener(problem), references).db
+            assert stage["wiener_db"][run] == expected, run
