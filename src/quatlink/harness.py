@@ -40,13 +40,14 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from . import modem, quat, wiener
+from . import modem, wiener
 from .adaptive import QlmsBatch, run_qlms_batch
 from .channel import (
     MimoChannelModel,
     SYMBOL_ENERGY,
     apply_mimo,
     derive_rng,
+    expected_output_power,
     mimo_convolve,
     noise_variance_for_snr,
     random_mimo_grid,
@@ -96,8 +97,10 @@ _CHUNK_SAMPLES = 64 * 2 * 5000
 # lanes per post-adaptation slice, rounded to whole runs; see the module docstring
 _GROUP_LANES = 8
 
-# trailing moving-average window used when locating the convergence iteration
+# trailing moving-average window used when locating the convergence iteration,
+# and how many dB above the steady state the smoothed curve counts as converged
 SMOOTHING_WINDOW = 50
+CONVERGENCE_THRESHOLD_DB = 1.0
 
 
 @dataclass(frozen=True)
@@ -250,9 +253,9 @@ def _equalizer_decisions(received: np.ndarray, weights: np.ndarray, start: int) 
 
 
 def _post_adaptation(config: ExperimentConfig, received: np.ndarray, indices: np.ndarray, symbols: np.ndarray,
-                     batch: QlmsBatch, with_wiener: bool) -> dict:
-    """SER decisions from each lane's final weights and, with `with_wiener` (SISO,
-    where a run is one lane), its block Wiener dB, for the lanes that stayed sane.
+                     batch: QlmsBatch) -> dict:
+    """SER decisions from each lane's final weights and, in a mode with the Wiener stage
+    (SISO, where a run is one lane), its block Wiener dB, for the lanes that stayed sane.
 
     Lane k of the (run, stream) order equalizes run k // S of the (R, rx, N, 4)
     `received` against the symbol indices `indices[k]` into `symbols`.
@@ -282,7 +285,7 @@ def _post_adaptation(config: ExperimentConfig, received: np.ndarray, indices: np
         w = np.where(alive[group][:, :, None, None], weights[group], 0.0)
         decided = _equalizer_decisions(rx, w, start)
         errors[group] = np.count_nonzero(decided != sent[:, :, start - delay : n - delay], axis=2)
-        if with_wiener:
+        if _MODES[config.mode].with_wiener:
             references = symbols[sent[:, 0]]
             problem = wiener.estimate_statistics(rx, references, length, delay)
             wiener_db[group, 0] = wiener.statistics_mse(problem, wiener.solve_wiener(problem), references).db
@@ -315,7 +318,7 @@ def _run_data(config: ExperimentConfig, run: int):
     streams = mode.stream_scale * modem.index_to_symbol(indices)
     stream_power = _reference_power(config)
     if config.snr_reference_point == SNR_REF_RECEIVER:
-        signal_power = stream_power * float(quat.norm_sq(grid).sum()) / num_rx
+        signal_power = expected_output_power(grid, stream_power) / num_rx
     else:
         signal_power = stream_power
     variance = noise_variance_for_snr(signal_power, config.snr_db)
@@ -349,7 +352,7 @@ def _chunk(config: ExperimentConfig, start: int, stop: int) -> dict:
     qlms_db[alive] = 10.0 * np.log10(
         np.nanmean(batch.traces[alive, 3 * n // 4 :], axis=1) / _reference_power(config)
     )
-    stage = _post_adaptation(config, received, lane_indices, symbols, batch, mode.with_wiener)
+    stage = _post_adaptation(config, received, lane_indices, symbols, batch)
     lanes = {"traces": batch.traces, "diverged_at": batch.diverged_at, "qlms_db": qlms_db, **stage}
     return {name: value.reshape((runs, num_tx) + value.shape[1:]) for name, value in lanes.items()}
 
@@ -393,9 +396,9 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     rates = []
     for s in range(traces.shape[1]):
         lanes = alive[:, s]
+        # raises unless a run is alive, and each live run scores at least one decision
         curves.append(_build_curve(config, traces[:, s], diverged_at[:, s], s))
-        total = int(decisions[lanes, s].sum())
-        rates.append(int(errors[lanes, s].sum()) / total if total else float("nan"))
+        rates.append(int(errors[lanes, s].sum()) / int(decisions[lanes, s].sum()))
     wiener_mse_db = None
     if _MODES[config.mode].with_wiener:
         wiener_mse_db = float(10.0 * np.log10((10.0 ** (wiener_db[alive] / 10.0)).mean()))
@@ -426,10 +429,10 @@ def run_mimo_experiment(config: ExperimentConfig, workers: int = 1) -> Experimen
     return run_experiment(_in_mode(config, MODE_MIMO), workers)
 
 
-def convergence_iteration(curve_db: np.ndarray, steady_state_db: float, threshold_db: float = 1.0) -> int:
+def convergence_iteration(curve_db: np.ndarray, steady_state_db: float) -> int:
     """First index where the trailing-mean smoothed curve comes within
-    `threshold_db` of the steady state; the curve length minus one if the
-    smoothed curve never quite gets there.
+    CONVERGENCE_THRESHOLD_DB of the steady state; the curve length minus one
+    if the smoothed curve never quite gets there.
     """
     curve_db = np.asarray(curve_db, dtype=np.float64)
     if curve_db.size == 0:
@@ -439,7 +442,7 @@ def convergence_iteration(curve_db: np.ndarray, steady_state_db: float, threshol
     smoothed = np.empty_like(curve_db)
     smoothed[:window] = sums[:window] / np.arange(1, window + 1)
     smoothed[window:] = (sums[window:] - sums[:-window]) / window
-    hits = np.nonzero(smoothed <= steady_state_db + threshold_db)[0]
+    hits = np.nonzero(smoothed <= steady_state_db + CONVERGENCE_THRESHOLD_DB)[0]
     return int(hits[0]) if hits.size else curve_db.size - 1
 
 

@@ -11,7 +11,6 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 
-BITS_PER_SYMBOL = 4
 NUM_SYMBOLS = 16
 
 _BIT_WEIGHTS = np.array([1, 2, 4, 8])

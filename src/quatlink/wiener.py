@@ -7,10 +7,11 @@ R w* = p, so the optimal weights are w = conj(solve(R, p)); the conjugation
 is applied HERE, because the normal equations determine the conjugate of the
 weight vector and forgetting to undo that is the classic mistake.
 
-Every function takes an optional leading run axis.  A signal (N, 4), or
-(C, N, 4) for stacked multi-stream regressors, with a reference (N, 4) is
-one run; a signal (G, N, 4) or (G, C, N, 4) with references (G, N, 4) is G
-runs, computed together.  The statistics follow the covariance method
+Runs sit on leading axes, as in `quat`.  A signal (N, 4), or (C, N, 4) for
+stacked multi-stream regressors, with a reference (N, 4) is one run; a
+signal (G, N, 4) or (G, C, N, 4) with references (G, N, 4) is G runs,
+computed together.  Results take the run shape: float64 scalars for one
+run, (G,) arrays for G.  The statistics follow the covariance method
 (Makhoul 1975, "Linear prediction: a tutorial review") on the real moments
 M = sum x[n] x[n]^T of the 4CL-component regressor: one matmul per lag
 gives the first block row of M, symmetry the first column, and
@@ -75,8 +76,8 @@ class WienerProblem:
 class MseReport:
     """Mean squared error, raw and in dB relative to the reference power.
 
-    `linear`, `db` and `reference_power` are floats for one run and arrays
-    over the run axis for several.
+    `linear`, `db` and `reference_power` have the run shape: float64 scalars
+    for one run, (G,) arrays for G runs.
     """
 
     linear: float
@@ -86,16 +87,16 @@ class MseReport:
 
 
 def _runs(signal, reference, length: int, delay: int):
-    """Signal as (G, C, N, 4) and references as (G, N, 4), and whether a run axis was given."""
+    """Signal (G, C, N, 4) and references (G, N, 4), with G = 1 for one run, and the run shape () or (G,)."""
     signal, reference = quat._q(signal), quat._q(reference)
-    batched = reference.ndim == 3
     if reference.ndim not in (2, 3) or signal.ndim not in (reference.ndim, reference.ndim + 1):
         raise ValueError(
             f"expected a signal (N, 4) or (C, N, 4) with a reference (N, 4), optionally behind a"
             f" run axis G; got signal {signal.shape} and reference {reference.shape}"
         )
-    if not batched:
-        signal, reference = signal[None], reference[None]
+    runs = reference.shape[:-2]
+    one = (1,) * (1 - len(runs))
+    signal, reference = signal.reshape(one + signal.shape), reference.reshape(one + reference.shape)
     if signal.ndim == 3:
         signal = signal[:, None]
     if signal.shape[0] != reference.shape[0] or signal.shape[2] != reference.shape[1]:
@@ -107,7 +108,7 @@ def _runs(signal, reference, length: int, delay: int):
     n = signal.shape[2]
     if n - delay < 1:
         raise InsufficientDataError(f"no iteration has a valid delayed reference (N={n}, delay={delay})")
-    return signal, reference, batched
+    return signal, reference, runs
 
 
 def estimate_statistics(signal, reference, length: int, delay: int = 0) -> WienerProblem:
@@ -116,7 +117,7 @@ def estimate_statistics(signal, reference, length: int, delay: int = 0) -> Wiene
     For stacked streams the estimate has length C*length, laid out
     [stream 0 lags, stream 1 lags, ...].
     """
-    signal, reference, batched = _runs(signal, reference, length, delay)
+    signal, reference, runs = _runs(signal, reference, length, delay)
     g, c, n, _ = signal.shape
     count = n - delay
     # x_l[t] = s[t - l] is padded[..., t - l + length - 1]; zeros before the start.
@@ -146,21 +147,18 @@ def estimate_statistics(signal, reference, length: int, delay: int = 0) -> Wiene
         moments[:, :, k, :, :, 1:, :] = moments[:, :, k - 1, :, :, :-1, :] + step[:, :, k - 1]
 
     blocks = moments.transpose(0, 1, 2, 4, 5, 3, 6)  # (G, C, L, C, L, 4, 4)
-    autocorrelation = quat.from_moments(blocks).reshape(g, c * length, c * length, 4) / count
-    cross_correlation = quat.from_moments(cross).reshape(g, c * length, 4) / count
-    if not batched:
-        autocorrelation, cross_correlation = autocorrelation[0], cross_correlation[0]
+    autocorrelation = quat.from_moments(blocks).reshape(runs + (c * length, c * length, 4)) / count
+    cross_correlation = quat.from_moments(cross).reshape(runs + (c * length, 4)) / count
     return WienerProblem(autocorrelation, cross_correlation, count)
 
 
 def default_ridge(problem: WienerProblem) -> float | np.ndarray:
     """1e-8 of the mean diagonal power; sample R can be rank-deficient for short blocks.
 
-    A float for one run, an array over the run axis for several.
+    A float64 scalar for one run, a (G,) array for G runs.
     """
     diag = np.diagonal(problem.autocorrelation[..., 0], axis1=-2, axis2=-1)
-    ridge = 1e-8 * diag.sum(axis=-1) / problem.length
-    return float(ridge) if ridge.ndim == 0 else ridge
+    return 1e-8 * diag.sum(axis=-1) / problem.length
 
 
 def solve_wiener(problem: WienerProblem, ridge: float | np.ndarray | None = None) -> np.ndarray:
@@ -192,15 +190,13 @@ def solve_wiener(problem: WienerProblem, ridge: float | np.ndarray | None = None
     return quat.conj(conjugate_weights)
 
 
-def _report(linear: np.ndarray, reference_power: np.ndarray, count: int, batched: bool) -> MseReport:
-    """MseReport of (G,) MSEs and reference powers (one run: one of each), floored
-    at DB_FLOOR so a perfect fit (or a zero reference) stays finite and raises no warning."""
+def _report(linear: np.ndarray, reference_power: np.ndarray, count: int) -> MseReport:
+    """MseReport of MSEs and reference powers over the leading run shape, floored at
+    DB_FLOOR so a perfect fit (or a zero reference) stays finite and raises no warning."""
     fitted = ~((linear <= 0.0) | (reference_power <= 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         db = np.where(fitted, np.maximum(10.0 * np.log10(linear / reference_power), DB_FLOOR), DB_FLOOR)
-    if not batched:
-        return MseReport(linear.item(), db.item(), count, reference_power.item())
-    return MseReport(linear, db, count, reference_power)
+    return MseReport(linear[()], db[()], count, reference_power[()])
 
 
 def evaluate_mse(weights, signal, reference, length: int, delay: int = 0) -> MseReport:
@@ -210,17 +206,15 @@ def evaluate_mse(weights, signal, reference, length: int, delay: int = 0) -> Mse
     with w.  The dB figure is normalized by the mean reference power and
     floored at -100 dB so a perfect fit stays finite.
     """
-    signal, reference, batched = _runs(signal, reference, length, delay)
+    signal, reference, runs = _runs(signal, reference, length, delay)
     g, c, n, _ = signal.shape
     weights = quat._q(weights)
-    if not batched:
-        weights = weights[None]
-    if weights.shape != (g, c * length, 4):
+    if weights.shape != runs + (c * length, 4):
         raise DimensionMismatchError(f"weights {weights.shape[-2:]} do not match {c} streams of {length} lags")
     output = mimo_convolve(signal, weights.reshape(g, 1, c, length, 4))[:, 0]
     refs = reference[:, : n - delay]
-    linear = quat.norm_sq(refs - output[:, delay:]).mean(axis=-1)
-    return _report(linear, quat.norm_sq(refs).mean(axis=-1), n - delay, batched)
+    linear = quat.norm_sq(refs - output[:, delay:]).mean(axis=-1).reshape(runs)
+    return _report(linear, quat.norm_sq(refs).mean(axis=-1).reshape(runs), n - delay)
 
 
 def statistics_mse(problem: WienerProblem, weights, reference) -> MseReport:
@@ -250,4 +244,4 @@ def statistics_mse(problem: WienerProblem, weights, reference) -> MseReport:
     cross = (weights * quat.conj(p)).sum(axis=(-2, -1))
     quadratic = (weights * quat.conj(u)).sum(axis=(-2, -1))
     reference_power = quat.norm_sq(reference[..., :count, :]).mean(axis=-1)
-    return _report(reference_power - 2.0 * cross + quadratic, reference_power, count, r.ndim == 4)
+    return _report(reference_power - 2.0 * cross + quadratic, reference_power, count)

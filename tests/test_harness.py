@@ -406,7 +406,7 @@ class TestEqualizerDecisions:
         symbols = harness.MIMO_STREAM_SCALE * modem.CONSTELLATION
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            stage = harness._post_adaptation(config, received, indices, symbols, batch, with_wiener=False)
+            stage = harness._post_adaptation(config, received, indices, symbols, batch)
         start = n // 2
         for lane in range(2 * runs):
             if diverged_at[lane] >= 0:
@@ -436,7 +436,7 @@ class TestWienerStage:
         symbols = modem.CONSTELLATION
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            stage = harness._post_adaptation(config, received, indices, symbols, batch, with_wiener=True)
+            stage = harness._post_adaptation(config, received, indices, symbols, batch)
         assert np.isnan(stage["wiener_db"][5])
         for run in np.flatnonzero(diverged_at < 0):
             references = symbols[indices[run]]

@@ -321,6 +321,28 @@ class TestBatchedRuns:
             alone = wiener.evaluate_mse(weights[run], received[run], symbols[run], length, delay)
             assert abs(report.db[run] - alone.db) < 1e-12
 
+    def test_one_run_figures_are_floats_equal_to_their_batch_entries(self):
+        """One run's ridge and scores are read out of the run shape () as floats, bit for
+        bit the entries of the (8,) arrays of the 8-run call."""
+        received, symbols = self.group(n=300)
+        length, delay = 6, 2
+        problem = wiener.estimate_statistics(received, symbols, length, delay)
+        weights = wiener.solve_wiener(problem)
+        ridge = wiener.default_ridge(problem)
+        scored = wiener.statistics_mse(problem, weights, symbols)
+        filtered = wiener.evaluate_mse(weights, received, symbols, length, delay)
+        assert ridge.shape == scored.db.shape == filtered.linear.shape == (8,)
+        for run in range(8):
+            single = wiener.estimate_statistics(received[run], symbols[run], length, delay)
+            figures = (
+                wiener.default_ridge(single),
+                wiener.statistics_mse(single, weights[run], symbols[run]).db,
+                wiener.evaluate_mse(weights[run], received[run], symbols[run], length, delay).linear,
+            )
+            for figure, batched in zip(figures, (ridge[run], scored.db[run], filtered.linear[run])):
+                assert isinstance(figure, float)
+                assert figure == batched, run
+
     def test_stacked_statistics_match_lag_matrix_outer_average(self):
         from quatlink.adaptive import lag_matrix
 
