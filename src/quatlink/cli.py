@@ -5,8 +5,8 @@ which override defaults), runs the experiment, and writes three files into
 the output directory:
 
 * ``learning_curve.csv`` (or ``learning_curve_streamK.csv`` per stream in
-  MIMO mode): header ``iteration,mse_db``, one row per post-warm-up
-  iteration.
+  MIMO mode, the suffix that also names the summary metrics): header
+  ``iteration,mse_db``, one row per post-warm-up iteration.
 * ``summary.txt``: flat ``key=value`` metrics followed by a config echo.
 * ``manifest.txt``: artifact version, timestamp, output file names, and the
   same config echo.
@@ -206,36 +206,29 @@ def emit_learning_curve_csv(curve, path: Path) -> None:
             stream.write(f"{iteration},{_format_value(float(value))}\n")
 
 
+def _stream_suffixes(config: ExperimentConfig) -> list[str]:
+    """Per-stream name suffixes, keyed on the mode: none for SISO's one stream,
+    ``_streamK`` for each MIMO stream, even when it is the only one."""
+    if config.mode == MODE_MIMO:
+        return [f"_stream{s}" for s in range(config.mimo_tx)]
+    return [""]
+
+
 def _summary_lines(result, config: ExperimentConfig) -> list[str]:
-    records = summarize(result)
-    if config.mode == MODE_SISO:
-        (record,) = records
-        lines = [
-            f"steady_state_db={_format_value(record.steady_state_db)}",
-            f"convergence_iteration={record.convergence_iteration}",
-            f"ser={_format_value(record.symbol_error_rate)}",
-            f"wiener_mse_db={_format_value(record.wiener_mse_db)}",
-            f"runs_diverged={record.runs_diverged}",
-        ]
-    else:
-        lines = [f"runs_diverged={result.runs_diverged}"]
-        for stream, record in enumerate(records):
-            lines.append(f"steady_state_db_stream{stream}={_format_value(record.steady_state_db)}")
-            lines.append(f"convergence_iteration_stream{stream}={record.convergence_iteration}")
-            lines.append(f"ser_stream{stream}={_format_value(record.symbol_error_rate)}")
-            lines.append(f"runs_diverged_stream{stream}={record.runs_diverged}")
+    lines = [f"runs_diverged={result.runs_diverged}"] if config.mode == MODE_MIMO else []
+    for suffix, record in zip(_stream_suffixes(config), summarize(result), strict=True):
+        lines.append(f"steady_state_db{suffix}={_format_value(record.steady_state_db)}")
+        lines.append(f"convergence_iteration{suffix}={record.convergence_iteration}")
+        lines.append(f"ser{suffix}={_format_value(record.symbol_error_rate)}")
+        if record.wiener_mse_db is not None:
+            lines.append(f"wiener_mse_db{suffix}={_format_value(record.wiener_mse_db)}")
+        lines.append(f"runs_diverged{suffix}={record.runs_diverged}")
     return lines + config_to_lines(config)
 
 
 def emit_summary(result, config: ExperimentConfig, path: Path) -> None:
     """Flat key=value record: metrics first, then the config echo."""
     path.write_text("\n".join(_summary_lines(result, config)) + "\n", encoding="utf-8")
-
-
-def _curve_filenames(config: ExperimentConfig) -> list[str]:
-    if config.mode == MODE_MIMO:
-        return [f"learning_curve_stream{s}.csv" for s in range(config.mimo_tx)]
-    return ["learning_curve.csv"]
 
 
 def emit_manifest(config: ExperimentConfig, output_names: list[str], path: Path) -> None:
@@ -252,7 +245,7 @@ def emit_manifest(config: ExperimentConfig, output_names: list[str], path: Path)
 def write_outputs(result, config: ExperimentConfig, out_dir: Path) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-    curve_names = _curve_filenames(config)
+    curve_names = [f"learning_curve{suffix}.csv" for suffix in _stream_suffixes(config)]
     for name, curve in zip(curve_names, result.curves):
         emit_learning_curve_csv(curve, out_dir / name)
         written.append(out_dir / name)
@@ -275,10 +268,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"cannot write outputs: {exc}", file=sys.stderr)
         return 1
-    if invocation.config.mode == MODE_MIMO:
-        steady = ", ".join(f"stream{s} {c.steady_state_db:.2f} dB" for s, c in enumerate(result.curves))
-    else:
-        steady = f"{result.curve.steady_state_db:.2f} dB"
+    suffixes = _stream_suffixes(invocation.config)
+    steady = ", ".join(f"{x[1:]} {c.steady_state_db:.2f} dB".lstrip() for x, c in zip(suffixes, result.curves))
     print(f"steady state: {steady}")
     print(f"wrote {', '.join(str(p) for p in written)}")
     return 0

@@ -10,7 +10,9 @@ single bit of the output.  Chunks are sized by received samples, not runs
 allocates its received streams (R, rx, N, 4) and int8 symbol indices
 (R, tx, N) once and fills them run by run.
 Each (run, transmitted stream) pair is one lane of the batched QLMS kernel:
-the run's received streams against that stream's symbols.  The kernel
+the run's received streams against that stream's symbols.  The kernel's
+results are reshaped once to the (run, stream) grid, which every later stage
+keeps.  The kernel
 shares each run's received streams among its lanes and looks the
 references up in the scaled constellation block by block, so the chunk
 holds its data once; on a 64 x 5000 MIMO chunk the traced peak is 1.45x the
@@ -30,7 +32,7 @@ is scored from the same statistics it is solved from
 Learning curves are the per-run error traces converted to dB (floored at
 -100 dB relative to the reference power) and averaged pointwise across the
 runs that stayed sane; diverged runs are excluded from every average but
-counted and reported.
+counted and reported.  The per-run QLMS figure takes the same floor.
 """
 
 import os
@@ -41,7 +43,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import modem, wiener
-from .adaptive import QlmsBatch, run_qlms_batch
+from .adaptive import run_qlms_batch
 from .channel import (
     MimoChannelModel,
     SYMBOL_ENERGY,
@@ -253,12 +255,14 @@ def _equalizer_decisions(received: np.ndarray, weights: np.ndarray, start: int) 
 
 
 def _post_adaptation(config: ExperimentConfig, received: np.ndarray, indices: np.ndarray, symbols: np.ndarray,
-                     batch: QlmsBatch) -> dict:
+                     weights: np.ndarray, alive: np.ndarray) -> dict:
     """SER decisions from each lane's final weights and, in a mode with the Wiener stage
     (SISO, where a run is one lane), its block Wiener dB, for the lanes that stayed sane.
 
-    Lane k of the (run, stream) order equalizes run k // S of the (R, rx, N, 4)
-    `received` against the symbol indices `indices[k]` into `symbols`.
+    On the (run, stream) grid of R runs and S streams, lane (r, s) equalizes run r
+    of the (R, rx, N, 4) `received` with its final weights `weights[r, s]`
+    (R, S, C*L, 4) against the symbol indices `indices[r, s]` (R, S, N) into
+    `symbols`; `alive` (R, S) marks the sane lanes, and the results are (R, S).
     Decisions are scored over the iterations t in [max(N//2, delay), N), the
     last half of the run where it has a delayed reference.  Both stages take
     the live runs of each slice of max(1, _GROUP_LANES // S) runs.  A run
@@ -266,22 +270,17 @@ def _post_adaptation(config: ExperimentConfig, received: np.ndarray, indices: np
     filtered with zero weights; either way a diverged lane reports no
     decisions.
     """
-    lanes, n = indices.shape
-    runs = received.shape[0]
-    per_run = lanes // runs
+    runs, streams, n = indices.shape
     length, delay = config.equalizer_length, config.delay
     start = max(n // 2, delay)
-    errors = np.zeros((runs, per_run), dtype=np.int64)
-    wiener_db = np.full((runs, per_run), np.nan)
-    alive = (batch.diverged_at < 0).reshape(runs, per_run)
-    weights = batch.weights.reshape((runs, per_run) + batch.weights.shape[1:])
-    run_indices = indices.reshape(runs, per_run, n)
-    group_runs = max(1, _GROUP_LANES // per_run)
+    errors = np.zeros((runs, streams), dtype=np.int64)
+    wiener_db = np.full((runs, streams), np.nan)
+    group_runs = max(1, _GROUP_LANES // streams)
     for r0 in range(0, runs, group_runs):
         group = r0 + np.flatnonzero(alive[r0 : r0 + group_runs].any(axis=1))
         if not group.size:
             continue
-        rx, sent = received[group], run_indices[group]
+        rx, sent = received[group], indices[group]
         w = np.where(alive[group][:, :, None, None], weights[group], 0.0)
         decided = _equalizer_decisions(rx, w, start)
         errors[group] = np.count_nonzero(decided != sent[:, :, start - delay : n - delay], axis=2)
@@ -290,8 +289,7 @@ def _post_adaptation(config: ExperimentConfig, received: np.ndarray, indices: np
             problem = wiener.estimate_statistics(rx, references, length, delay)
             wiener_db[group, 0] = wiener.statistics_mse(problem, wiener.solve_wiener(problem), references).db
     errors[~alive] = 0
-    decisions = np.where(alive, n - start, 0).reshape(lanes)
-    return {"errors": errors.reshape(lanes), "decisions": decisions, "wiener_db": wiener_db.reshape(lanes)}
+    return {"errors": errors, "decisions": np.where(alive, n - start, 0), "wiener_db": wiener_db}
 
 
 def _run_data(config: ExperimentConfig, run: int):
@@ -342,19 +340,17 @@ def _chunk(config: ExperimentConfig, start: int, stop: int) -> dict:
     indices = np.empty((runs, num_tx, n), dtype=np.int8)
     for k in range(runs):
         received[k], _, indices[k] = _run_data(config, start + k)
-    # lanes in (run, stream) order: a run's received streams against each stream's symbols
-    lane_indices = indices.reshape(-1, n)
     symbols = mode.stream_scale * modem.CONSTELLATION
-    batch = run_qlms_batch(received, lane_indices, symbols, config.equalizer_length, config.step_size, config.delay)
-
-    alive = batch.diverged_at < 0
-    qlms_db = np.full(alive.size, np.nan)
-    qlms_db[alive] = 10.0 * np.log10(
-        np.nanmean(batch.traces[alive, 3 * n // 4 :], axis=1) / _reference_power(config)
-    )
-    stage = _post_adaptation(config, received, lane_indices, symbols, batch)
-    lanes = {"traces": batch.traces, "diverged_at": batch.diverged_at, "qlms_db": qlms_db, **stage}
-    return {name: value.reshape((runs, num_tx) + value.shape[1:]) for name, value in lanes.items()}
+    lanes = indices.reshape(-1, n)  # the (run, stream) grid, flattened row-major into kernel lanes
+    batch = run_qlms_batch(received, lanes, symbols, config.equalizer_length, config.step_size, config.delay)
+    grid = (runs, num_tx)
+    traces, diverged_at = batch.traces.reshape(grid + (n,)), batch.diverged_at.reshape(grid)
+    alive = diverged_at < 0
+    qlms_db = np.full(grid, np.nan)
+    qlms_db[alive] = _db_traces(np.nanmean(traces[alive, 3 * n // 4 :], axis=1), _reference_power(config))
+    weights = batch.weights.reshape(grid + batch.weights.shape[1:])
+    stage = _post_adaptation(config, received, indices, symbols, weights, alive)
+    return {"traces": traces, "diverged_at": diverged_at, "qlms_db": qlms_db, **stage}
 
 
 def _run_chunks(config: ExperimentConfig, workers: int) -> list[dict]:
@@ -386,28 +382,21 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     """
     config.validate()
     chunks = _run_chunks(config, workers)
-    traces, diverged_at, qlms_db, wiener_db, errors, decisions = (
-        np.concatenate([c[name] for c in chunks])
-        for name in ("traces", "diverged_at", "qlms_db", "wiener_db", "errors", "decisions")
-    )
+    merged = {name: np.concatenate([c[name] for c in chunks]) for name in chunks[0]}
+    traces, diverged_at, wiener_db = merged["traces"], merged["diverged_at"], merged["wiener_db"]
     alive = diverged_at < 0
-
-    curves = []
-    rates = []
-    for s in range(traces.shape[1]):
-        lanes = alive[:, s]
-        # raises unless a run is alive, and each live run scores at least one decision
-        curves.append(_build_curve(config, traces[:, s], diverged_at[:, s], s))
-        rates.append(int(errors[lanes, s].sum()) / int(decisions[lanes, s].sum()))
+    # raises unless each stream has a live run; dead lanes score 0 errors in 0 decisions
+    curves = tuple(_build_curve(config, traces[:, s], diverged_at[:, s], s) for s in range(traces.shape[1]))
+    rates = merged["errors"].sum(axis=0) / merged["decisions"].sum(axis=0)
     wiener_mse_db = None
     if _MODES[config.mode].with_wiener:
         wiener_mse_db = float(10.0 * np.log10((10.0 ** (wiener_db[alive] / 10.0)).mean()))
     return ExperimentResult(
-        curves=tuple(curves),
-        symbol_error_rates=tuple(rates),
+        curves=curves,
+        symbol_error_rates=tuple(rates.tolist()),
         runs_diverged=int((~alive).any(axis=1).sum()),
         per_run_traces=traces,
-        per_run_qlms_db=qlms_db,
+        per_run_qlms_db=merged["qlms_db"],
         per_run_wiener_db=wiener_db,
         wiener_mse_db=wiener_mse_db,
     )

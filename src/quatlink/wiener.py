@@ -63,8 +63,8 @@ class WienerProblem:
         p = quat._q(self.cross_correlation)
         if r.ndim < 3 or r.shape[-3] != r.shape[-2] or p.shape != r.shape[:-2] + (4,):
             raise ValueError(f"inconsistent dimensions: R {r.shape}, p {p.shape}")
-        hermitian_gap = np.abs(r - quat.conj(r.swapaxes(-3, -2))).max()
-        if hermitian_gap > 1e-12 * max(1.0, float(np.abs(r).max())):
+        hermitian_gap = np.abs(r - quat.conj(r.swapaxes(-3, -2))).max(initial=0.0)
+        if hermitian_gap > 1e-12 * max(1.0, float(np.abs(r).max(initial=0.0))):
             raise ValueError(f"autocorrelation is not Hermitian (max deviation {hermitian_gap:.3e})")
 
     @property
@@ -139,8 +139,8 @@ def estimate_statistics(signal, reference, length: int, delay: int = 0) -> Wiene
     # the matrix is symmetric, so the first column is the transposed first row
     moments[:, :, 1:, :, :, 0, :] = moments[:, :, 0, :, :, 1:, :].transpose(0, 3, 4, 5, 1, 2)
     # sample d-1 enters and sample N-1 leaves the window when both lags grow by one
-    head = padded[..., delay : delay + length - 1][..., ::-1].swapaxes(-1, -2).reshape(g, -1)
-    tail = padded[..., n : n + length - 1][..., ::-1].swapaxes(-1, -2).reshape(g, -1)
+    head = padded[..., delay : delay + length - 1][..., ::-1].swapaxes(-1, -2).reshape(g, 4 * c * (length - 1))
+    tail = padded[..., n : n + length - 1][..., ::-1].swapaxes(-1, -2).reshape(g, 4 * c * (length - 1))
     step = head[:, :, None] * head[:, None] - tail[:, :, None] * tail[:, None]
     step = step.reshape(g, c, length - 1, 4, c, length - 1, 4)
     for k in range(1, length):

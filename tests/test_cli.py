@@ -237,6 +237,39 @@ class TestMainEndToEnd:
         for key in ("steady_state_db_stream0=", "ser_stream1=", "runs_diverged="):
             assert key in summary
 
+    @pytest.mark.parametrize(
+        "mode,grid,streams,keys,steady",
+        [
+            ("siso", "", [""], ["steady_state_db", "convergence_iteration", "ser", "wiener_mse_db", "runs_diverged"],
+             r"-\d+\.\d\d dB"),
+            ("mimo", "", ["_stream0", "_stream1"],
+             ["runs_diverged"] + [f"{key}_stream{s}" for s in (0, 1)
+                                  for key in ("steady_state_db", "convergence_iteration", "ser", "runs_diverged")],
+             r"stream0 -\d+\.\d\d dB, stream1 -\d+\.\d\d dB"),
+            ("mimo", "mimo_tx=1\nmimo_rx=2\n", ["_stream0"],
+             ["runs_diverged", "steady_state_db_stream0", "convergence_iteration_stream0", "ser_stream0",
+              "runs_diverged_stream0"],
+             r"stream0 -\d+\.\d\d dB"),
+        ],
+        ids=["siso", "mimo2x2", "mimo1x2"],
+    )
+    def test_outputs_are_named_per_stream(self, mode, grid, streams, keys, steady, tmp_path, capsys):
+        """One naming rule, keyed on the mode: SISO's stream is unsuffixed and every MIMO
+        stream is `_streamK`, a one-transmitter grid's only stream included.  It names the
+        curve files, the summary metrics (in this order) and the stdout steady-state line."""
+        config = tmp_path / "grid.cfg"
+        config.write_text(grid, encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--mode", mode, "--config", str(config), *self.ARGS, "--out", str(out)]) == 0
+        names = [f"learning_curve{stream}.csv" for stream in streams]
+        assert sorted(path.name for path in out.glob("*.csv")) == names
+        manifest = cli.parse_kv_lines((out / "manifest.txt").read_text(encoding="utf-8"))
+        assert [value for key, value in manifest.items() if key.startswith("output")] == names + ["summary.txt"]
+        summary = cli.parse_kv_lines((out / "summary.txt").read_text(encoding="utf-8"))
+        fields = {field.name for field in dataclasses.fields(ExperimentConfig)}
+        assert [key for key in summary if key not in fields] == keys
+        assert re.fullmatch(f"steady state: {steady}", capsys.readouterr().out.splitlines()[0])
+
     def test_python_dash_m_runs(self, tmp_path):
         """`python -m quatlink run ...` runs the experiment, as the `quatlink` command does."""
         src = str(Path(cli.__file__).resolve().parents[1])

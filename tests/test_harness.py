@@ -109,6 +109,15 @@ class TestSisoExperiment:
         assert result.curve.steady_state_db <= -40.0
         assert result.symbol_error_rate == 0.0
 
+    def test_per_run_qlms_db_is_floored(self):
+        """A perfect QLMS fit reads the -100 dB floor, as its Wiener optimum does, so the
+        per-run gap between the two is 0 dB and not the ~200 dB of an unfloored figure."""
+        config = small(num_channel_taps=1, snr_db=np.inf, step_size=0.03, num_runs=2, symbols_per_run=5000,
+                       master_seed=0)
+        result = harness.run_siso_experiment(config)
+        assert np.array_equal(result.per_run_wiener_db, np.full((2, 1), harness.CURVE_DB_FLOOR))
+        assert np.array_equal(result.per_run_qlms_db, np.full((2, 1), harness.CURVE_DB_FLOOR))
+
     def test_averaging_reduces_variance(self):
         """The averaged trace fluctuates less than a typical single run."""
         config = small(num_runs=16, symbols_per_run=1000)
@@ -402,11 +411,15 @@ class TestEqualizerDecisions:
         weights = rng.normal(size=(2 * runs, 2 * length, 4))
         weights[1] = 1e308  # lane 1 of run 0 blew up: its products would overflow
         diverged_at = np.array([-1, 40, -1, -1, 12, 12])
-        batch = adaptive.QlmsBatch(weights, np.zeros((2 * runs, n)), diverged_at)
         symbols = harness.MIMO_STREAM_SCALE * modem.CONSTELLATION
+        grid = (runs, 2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            stage = harness._post_adaptation(config, received, indices, symbols, batch)
+            stage = harness._post_adaptation(
+                config, received, indices.reshape(grid + (n,)), symbols, weights.reshape(grid + weights.shape[1:]),
+                (diverged_at < 0).reshape(grid),
+            )
+        stage = {name: value.reshape(-1) for name, value in stage.items()}
         start = n // 2
         for lane in range(2 * runs):
             if diverged_at[lane] >= 0:
@@ -432,11 +445,14 @@ class TestWienerStage:
         indices = rng.integers(0, modem.NUM_SYMBOLS, size=(runs, n)).astype(np.int8)
         diverged_at = np.full(runs, -1)
         diverged_at[5] = n - 3
-        batch = adaptive.QlmsBatch(rng.normal(size=(runs, length, 4)), np.zeros((runs, n)), diverged_at)
+        weights = rng.normal(size=(runs, length, 4))
         symbols = modem.CONSTELLATION
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            stage = harness._post_adaptation(config, received, indices, symbols, batch)
+            stage = harness._post_adaptation(
+                config, received, indices[:, None], symbols, weights[:, None], (diverged_at < 0)[:, None]
+            )
+        stage = {name: value.reshape(-1) for name, value in stage.items()}
         assert np.isnan(stage["wiener_db"][5])
         for run in np.flatnonzero(diverged_at < 0):
             references = symbols[indices[run]]

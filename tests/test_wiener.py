@@ -321,6 +321,21 @@ class TestBatchedRuns:
             alone = wiener.evaluate_mse(weights[run], received[run], symbols[run], length, delay)
             assert abs(report.db[run] - alone.db) < 1e-12
 
+    @pytest.mark.parametrize("streams", [1, 2])
+    def test_zero_runs_give_empty_figures(self, streams):
+        """A batch of no runs flows through statistics, solve and scoring to (0,) figures
+        without an error or a warning, as `evaluate_mse` does."""
+        signal, reference = np.zeros((0, streams, 50, 4)), np.zeros((0, 50, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            problem = wiener.estimate_statistics(signal, reference, 5, 2)
+            weights = wiener.solve_wiener(problem)
+            scored = wiener.statistics_mse(problem, weights, reference)
+            filtered = wiener.evaluate_mse(weights, signal, reference, 5, 2)
+        assert problem.autocorrelation.shape == (0, 5 * streams, 5 * streams, 4)
+        assert weights.shape == (0, 5 * streams, 4)
+        assert scored.db.shape == scored.linear.shape == filtered.db.shape == (0,)
+
     def test_one_run_figures_are_floats_equal_to_their_batch_entries(self):
         """One run's ridge and scores are read out of the run shape () as floats, bit for
         bit the entries of the (8,) arrays of the 8-run call."""
