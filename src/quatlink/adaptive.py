@@ -203,11 +203,10 @@ def run_qlms_batch(received, indices, symbols, length: int, step_size: float, de
                 # a select, not a multiply by `active`: a frozen lane's update may be NaN
                 np.copyto(updated, weights, where=~active.reshape(runs, lanes, 1, 1))
             weights, updated = updated, weights
-        else:
-            # the last update has no next output to show a break
-            broken = active & ~np.isfinite(weights).all(axis=(2, 3)).reshape(b)
-            np.copyto(weights, updated, where=broken.reshape(runs, lanes, 1, 1))
-            diverged_at[broken] = n - 1
+        # the last update has no next output to show a break (a no-op after an early break)
+        broken = active & ~np.isfinite(weights).all(axis=(2, 3)).reshape(b)
+        np.copyto(weights, updated, where=broken.reshape(runs, lanes, 1, 1))
+        diverged_at[broken] = n - 1
 
     for lane in np.flatnonzero(diverged_at >= 0):
         traces[lane, diverged_at[lane] + 1 :] = np.nan

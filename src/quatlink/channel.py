@@ -161,10 +161,12 @@ def noise_variance_for_snr(signal_power: float, snr_db: float) -> float:
     power signal_power / 10^(snr/10) is split equally over the four
     components.  An infinite SNR yields exactly zero variance, and so does an
     SNR whose power ratio exceeds the float range.  An SNR so low that the
-    ratio underflows to zero yields an infinite variance.
+    ratio underflows to zero yields an infinite variance; a NaN SNR is rejected.
     """
     if not signal_power > 0.0:
         raise ValueError("signal power must be positive")
+    if np.isnan(snr_db):
+        raise ValueError("SNR must not be NaN")
     try:
         ratio = 10.0 ** (float(snr_db) / 10.0)
     except OverflowError:

@@ -1,12 +1,5 @@
 """Exception types shared across the package."""
 
-__all__ = [
-    "DimensionMismatchError",
-    "SingularMatrixError",
-    "InsufficientDataError",
-    "ExperimentFailedError",
-]
-
 
 class DimensionMismatchError(ValueError):
     """Operands have incompatible lengths or shapes."""

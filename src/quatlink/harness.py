@@ -88,9 +88,6 @@ _MODES = {
     MODE_MIMO: _Mode(lambda config: (config.mimo_rx, config.mimo_tx), MIMO_STREAM_SCALE, False),
 }
 
-# dB floor for per-sample trace entries, relative to the reference power
-CURVE_DB_FLOOR = -100.0
-
 # most received samples (runs x rx x N) per kernel batch: it bounds a chunk's
 # memory at the size of a 64-run 2x2 MIMO chunk of 5000 symbols (each lane's
 # result is bit-independent of its batch, so the chunking never changes the output)
@@ -211,8 +208,8 @@ def _reference_power(config: ExperimentConfig) -> float:
 
 
 def _db_traces(traces: np.ndarray, reference_power: float) -> np.ndarray:
-    """Per-run traces in dB relative to the reference power, floored."""
-    floor = reference_power * 10.0 ** (CURVE_DB_FLOOR / 10.0)
+    """Per-run traces in dB relative to the reference power, floored at wiener.DB_FLOOR."""
+    floor = reference_power * 10.0 ** (wiener.DB_FLOOR / 10.0)
     return 10.0 * np.log10(np.maximum(traces, floor) / reference_power)
 
 

@@ -174,8 +174,8 @@ def solve_wiener(problem: WienerProblem, ridge: float | np.ndarray | None = None
     if ridge is None:
         ridge = default_ridge(problem)
     ridge = np.asarray(ridge, dtype=np.float64)
-    if np.any(ridge < 0.0):
-        raise ValueError("ridge must be nonnegative")
+    if not (np.isfinite(ridge) & (ridge >= 0.0)).all():
+        raise ValueError("ridge must be finite and nonnegative")
     regularized = problem.autocorrelation + ridge[..., None, None, None] * identity(problem.length)
     adjoint = to_complex_adjoint(regularized)
     smallest = np.abs(np.linalg.eigvalsh(adjoint)).min(axis=-1)

@@ -271,6 +271,10 @@ class TestSnrCalibration:
         with pytest.raises(ValueError):
             channel.noise_variance_for_snr(0.0, 10.0)
 
+    def test_nan_snr_rejected(self):
+        with pytest.raises(ValueError, match="SNR"):
+            channel.noise_variance_for_snr(4.0, np.nan)
+
     def test_expected_output_power(self):
         taps = channel.random_channel_taps(channel.make_rng(8), 4, normalize=True)
         assert np.isclose(channel.expected_output_power(taps), 4.0, atol=1e-12)

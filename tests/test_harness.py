@@ -115,14 +115,14 @@ class TestSisoExperiment:
         config = small(num_channel_taps=1, snr_db=np.inf, step_size=0.03, num_runs=2, symbols_per_run=5000,
                        master_seed=0)
         result = harness.run_siso_experiment(config)
-        assert np.array_equal(result.per_run_wiener_db, np.full((2, 1), harness.CURVE_DB_FLOOR))
-        assert np.array_equal(result.per_run_qlms_db, np.full((2, 1), harness.CURVE_DB_FLOOR))
+        assert np.array_equal(result.per_run_wiener_db, np.full((2, 1), wiener.DB_FLOOR))
+        assert np.array_equal(result.per_run_qlms_db, np.full((2, 1), wiener.DB_FLOOR))
 
     def test_averaging_reduces_variance(self):
         """The averaged trace fluctuates less than a typical single run."""
         config = small(num_runs=16, symbols_per_run=1000)
         result = harness.run_siso_experiment(config)
-        floor = harness._reference_power(config) * 10.0 ** (harness.CURVE_DB_FLOOR / 10.0)
+        floor = harness._reference_power(config) * 10.0 ** (wiener.DB_FLOOR / 10.0)
         per_run_db = 10 * np.log10(np.maximum(result.per_run_traces[:, 0, config.delay :], floor) / 4.0)
         steady = per_run_db[:, 500:]
         averaged = steady.mean(axis=0)
@@ -370,7 +370,7 @@ class TestCurveAssembly:
     def test_floor_applies(self):
         traces = np.zeros((1, 50))
         curve = harness._build_curve(small(delay=0), traces, np.array([-1]), 0)
-        assert (curve.mse_per_iteration == harness.CURVE_DB_FLOOR).all()
+        assert (curve.mse_per_iteration == wiener.DB_FLOOR).all()
 
 
 def lag_matrix_decisions(received, weights, length, start):

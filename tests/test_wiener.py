@@ -102,6 +102,14 @@ class TestSolveWiener:
         with pytest.raises(ValueError):
             wiener.solve_wiener(problem, ridge=-1.0)
 
+    @pytest.mark.parametrize("ridge", [np.nan, np.inf, np.array([1e-3, np.nan])], ids=["nan", "inf", "one-nan-run"])
+    def test_nonfinite_ridge_rejected(self, ridge):
+        """A NaN or infinite ridge is named, not left to fail inside the eigensolver."""
+        runs = np.shape(ridge)
+        problem = wiener.WienerProblem(np.zeros(runs + (1, 1, 4)) + quat.ONE, np.zeros(runs + (1, 4)) + quat.K, 1)
+        with pytest.raises(ValueError, match="ridge"):
+            wiener.solve_wiener(problem, ridge=ridge)
+
     def test_agrees_with_adjoint_oracle(self):
         """Solving entirely in the complex adjoint image gives the same weights."""
         received, symbols = equalization_instance(84)
