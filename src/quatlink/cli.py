@@ -1,8 +1,7 @@
 """Command-line front end.
 
-`quatlink run` parses a configuration (flags override config-file values,
-which override defaults), runs the experiment, and writes three files into
-the output directory:
+`quatlink run` resolves a configuration, runs the experiment, and writes
+three files into the output directory:
 
 * ``learning_curve.csv`` (or ``learning_curve_streamK.csv`` per stream in
   MIMO mode, the suffix that also names the summary metrics): header
@@ -11,10 +10,19 @@ the output directory:
 * ``manifest.txt``: artifact version, timestamp, output file names, and the
   same config echo.
 
-The config echo uses exactly the config-file syntax, so an emitted summary
-or manifest can be fed back through the same parser to recover the identical
-configuration.  Identical configurations (including the master seed) produce
-byte-identical CSV and summary files; only the manifest carries a timestamp.
+Each config value arrives as text from one source: a flag, a line of the
+``--config`` file or ``$QUATLINK_SEED``, in that order of precedence over the
+`ExperimentConfig` defaults.  The text is converted by the field's type as
+`ExperimentConfig` declares it, the whole config is checked by
+`ExperimentConfig.validate`, and a bad value is a usage error named by its
+source: ``--runs: ...``, ``--config: num_runs: ...`` or ``$QUATLINK_SEED: ...``.
+
+The config echo uses exactly the config-file syntax.  A summary or manifest
+also carries metric and metadata keys, which ``--config`` rejects; keeping
+only the lines whose keys are `ExperimentConfig` fields and passing them to
+`config_values_from_mapping` recovers the identical configuration.
+Identical configurations (including the master seed) produce byte-identical
+CSV and summary files; only the manifest carries a timestamp.
 """
 
 import argparse
@@ -27,42 +35,31 @@ from pathlib import Path
 
 from . import __version__
 from .errors import ExperimentFailedError
-from .harness import (
-    ExperimentConfig,
-    MODE_MIMO,
-    MODE_SISO,
-    SNR_REF_RECEIVER,
-    SNR_REF_TRANSMITTER,
-    run_experiment,
-    summarize,
-)
+from .harness import ExperimentConfig, MODE_MIMO, run_experiment, summarize
 
 SEED_ENV_VAR = "QUATLINK_SEED"
 DEFAULT_OUT_DIR = "quatlink_out"
 
 _DEFAULTS = ExperimentConfig()
+# Each field's type, in declaration order (the config echo order); every one
+# is str, int, float or bool, the types `_parse_field` converts.
+_TYPES = {field.name: field.type for field in dataclasses.fields(ExperimentConfig)}
 
-# One row per config field, in the config echo order: field, CLI flag (None
-# for file-only fields), value type (a tuple lists the allowed strings),
-# metavar, and help text, whose {} is filled with the default.
+# One row per flagged field: field, CLI flag, metavar, and help text, whose {}
+# is filled with the default.  The remaining fields are set from a file only.
 _FIELDS = (
-    ("mode", "--mode", (MODE_SISO, MODE_MIMO), None, "experiment layout (default: {})"),
-    ("num_channel_taps", "--taps", int, "N", "channel tap count (default: {})"),
-    ("equalizer_length", "--eq-len", int, "L", "equalizer length (default: {})"),
-    ("snr_db", "--snr-db", float, "X", "SNR in dB, 'inf' disables noise (default: {})"),
-    ("snr_reference_point", "--snr-ref", (SNR_REF_RECEIVER, SNR_REF_TRANSMITTER), None,
-     "where the SNR is referenced (default: {})"),
-    ("num_runs", "--runs", int, "N", "Monte Carlo runs (default: {})"),
-    ("symbols_per_run", "--symbols", int, "N", "symbols per run (default: {})"),
-    ("step_size", "--mu", float, "X", "QLMS step size (default: {})"),
-    ("delay", "--delay", int, "D", "equalization delay in symbols (default: {})"),
-    ("master_seed", "--seed", int, "S", f"master seed; falls back to ${SEED_ENV_VAR}, then {{}}"),
-    ("normalize_channel", "--normalize-channel", bool, None, "rescale channels to exactly unit energy (default: {})"),
-    ("mimo_tx", None, int, None, None),
-    ("mimo_rx", None, int, None, None),
+    ("mode", "--mode", "{siso,mimo}", "experiment layout (default: {})"),
+    ("num_channel_taps", "--taps", "N", "channel tap count (default: {})"),
+    ("equalizer_length", "--eq-len", "L", "equalizer length (default: {})"),
+    ("snr_db", "--snr-db", "X", "SNR in dB, 'inf' disables noise (default: {})"),
+    ("snr_reference_point", "--snr-ref", "{receiver,transmitter}", "where the SNR is referenced (default: {})"),
+    ("num_runs", "--runs", "N", "Monte Carlo runs (default: {})"),
+    ("symbols_per_run", "--symbols", "N", "symbols per run (default: {})"),
+    ("step_size", "--mu", "X", "QLMS step size (default: {})"),
+    ("delay", "--delay", "D", "equalization delay in symbols (default: {})"),
+    ("master_seed", "--seed", "S", f"master seed; falls back to ${SEED_ENV_VAR}, then {{}}"),
+    ("normalize_channel", "--normalize-channel", "{on,off}", "rescale channels to exactly unit energy (default: {})"),
 )
-_TYPES = {field: kind for field, _, kind, _, _ in _FIELDS}
-_FLAGS = {field: flag for field, flag, _, _, _ in _FIELDS}
 
 
 @dataclass(frozen=True)
@@ -81,15 +78,12 @@ def _format_value(value) -> str:
 
 
 def _parse_field(name: str, raw: str):
+    """Convert one field's text by its declared type; ValueError names the field."""
     raw, kind = raw.strip(), _TYPES[name]
-    if kind is bool:
-        if raw not in ("on", "off"):
-            raise ValueError(f"{name}: expected 'on' or 'off', got {raw!r}")
-        return raw == "on"
-    if isinstance(kind, tuple):
-        return raw
+    if kind is bool and raw not in ("on", "off"):
+        raise ValueError(f"{name}: expected 'on' or 'off', got {raw!r}")
     try:
-        return kind(raw)
+        return raw == "on" if kind is bool else kind(raw)
     except ValueError as exc:
         raise ValueError(f"{name}: {exc}") from None
 
@@ -113,22 +107,12 @@ def parse_kv_lines(text: str) -> dict[str, str]:
     return mapping
 
 
-def config_values_from_mapping(mapping: dict[str, str], ignore_unknown: bool = False) -> dict:
-    """Typed config fields found in a key=value mapping.
-
-    With ignore_unknown=False any key that is not a config field is an error;
-    with True extra keys (summary metrics, manifest metadata) are skipped.
-    """
-    values = {}
-    unknown = []
-    for key, raw in mapping.items():
-        if key in _TYPES:
-            values[key] = _parse_field(key, raw)
-        else:
-            unknown.append(key)
-    if unknown and not ignore_unknown:
-        raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    return values
+def config_values_from_mapping(mapping: dict[str, str]) -> dict:
+    """Typed config fields of a key=value mapping; a key that is not a field is an error."""
+    unknown = sorted(key for key in mapping if key not in _TYPES)
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    return {key: _parse_field(key, raw) for key, raw in mapping.items()}
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
@@ -138,18 +122,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     )
     commands = parser.add_subparsers(dest="command", required=True)
     run = commands.add_parser("run", help="run an experiment and write CSV/summary/manifest files")
-    for field, flag, kind, metavar, text in _FIELDS:
-        if flag is None:
-            continue
-        choices = ("on", "off") if kind is bool else kind if isinstance(kind, tuple) else None
-        run.add_argument(
-            flag,
-            dest=field,
-            type=None if choices else kind,
-            choices=choices,
-            metavar=metavar,
-            help=text.format(_format_value(getattr(_DEFAULTS, field))),
-        )
+    for field, flag, metavar, text in _FIELDS:
+        run.add_argument(flag, dest=field, metavar=metavar, help=text.format(_format_value(getattr(_DEFAULTS, field))))
     run.add_argument("--out", metavar="DIR", help=f"output directory (default: {DEFAULT_OUT_DIR})")
     run.add_argument("--config", metavar="PATH", help="key=value config file; flags override it")
     run.add_argument("--workers", type=int, metavar="N", help="worker processes for the Monte Carlo runs (default: 1)")
@@ -164,33 +138,29 @@ def parse_args(argv) -> CliInvocation:
     values: dict = {}
     if ns.config is not None:
         try:
-            text = Path(ns.config).read_text(encoding="utf-8")
-        except OSError as exc:
+            text = Path(ns.config).read_text(encoding="utf-8-sig")
+        except (OSError, UnicodeDecodeError) as exc:
             run_parser.error(f"--config: cannot read {ns.config}: {exc}")
         try:
-            values.update(config_values_from_mapping(parse_kv_lines(text)))
+            values = config_values_from_mapping(parse_kv_lines(text))
         except ValueError as exc:
             run_parser.error(f"--config: {exc}")
-
-    for field, kind in _TYPES.items():
-        value = getattr(ns, field, None)
-        if value is not None:
-            values[field] = _parse_field(field, value) if kind is bool else value
-
+    # The label that a bad value's error is reported under, per field.
+    sources = {field: f"--config: {field}" for field in values}
+    texts = {}
     if "master_seed" not in values and SEED_ENV_VAR in os.environ:
-        try:
-            values["master_seed"] = int(os.environ[SEED_ENV_VAR])
-        except ValueError:
-            run_parser.error(f"${SEED_ENV_VAR}: expected an integer, got {os.environ[SEED_ENV_VAR]!r}")
+        texts["master_seed"] = (f"${SEED_ENV_VAR}", os.environ[SEED_ENV_VAR])
+    texts.update((field, (flag, getattr(ns, field))) for field, flag, _, _ in _FIELDS if getattr(ns, field) is not None)
 
-    config = dataclasses.replace(_DEFAULTS, **values)
     try:
+        for field, (source, raw) in texts.items():
+            sources[field] = source
+            values[field] = _parse_field(field, raw)
+        config = dataclasses.replace(_DEFAULTS, **values)
         config.validate()
     except ValueError as exc:
-        message = str(exc)
-        field = message.split(":", 1)[0]
-        flag = _FLAGS.get(field)
-        run_parser.error(message if flag is None else message.replace(field, flag, 1))
+        field, _, detail = str(exc).partition(": ")
+        run_parser.error(f"{sources.get(field, field)}: {detail}")
 
     workers = 1 if ns.workers is None else ns.workers
     if workers < 1:

@@ -136,8 +136,8 @@ class ExperimentConfig:
         for name in counts:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name}: must be at least 1, got {getattr(self, name)}")
-        if not self.step_size > 0.0:
-            raise ValueError(f"step_size: must be positive, got {self.step_size}")
+        if not 0.0 < self.step_size < np.inf:
+            raise ValueError(f"step_size: must be positive and finite, got {self.step_size}")
         if np.isnan(self.snr_db):
             raise ValueError("snr_db: must not be NaN")
         if not np.isfinite(noise_variance_for_snr(SYMBOL_ENERGY, self.snr_db)):

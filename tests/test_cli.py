@@ -18,6 +18,13 @@ def parse(*argv):
     return cli.parse_args(["run", *argv])
 
 
+def recover_config(text):
+    """The README recipe: keep the keys that are config fields, then convert them."""
+    fields = {field.name for field in dataclasses.fields(ExperimentConfig)}
+    mapping = {key: value for key, value in cli.parse_kv_lines(text).items() if key in fields}
+    return ExperimentConfig(**cli.config_values_from_mapping(mapping))
+
+
 class TestParseArgs:
     def test_bare_run_gives_defaults(self):
         invocation = parse()
@@ -80,13 +87,43 @@ class TestParseArgs:
         assert excinfo.value.code == 2
         assert "--eq-len" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--runs", "abc", "--runs: invalid literal for int()"),
+            ("--mu", "inf", "--mu: must be positive and finite"),
+            ("--snr-ref", "midpoint", "--snr-ref: must be 'receiver' or 'transmitter'"),
+            ("--normalize-channel", "yes", "--normalize-channel: expected 'on' or 'off', got 'yes'"),
+        ],
+        ids=["runs", "mu", "snr-ref", "normalize-channel"],
+    )
+    def test_bad_flag_value_is_usage_error_naming_the_flag(self, flag, value, message, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            parse(flag, value)
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_choice_flags_are_stripped(self):
+        assert parse("--mode", " mimo ", "--normalize-channel", "off ").config == ExperimentConfig(
+            mode="mimo", normalize_channel=False
+        )
+
+    def test_error_in_a_field_no_source_set_names_the_field(self, capsys):
+        """--symbols 5 leaves the default delay 7 out of range; no --delay was given to blame."""
+        with pytest.raises(SystemExit) as excinfo:
+            parse("--symbols", "5")
+        assert excinfo.value.code == 2
+        assert "error: delay: must satisfy 0 <= delay < symbols_per_run, got 7" in capsys.readouterr().err
+
     def test_unknown_flag_rejected(self):
         with pytest.raises(SystemExit):
             parse("--bogus", "1")
 
-    def test_bad_choice_rejected(self):
-        with pytest.raises(SystemExit):
+    def test_bad_choice_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
             parse("--mode", "triplex")
+        assert excinfo.value.code == 2
+        assert "--mode: must be 'siso' or 'mimo', got 'triplex'" in capsys.readouterr().err
 
     def test_missing_subcommand_rejected(self):
         with pytest.raises(SystemExit):
@@ -126,6 +163,19 @@ class TestConfigFile:
         with pytest.raises(SystemExit):
             parse("--config", str(tmp_path / "absent.cfg"))
 
+    def test_non_utf8_config_file_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "experiment.cfg"
+        path.write_bytes(b"\xff\xfen\x00u\x00m\x00")
+        with pytest.raises(SystemExit) as excinfo:
+            parse("--config", str(path))
+        assert excinfo.value.code == 2
+        assert f"--config: cannot read {path}: " in capsys.readouterr().err
+
+    def test_config_file_with_byte_order_mark_accepted(self, tmp_path):
+        path = tmp_path / "experiment.cfg"
+        path.write_text("num_runs=5\n", encoding="utf-8-sig")
+        assert parse("--config", str(path)).config.num_runs == 5
+
     def test_comments_and_blanks_ignored(self):
         mapping = cli.parse_kv_lines("# comment\n\nmode=mimo\n")
         assert mapping == {"mode": "mimo"}
@@ -142,6 +192,31 @@ class TestConfigFile:
             parse("--config", str(path))
         assert excinfo.value.code == 2
         assert f"--config: {field}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("equalizer_length=0", "--config: equalizer_length: must be at least 1"),
+            ("mode=triplex", "--config: mode: must be 'siso' or 'mimo'"),
+            ("step_size=inf", "--config: step_size: must be positive and finite"),
+        ],
+        ids=["equalizer_length", "mode", "step_size"],
+    )
+    def test_bad_file_value_is_blamed_on_the_file(self, line, message, tmp_path, capsys):
+        """A value read from the file is reported under --config and its key, never a flag."""
+        path = tmp_path / "experiment.cfg"
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as excinfo:
+            parse("--config", str(path))
+        assert excinfo.value.code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+    def test_flag_overriding_a_bad_file_value_is_blamed(self, tmp_path, capsys):
+        path = tmp_path / "experiment.cfg"
+        path.write_text("equalizer_length=9\n", encoding="utf-8")
+        with pytest.raises(SystemExit):
+            parse("--config", str(path), "--eq-len", "0")
+        assert "--eq-len: must be at least 1, got 0" in capsys.readouterr().err
 
     def test_mimo_dimensions_settable_from_file(self, tmp_path):
         path = tmp_path / "experiment.cfg"
@@ -164,10 +239,16 @@ class TestSeedEnvironmentFallback:
         path.write_text("master_seed=77\n", encoding="utf-8")
         assert parse("--config", str(path)).config.master_seed == 77
 
-    def test_garbage_env_seed_rejected(self, monkeypatch):
+    def test_garbage_env_seed_rejected(self, monkeypatch, capsys):
         monkeypatch.setenv(cli.SEED_ENV_VAR, "not-a-number")
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as excinfo:
             parse()
+        assert excinfo.value.code == 2
+        assert f"${cli.SEED_ENV_VAR}: " in capsys.readouterr().err
+
+    def test_garbage_env_seed_ignored_when_overridden(self, monkeypatch):
+        monkeypatch.setenv(cli.SEED_ENV_VAR, "not-a-number")
+        assert parse("--seed", "5").config.master_seed == 5
 
 
 class TestConfigEcho:
@@ -181,12 +262,16 @@ class TestConfigEcho:
         names = [line.split("=", 1)[0] for line in cli.config_to_lines(ExperimentConfig())]
         assert names == [field.name for field in dataclasses.fields(ExperimentConfig)]
 
-    def test_ignore_unknown_skips_metrics(self):
-        text = "steady_state_db=-11.5\nmode=siso\nnum_runs=4\n"
-        config = ExperimentConfig(**cli.config_values_from_mapping(cli.parse_kv_lines(text), ignore_unknown=True))
-        assert config.num_runs == 4
-        with pytest.raises(ValueError):
-            ExperimentConfig(**cli.config_values_from_mapping(cli.parse_kv_lines(text)))
+    def test_unknown_keys_rejected(self):
+        text = "steady_state_db=-11.5\nmode=siso\nnum_runs=4\nversion=0.1.0\n"
+        with pytest.raises(ValueError, match="unknown config keys: steady_state_db, version"):
+            cli.config_values_from_mapping(cli.parse_kv_lines(text))
+
+    def test_every_field_type_is_parsable(self):
+        """`_parse_field` converts str, int, float and bool text; a field of another type
+        would reach the CLI unconverted."""
+        for field in dataclasses.fields(ExperimentConfig):
+            assert field.type in (str, int, float, bool), field.name
 
 
 class TestEmitters:
@@ -215,11 +300,10 @@ class TestMainEndToEnd:
         for key in ("steady_state_db=", "convergence_iteration=", "ser=", "wiener_mse_db=", "runs_diverged="):
             assert key in summary
         assert "runs_diverged=0" in summary
-        config = ExperimentConfig(**cli.config_values_from_mapping(cli.parse_kv_lines(summary), ignore_unknown=True))
+        config = recover_config(summary)
         assert config == ExperimentConfig(num_runs=4, symbols_per_run=600, master_seed=3)
         manifest = (out / "manifest.txt").read_text(encoding="utf-8")
-        values = cli.config_values_from_mapping(cli.parse_kv_lines(manifest), ignore_unknown=True)
-        assert ExperimentConfig(**values) == config
+        assert recover_config(manifest) == config
         assert "version=" in manifest
 
     def test_reruns_are_byte_identical(self, tmp_path):

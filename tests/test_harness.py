@@ -50,6 +50,7 @@ class TestConfigValidation:
             ("symbols_per_run", 0),
             ("step_size", 0.0),
             ("step_size", -0.1),
+            ("step_size", np.inf),
             ("delay", -1),
             ("mimo_tx", 0),
             ("mimo_rx", 0),
