@@ -32,14 +32,20 @@ are contiguous, so a step's A is a column-major block with leading dimension
 4 and its A^T a column-major block of its own run's window.  A block's R(x),
 gathered and signed by `quat.right_matrix`, goes into the first window once
 per run, however many lanes share it, and is transposed run by run into the
-second.  Each step writes its outputs, errors and squared errors into
-buffers allocated once, and the block's references are looked up once per
-block.  numpy's `matmul` broadcasts a run's slices over its S lanes: one
-small BLAS gemv per lane, far below OpenBLAS's threading threshold, so
-results do not depend on the BLAS thread count.  Column-major is on purpose:
-that gemv adds each tap's product rounded, where the row-major one fuses
-multiply-adds, and mu scales A^T e after the product, so real inputs round
-as classical LMS does.
+second.  Each step writes its outputs and errors into buffers allocated
+once, and the block's references are looked up once per block.  A block is
+scored once, at its end: its squared errors go into the traces and are
+checked against ERROR_ENERGY_LIMIT together.  If a lane that was still
+active blew up in it, the weights of the block's start are restored and that
+block alone runs again with the check at every step, so each lane freezes at
+the step and with the weights a per-step check gives; a block that starts
+with weights broken by the previous block's last update runs checked from
+the start.  numpy's `matmul`
+broadcasts a run's slices over its S lanes: one small BLAS gemv per lane,
+far below OpenBLAS's threading threshold, so results do not depend on the
+BLAS thread count.  Column-major is on purpose: that gemv adds each tap's
+product rounded, where the row-major one fuses multiply-adds, and mu scales
+A^T e after the product, so real inputs round as classical LMS does.
 """
 
 from dataclasses import dataclass
@@ -143,14 +149,17 @@ def run_qlms_batch(received, indices, symbols, length: int, step_size: float, de
     a_t_of = [backward[:, None, :, p : p + length].reshape(runs, 1, 4, width).mT for p in range(_BLOCK)]
     weights = np.zeros((runs, lanes, width, 1))
     updated = np.empty_like(weights)
+    start_weights = np.empty_like(weights)  # the weights a replay restores
     # component-major: targets[:, q] holds the (4, B) desired outputs of the
-    # block's step q, and the squared error's norm adds whole rows
+    # block's step q and errors[:, q] its errors, so the squared error's norm adds whole rows
     targets = np.empty((4, _BLOCK, b))
     outputs = np.empty((4, b))
     output_lanes = outputs.T.reshape(runs, lanes, 4, 1)
-    e = np.empty((4, b))
-    e_lanes = e.T.reshape(runs, lanes, 4, 1)
+    errors = np.empty((4, _BLOCK, b))
+    target_of, e_of = [targets[:, q] for q in range(_BLOCK)], [errors[:, q] for q in range(_BLOCK)]
+    e_lanes_of = [e.T.reshape(runs, lanes, 4, 1) for e in e_of]
     squares = np.empty((4, b))
+    sums = np.empty((_BLOCK, b))
     traces = np.full((b, n), np.nan)
     diverged_at = np.full(b, -1, dtype=np.int64)
     active = np.ones(b, dtype=bool)
@@ -159,50 +168,74 @@ def run_qlms_batch(received, indices, symbols, length: int, step_size: float, de
     # A frozen lane keeps being evaluated: with an inf or NaN sample in its
     # window its products overflow or turn NaN on every later step.  Those
     # values are never committed and diverged_at already reports the lane, so
-    # numpy's overflow and invalid-value warnings would say nothing new.
+    # numpy's overflow and invalid-value warnings would say nothing new.  The
+    # same holds for a lane that blows up in a block that runs unchecked.
     with np.errstate(invalid="ignore", over="ignore"):
-        for t in range(n):
-            i = t % _BLOCK
-            if i == 0:
-                stop = min(t + _BLOCK, n)
-                forward[:, _BLOCK:] = forward[:, : length - 1]
-                # R(x)[i, j] of sample t + q goes to forward[r, _BLOCK - 1 - q, c, j, i]; unnamed, so it is freed
-                forward[:, _BLOCK - (stop - t) : _BLOCK] = (
-                    quat.right_matrix(received[:, :, t:stop]).transpose(0, 2, 1, 4, 3)[:, ::-1]
-                )
-                backward[...] = forward.transpose(0, 4, 1, 2, 3)
-                # the block's desired outputs, reference[first] onwards
-                first = max(t - delay, 0)
-                block = indices[:, first : max(stop - delay, 0)].T
-                # the indices were checked above, so "clip" never clips; it lets take write in place
-                np.take(symbols.T, block, axis=1, out=targets[:, : block.shape[0]], mode="clip")
-            if t < delay:
+        for t0 in range(0, n, _BLOCK):
+            stop = min(t0 + _BLOCK, n)
+            forward[:, _BLOCK:] = forward[:, : length - 1]
+            # R(x)[i, j] of sample t0 + q goes to forward[r, _BLOCK - 1 - q, c, j, i]; unnamed, so it is freed
+            forward[:, _BLOCK - (stop - t0) : _BLOCK] = (
+                quat.right_matrix(received[:, :, t0:stop]).transpose(0, 2, 1, 4, 3)[:, ::-1]
+            )
+            backward[...] = forward.transpose(0, 4, 1, 2, 3)
+            # the block's desired outputs, reference[first] onwards
+            first = max(t0 - delay, 0)
+            block = indices[:, first : max(stop - delay, 0)].T
+            # the indices were checked above, so "clip" never clips; it lets take write in place
+            np.take(symbols.T, block, axis=1, out=targets[:, : block.shape[0]], mode="clip")
+            begin = max(t0, delay)
+            if begin >= stop:
                 continue
-
-            p = _BLOCK - 1 - i
-            np.matmul(a_of[p], weights, out=output_lanes)
-            np.subtract(targets[:, t - delay - first], outputs, out=e)
-            np.multiply(e, e, out=squares)
-            err = np.add.reduce(squares, axis=0, out=traces[:, t])
-            if not err.max() <= ERROR_ENERGY_LIMIT:  # catches NaN errors too
-                blown = active & ~(err <= ERROR_ENERGY_LIMIT)
-                # non-finite weights make every output non-finite, so an update
-                # that broke them shows here; undo it and date the divergence to it
-                broken = blown & ~np.isfinite(weights).all(axis=(2, 3)).reshape(b)
-                np.copyto(weights, updated, where=broken.reshape(runs, lanes, 1, 1))
-                diverged_at[blown] = t
-                diverged_at[broken] = t - 1
-                active &= ~blown
-                all_active = False
-                if not active.any():
+            np.copyto(start_weights, weights)
+            # The block first runs unchecked and is scored at its end.  If an active
+            # lane blew up in it, it runs again from its start with a check at every
+            # step, which freezes each lane at the step and with the weights it
+            # would have had, had every step been checked.  Weights that the last
+            # update of the previous block broke show only in this block's first
+            # output, so such a block runs checked from the start, with the weights
+            # before that update still in `updated`.
+            for checked in (False, True) if np.isfinite(weights).all() else (True,):
+                for t in range(begin, stop):
+                    q = t - t0
+                    p = _BLOCK - 1 - q
+                    e = e_of[q]
+                    np.matmul(a_of[p], weights, out=output_lanes)
+                    np.subtract(target_of[t - delay - first], outputs, out=e)
+                    if checked:
+                        np.multiply(e, e, out=squares)
+                        err = np.add.reduce(squares, axis=0, out=traces[:, t])
+                        if not err.max() <= ERROR_ENERGY_LIMIT:  # catches NaN errors too
+                            blown = active & ~(err <= ERROR_ENERGY_LIMIT)
+                            # non-finite weights make every output non-finite, so an update
+                            # that broke them shows here; undo it and date the divergence to it
+                            broken = blown & ~np.isfinite(weights).all(axis=(2, 3)).reshape(b)
+                            np.copyto(weights, updated, where=broken.reshape(runs, lanes, 1, 1))
+                            diverged_at[blown] = t
+                            diverged_at[broken] = t - 1
+                            active &= ~blown
+                            all_active = False
+                            if not active.any():
+                                break
+                    np.matmul(a_t_of[p], e_lanes_of[q], out=updated)
+                    updated *= step_size
+                    updated += weights
+                    if not all_active:
+                        # a select, not a multiply by `active`: a frozen lane's update may be NaN
+                        np.copyto(updated, weights, where=~active.reshape(runs, lanes, 1, 1))
+                    weights, updated = updated, weights
+                if checked:
                     break
-            np.matmul(a_t_of[p], e_lanes, out=updated)
-            updated *= step_size
-            updated += weights
-            if not all_active:
-                # a select, not a multiply by `active`: a frozen lane's update may be NaN
-                np.copyto(updated, weights, where=~active.reshape(runs, lanes, 1, 1))
-            weights, updated = updated, weights
+                # squared in place: the block's errors are spent, and a replay computes them again
+                block_errors = errors[:, begin - t0 : stop - t0]
+                np.multiply(block_errors, block_errors, out=block_errors)
+                err = np.add.reduce(block_errors, axis=0, out=sums[: stop - begin])
+                traces[:, begin:stop] = err.T
+                if err.max() <= ERROR_ENERGY_LIMIT or not (active & ~(err <= ERROR_ENERGY_LIMIT).all(axis=0)).any():
+                    break
+                np.copyto(weights, start_weights)
+            if not active.any():
+                break
         # the last update has no next output to show a break (a no-op after an early break)
         broken = active & ~np.isfinite(weights).all(axis=(2, 3)).reshape(b)
         np.copyto(weights, updated, where=broken.reshape(runs, lanes, 1, 1))

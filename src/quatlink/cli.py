@@ -130,10 +130,32 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     return parser, run
 
 
+def _attach_negative_numbers(argv) -> list[str]:
+    """argv with each ``FLAG -NUMBER`` pair written ``FLAG=-NUMBER``.
+
+    argparse takes a word that starts with '-' for an option unless it is a
+    plain negative integer or decimal, so ``--snr-db -1e1`` and ``--mu -inf``
+    would lose their value; attached, they parse as ``--snr-db=-1e1`` does.
+    """
+    flags = {flag for _, flag, _, _ in _FIELDS} | {"--workers"}
+    words: list[str] = []
+    for word in argv:
+        if words and words[-1] in flags and word.startswith("-"):
+            try:
+                float(word)
+            except ValueError:
+                pass
+            else:
+                words[-1] = f"{words[-1]}={word}"
+                continue
+        words.append(word)
+    return words
+
+
 def parse_args(argv) -> CliInvocation:
     """Resolve argv into a validated invocation; exits with a usage error on bad input."""
     parser, run_parser = build_parser()
-    ns = parser.parse_args(list(argv))
+    ns = parser.parse_args(_attach_negative_numbers(argv))
 
     values: dict = {}
     if ns.config is not None:

@@ -8,7 +8,12 @@ configuration and runs can be chunked across processes without changing a
 single bit of the output.  Chunks are sized by received samples, not runs
 (`_CHUNK_SAMPLES`), so many short runs share one wide kernel batch.  A chunk
 allocates its received streams (R, rx, N, 4) and int8 symbol indices
-(R, tx, N) once and fills them run by run.
+(R, tx, N) once and fills them in slices of up to `_FILTER_SAMPLES`
+transmitted samples (`_draw`): the slice's runs draw their grids and
+symbols, one `channel.mimo_convolve` call filters them all, which amortizes
+its per-call cost over the many runs of a short-run chunk while the slice's
+temporaries stay small, and each run's noise is added in place.  One run's
+data is the one-run case of the same draw (`_run_data`), bit for bit.
 Each (run, transmitted stream) pair is one lane of the batched QLMS kernel:
 the run's received streams against that stream's symbols.  The kernel's
 results are reshaped once to the (run, stream) grid, which every later stage
@@ -45,11 +50,10 @@ import numpy as np
 from . import modem, wiener
 from .adaptive import run_qlms_batch
 from .channel import (
-    MimoChannelModel,
     SYMBOL_ENERGY,
-    apply_mimo,
     derive_rng,
     expected_output_power,
+    gaussian_quaternions,
     mimo_convolve,
     noise_variance_for_snr,
     random_mimo_grid,
@@ -58,7 +62,7 @@ from .errors import ExperimentFailedError
 
 # Not called here; perfbench/tracer.py wraps these module attributes by name.
 from .adaptive import lag_matrix  # noqa: F401
-from .channel import convolve, gaussian_quaternions, random_channel_taps  # noqa: F401
+from .channel import apply_mimo, convolve, random_channel_taps  # noqa: F401
 from .linalg import dot_left  # noqa: F401
 
 MODE_SISO = "siso"
@@ -92,6 +96,11 @@ _MODES = {
 # memory at the size of a 64-run 2x2 MIMO chunk of 5000 symbols (each lane's
 # result is bit-independent of its batch, so the chunking never changes the output)
 _CHUNK_SAMPLES = 64 * 2 * 5000
+
+# most transmitted samples (runs x tx x N) per filter call of the data generation:
+# 12 runs of 400 symbols share a call, while the 0.2 MB temporaries keep the peak
+# resident memory of a 256 x 400 SISO experiment where it was with one call per run
+_FILTER_SAMPLES = _CHUNK_SAMPLES // 128
 
 # lanes per post-adaptation slice, rounded to whole runs; see the module docstring
 _GROUP_LANES = 8
@@ -274,9 +283,11 @@ def _post_adaptation(config: ExperimentConfig, received: np.ndarray, indices: np
     wiener_db = np.full((runs, streams), np.nan)
     group_runs = max(1, _GROUP_LANES // streams)
     for r0 in range(0, runs, group_runs):
-        group = r0 + np.flatnonzero(alive[r0 : r0 + group_runs].any(axis=1))
-        if not group.size:
+        live = alive[r0 : r0 + group_runs].any(axis=1)
+        if not live.any():
             continue
+        # an all-live slice is indexed by a basic slice, a view, so its runs are not copied
+        group = slice(r0, r0 + live.size) if live.all() else r0 + np.flatnonzero(live)
         rx, sent = received[group], indices[group]
         w = np.where(alive[group][:, :, None, None], weights[group], 0.0)
         decided = _equalizer_decisions(rx, w, start)
@@ -289,58 +300,66 @@ def _post_adaptation(config: ExperimentConfig, received: np.ndarray, indices: np
     return {"errors": errors, "decisions": np.where(alive, n - start, 0), "wiener_db": wiener_db}
 
 
-def _run_data(config: ExperimentConfig, run: int):
-    """One run's received streams (rx, N, 4), transmitted streams (tx, N, 4)
-    and their symbol indices (tx, N), for the (rx, tx) layout of the mode.
+def _draw(config: ExperimentConfig, start: int, stop: int):
+    """Runs [start, stop): their received streams (R, rx, N, 4) and int8 symbol
+    indices (R, tx, N), for the (rx, tx) layout of the mode.
+
+    Each run draws its grid, symbols and noise from its own (master_seed, run,
+    purpose, stream) generators, so its data do not depend on the runs drawn
+    with it or on the slicing (see the module docstring).
     """
     mode = _MODES[config.mode]
     num_rx, num_tx = mode.layout(config)
-    grid = random_mimo_grid(
-        derive_rng(config.master_seed, run, _PURPOSE_CHANNEL, 0),
-        num_rx,
-        num_tx,
-        config.num_channel_taps,
-        config.normalize_channel,
-    )
-    indices = np.stack(
-        [
-            derive_rng(config.master_seed, run, _PURPOSE_SYMBOLS, s).integers(
-                0, modem.NUM_SYMBOLS, config.symbols_per_run
-            )
-            for s in range(num_tx)
-        ]
-    )
-    streams = mode.stream_scale * modem.index_to_symbol(indices)
+    runs, n, seed = stop - start, config.symbols_per_run, config.master_seed
     stream_power = _reference_power(config)
-    if config.snr_reference_point == SNR_REF_RECEIVER:
-        signal_power = expected_output_power(grid, stream_power) / num_rx
-    else:
-        signal_power = stream_power
-    variance = noise_variance_for_snr(signal_power, config.snr_db)
-    model = MimoChannelModel(grid, variance)
-    received = apply_mimo(model, streams, derive_rng(config.master_seed, run, _PURPOSE_NOISE, 0))
-    return received, streams, indices
+    received = np.empty((runs, num_rx, n, 4))
+    indices = np.empty((runs, num_tx, n), dtype=np.int8)
+    slice_runs = max(1, _FILTER_SAMPLES // (num_tx * n))
+    for r0 in range(0, runs, slice_runs):
+        part = range(r0, min(r0 + slice_runs, runs))
+        grids = [
+            random_mimo_grid(derive_rng(seed, start + k, _PURPOSE_CHANNEL, 0), num_rx, num_tx,
+                             config.num_channel_taps, config.normalize_channel)
+            for k in part
+        ]  # fmt: skip
+        for k in part:
+            for s in range(num_tx):
+                indices[k, s] = derive_rng(seed, start + k, _PURPOSE_SYMBOLS, s).integers(0, modem.NUM_SYMBOLS, n)
+        streams = mode.stream_scale * modem.index_to_symbol(indices[r0 : part.stop])
+        received[r0 : part.stop] = mimo_convolve(streams, np.stack(grids))
+        for k, grid in zip(part, grids):
+            if config.snr_reference_point == SNR_REF_RECEIVER:
+                signal_power = expected_output_power(grid, stream_power) / num_rx
+            else:
+                signal_power = stream_power
+            variance = noise_variance_for_snr(signal_power, config.snr_db)
+            # added even when it is zero, as the noisy case is: -0.0 + 0.0 is +0.0
+            received[k] += gaussian_quaternions(derive_rng(seed, start + k, _PURPOSE_NOISE, 0), variance, (num_rx, n))
+    return received, indices
+
+
+def _run_data(config: ExperimentConfig, run: int):
+    """One run's received streams (rx, N, 4), transmitted streams (tx, N, 4)
+    and their symbol indices (tx, N): the one-run `_draw`.
+    """
+    received, indices = _draw(config, run, run + 1)
+    return received[0], _MODES[config.mode].stream_scale * modem.index_to_symbol(indices[0]), indices[0]
 
 
 def _chunk(config: ExperimentConfig, start: int, stop: int) -> dict:
     """Runs [start, stop): every result array indexed (run, stream, ...).
 
-    The chunk's received streams and int8 symbol indices are allocated once
-    and filled run by run; the kernel and the post-adaptation stage read them
-    in place, with each lane's references looked up in the scaled
-    constellation.
+    The kernel and the post-adaptation stage read the chunk's received
+    streams and int8 symbol indices in place, with each lane's references
+    looked up in the scaled constellation.
     """
     mode = _MODES[config.mode]
-    num_rx, num_tx = mode.layout(config)
-    runs, n = stop - start, config.symbols_per_run
-    received = np.empty((runs, num_rx, n, 4))
-    indices = np.empty((runs, num_tx, n), dtype=np.int8)
-    for k in range(runs):
-        received[k], _, indices[k] = _run_data(config, start + k)
+    n = config.symbols_per_run
+    received, indices = _draw(config, start, stop)
     symbols = mode.stream_scale * modem.CONSTELLATION
     lanes = indices.reshape(-1, n)  # the (run, stream) grid, flattened row-major into kernel lanes
     batch = run_qlms_batch(received, lanes, symbols, config.equalizer_length, config.step_size, config.delay)
-    grid = (runs, num_tx)
+    grid = indices.shape[:2]
     traces, diverged_at = batch.traces.reshape(grid + (n,)), batch.diverged_at.reshape(grid)
     alive = diverged_at < 0
     qlms_db = np.full(grid, np.nan)

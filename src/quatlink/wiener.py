@@ -21,9 +21,11 @@ gives the first block row of M, symmetry the first column, and
 the rest, so no (N, L, 4) lag matrix is ever built; `quat.from_moments`
 turns M's 4x4 blocks into R.  Only the solve takes the complex adjoint
 embedding (Zhang 1997, "Quaternions and matrices of quaternions"), where
-`eigvalsh` on an 8-run batch at L = 15 takes 0.28 ms on the 30x30 complex
-image against 0.71 ms on the 60x60 real form (2-core x86_64, one BLAS
-thread).  Any weights can be evaluated on data with `channel.mimo_convolve`
+one batched Cholesky factorization certifies that no run's R is singular;
+the eigenvalues are computed only for a batch it fails on (on an 8-run
+batch at L = 15, 0.15 ms for the certificate against 0.45 ms for
+`eigvalsh` of the 30x30 complex images, 2-core x86_64, one BLAS thread).
+Any weights can be evaluated on data with `channel.mimo_convolve`
 (`evaluate_mse`), or on the block the statistics came from with the
 quadratic cost J(w) in R, p and the reference power (`statistics_mse`),
 which costs O(L^2) per run instead of a pass over the block.  The harness
@@ -127,6 +129,8 @@ def estimate_statistics(signal, reference, length: int, delay: int = 0) -> Wiene
     lagged = [
         padded[..., delay + length - 1 - lag : n + length - 1 - lag].reshape(g, 4 * c, count) for lag in range(length)
     ]
+    # component-major too, so both factors of a cross GEMM run along t: (G, 4, count)
+    targets = np.ascontiguousarray(reference[:, :count].swapaxes(-1, -2))
 
     # moments[g, c, k, a, c', l, b] = sum_t x_k[t][a] x_l[t][b] of streams c and c', the
     # 4CL x 4CL real matrix sum_t x[t] x[t]^T; cross[g, c, l] = sum_t x_l[t] r[t - delay]^T
@@ -134,7 +138,7 @@ def estimate_statistics(signal, reference, length: int, delay: int = 0) -> Wiene
     cross = np.empty((g, c, length, 4, 4))
     for lag, samples in enumerate(lagged):
         moments[:, :, 0, :, :, lag, :] = (lagged[0] @ samples.mT).reshape(g, c, 4, c, 4)
-        cross[:, :, lag] = (samples @ reference[:, :count]).reshape(g, c, 4, 4)
+        cross[:, :, lag] = (samples @ targets.mT).reshape(g, c, 4, 4)
 
     # the matrix is symmetric, so the first column is the transposed first row
     moments[:, :, 1:, :, :, 0, :] = moments[:, :, 0, :, :, 1:, :].transpose(0, 3, 4, 5, 1, 2)
@@ -161,15 +165,30 @@ def default_ridge(problem: WienerProblem) -> float | np.ndarray:
     return 1e-8 * diag.sum(axis=-1) / problem.length
 
 
+def _eigenvalues_exceed(adjoint: np.ndarray, scale: np.ndarray) -> bool:
+    """Whether every eigenvalue of each Hermitian matrix in `adjoint` (..., n, n)
+    exceeds its `scale` (...,): exactly when adjoint - scale*I has a Cholesky
+    factor (Golub & Van Loan, Matrix Computations, 4th ed., sec. 4.2).  A
+    non-finite factor, from a non-finite matrix, certifies nothing.
+    """
+    try:
+        factor = np.linalg.cholesky(adjoint - scale[..., None, None] * np.eye(adjoint.shape[-1]))
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.isfinite(factor).all())
+
+
 def solve_wiener(problem: WienerProblem, ridge: float | np.ndarray | None = None) -> np.ndarray:
     """Optimal weights conj((R + ridge*I)^-1 p), for every run at once.
 
     `ridge` defaults to `default_ridge(problem)`; pass 0.0 for the exact
     normal equations.  A run whose regularized R has an eigenvalue no larger
     in magnitude than sqrt(SINGULARITY_RTOL) times its largest entry's norm
-    raises SingularMatrixError.  The check uses eigenvalues, not a Cholesky
-    factor, because a Hermitian R built by a caller may be indefinite and
-    still invertible.
+    raises SingularMatrixError.  A sample R is positive semidefinite, so one
+    Cholesky factorization of the adjoint minus that bound certifies the
+    batch (`_eigenvalues_exceed`); only when it fails, as it does for a
+    singular R or for a Hermitian R that a caller built indefinite but
+    invertible, are the eigenvalues computed.
     """
     if ridge is None:
         ridge = default_ridge(problem)
@@ -178,13 +197,14 @@ def solve_wiener(problem: WienerProblem, ridge: float | np.ndarray | None = None
         raise ValueError("ridge must be finite and nonnegative")
     regularized = problem.autocorrelation + ridge[..., None, None, None] * identity(problem.length)
     adjoint = to_complex_adjoint(regularized)
-    smallest = np.abs(np.linalg.eigvalsh(adjoint)).min(axis=-1)
     scale = np.sqrt(SINGULARITY_RTOL * quat.norm_sq(regularized).max(axis=(-2, -1)))
-    if np.any(smallest <= scale):
-        raise SingularMatrixError(
-            f"sample autocorrelation is singular (smallest |eigenvalue| {float(np.min(smallest)):.3e}"
-            f" with ridge {float(np.max(ridge)):.3e}); retry with a positive ridge"
-        )
+    if not _eigenvalues_exceed(adjoint, scale):
+        smallest = np.abs(np.linalg.eigvalsh(adjoint)).min(axis=-1)
+        if np.any(smallest <= scale):
+            raise SingularMatrixError(
+                f"sample autocorrelation is singular (smallest |eigenvalue| {float(np.min(smallest)):.3e}"
+                f" with ridge {float(np.max(ridge)):.3e}); retry with a positive ridge"
+            )
     rhs = vector_to_adjoint(problem.cross_correlation)[..., None]
     conjugate_weights = vector_from_adjoint(np.linalg.solve(adjoint, rhs)[..., 0])
     return quat.conj(conjugate_weights)

@@ -258,10 +258,12 @@ class TestBatchKernel:
         assert np.array_equal(batch.weights[1], solo.weights[0])
         assert np.array_equal(batch.traces[1], solo.traces[0])
 
-    @pytest.mark.parametrize("at", [10, 39])
+    @pytest.mark.parametrize("at", [10, 39, BLOCK - 1, BLOCK, 2 * BLOCK - 1])
     def test_weight_overflow_freezes_lane(self, at):
         """A finite error whose update overflows the weights freezes the lane at
-        that iteration with its pre-update weights, the last iteration included."""
+        that iteration with its pre-update weights, the last iteration included.
+        At a block's last step the overflow shows only in the next block, which
+        dates it back across the boundary."""
         rng = np.random.default_rng(79)
         signals = rng.normal(size=(2, 40, 4))
         references = rng.normal(size=(2, 40, 4))
@@ -279,15 +281,51 @@ class TestBatchKernel:
         assert np.array_equal(batch.weights[1], solo.weights[0])
 
     def test_frozen_lane_raises_no_warnings(self):
-        """The inf that freezes a lane is reported by diverged_at, not by numpy warnings."""
+        """The inf that freezes a lane is reported by diverged_at, not by numpy warnings.
+        So is a blow-up in the middle of a block, which the block's unchecked run
+        carries to its end; numpy's error settings are the caller's again afterwards."""
         rng = np.random.default_rng(73)
         signals = rng.normal(size=(2, 40, 4))
         references = rng.normal(size=(2, 40, 4))
         signals[0, 10, 1] = np.inf
+        settings = np.geterr()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             batch = run_batch(signals[:, None], references, 4, 0.05, 0)
         assert batch.diverged_at.tolist() == [10, -1]
+        # lane 0's update at step `at` overflows its weights; the next output shows it
+        at = BLOCK + BLOCK // 2
+        signals = rng.normal(size=(2, 3 * BLOCK, 4))
+        references = rng.normal(size=(2, 3 * BLOCK, 4))
+        references[0] = 0.0
+        references[0, at] = 1.0
+        signals[0, at] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = run_batch(signals[:, None], references, 4, 0.05, 0)
+        assert batch.diverged_at.tolist() == [at, -1]
+        assert np.geterr() == settings
+
+    def test_lane_blown_mid_block_leaves_its_run_mate(self):
+        """One of a run's S = 2 lanes blows up in the middle of a block: it freezes
+        at that step with the weights of its run cut before it, and its run-mate
+        goes on, equal to its solo run bit for bit."""
+        rng = np.random.default_rng(80)
+        n, length, mu, delay = 5 * BLOCK, 4, 0.01, 5
+        at = 2 * BLOCK + BLOCK // 2
+        received = rng.normal(size=(1, 2, n, 4))
+        indices = rng.integers(0, modem.NUM_SYMBOLS, (2, n)).astype(np.int8)
+        indices[0, at - delay] = modem.NUM_SYMBOLS  # the table's inf row
+        table = np.concatenate([0.5 * modem.CONSTELLATION, [[np.inf, 0.0, 0.0, 0.0]]])
+        batch = adaptive.run_qlms_batch(received, indices, table, length, mu, delay)
+        assert batch.diverged_at.tolist() == [at, -1]
+        solo = adaptive.run_qlms_batch(received, indices[1:], table, length, mu, delay)
+        assert np.array_equal(batch.traces[1], solo.traces[0], equal_nan=True)
+        assert np.array_equal(batch.weights[1], solo.weights[0])
+        cut = adaptive.run_qlms_batch(received[:, :, :at], indices[:1, :at], table, length, mu, delay)
+        assert np.array_equal(batch.traces[0, :at], cut.traces[0], equal_nan=True)
+        assert np.array_equal(batch.weights[0], cut.weights[0])
+        assert batch.traces[0, at] == np.inf and np.isnan(batch.traces[0, at + 1 :]).all()
 
     @pytest.mark.parametrize("per_run", [1, 2, 3])
     def test_run_batch_with_symbol_indices_matches_repeated_lanes(self, per_run):

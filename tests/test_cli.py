@@ -94,14 +94,23 @@ class TestParseArgs:
             ("--mu", "inf", "--mu: must be positive and finite"),
             ("--snr-ref", "midpoint", "--snr-ref: must be 'receiver' or 'transmitter'"),
             ("--normalize-channel", "yes", "--normalize-channel: expected 'on' or 'off', got 'yes'"),
+            ("--mu", "-1e-3", "--mu: must be positive and finite, got -0.001"),
+            ("--snr-db", "-inf", "--snr-db: too low for a finite noise variance, got -inf"),
         ],
-        ids=["runs", "mu", "snr-ref", "normalize-channel"],
+        ids=["runs", "mu", "snr-ref", "normalize-channel", "mu-negative-exponent", "snr-db-minus-inf"],
     )
     def test_bad_flag_value_is_usage_error_naming_the_flag(self, flag, value, message, capsys):
         with pytest.raises(SystemExit) as excinfo:
             parse(flag, value)
         assert excinfo.value.code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-1e1", "-1E+1", "-10", "-10.0"])
+    def test_negative_value_as_its_own_word(self, value):
+        """A negative number in any float form parses as in --snr-db=VALUE, though
+        argparse reads a word such as '-1e1' as an option."""
+        assert parse("--snr-db", value, "--runs", "3").config == parse(f"--snr-db={value}", "--runs", "3").config
+        assert parse("--snr-db", value).config.snr_db == -10.0
 
     def test_choice_flags_are_stripped(self):
         assert parse("--mode", " mimo ", "--normalize-channel", "off ").config == ExperimentConfig(

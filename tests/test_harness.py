@@ -226,6 +226,44 @@ class TestWorkersAndChunking:
         assert np.array_equal(serial.per_run_traces, parallel.per_run_traces, equal_nan=True)
 
 
+class TestDataGeneration:
+    @pytest.mark.parametrize("snr_db", [20.0, np.inf])
+    @pytest.mark.parametrize("reference_point", ["receiver", "transmitter"])
+    @pytest.mark.parametrize("mode", ["siso", "mimo"])
+    def test_chunk_data_are_the_one_run_draws(self, mode, reference_point, snr_db, monkeypatch):
+        """The received samples and symbol indices a chunk hands the kernel equal each
+        run's one-run draw bit for bit, in a chunk that starts mid-experiment and
+        with filter slices of two runs that end mid-chunk."""
+        config = small(mode=mode, snr_reference_point=reference_point, snr_db=snr_db, num_runs=7, symbols_per_run=300)
+        num_tx = config.mimo_tx if mode == "mimo" else 1
+        monkeypatch.setattr(harness, "_FILTER_SAMPLES", 2 * num_tx * config.symbols_per_run)
+        seen = []
+        kernel = harness.run_qlms_batch
+
+        def recorded(received, lanes, *args):
+            seen.append((received.copy(), lanes.copy()))
+            return kernel(received, lanes, *args)
+
+        monkeypatch.setattr(harness, "run_qlms_batch", recorded)
+        for start, stop in ((0, 2), (2, 7)):
+            harness._chunk(config, start, stop)
+        received = np.concatenate([rx for rx, _ in seen])
+        lanes = np.concatenate([lanes for _, lanes in seen]).reshape(config.num_runs, num_tx, -1)
+        for run in range(config.num_runs):
+            one_received, _, one_indices = harness._run_data(config, run)
+            assert received[run].tobytes() == one_received.tobytes()
+            assert np.array_equal(lanes[run], one_indices)
+
+    def test_zero_noise_is_still_added(self, monkeypatch):
+        """At an infinite SNR the zero noise is added all the same, so a -0.0 from
+        the filter reads +0.0, as clean + zeros gives it."""
+        config = small(snr_db=np.inf, num_runs=3)
+        filtered = lambda signals, grid: np.full(grid.shape[:2] + signals.shape[-2:], -0.0)  # noqa: E731
+        monkeypatch.setattr(harness, "mimo_convolve", filtered)
+        received, _ = harness._draw(config, 0, config.num_runs)
+        assert (received == 0.0).all() and not np.signbit(received).any()
+
+
 class TestChunkMemory:
     def test_chunk_holds_its_data_once(self):
         """A MIMO chunk's traced peak stays within 3x its received batch: no

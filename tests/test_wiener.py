@@ -97,6 +97,39 @@ class TestSolveWiener:
             wiener.solve_wiener(problem, ridge=0.0)
         wiener.solve_wiener(problem)  # default ridge regularizes it
 
+    def test_singular_run_in_a_well_conditioned_batch(self):
+        """One rank-one R among well-conditioned ones fails the batch's certificate,
+        and the eigenvalue check then names the batch singular, whatever its place."""
+        v = np.random.default_rng(95).normal(size=(3, 4))
+        good = 2.0 * linalg.identity(3)
+        for runs in ([good, outer_h_loop(v, v)], [outer_h_loop(v, v), good, good]):
+            problem = wiener.WienerProblem(np.stack(runs), np.stack([v] * len(runs)), 1)
+            with pytest.raises(SingularMatrixError, match="ridge"):
+                wiener.solve_wiener(problem, ridge=0.0)
+
+    @pytest.mark.parametrize("factor", [2.0, 0.5])
+    def test_certificate_agrees_with_eigenvalues_near_the_bound(self, factor, monkeypatch):
+        """An R whose smallest eigenvalue sits at `factor` times the singularity bound
+        is accepted or rejected as its eigenvalues say; an accepted one is accepted
+        by the Cholesky certificate alone."""
+        rng = np.random.default_rng(98)
+        b = rng.normal(size=(5, 5, 4))
+        r = quat.mul(b[:, None], quat.conj(b)[None]).sum(axis=2)  # B B^H
+        for _ in range(2):  # the shift moves the bound a little, so shift twice
+            bound = np.sqrt(linalg.SINGULARITY_RTOL * quat.norm_sq(r).max())
+            smallest = np.linalg.eigvalsh(linalg.to_complex_adjoint(r)).min()
+            r = r - (smallest - factor * bound) * linalg.identity(5)
+        bound = np.sqrt(linalg.SINGULARITY_RTOL * quat.norm_sq(r).max())
+        smallest = np.abs(np.linalg.eigvalsh(linalg.to_complex_adjoint(r))).min()
+        assert smallest / bound == pytest.approx(factor, rel=1e-2)
+        problem = wiener.WienerProblem(r, rng.normal(size=(5, 4)), 1)
+        if smallest > bound:
+            monkeypatch.setattr(np.linalg, "eigvalsh", None)
+            wiener.solve_wiener(problem, ridge=0.0)
+        else:
+            with pytest.raises(SingularMatrixError):
+                wiener.solve_wiener(problem, ridge=0.0)
+
     def test_negative_ridge_rejected(self):
         problem = wiener.WienerProblem(quat.ONE[None, None], quat.K[None], 1)
         with pytest.raises(ValueError):
