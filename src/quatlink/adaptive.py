@@ -33,19 +33,22 @@ are contiguous, so a step's A is a column-major block with leading dimension
 gathered and signed by `quat.right_matrix`, goes into the first window once
 per run, however many lanes share it, and is transposed run by run into the
 second.  Each step writes its outputs and errors into buffers allocated
-once, and the block's references are looked up once per block.  A block is
-scored once, at its end: its squared errors go into the traces and are
-checked against ERROR_ENERGY_LIMIT together.  If a lane that was still
-active blew up in it, the weights of the block's start are restored and that
-block alone runs again with the check at every step, so each lane freezes at
-the step and with the weights a per-step check gives; a block that starts
-with weights broken by the previous block's last update runs checked from
-the start.  numpy's `matmul`
-broadcasts a run's slices over its S lanes: one small BLAS gemv per lane,
-far below OpenBLAS's threading threshold, so results do not depend on the
-BLAS thread count.  Column-major is on purpose: that gemv adds each tap's
-product rounded, where the row-major one fuses multiply-adds, and mu scales
-A^T e after the product, so real inputs round as classical LMS does.
+once, and the block's references are looked up once per block.
+
+One rule freezes a lane: at the first step t whose squared error exceeds
+ERROR_ENERGY_LIMIT (or is NaN) or whose update leaves non-finite weights, the
+lane keeps the weights it used at step t and `diverged_at` is t.  A block
+runs unchecked and is scored once, at its end: its squared errors go into
+the traces, and it stands if no live lane's error passed the limit and its
+weights are all finite.  Otherwise the weights of its start are restored and
+that block alone runs again, applying the rule after every step's update.
+So every block starts with finite weights.
+
+numpy's `matmul` broadcasts a run's slices over its S lanes: one small BLAS
+gemv per lane, far below OpenBLAS's threading threshold, so results do not
+depend on the BLAS thread count.  Column-major is on purpose: that gemv adds
+each tap's product rounded, where the row-major one fuses multiply-adds, and
+mu scales A^T e after the product, so real inputs round as classical LMS does.
 """
 
 from dataclasses import dataclass
@@ -88,10 +91,13 @@ def lag_matrix(signal, length: int) -> np.ndarray:
 class QlmsBatch:
     """Lockstep QLMS over a batch of independent trials.
 
-    weights: (B, C*L, 4) final weights per trial (frozen at divergence).
+    weights: (B, C*L, 4) final weights per trial; a diverged trial's are the
+        weights it used at its diverged_at step.
     traces: (B, N) per-iteration norm_sq(e); NaN during the warm-up prefix
         (iterations without a delayed reference) and after a divergence.
-    diverged_at: (B,) iteration of divergence, -1 for trials that stayed sane.
+    diverged_at: (B,) first iteration whose squared error exceeds
+        ERROR_ENERGY_LIMIT (or is NaN) or whose update leaves non-finite
+        weights, -1 for trials that stayed sane.
     """
 
     weights: np.ndarray
@@ -108,9 +114,9 @@ def run_qlms_batch(received, indices, symbols, length: int, step_size: float, de
     indices (such as int8 symbol indices) into a (K, 4) table (such as the
     scaled constellation).  At iteration n the desired output is the one at
     n - delay; iterations with n < delay are logged as warm-up without
-    adapting.  A trial whose squared error exceeds ERROR_ENERGY_LIMIT, or
-    whose weights go non-finite, is frozen on the spot and reported in
-    `diverged_at`.
+    adapting.  A trial freezes at the first iteration whose squared error
+    exceeds ERROR_ENERGY_LIMIT (or is NaN) or whose update leaves non-finite
+    weights: it keeps the weights it used there, and `diverged_at` reports it.
     """
     received, symbols, indices = quat._q(received), quat._q(symbols), np.asarray(indices)
     if received.ndim != 4:
@@ -189,37 +195,28 @@ def run_qlms_batch(received, indices, symbols, length: int, step_size: float, de
                 continue
             np.copyto(start_weights, weights)
             # The block first runs unchecked and is scored at its end.  If an active
-            # lane blew up in it, it runs again from its start with a check at every
-            # step, which freezes each lane at the step and with the weights it
-            # would have had, had every step been checked.  Weights that the last
-            # update of the previous block broke show only in this block's first
-            # output, so such a block runs checked from the start, with the weights
-            # before that update still in `updated`.
-            for checked in (False, True) if np.isfinite(weights).all() else (True,):
+            # lane blew up in it, or its weights are no longer finite, it runs again
+            # from its start with the module's freeze rule applied at every step.
+            for checked in (False, True):
                 for t in range(begin, stop):
                     q = t - t0
                     p = _BLOCK - 1 - q
                     e = e_of[q]
                     np.matmul(a_of[p], weights, out=output_lanes)
                     np.subtract(target_of[t - delay - first], outputs, out=e)
-                    if checked:
-                        np.multiply(e, e, out=squares)
-                        err = np.add.reduce(squares, axis=0, out=traces[:, t])
-                        if not err.max() <= ERROR_ENERGY_LIMIT:  # catches NaN errors too
-                            blown = active & ~(err <= ERROR_ENERGY_LIMIT)
-                            # non-finite weights make every output non-finite, so an update
-                            # that broke them shows here; undo it and date the divergence to it
-                            broken = blown & ~np.isfinite(weights).all(axis=(2, 3)).reshape(b)
-                            np.copyto(weights, updated, where=broken.reshape(runs, lanes, 1, 1))
-                            diverged_at[blown] = t
-                            diverged_at[broken] = t - 1
-                            active &= ~blown
-                            all_active = False
-                            if not active.any():
-                                break
                     np.matmul(a_t_of[p], e_lanes_of[q], out=updated)
                     updated *= step_size
                     updated += weights
+                    if checked:
+                        np.multiply(e, e, out=squares)
+                        err = np.add.reduce(squares, axis=0, out=traces[:, t])
+                        # `<=` is False for NaN errors, so they freeze too
+                        sane = (err <= ERROR_ENERGY_LIMIT) & np.isfinite(updated).all(axis=(2, 3)).reshape(b)
+                        blown = active & ~sane
+                        if blown.any():
+                            diverged_at[blown] = t
+                            active &= ~blown
+                            all_active = False
                     if not all_active:
                         # a select, not a multiply by `active`: a frozen lane's update may be NaN
                         np.copyto(updated, weights, where=~active.reshape(runs, lanes, 1, 1))
@@ -231,15 +228,11 @@ def run_qlms_batch(received, indices, symbols, length: int, step_size: float, de
                 np.multiply(block_errors, block_errors, out=block_errors)
                 err = np.add.reduce(block_errors, axis=0, out=sums[: stop - begin])
                 traces[:, begin:stop] = err.T
-                if err.max() <= ERROR_ENERGY_LIMIT or not (active & ~(err <= ERROR_ENERGY_LIMIT).all(axis=0)).any():
+                if np.isfinite(weights).all() and not (active & ~(err <= ERROR_ENERGY_LIMIT).all(axis=0)).any():
                     break
                 np.copyto(weights, start_weights)
             if not active.any():
                 break
-        # the last update has no next output to show a break (a no-op after an early break)
-        broken = active & ~np.isfinite(weights).all(axis=(2, 3)).reshape(b)
-        np.copyto(weights, updated, where=broken.reshape(runs, lanes, 1, 1))
-        diverged_at[broken] = n - 1
 
     for lane in np.flatnonzero(diverged_at >= 0):
         traces[lane, diverged_at[lane] + 1 :] = np.nan

@@ -13,7 +13,8 @@ transmitted samples (`_draw`): the slice's runs draw their grids and
 symbols, one `channel.mimo_convolve` call filters them all, which amortizes
 its per-call cost over the many runs of a short-run chunk while the slice's
 temporaries stay small, and each run's noise is added in place.  One run's
-data is the one-run case of the same draw (`_run_data`), bit for bit.
+data is the one-run case of the same draw, `_draw(config, run, run + 1)`,
+bit for bit.
 Each (run, transmitted stream) pair is one lane of the batched QLMS kernel:
 the run's received streams against that stream's symbols.  The kernel's
 results are reshaped once to the (run, stream) grid, which every later stage
@@ -336,14 +337,6 @@ def _draw(config: ExperimentConfig, start: int, stop: int):
             # added even when it is zero, as the noisy case is: -0.0 + 0.0 is +0.0
             received[k] += gaussian_quaternions(derive_rng(seed, start + k, _PURPOSE_NOISE, 0), variance, (num_rx, n))
     return received, indices
-
-
-def _run_data(config: ExperimentConfig, run: int):
-    """One run's received streams (rx, N, 4), transmitted streams (tx, N, 4)
-    and their symbol indices (tx, N): the one-run `_draw`.
-    """
-    received, indices = _draw(config, run, run + 1)
-    return received[0], _MODES[config.mode].stream_scale * modem.index_to_symbol(indices[0]), indices[0]
 
 
 def _chunk(config: ExperimentConfig, start: int, stop: int) -> dict:

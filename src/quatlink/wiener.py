@@ -197,7 +197,9 @@ def solve_wiener(problem: WienerProblem, ridge: float | np.ndarray | None = None
         raise ValueError("ridge must be finite and nonnegative")
     regularized = problem.autocorrelation + ridge[..., None, None, None] * identity(problem.length)
     adjoint = to_complex_adjoint(regularized)
-    scale = np.sqrt(SINGULARITY_RTOL * quat.norm_sq(regularized).max(axis=(-2, -1)))
+    # nested hypot, not sqrt(norm_sq): the squares of entries past ~1e154 overflow
+    q0, q1, q2, q3 = np.moveaxis(regularized, -1, 0)
+    scale = np.sqrt(SINGULARITY_RTOL) * np.hypot(np.hypot(q0, q1), np.hypot(q2, q3)).max(axis=(-2, -1))
     if not _eigenvalues_exceed(adjoint, scale):
         smallest = np.abs(np.linalg.eigvalsh(adjoint)).min(axis=-1)
         if np.any(smallest <= scale):

@@ -2,14 +2,13 @@
 
 Everything here is deliberately written from first principles (basis-table
 multiplication, double loops, exhaustive searches) so the tests never reuse
-the vectorized production code paths they are checking.  The one exception
-is `qlms_steps`, which takes `quat.mul` (itself checked against the basis
-table) so that it rounds exactly as the QLMS kernel does.
+the vectorized production code paths they are checking.
 """
 
 import numpy as np
 
 from quatlink import quat
+from quatlink.adaptive import ERROR_ENERGY_LIMIT
 
 # (unit, unit) -> (sign, unit) for the basis {1, i, j, k}
 HAMILTON_TABLE = {
@@ -90,23 +89,37 @@ def qlms_steps(received, reference, length, step_size, delay=0):
     """QLMS on one (C, N, 4) run, stepped one real matrix-vector product at a time.
 
     The regressor's C*L samples x_k, in (lag, stream) order, give the 4 x 4CL
-    matrix A whose column (k, j) is e_j * x_k for the basis unit e_j, so that
-    A w is the output sum_k w_k * x_k and A^T e stacks e * conj(x_k).  A step
-    is y = A w, e = reference[t - delay] - y, then w + mu * (A^T e), both
-    products column-major as the kernel takes them.  Assumes no divergence.
-    Returns the (N,) norm_sq(e) trace, NaN for t < delay, and the (C*L, 4)
-    weights laid out [stream 0 lags, stream 1 lags, ...].
+    matrix A whose column (k, j) is e_j * x_k for the basis unit e_j, read off
+    the basis table, so that A w is the output sum_k w_k * x_k and A^T e
+    stacks e * conj(x_k).  A step is y = A w, e = reference[t - delay] - y,
+    then w + mu * (A^T e), both products column-major as the kernel takes
+    them.  The run freezes at the first step t whose norm_sq(e) is not
+    <= ERROR_ENERGY_LIMIT (NaN included) or whose update leaves non-finite
+    weights: it keeps the weights it used at step t, and every later trace
+    entry is NaN.  Returns the (N,) norm_sq(e) trace, NaN for t < delay, the (C*L, 4)
+    weights laid out [stream 0 lags, stream 1 lags, ...], and the step it
+    froze at, -1 if it never did.
     """
     streams, n, _ = received.shape
     padded = np.concatenate([np.zeros((streams, length - 1, 4)), received], axis=1)
-    units = np.eye(4)
     weights = np.zeros((4 * streams * length, 1))
     trace = np.full(n, np.nan)
-    for t in range(delay, n):
-        samples = padded[:, t : t + length][:, ::-1].swapaxes(0, 1)  # (L, C, 4), samples[l, c] = x_c[t - l]
-        columns = quat.mul(units, samples[:, :, None, :]).reshape(-1, 4)  # row (l, c, j) is e_j * x_c[t - l]
-        a, a_t = columns.T, np.asfortranarray(columns)
-        e = reference[t - delay] - (a @ weights)[:, 0]
-        trace[t] = quat.norm_sq(e)
-        weights = weights + step_size * (a_t @ e[:, None])
-    return trace, weights.reshape(length, streams, 4).swapaxes(0, 1).reshape(streams * length, 4)
+    diverged_at = -1
+    with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is reported by diverged_at
+        for t in range(delay, n):
+            samples = padded[:, t : t + length][:, ::-1].swapaxes(0, 1)  # (L, C, 4), samples[l, c] = x_c[t - l]
+            # row (l, c, j) is e_j * x_c[t - l], by signed copies: no 0 * inf turns a column NaN
+            columns = np.zeros((length, streams, 4, 4))
+            for (j, m), (sign, unit) in HAMILTON_TABLE.items():
+                columns[:, :, j, unit] = sign * samples[:, :, m]
+            columns = columns.reshape(-1, 4)
+            a, a_t = columns.T, np.asfortranarray(columns)
+            e = reference[t - delay] - (a @ weights)[:, 0]
+            trace[t] = quat.norm_sq(e)
+            updated = weights + step_size * (a_t @ e[:, None])
+            if not (trace[t] <= ERROR_ENERGY_LIMIT and np.isfinite(updated).all()):
+                diverged_at = t
+                break
+            weights = updated
+    weights = weights.reshape(length, streams, 4).swapaxes(0, 1).reshape(streams * length, 4)
+    return trace, weights, diverged_at

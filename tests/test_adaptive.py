@@ -1,5 +1,6 @@
 """Tests for the QLMS adaptive equalizer."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -143,7 +144,7 @@ class TestRunQlms:
             signal = rng.normal(size=(n, 4))
             reference = rng.normal(size=(n, 4))
             weights, trace = run_one(signal, reference, length, mu, delay)
-            expected, expected_weights = qlms_steps(signal[None], reference, length, mu, delay)
+            expected, expected_weights, _ = qlms_steps(signal[None], reference, length, mu, delay)
             assert np.array_equal(trace, expected, equal_nan=True)
             assert np.isnan(trace[:delay]).all()
             assert np.array_equal(weights, expected_weights)
@@ -261,9 +262,8 @@ class TestBatchKernel:
     @pytest.mark.parametrize("at", [10, 39, BLOCK - 1, BLOCK, 2 * BLOCK - 1])
     def test_weight_overflow_freezes_lane(self, at):
         """A finite error whose update overflows the weights freezes the lane at
-        that iteration with its pre-update weights, the last iteration included.
-        At a block's last step the overflow shows only in the next block, which
-        dates it back across the boundary."""
+        that iteration with the weights it used there, at a block's last step
+        and at the run's last iteration too."""
         rng = np.random.default_rng(79)
         signals = rng.normal(size=(2, 40, 4))
         references = rng.normal(size=(2, 40, 4))
@@ -282,8 +282,9 @@ class TestBatchKernel:
 
     def test_frozen_lane_raises_no_warnings(self):
         """The inf that freezes a lane is reported by diverged_at, not by numpy warnings.
-        So is a blow-up in the middle of a block, which the block's unchecked run
-        carries to its end; numpy's error settings are the caller's again afterwards."""
+        So is a weight overflow in the middle of a block, which the block's unchecked
+        run carries to its end before the replay freezes the lane; numpy's error
+        settings are the caller's again afterwards."""
         rng = np.random.default_rng(73)
         signals = rng.normal(size=(2, 40, 4))
         references = rng.normal(size=(2, 40, 4))
@@ -326,6 +327,44 @@ class TestBatchKernel:
         assert np.array_equal(batch.traces[0, :at], cut.traces[0], equal_nan=True)
         assert np.array_equal(batch.weights[0], cut.weights[0])
         assert batch.traces[0, at] == np.inf and np.isnan(batch.traces[0, at + 1 :]).all()
+
+    @pytest.mark.parametrize("per_run", [1, 2])
+    @pytest.mark.parametrize("streams", [1, 2])
+    def test_freeze_rule_matches_stepwise_oracle(self, streams, per_run):
+        """Every lane equals the stepwise oracle, which applies the freeze rule step by
+        step: diverged_at, traces (NaN-equal) and weights, exactly.  Blow-ups sit at a
+        block's last and first steps, at the last step of a later block and at the
+        run's last step, for several delays, each kind in a batch of its own: an
+        error past the limit (a 1e200 reference), or a weight overflow with the error
+        within it (zero references keep the weights at zero until a unit reference
+        meets a 1e308 sample)."""
+        rng = np.random.default_rng(81)
+        n, length, mu = 3 * BLOCK, 4, 0.02
+        huge, zero, unit = modem.NUM_SYMBOLS, modem.NUM_SYMBOLS + 1, modem.NUM_SYMBOLS + 2
+        table = np.concatenate([0.5 * modem.CONSTELLATION, [[1e200, 0.0, 0.0, 0.0], [0.0] * 4, [1.0] * 4]])
+        sites = [BLOCK - 1, BLOCK, 2 * BLOCK - 1, n - 1]
+        for delay, overflow in itertools.product((0, 5, BLOCK + 2), (False, True)):
+            runs = len(sites) + 1  # run k blows up at sites[k]; the last run is left alone
+            received = rng.normal(size=(runs, streams, n, 4))
+            indices = rng.integers(0, modem.NUM_SYMBOLS, (runs * per_run, n))
+            placed = {}
+            for k, at in enumerate(sites):
+                if at < delay:
+                    continue
+                placed[k * per_run] = at
+                if overflow:
+                    indices[k * per_run, : at - delay] = zero
+                    indices[k * per_run, at - delay] = unit
+                    received[k, 0, at] = 1e308
+                else:
+                    indices[k * per_run, at - delay] = huge
+            batch = adaptive.run_qlms_batch(received, indices, table, length, mu, delay)
+            for lane in range(runs * per_run):
+                trace, weights, at = qlms_steps(received[lane // per_run], table[indices[lane]], length, mu, delay)
+                assert batch.diverged_at[lane] == at == placed.get(lane, at)
+                assert np.array_equal(batch.traces[lane], trace, equal_nan=True)
+                assert np.array_equal(batch.weights[lane], weights)
+            assert (batch.diverged_at[-per_run:] == -1).all()
 
     @pytest.mark.parametrize("per_run", [1, 2, 3])
     def test_run_batch_with_symbol_indices_matches_repeated_lanes(self, per_run):

@@ -450,6 +450,12 @@ class TestMainEndToEnd:
             line for line in summaries[1] if not line.startswith("snr_db=")
         ]
 
+    def test_noise_near_float_range_runs(self, tmp_path):
+        """At -2900 dB the sample autocorrelation's entries pass 1e154, where their
+        squares overflow; the Wiener stage must still call it well-conditioned."""
+        args = ["run", "--runs", "2", "--symbols", "30", "--snr-db", "-2900", "--mu", "1e-300"]
+        assert cli.main(args + ["--out", str(tmp_path / "out")]) == 0
+
     @pytest.mark.parametrize("snr", ["-1e308", "-inf"])
     @pytest.mark.parametrize("mode", ["siso", "mimo"])
     def test_snr_without_finite_noise_is_usage_error(self, mode, snr, tmp_path, capsys):

@@ -134,7 +134,8 @@ class TestSisoExperiment:
         config = small(num_runs=5)
         result = harness.run_siso_experiment(config)
         for run in range(config.num_runs):
-            received, streams, _ = harness._run_data(config, run)
+            received, indices = harness._draw(config, run, run + 1)
+            received, streams = received[0], modem.index_to_symbol(indices[0])
             length, delay = config.equalizer_length, config.delay
             optimal = wiener.solve_wiener(wiener.estimate_statistics(received, streams[0], length, delay))
             report = wiener.evaluate_mse(optimal, received, streams[0], length, delay)
@@ -158,7 +159,9 @@ class TestSisoExperiment:
     def test_draw_is_the_single_channel_draw(self, reference_point):
         """The 1x1 draw reproduces, bit for bit, one tap vector, one stream and calibrated noise."""
         config = small(snr_reference_point=reference_point)
-        received, streams, indices = harness._run_data(config, 3)
+        received, indices = harness._draw(config, 3, 4)
+        received, indices = received[0], indices[0]
+        streams = harness._MODES[config.mode].stream_scale * modem.index_to_symbol(indices)
         taps = channel.random_channel_taps(channel.derive_rng(11, 3, 0, 0), config.num_channel_taps)
         sent = channel.derive_rng(11, 3, 1, 0).integers(0, modem.NUM_SYMBOLS, config.symbols_per_run)
         symbols = modem.index_to_symbol(sent)
@@ -250,9 +253,9 @@ class TestDataGeneration:
         received = np.concatenate([rx for rx, _ in seen])
         lanes = np.concatenate([lanes for _, lanes in seen]).reshape(config.num_runs, num_tx, -1)
         for run in range(config.num_runs):
-            one_received, _, one_indices = harness._run_data(config, run)
-            assert received[run].tobytes() == one_received.tobytes()
-            assert np.array_equal(lanes[run], one_indices)
+            one_received, one_indices = harness._draw(config, run, run + 1)
+            assert received[run].tobytes() == one_received[0].tobytes()
+            assert np.array_equal(lanes[run], one_indices[0])
 
     def test_zero_noise_is_still_added(self, monkeypatch):
         """At an infinite SNR the zero noise is added all the same, so a -0.0 from
@@ -309,7 +312,8 @@ class TestMimoExperiment:
             assert (a.wiener_mse_db is None) == (mode == "mimo")
 
     def test_streams_have_unit_power(self):
-        _, streams, _ = harness._run_data(small(mode="mimo"), 0)
+        _, indices = harness._draw(small(mode="mimo"), 0, 1)
+        streams = harness._MODES["mimo"].stream_scale * modem.index_to_symbol(indices[0])
         assert np.allclose(quat.norm_sq(streams), 1.0)
 
     def test_swap_symmetry(self):

@@ -107,6 +107,16 @@ class TestSolveWiener:
             with pytest.raises(SingularMatrixError, match="ridge"):
                 wiener.solve_wiener(problem, ridge=0.0)
 
+    @pytest.mark.parametrize("scale", [1e155, 1e200, 1e300])
+    def test_huge_well_conditioned_problem_solves(self, scale):
+        """Entries whose squares overflow still set a finite singularity bound, so a
+        scaled identity solves exactly at ridge 0 with no warning."""
+        problem = wiener.WienerProblem(scale * linalg.identity(3), np.tile(quat.K, (3, 1)), 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            weights = wiener.solve_wiener(problem, ridge=0.0)
+        assert np.array_equal(weights, np.tile(-quat.K / scale, (3, 1)))
+
     @pytest.mark.parametrize("factor", [2.0, 0.5])
     def test_certificate_agrees_with_eigenvalues_near_the_bound(self, factor, monkeypatch):
         """An R whose smallest eigenvalue sits at `factor` times the singularity bound
