@@ -185,14 +185,13 @@ def run_qlms_batch(received, indices, symbols, length: int, step_size: float, de
                 quat.right_matrix(received[:, :, t0:stop]).transpose(0, 2, 1, 4, 3)[:, ::-1]
             )
             backward[...] = forward.transpose(0, 4, 1, 2, 3)
-            # the block's desired outputs, reference[first] onwards
-            first = max(t0 - delay, 0)
-            block = indices[:, first : max(stop - delay, 0)].T
-            # the indices were checked above, so "clip" never clips; it lets take write in place
-            np.take(symbols.T, block, axis=1, out=targets[:, : block.shape[0]], mode="clip")
             begin = max(t0, delay)
             if begin >= stop:
                 continue
+            # step t's desired output, reference[t - delay], goes to targets[:, t - t0]; the
+            # indices were checked above, so "clip" never clips, and it lets take write in place
+            block = indices[:, begin - delay : stop - delay].T
+            np.take(symbols.T, block, axis=1, out=targets[:, begin - t0 : stop - t0], mode="clip")
             np.copyto(start_weights, weights)
             # The block first runs unchecked and is scored at its end.  If an active
             # lane blew up in it, or its weights are no longer finite, it runs again
@@ -203,7 +202,7 @@ def run_qlms_batch(received, indices, symbols, length: int, step_size: float, de
                     p = _BLOCK - 1 - q
                     e = e_of[q]
                     np.matmul(a_of[p], weights, out=output_lanes)
-                    np.subtract(target_of[t - delay - first], outputs, out=e)
+                    np.subtract(target_of[q], outputs, out=e)
                     np.matmul(a_t_of[p], e_lanes_of[q], out=updated)
                     updated *= step_size
                     updated += weights

@@ -5,14 +5,15 @@ the channel taps plus per-sample noise.  Taps multiply the signal from the
 LEFT, matching the equalizer's weight convention (one consistent choice is
 required because quaternions do not commute).  `mimo_convolve` is the one
 FIR body: data generation and every equalizer output go through it.
+`apply_mimo` is the channel of data generation: one `mimo_convolve` call
+filters R runs through their grids, and each run's noise is then added from
+its own generator.
 
 All randomness flows through numpy Generators seeded via SeedSequence, so a
 given seed reproduces identical draws across runs and platforms.  Noise is
 isotropic: one variance shared by the four components, total noise power
 4x the per-component variance.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,26 +36,6 @@ def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
     """
     entropy = (master_seed & 0xFFFFFFFFFFFFFFFF,) + tuple(int(k) for k in key)
     return np.random.default_rng(np.random.SeedSequence(entropy))
-
-
-@dataclass(frozen=True)
-class MimoChannelModel:
-    """Grid of FIR tap vectors, shape (num_rx, num_tx, num_taps, 4); a SISO
-    channel is the (1, 1, num_taps, 4) grid.
-    """
-
-    grid: np.ndarray
-    noise_variance_per_component: float = 0.0
-
-    def __post_init__(self):
-        grid = quat._q(self.grid)
-        if grid.ndim != 4 or min(grid.shape[:3]) < 1:
-            raise DimensionMismatchError(f"grid must be (num_rx, num_tx, num_taps, 4), got shape {grid.shape}")
-        if not np.isfinite(grid).all():
-            raise ValueError("taps must be finite")
-        if not self.noise_variance_per_component >= 0.0:
-            raise ValueError("noise variance must be nonnegative")
-        object.__setattr__(self, "grid", grid)
 
 
 def gaussian_quaternions(rng: np.random.Generator, variance_per_component: float, count=None) -> np.ndarray:
@@ -142,15 +123,26 @@ def convolve(signal, taps) -> np.ndarray:
     return mimo_convolve(signal[..., None, :, :], taps[..., None, None, :, :])[..., 0, :, :]
 
 
-def apply_mimo(model: MimoChannelModel, signals, rng: np.random.Generator) -> np.ndarray:
-    """Filter the transmitted streams through the grid and add noise per receive stream.
+def apply_mimo(grids, signals, variances, rngs) -> np.ndarray:
+    """Filter R runs' transmitted streams through their grids and add each run's noise.
 
-    `signals` is (num_tx, N, 4); the result is (num_rx, N, 4) with output
-    stream r = sum_t convolve(signals[t], grid[r, t]) + noise.  Noise is
-    independent across receive streams with the model's shared variance.
+    `grids` is (R, num_rx, num_tx, M, 4) and `signals` (R, num_tx, N, 4); the
+    result is (R, num_rx, N, 4), run k's output stream r being
+    sum_t convolve(signals[k, t], grids[k, r, t]) plus noise of per-component
+    variance `variances[k]` drawn from `rngs[k]`, independent across receive
+    streams.  One generator per run keeps each run's noise its own, whatever
+    runs share the call.
     """
-    clean = mimo_convolve(signals, model.grid)
-    return clean + gaussian_quaternions(rng, model.noise_variance_per_component, clean.shape[:-1])
+    grids = quat._q(grids)
+    if grids.ndim != 5:
+        raise DimensionMismatchError(f"grids must be (R, num_rx, num_tx, num_taps, 4), got shape {grids.shape}")
+    if not np.isfinite(grids).all():
+        raise ValueError("taps must be finite")
+    received = mimo_convolve(signals, grids)
+    for run, variance, rng in zip(received, variances, rngs, strict=True):
+        # added even when it is zero, as the noisy case is: -0.0 + 0.0 is +0.0
+        run += gaussian_quaternions(rng, variance, run.shape[:-1])
+    return received
 
 
 def noise_variance_for_snr(signal_power: float, snr_db: float) -> float:

@@ -9,12 +9,13 @@ single bit of the output.  Chunks are sized by received samples, not runs
 (`_CHUNK_SAMPLES`), so many short runs share one wide kernel batch.  A chunk
 allocates its received streams (R, rx, N, 4) and int8 symbol indices
 (R, tx, N) once and fills them in slices of up to `_FILTER_SAMPLES`
-transmitted samples (`_draw`): the slice's runs draw their grids and
-symbols, one `channel.mimo_convolve` call filters them all, which amortizes
-its per-call cost over the many runs of a short-run chunk while the slice's
-temporaries stay small, and each run's noise is added in place.  One run's
-data is the one-run case of the same draw, `_draw(config, run, run + 1)`,
-bit for bit.
+transmitted samples (`_draw`): the slice's runs draw their grids, symbols,
+noise variances and noise generators, and one `channel.apply_mimo` call
+filters them all with one `mimo_convolve` call, which amortizes its
+per-call cost over the many runs of a short-run chunk while the slice's
+temporaries stay small, then adds each run's noise from its own generator.
+One run's data is the one-run case of the same draw,
+`_draw(config, run, run + 1)`, bit for bit.
 Each (run, transmitted stream) pair is one lane of the batched QLMS kernel:
 the run's received streams against that stream's symbols.  The kernel's
 results are reshaped once to the (run, stream) grid, which every later stage
@@ -52,9 +53,9 @@ from . import modem, wiener
 from .adaptive import run_qlms_batch
 from .channel import (
     SYMBOL_ENERGY,
+    apply_mimo,
     derive_rng,
     expected_output_power,
-    gaussian_quaternions,
     mimo_convolve,
     noise_variance_for_snr,
     random_mimo_grid,
@@ -63,7 +64,7 @@ from .errors import ExperimentFailedError
 
 # Not called here; perfbench/tracer.py wraps these module attributes by name.
 from .adaptive import lag_matrix  # noqa: F401
-from .channel import apply_mimo, convolve, random_channel_taps  # noqa: F401
+from .channel import convolve, gaussian_quaternions, random_channel_taps  # noqa: F401
 from .linalg import dot_left  # noqa: F401
 
 MODE_SISO = "siso"
@@ -140,9 +141,14 @@ class ExperimentConfig:
                 f" got {self.snr_reference_point!r}"
             )
         counts = ("num_channel_taps", "equalizer_length", "num_runs", "symbols_per_run", "mimo_tx", "mimo_rx")
-        for name in counts + ("delay", "master_seed"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise ValueError(f"{name}: must be an integer, got {getattr(self, name)!r}")
+        # a bool is an int to Python, but the config echo writes it on/off, which --config reads only as a bool
+        kinds = dict.fromkeys(counts + ("delay", "master_seed"), ((int, np.integer), "an integer"))
+        kinds.update(dict.fromkeys(("snr_db", "step_size"), ((int, float, np.integer, np.floating), "a number")))
+        for name, (types, kind) in kinds.items():
+            if isinstance(getattr(self, name), bool) or not isinstance(getattr(self, name), types):
+                raise ValueError(f"{name}: must be {kind}, got {getattr(self, name)!r}")
+        if not isinstance(self.normalize_channel, bool):
+            raise ValueError(f"normalize_channel: must be a bool, got {self.normalize_channel!r}")
         for name in counts:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name}: must be at least 1, got {getattr(self, name)}")
@@ -327,15 +333,13 @@ def _draw(config: ExperimentConfig, start: int, stop: int):
             for s in range(num_tx):
                 indices[k, s] = derive_rng(seed, start + k, _PURPOSE_SYMBOLS, s).integers(0, modem.NUM_SYMBOLS, n)
         streams = mode.stream_scale * modem.index_to_symbol(indices[r0 : part.stop])
-        received[r0 : part.stop] = mimo_convolve(streams, np.stack(grids))
-        for k, grid in zip(part, grids):
-            if config.snr_reference_point == SNR_REF_RECEIVER:
-                signal_power = expected_output_power(grid, stream_power) / num_rx
-            else:
-                signal_power = stream_power
-            variance = noise_variance_for_snr(signal_power, config.snr_db)
-            # added even when it is zero, as the noisy case is: -0.0 + 0.0 is +0.0
-            received[k] += gaussian_quaternions(derive_rng(seed, start + k, _PURPOSE_NOISE, 0), variance, (num_rx, n))
+        if config.snr_reference_point == SNR_REF_RECEIVER:
+            powers = [expected_output_power(grid, stream_power) / num_rx for grid in grids]
+        else:
+            powers = [stream_power] * len(part)
+        variances = [noise_variance_for_snr(power, config.snr_db) for power in powers]
+        rngs = [derive_rng(seed, start + k, _PURPOSE_NOISE, 0) for k in part]
+        received[r0 : part.stop] = apply_mimo(grids, streams, variances, rngs)
     return received, indices
 
 

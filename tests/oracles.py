@@ -2,12 +2,14 @@
 
 Everything here is deliberately written from first principles (basis-table
 multiplication, double loops, exhaustive searches) so the tests never reuse
-the vectorized production code paths they are checking.
+the vectorized production code paths they are checking.  The one exception
+is `apply_one_run`, the one-run call of `channel.apply_mimo` that the
+channel and harness tests share.
 """
 
 import numpy as np
 
-from quatlink import quat
+from quatlink import channel, quat
 from quatlink.adaptive import ERROR_ENERGY_LIMIT
 
 # (unit, unit) -> (sign, unit) for the basis {1, i, j, k}
@@ -123,3 +125,8 @@ def qlms_steps(received, reference, length, step_size, delay=0):
             weights = updated
     weights = weights.reshape(length, streams, 4).swapaxes(0, 1).reshape(streams * length, 4)
     return trace, weights, diverged_at
+
+
+def apply_one_run(grid, signals, variance, rng):
+    """`channel.apply_mimo` on one run: a (rx, tx, M, 4) grid and (tx, N, 4) signals give (rx, N, 4)."""
+    return channel.apply_mimo(np.asarray(grid)[None], np.asarray(signals)[None], [variance], [rng])[0]

@@ -6,7 +6,7 @@ import pytest
 from quatlink import channel, modem, quat
 from quatlink.errors import DimensionMismatchError
 
-from oracles import convolve_loop
+from oracles import apply_one_run, convolve_loop
 
 
 class TestRng:
@@ -72,15 +72,16 @@ class TestRandomChannel:
         assert np.isclose(np.mean(energies), 1.0, rtol=0.05)
 
     def test_model_validation(self):
-        with pytest.raises(ValueError):
-            channel.MimoChannelModel(np.full((1, 1, 3, 4), np.inf))
-        with pytest.raises(ValueError):
-            channel.MimoChannelModel(np.ones((1, 1, 3, 4)), noise_variance_per_component=-0.1)
+        signal = np.zeros((1, 5, 4))
+        with pytest.raises(ValueError, match="finite"):
+            apply_one_run(np.full((1, 1, 3, 4), np.inf), signal, 0.0, channel.make_rng(0))
+        with pytest.raises(ValueError, match="variance"):
+            apply_one_run(np.ones((1, 1, 3, 4)), signal, -0.1, channel.make_rng(0))
         with pytest.raises(DimensionMismatchError):
-            channel.MimoChannelModel(np.ones((3, 4)))
-        model = channel.MimoChannelModel(channel.random_mimo_grid(channel.make_rng(0), 1, 1, 4))
-        assert model.grid.shape == (1, 1, 4, 4)
-        assert np.isclose(quat.norm_sq(model.grid).sum(), 1.0, atol=1e-12)
+            apply_one_run(np.ones((3, 4)), signal, 0.0, channel.make_rng(0))
+        grid = channel.random_mimo_grid(channel.make_rng(0), 1, 1, 4)
+        assert grid.shape == (1, 1, 4, 4)
+        assert np.isclose(quat.norm_sq(grid).sum(), 1.0, atol=1e-12)
 
 
 class TestConvolve:
@@ -180,9 +181,9 @@ class TestMimoConvolve:
             channel.mimo_convolve(np.zeros((3, 10, 4)), np.zeros((2, 2, 1, 4)))
 
 
-def one_path(taps, variance=0.0):
+def one_path(taps):
     """SISO channel: the 1x1 grid of a tap vector."""
-    return channel.MimoChannelModel(np.asarray(taps)[None, None], variance)
+    return np.asarray(taps)[None, None]
 
 
 class TestApplySiso:
@@ -191,20 +192,20 @@ class TestApplySiso:
     def test_noiseless_identity_channel(self):
         rng = np.random.default_rng(54)
         signal = rng.normal(size=(20, 4))
-        out = channel.apply_mimo(one_path(quat.ONE[None]), signal[None], channel.make_rng(0))
+        out = apply_one_run(one_path(quat.ONE[None]), signal[None], 0.0, channel.make_rng(0))
         assert np.allclose(out[0], signal)
 
     def test_pure_noise_power(self):
         variance = 0.25
-        out = channel.apply_mimo(one_path(quat.ONE[None], variance), np.zeros((1, 100_000, 4)), channel.make_rng(1))
+        out = apply_one_run(one_path(quat.ONE[None]), np.zeros((1, 100_000, 4)), variance, channel.make_rng(1))
         assert np.isclose(quat.norm_sq(out).mean(), 4 * variance, rtol=0.05)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(55)
         signal = rng.normal(size=(1, 64, 4))
-        model = one_path(rng.normal(size=(4, 4)), 0.1)
-        a = channel.apply_mimo(model, signal, channel.make_rng(9))
-        b = channel.apply_mimo(model, signal, channel.make_rng(9))
+        grid = one_path(rng.normal(size=(4, 4)))
+        a = apply_one_run(grid, signal, 0.1, channel.make_rng(9))
+        b = apply_one_run(grid, signal, 0.1, channel.make_rng(9))
         assert np.array_equal(a, b)
 
 
@@ -216,7 +217,7 @@ class TestApplyMimo:
         taps = rng.normal(size=(3, 4))
         noise_rng = channel.make_rng(3)
         siso = channel.convolve(signal, taps) + channel.gaussian_quaternions(noise_rng, 0.2, 50)
-        mimo = channel.apply_mimo(one_path(taps, 0.2), signal[None], channel.make_rng(3))
+        mimo = apply_one_run(one_path(taps), signal[None], 0.2, channel.make_rng(3))
         assert np.array_equal(mimo[0], siso)
 
     def test_identity_grid_passthrough(self):
@@ -225,14 +226,14 @@ class TestApplyMimo:
         grid = np.zeros((2, 2, 1, 4))
         grid[0, 0, 0] = quat.ONE
         grid[1, 1, 0] = quat.ONE
-        out = channel.apply_mimo(channel.MimoChannelModel(grid, 0.0), signals, channel.make_rng(0))
+        out = apply_one_run(grid, signals, 0.0, channel.make_rng(0))
         assert np.allclose(out, signals)
 
     def test_matches_bruteforce_superposition(self):
         rng = np.random.default_rng(58)
         signals = rng.normal(size=(2, 40, 4))
         grid = rng.normal(size=(2, 2, 4, 4))
-        out = channel.apply_mimo(channel.MimoChannelModel(grid, 0.0), signals, channel.make_rng(0))
+        out = apply_one_run(grid, signals, 0.0, channel.make_rng(0))
         for r in range(2):
             expected = convolve_loop(signals[0], grid[r, 0]) + convolve_loop(signals[1], grid[r, 1])
             assert np.allclose(out[r], expected, atol=1e-12)
@@ -241,7 +242,26 @@ class TestApplyMimo:
         grid = np.zeros((2, 2, 1, 4))
         grid[..., 0] = 1.0
         with pytest.raises(DimensionMismatchError):
-            channel.apply_mimo(channel.MimoChannelModel(grid), np.zeros((3, 10, 4)), channel.make_rng(0))
+            apply_one_run(grid, np.zeros((3, 10, 4)), 0.0, channel.make_rng(0))
+
+    @STREAM_LAYOUTS
+    def test_runs_equal_one_run_calls(self, outputs, streams):
+        """R runs in one call give each run's one-run call byte for byte, zero noise included."""
+        rng = np.random.default_rng(63)
+        grids, signals = rng.normal(size=(4, outputs, streams, 3, 4)), rng.normal(size=(4, streams, 50, 4))
+        variances = [0.2, 0.0, 1e-3, 3.0]
+        together = channel.apply_mimo(grids, signals, variances, [channel.derive_rng(1, k) for k in range(4)])
+        assert together.shape == (4, outputs, 50, 4)
+        for k in range(4):
+            alone = apply_one_run(grids[k], signals[k], variances[k], channel.derive_rng(1, k))
+            assert together[k].tobytes() == alone.tobytes()
+
+    def test_one_variance_and_generator_per_run(self):
+        grids, signals = np.ones((2, 1, 1, 1, 4)), np.zeros((2, 1, 10, 4))
+        with pytest.raises(ValueError):
+            channel.apply_mimo(grids, signals, [0.1], [channel.make_rng(0)])
+        with pytest.raises(ValueError):
+            channel.apply_mimo(grids, signals, [0.1, 0.1], [channel.make_rng(0)])
 
     def test_random_grid_normalization(self):
         grid = channel.random_mimo_grid(channel.make_rng(6), 2, 2, 4, normalize=True)

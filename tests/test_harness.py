@@ -14,6 +14,8 @@ from quatlink import adaptive, channel, harness, linalg, modem, quat, wiener
 from quatlink.errors import ExperimentFailedError
 from quatlink.harness import ExperimentConfig, convergence_iteration, summarize
 
+from oracles import apply_one_run
+
 SMALL = ExperimentConfig(num_runs=6, symbols_per_run=600, master_seed=11)
 
 
@@ -33,6 +35,24 @@ def assert_same_result(a, b):
             assert np.array_equal(x, y, equal_nan=True), field.name
         else:
             assert x == y, field.name
+
+
+def run_channel(config, run):
+    """One run's received streams, rebuilt from its own (master_seed, run, purpose,
+    stream) generators and sent through `channel.apply_mimo` alone."""
+    num_rx, num_tx = (config.mimo_rx, config.mimo_tx) if config.mode == "mimo" else (1, 1)
+    scale = harness._MODES[config.mode].stream_scale
+    seed, n = config.master_seed, config.symbols_per_run
+    grid = channel.random_mimo_grid(channel.derive_rng(seed, run, 0, 0), num_rx, num_tx, config.num_channel_taps)
+    sent = [channel.derive_rng(seed, run, 1, s).integers(0, modem.NUM_SYMBOLS, n) for s in range(num_tx)]
+    stream_power = channel.SYMBOL_ENERGY * scale * scale
+    if config.snr_reference_point == "receiver":
+        power = channel.expected_output_power(grid, stream_power) / num_rx
+    else:
+        power = stream_power
+    variance = channel.noise_variance_for_snr(power, config.snr_db)
+    streams = scale * modem.index_to_symbol(np.stack(sent))
+    return apply_one_run(grid, streams, variance, channel.derive_rng(seed, run, 2, 0))
 
 
 class TestConfigValidation:
@@ -65,6 +85,25 @@ class TestConfigValidation:
     def test_non_integer_counts_name_the_field(self, field):
         with pytest.raises(ValueError, match=f"{field}: must be an integer"):
             small(**{field: 2.5}).validate()
+
+    @pytest.mark.parametrize(
+        "field,value,kind",
+        [
+            ("num_runs", True, "an integer"),
+            ("master_seed", False, "an integer"),
+            ("step_size", True, "a number"),
+            ("snr_db", "20", "a number"),
+            ("snr_db", None, "a number"),
+            ("normalize_channel", "off", "a bool"),
+            ("normalize_channel", 1, "a bool"),
+        ],
+    )
+    def test_wrong_types_name_the_field(self, field, value, kind):
+        """A value the config echo could not write back for --config to read is
+        rejected, not run: a bool is no count and no number, text is no number,
+        and only a bool switches normalization."""
+        with pytest.raises(ValueError, match=f"{field}: must be {kind}"):
+            small(**{field: value}).validate()
 
     def test_numpy_integer_counts_accepted(self):
         small(num_runs=np.int64(2), symbols_per_run=np.int32(100), delay=np.int8(3)).validate()
@@ -236,7 +275,9 @@ class TestDataGeneration:
     def test_chunk_data_are_the_one_run_draws(self, mode, reference_point, snr_db, monkeypatch):
         """The received samples and symbol indices a chunk hands the kernel equal each
         run's one-run draw bit for bit, in a chunk that starts mid-experiment and
-        with filter slices of two runs that end mid-chunk."""
+        with filter slices of two runs that end mid-chunk; each run's received
+        samples are `channel.apply_mimo` of its own grid, streams, noise variance
+        and noise generator."""
         config = small(mode=mode, snr_reference_point=reference_point, snr_db=snr_db, num_runs=7, symbols_per_run=300)
         num_tx = config.mimo_tx if mode == "mimo" else 1
         monkeypatch.setattr(harness, "_FILTER_SAMPLES", 2 * num_tx * config.symbols_per_run)
@@ -256,13 +297,14 @@ class TestDataGeneration:
             one_received, one_indices = harness._draw(config, run, run + 1)
             assert received[run].tobytes() == one_received[0].tobytes()
             assert np.array_equal(lanes[run], one_indices[0])
+            assert received[run].tobytes() == run_channel(config, run).tobytes()
 
     def test_zero_noise_is_still_added(self, monkeypatch):
         """At an infinite SNR the zero noise is added all the same, so a -0.0 from
         the filter reads +0.0, as clean + zeros gives it."""
         config = small(snr_db=np.inf, num_runs=3)
         filtered = lambda signals, grid: np.full(grid.shape[:2] + signals.shape[-2:], -0.0)  # noqa: E731
-        monkeypatch.setattr(harness, "mimo_convolve", filtered)
+        monkeypatch.setattr(channel, "mimo_convolve", filtered)
         received, _ = harness._draw(config, 0, config.num_runs)
         assert (received == 0.0).all() and not np.signbit(received).any()
 
@@ -322,13 +364,11 @@ class TestMimoExperiment:
         grid = channel.random_mimo_grid(rng, 2, 2, 3)
         streams = harness.MIMO_STREAM_SCALE * modem.index_to_symbol(rng.integers(0, 16, (2, 400)))
         noise_rng = channel.make_rng(14)
-        model = channel.MimoChannelModel(grid, 0.002)
-        received = channel.apply_mimo(model, streams, noise_rng)
+        received = apply_one_run(grid, streams, 0.002, noise_rng)
 
         swapped_grid = grid[:, ::-1]
         swapped_streams = streams[::-1]
-        swapped_model = channel.MimoChannelModel(swapped_grid, 0.002)
-        received_swapped = channel.apply_mimo(swapped_model, swapped_streams, channel.make_rng(14))
+        received_swapped = apply_one_run(swapped_grid, swapped_streams, 0.002, channel.make_rng(14))
         assert np.array_equal(received, received_swapped)
 
         # one run whose lane k is driven by stream k, each sample its own table row
@@ -347,7 +387,7 @@ class TestMimoExperiment:
         grid = np.zeros((2, 2, 1, 4))
         grid[0, 0, 0] = quat.ONE
         grid[1, 1, 0] = quat.ONE
-        received = channel.apply_mimo(channel.MimoChannelModel(grid, 0.0), streams, rng)
+        received = apply_one_run(grid, streams, 0.0, rng)
         indices = np.arange(2 * 2500).reshape(2, 2500)
         lanes = adaptive.run_qlms_batch(received[None], indices, streams.reshape(-1, 4), 2, 0.02)
         for s in range(2):
