@@ -6,14 +6,18 @@ the receiver noise from generators keyed by (master seed, run index,
 purpose, stream index), so the full result set is a pure function of the
 configuration and runs can be chunked across processes without changing a
 single bit of the output.  Chunks are sized by received samples, not runs
-(`_CHUNK_SAMPLES`), so many short runs share one wide kernel batch.  A chunk
-allocates its received streams (R, rx, N, 4) and int8 symbol indices
-(R, tx, N) once and fills them in slices of up to `_FILTER_SAMPLES`
-transmitted samples (`_draw`): the slice's runs draw their grids, symbols,
-noise variances and noise generators, and one `channel.apply_mimo` call
-filters them all with one `mimo_convolve` call, which amortizes its
-per-call cost over the many runs of a short-run chunk while the slice's
-temporaries stay small, then adds each run's noise from its own generator.
+(`_CHUNK_SAMPLES`), so many short runs share one wide kernel batch.  Both
+per-run stages of a chunk, its draw and its post-adaptation, walk it in the
+same slices of max(1, `_GROUP_LANES` // S) runs for S transmit streams
+(`_slices`).  Slices amortize numpy's per-call cost over several runs while
+their temporaries stay small (whole-chunk post-adaptation slices raise the
+peak resident memory of a 64 x 5000 chunk from 57 to 90 MB in SISO and from
+68 to 115 MB in MIMO).  A chunk allocates its received streams
+(R, rx, N, 4) and int8 symbol indices (R, tx, N) once and fills them slice
+by slice (`_draw`): the slice's runs draw their grids, symbols, noise
+variances and noise generators, and one `channel.apply_mimo` call filters
+them all with one `mimo_convolve` call, then adds each run's noise from its
+own generator.
 One run's data is the one-run case of the same draw,
 `_draw(config, run, run + 1)`, bit for bit.
 Each (run, transmitted stream) pair is one lane of the batched QLMS kernel:
@@ -24,22 +28,19 @@ shares each run's received streams among its lanes and looks the
 references up in the scaled constellation block by block, so the chunk
 holds its data once; on a 64 x 5000 MIMO chunk the traced peak is 1.45x the
 received batch.  Lanes advance in lockstep, which keeps ensemble averaging
-over hundreds of runs cheap.  After adaptation, one loop walks the chunk in
-slices of max(1, 8 // S) runs and takes each slice's live runs.  The SER
-stage filters each run once for all its S lanes with their final weights,
-as the S-output grid of `channel.mimo_convolve`; in SISO, the block Wiener
-baseline solves the same runs in the same pass.  Slices amortize numpy's
-per-call cost while their temporaries stay small (whole-chunk slices raise
-the peak resident memory of a 64 x 5000 chunk from 57 to 90 MB in SISO and
-from 68 to 115 MB in MIMO).  The Wiener optimum
-is scored from the same statistics it is solved from
-(`wiener.statistics_mse`), so the block is not filtered a second time.
+over hundreds of runs cheap.  After adaptation, each slice's live runs go
+through the SER stage, which filters each run once for all its S lanes
+with their final weights, as the S-output grid of `channel.mimo_convolve`;
+in SISO, the block Wiener baseline solves the same runs in the same pass and
+scores its optimum from the same statistics (`wiener.statistics_mse`), so
+the block is not filtered a second time.
 `_MODES` holds everything that differs between the modes.
 
-Learning curves are the per-run error traces converted to dB (floored at
--100 dB relative to the reference power) and averaged pointwise across the
-runs that stayed sane; diverged runs are excluded from every average but
-counted and reported.  The per-run QLMS figure takes the same floor.
+Learning curves are the per-run error traces converted to dB relative to
+the reference power (`wiener.floored_db`, floored at -100 dB) and averaged
+pointwise across the runs that stayed sane; diverged runs are excluded from
+every average but counted and reported.  The per-run QLMS figure takes the
+same rule.
 """
 
 import os
@@ -99,12 +100,7 @@ _MODES = {
 # result is bit-independent of its batch, so the chunking never changes the output)
 _CHUNK_SAMPLES = 64 * 2 * 5000
 
-# most transmitted samples (runs x tx x N) per filter call of the data generation:
-# 12 runs of 400 symbols share a call, while the 0.2 MB temporaries keep the peak
-# resident memory of a 256 x 400 SISO experiment where it was with one call per run
-_FILTER_SAMPLES = _CHUNK_SAMPLES // 128
-
-# lanes per post-adaptation slice, rounded to whole runs; see the module docstring
+# lanes per run slice of a chunk's draw and post-adaptation; see the module docstring
 _GROUP_LANES = 8
 
 # trailing moving-average window used when locating the convergence iteration,
@@ -223,12 +219,6 @@ def _reference_power(config: ExperimentConfig) -> float:
     return SYMBOL_ENERGY * scale * scale
 
 
-def _db_traces(traces: np.ndarray, reference_power: float) -> np.ndarray:
-    """Per-run traces in dB relative to the reference power, floored at wiener.DB_FLOOR."""
-    floor = reference_power * 10.0 ** (wiener.DB_FLOOR / 10.0)
-    return 10.0 * np.log10(np.maximum(traces, floor) / reference_power)
-
-
 def _steady_state_db(curve_db: np.ndarray) -> float:
     tail = max(1, curve_db.shape[0] // 10)
     return float(curve_db[-tail:].mean())
@@ -247,7 +237,8 @@ def _build_curve(config: ExperimentConfig, traces: np.ndarray, diverged_at: np.n
             f"all {alive.size} runs diverged on stream {stream}; the first was run {run} of master_seed"
             f" {config.master_seed}, at iteration {int(diverged_at[run])}"
         )
-    curve_db = _db_traces(traces[alive][:, config.delay :], _reference_power(config)).mean(axis=0)
+    # converted before the sane runs are picked, so the traces are not copied first
+    curve_db = wiener.floored_db(traces[:, config.delay :], _reference_power(config))[alive].mean(axis=0)
     return LearningCurve(curve_db, _steady_state_db(curve_db), int((~alive).sum()))
 
 
@@ -263,8 +254,18 @@ def _equalizer_decisions(received: np.ndarray, weights: np.ndarray, start: int) 
     lanes, length = weights.shape[1], weights.shape[2] // streams
     # the output from `start` on needs only the L-1 samples before it
     history = max(start - (length - 1), 0)
-    output = mimo_convolve(received[..., history:, :], weights.reshape(runs, lanes, streams, length, 4))
+    # a lane's last update can leave finite weights too large to filter with; the
+    # kernel never filters with its final weights, so the freeze rule cannot catch
+    # them, and the hard decisions on the inf or NaN outputs are still well defined
+    with np.errstate(over="ignore", invalid="ignore"):
+        output = mimo_convolve(received[..., history:, :], weights.reshape(runs, lanes, streams, length, 4))
     return modem.hard_decisions(output[..., start - history :, :])
+
+
+def _slices(runs: int, streams: int) -> list[slice]:
+    """The run slices of a chunk's draw and post-adaptation: max(1, _GROUP_LANES // S) runs of S streams."""
+    size = max(1, _GROUP_LANES // streams)
+    return [slice(r0, min(r0 + size, runs)) for r0 in range(0, runs, size)]
 
 
 def _post_adaptation(config: ExperimentConfig, received: np.ndarray, indices: np.ndarray, symbols: np.ndarray,
@@ -278,31 +279,40 @@ def _post_adaptation(config: ExperimentConfig, received: np.ndarray, indices: np
     `symbols`; `alive` (R, S) marks the sane lanes, and the results are (R, S).
     Decisions are scored over the iterations t in [max(N//2, delay), N), the
     last half of the run where it has a delayed reference.  Both stages take
-    the live runs of each slice of max(1, _GROUP_LANES // S) runs.  A run
-    whose lanes all diverged is skipped, and a diverged lane of a live run is
-    filtered with zero weights; either way a diverged lane reports no
-    decisions.
+    the live runs of each of the chunk's `_slices`.  A run whose lanes all
+    diverged is skipped, and a diverged lane of a live run is filtered with
+    zero weights; either way a diverged lane reports no decisions.  A run whose
+    sample statistics overflow gets a NaN Wiener figure, as a dead lane does.
     """
     runs, streams, n = indices.shape
     length, delay = config.equalizer_length, config.delay
     start = max(n // 2, delay)
     errors = np.zeros((runs, streams), dtype=np.int64)
     wiener_db = np.full((runs, streams), np.nan)
-    group_runs = max(1, _GROUP_LANES // streams)
-    for r0 in range(0, runs, group_runs):
-        live = alive[r0 : r0 + group_runs].any(axis=1)
+    for part in _slices(runs, streams):
+        live = alive[part].any(axis=1)
         if not live.any():
             continue
         # an all-live slice is indexed by a basic slice, a view, so its runs are not copied
-        group = slice(r0, r0 + live.size) if live.all() else r0 + np.flatnonzero(live)
+        group = part if live.all() else part.start + np.flatnonzero(live)
         rx, sent = received[group], indices[group]
         w = np.where(alive[group][:, :, None, None], weights[group], 0.0)
         decided = _equalizer_decisions(rx, w, start)
         errors[group] = np.count_nonzero(decided != sent[:, :, start - delay : n - delay], axis=2)
         if _MODES[config.mode].with_wiener:
             references = symbols[sent[:, 0]]
-            problem = wiener.estimate_statistics(rx, references, length, delay)
-            wiener_db[group, 0] = wiener.statistics_mse(problem, wiener.solve_wiener(problem), references).db
+            # noise near the top of the float range overflows the sample moments
+            with np.errstate(over="ignore", invalid="ignore"):
+                problem = wiener.estimate_statistics(rx, references, length, delay)
+                ridge = wiener.default_ridge(problem)
+            r, p = problem.autocorrelation, problem.cross_correlation
+            sane = np.isfinite(ridge) & np.isfinite(r).all(axis=(1, 2, 3)) & np.isfinite(p).all(axis=(1, 2))
+            if not sane.all():
+                problem = wiener.WienerProblem(r[sane], p[sane], problem.sample_count)
+                ridge, references = ridge[sane], references[sane]
+            db = np.full(sane.shape, np.nan)
+            db[sane] = wiener.statistics_mse(problem, wiener.solve_wiener(problem, ridge), references).db
+            wiener_db[group, 0] = db
     errors[~alive] = 0
     return {"errors": errors, "decisions": np.where(alive, n - start, 0), "wiener_db": wiener_db}
 
@@ -311,9 +321,10 @@ def _draw(config: ExperimentConfig, start: int, stop: int):
     """Runs [start, stop): their received streams (R, rx, N, 4) and int8 symbol
     indices (R, tx, N), for the (rx, tx) layout of the mode.
 
-    Each run draws its grid, symbols and noise from its own (master_seed, run,
-    purpose, stream) generators, so its data do not depend on the runs drawn
-    with it or on the slicing (see the module docstring).
+    The chunk is filled one of its `_slices` at a time, with one
+    `apply_mimo` call per slice.  Each run draws its grid, symbols and noise
+    from its own (master_seed, run, purpose, stream) generators, so its data
+    do not depend on the runs drawn with it or on the slicing.
     """
     mode = _MODES[config.mode]
     num_rx, num_tx = mode.layout(config)
@@ -321,9 +332,8 @@ def _draw(config: ExperimentConfig, start: int, stop: int):
     stream_power = _reference_power(config)
     received = np.empty((runs, num_rx, n, 4))
     indices = np.empty((runs, num_tx, n), dtype=np.int8)
-    slice_runs = max(1, _FILTER_SAMPLES // (num_tx * n))
-    for r0 in range(0, runs, slice_runs):
-        part = range(r0, min(r0 + slice_runs, runs))
+    for rows in _slices(runs, num_tx):
+        part = range(rows.start, rows.stop)
         grids = [
             random_mimo_grid(derive_rng(seed, start + k, _PURPOSE_CHANNEL, 0), num_rx, num_tx,
                              config.num_channel_taps, config.normalize_channel)
@@ -332,14 +342,15 @@ def _draw(config: ExperimentConfig, start: int, stop: int):
         for k in part:
             for s in range(num_tx):
                 indices[k, s] = derive_rng(seed, start + k, _PURPOSE_SYMBOLS, s).integers(0, modem.NUM_SYMBOLS, n)
-        streams = mode.stream_scale * modem.index_to_symbol(indices[r0 : part.stop])
+        streams = modem.index_to_symbol(indices[rows])
+        streams *= mode.stream_scale  # in place: a second slice-sized temporary would set the chunk's peak
         if config.snr_reference_point == SNR_REF_RECEIVER:
             powers = [expected_output_power(grid, stream_power) / num_rx for grid in grids]
         else:
             powers = [stream_power] * len(part)
         variances = [noise_variance_for_snr(power, config.snr_db) for power in powers]
         rngs = [derive_rng(seed, start + k, _PURPOSE_NOISE, 0) for k in part]
-        received[r0 : part.stop] = apply_mimo(grids, streams, variances, rngs)
+        received[rows] = apply_mimo(grids, streams, variances, rngs)
     return received, indices
 
 
@@ -360,7 +371,7 @@ def _chunk(config: ExperimentConfig, start: int, stop: int) -> dict:
     traces, diverged_at = batch.traces.reshape(grid + (n,)), batch.diverged_at.reshape(grid)
     alive = diverged_at < 0
     qlms_db = np.full(grid, np.nan)
-    qlms_db[alive] = _db_traces(np.nanmean(traces[alive, 3 * n // 4 :], axis=1), _reference_power(config))
+    qlms_db[alive] = wiener.floored_db(np.nanmean(traces[alive, 3 * n // 4 :], axis=1), _reference_power(config))
     weights = batch.weights.reshape(grid + batch.weights.shape[1:])
     stage = _post_adaptation(config, received, indices, symbols, weights, alive)
     return {"traces": traces, "diverged_at": diverged_at, "qlms_db": qlms_db, **stage}

@@ -212,13 +212,16 @@ def solve_wiener(problem: WienerProblem, ridge: float | np.ndarray | None = None
     return quat.conj(conjugate_weights)
 
 
-def _report(linear: np.ndarray, reference_power: np.ndarray, count: int) -> MseReport:
-    """MseReport of MSEs and reference powers over the leading run shape, floored at
-    DB_FLOOR so a perfect fit (or a zero reference) stays finite and raises no warning."""
+def floored_db(linear: np.ndarray, reference_power: float | np.ndarray) -> np.ndarray:
+    """10 log10(linear / reference_power) of an array, floored at DB_FLOOR with no warning; NaN stays NaN."""
     fitted = ~((linear <= 0.0) | (reference_power <= 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
-        db = np.where(fitted, np.maximum(10.0 * np.log10(linear / reference_power), DB_FLOOR), DB_FLOOR)
-    return MseReport(linear[()], db[()], count, reference_power[()])
+        return np.where(fitted, np.maximum(10.0 * np.log10(linear / reference_power), DB_FLOOR), DB_FLOOR)
+
+
+def _report(linear: np.ndarray, reference_power: np.ndarray, count: int) -> MseReport:
+    """MseReport of MSEs and reference powers over the leading run shape."""
+    return MseReport(linear[()], floored_db(linear, reference_power)[()], count, reference_power[()])
 
 
 def evaluate_mse(weights, signal, reference, length: int, delay: int = 0) -> MseReport:

@@ -456,6 +456,14 @@ class TestMainEndToEnd:
         args = ["run", "--runs", "2", "--symbols", "30", "--snr-db", "-2900", "--mu", "1e-300"]
         assert cli.main(args + ["--out", str(tmp_path / "out")]) == 0
 
+    def test_noise_past_the_moments_range_gives_a_nan_wiener_figure(self, tmp_path):
+        """At -3075 dB the Wiener stage's sample moments overflow: each run gets a NaN
+        Wiener figure, as a dead lane does, and their mean in the summary reads nan."""
+        out = tmp_path / "out"
+        args = ["run", "--runs", "2", "--symbols", "30", "--snr-db", "-3075", "--mu", "1e-318", "--out", str(out)]
+        assert cli.main(args) == 0
+        assert cli.parse_kv_lines((out / "summary.txt").read_text(encoding="utf-8"))["wiener_mse_db"] == "nan"
+
     @pytest.mark.parametrize("snr", ["-1e308", "-inf"])
     @pytest.mark.parametrize("mode", ["siso", "mimo"])
     def test_snr_without_finite_noise_is_usage_error(self, mode, snr, tmp_path, capsys):

@@ -238,6 +238,19 @@ class TestWorkersAndChunking:
                     chunked = harness.run_experiment(config, workers)
                 assert_same_result(whole, chunked)
 
+    def test_slice_size_does_not_change_results(self, monkeypatch):
+        """Every result array is the same for any run slicing of the draw and the
+        post-adaptation stage, which `_GROUP_LANES` sets for both, in both modes."""
+        for mode in ("siso", "mimo"):
+            config = small(mode=mode, num_runs=9, symbols_per_run=300)
+            results = []
+            for group_lanes in (1, 3, 8):
+                with monkeypatch.context() as patch:
+                    patch.setattr(harness, "_GROUP_LANES", group_lanes)
+                    results.append(harness.run_experiment(config))
+            for result in results[1:]:
+                assert_same_result(results[0], result)
+
     def test_chunks_split_runs_evenly(self, monkeypatch):
         """At most _CHUNK_SAMPLES received samples (or one run) per chunk, sizes
         within one, a chunk per pool worker."""
@@ -280,7 +293,7 @@ class TestDataGeneration:
         and noise generator."""
         config = small(mode=mode, snr_reference_point=reference_point, snr_db=snr_db, num_runs=7, symbols_per_run=300)
         num_tx = config.mimo_tx if mode == "mimo" else 1
-        monkeypatch.setattr(harness, "_FILTER_SAMPLES", 2 * num_tx * config.symbols_per_run)
+        monkeypatch.setattr(harness, "_GROUP_LANES", 2 * num_tx)
         seen = []
         kernel = harness.run_qlms_batch
 
@@ -517,14 +530,16 @@ class TestWienerStage:
     @pytest.mark.parametrize("group_lanes", [1, 4, 8])
     def test_live_runs_match_one_run_solves(self, group_lanes, monkeypatch):
         """The SISO Wiener stage runs inside the SER loop on each slice's live runs: a run that
-        froze on an inf sample gets NaN, and every live run gets, bit for bit, the dB of its own
-        one-run statistics, solve and score, however the runs are sliced."""
+        froze on an inf sample gets NaN, as does a live run whose sample moments overflow, and
+        every other live run gets, bit for bit, the dB of its own one-run statistics, solve and
+        score, however the runs are sliced."""
         monkeypatch.setattr(harness, "_GROUP_LANES", group_lanes)
         config = small(num_runs=9, symbols_per_run=120, equalizer_length=5, delay=2)
         rng = np.random.default_rng(8)
         runs, n, length, delay = config.num_runs, config.symbols_per_run, config.equalizer_length, config.delay
         received = rng.normal(size=(runs, 1, n, 4))
         received[5, 0, n - 3] = np.inf  # run 5 froze
+        received[7] *= 1e200  # run 7's squared samples overflow
         indices = rng.integers(0, modem.NUM_SYMBOLS, size=(runs, n)).astype(np.int8)
         diverged_at = np.full(runs, -1)
         diverged_at[5] = n - 3
@@ -536,8 +551,8 @@ class TestWienerStage:
                 config, received, indices[:, None], symbols, weights[:, None], (diverged_at < 0)[:, None]
             )
         stage = {name: value.reshape(-1) for name, value in stage.items()}
-        assert np.isnan(stage["wiener_db"][5])
-        for run in np.flatnonzero(diverged_at < 0):
+        assert np.isnan(stage["wiener_db"][[5, 7]]).all()
+        for run in np.setdiff1d(np.flatnonzero(diverged_at < 0), [7]):
             references = symbols[indices[run]]
             problem = wiener.estimate_statistics(received[run], references, length, delay)
             expected = wiener.statistics_mse(problem, wiener.solve_wiener(problem), references).db

@@ -284,6 +284,32 @@ class TestEvaluateMse:
         assert wiener_mse <= qlms_steady
 
 
+class TestFlooredDb:
+    @pytest.mark.parametrize("reference_power", [1.0, 4.0, 3.0, np.full(60, 0.25)], ids=["1", "4", "3", "per-run"])
+    def test_db_above_the_floor_and_the_floor_below(self, reference_power):
+        """At or above the floor the figure is 10 log10(linear / reference_power) bit for
+        bit, and below it exactly DB_FLOOR, for a scalar or a per-run reference."""
+        linear = np.append(10.0 ** np.random.default_rng(3).uniform(-30.0, 5.0, 59), 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            db = wiener.floored_db(linear, reference_power)
+        with np.errstate(divide="ignore"):
+            exact = 10.0 * np.log10(linear / reference_power)
+        above = exact >= wiener.DB_FLOOR
+        assert 0 < above.sum() < linear.size
+        assert np.array_equal(db[above], exact[above])
+        assert (db[~above] == wiener.DB_FLOOR).all()
+
+    def test_nan_stays_nan_and_a_zero_reference_gives_the_floor(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(wiener.floored_db(np.float64(np.nan), 4.0))
+            assert np.isnan(wiener.floored_db(np.array([np.nan]), np.array([4.0]))).all()
+            silent = wiener.floored_db(np.array([0.0, 2.0]), np.array([0.0, 0.0]))
+            assert wiener.floored_db(np.float64(2.0), 0.0) == wiener.DB_FLOOR
+        assert np.array_equal(silent, [wiener.DB_FLOOR, wiener.DB_FLOOR])
+
+
 class TestStatisticsMse:
     @pytest.mark.parametrize("snr_db", [20.0, 40.0, np.inf])
     @pytest.mark.parametrize("n,delay", [(600, 7), (600, 400), (10, 3)])
