@@ -164,7 +164,6 @@ def run_qlms_batch(received, indices, symbols, length: int, step_size: float, de
     errors = np.empty((4, _BLOCK, b))
     target_of, e_of = [targets[:, q] for q in range(_BLOCK)], [errors[:, q] for q in range(_BLOCK)]
     e_lanes_of = [e.T.reshape(runs, lanes, 4, 1) for e in e_of]
-    squares = np.empty((4, b))
     sums = np.empty((_BLOCK, b))
     traces = np.full((b, n), np.nan)
     diverged_at = np.full(b, -1, dtype=np.int64)
@@ -207,8 +206,9 @@ def run_qlms_batch(received, indices, symbols, length: int, step_size: float, de
                     updated *= step_size
                     updated += weights
                     if checked:
-                        np.multiply(e, e, out=squares)
-                        err = np.add.reduce(squares, axis=0, out=traces[:, t])
+                        # squared in place: the update has spent the step's error
+                        np.multiply(e, e, out=e)
+                        err = np.add.reduce(e, axis=0, out=traces[:, t])
                         # `<=` is False for NaN errors, so they freeze too
                         sane = (err <= ERROR_ENERGY_LIMIT) & np.isfinite(updated).all(axis=(2, 3)).reshape(b)
                         blown = active & ~sane

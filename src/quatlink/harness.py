@@ -28,12 +28,12 @@ shares each run's received streams among its lanes and looks the
 references up in the scaled constellation block by block, so the chunk
 holds its data once; on a 64 x 5000 MIMO chunk the traced peak is 1.45x the
 received batch.  Lanes advance in lockstep, which keeps ensemble averaging
-over hundreds of runs cheap.  After adaptation, each slice's live runs go
+over hundreds of runs cheap.  After adaptation, every run of each slice goes
 through the SER stage, which filters each run once for all its S lanes
 with their final weights, as the S-output grid of `channel.mimo_convolve`;
-in SISO, the block Wiener baseline solves the same runs in the same pass and
-scores its optimum from the same statistics (`wiener.statistics_mse`), so
-the block is not filtered a second time.
+in SISO, the block Wiener baseline solves the slice's sane runs in the same
+pass and scores its optimum from the same statistics
+(`wiener.statistics_mse`), so the block is not filtered a second time.
 `_MODES` holds everything that differs between the modes.
 
 Learning curves are the per-run error traces converted to dB relative to
@@ -279,10 +279,12 @@ def _post_adaptation(config: ExperimentConfig, received: np.ndarray, indices: np
     `symbols`; `alive` (R, S) marks the sane lanes, and the results are (R, S).
     Decisions are scored over the iterations t in [max(N//2, delay), N), the
     last half of the run where it has a delayed reference.  Both stages take
-    the live runs of each of the chunk's `_slices`.  A run whose lanes all
-    diverged is skipped, and a diverged lane of a live run is filtered with
-    zero weights; either way a diverged lane reports no decisions.  A run whose
-    sample statistics overflow gets a NaN Wiener figure, as a dead lane does.
+    every run of each of the chunk's `_slices`, as a view of the chunk, and
+    what a diverged lane reports is set once per stage: after the slice loop
+    it scores 0 errors in 0 decisions, and the Wiener stage's one `sane` mask
+    solves neither it nor a run whose sample statistics overflow, so both keep
+    a NaN figure.  Under the kernel's freeze rule a diverged lane's final
+    weights are finite, so filtering with them is well defined.
     """
     runs, streams, n = indices.shape
     length, delay = config.equalizer_length, config.delay
@@ -290,15 +292,9 @@ def _post_adaptation(config: ExperimentConfig, received: np.ndarray, indices: np
     errors = np.zeros((runs, streams), dtype=np.int64)
     wiener_db = np.full((runs, streams), np.nan)
     for part in _slices(runs, streams):
-        live = alive[part].any(axis=1)
-        if not live.any():
-            continue
-        # an all-live slice is indexed by a basic slice, a view, so its runs are not copied
-        group = part if live.all() else part.start + np.flatnonzero(live)
-        rx, sent = received[group], indices[group]
-        w = np.where(alive[group][:, :, None, None], weights[group], 0.0)
-        decided = _equalizer_decisions(rx, w, start)
-        errors[group] = np.count_nonzero(decided != sent[:, :, start - delay : n - delay], axis=2)
+        rx, sent = received[part], indices[part]
+        decided = _equalizer_decisions(rx, weights[part], start)
+        errors[part] = np.count_nonzero(decided != sent[:, :, start - delay : n - delay], axis=2)
         if _MODES[config.mode].with_wiener:
             references = symbols[sent[:, 0]]
             # noise near the top of the float range overflows the sample moments
@@ -306,13 +302,13 @@ def _post_adaptation(config: ExperimentConfig, received: np.ndarray, indices: np
                 problem = wiener.estimate_statistics(rx, references, length, delay)
                 ridge = wiener.default_ridge(problem)
             r, p = problem.autocorrelation, problem.cross_correlation
-            sane = np.isfinite(ridge) & np.isfinite(r).all(axis=(1, 2, 3)) & np.isfinite(p).all(axis=(1, 2))
+            finite = np.isfinite(ridge) & np.isfinite(r).all(axis=(1, 2, 3)) & np.isfinite(p).all(axis=(1, 2))
+            sane = alive[part, 0] & finite
             if not sane.all():
                 problem = wiener.WienerProblem(r[sane], p[sane], problem.sample_count)
                 ridge, references = ridge[sane], references[sane]
-            db = np.full(sane.shape, np.nan)
-            db[sane] = wiener.statistics_mse(problem, wiener.solve_wiener(problem, ridge), references).db
-            wiener_db[group, 0] = db
+            optimum = wiener.solve_wiener(problem, ridge)
+            wiener_db[part, 0][sane] = wiener.statistics_mse(problem, optimum, references).db
     errors[~alive] = 0
     return {"errors": errors, "decisions": np.where(alive, n - start, 0), "wiener_db": wiener_db}
 

@@ -14,23 +14,6 @@ a*b = R(b) a, and `from_moments`, which turns sum a b^T into sum a*conj(b).
 
 import numpy as np
 
-__all__ = [
-    "quat",
-    "ONE",
-    "I",
-    "J",
-    "K",
-    "mul",
-    "conj",
-    "norm_sq",
-    "inverse",
-    "left_matrix",
-    "right_matrix",
-    "from_moments",
-    "to_pairs",
-    "from_pairs",
-]
-
 
 def _q(x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)

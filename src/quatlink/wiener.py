@@ -29,8 +29,8 @@ Any weights can be evaluated on data with `channel.mimo_convolve`
 (`evaluate_mse`), or on the block the statistics came from with the
 quadratic cost J(w) in R, p and the reference power (`statistics_mse`),
 which costs O(L^2) per run instead of a pass over the block.  The harness
-passes the live runs of each 8-run slice, which keeps the temporaries
-small; larger groups buy little speed and raise peak memory.
+passes each 8-run slice whole and solves its sane runs, which keeps the
+temporaries small; larger groups buy little speed and raise peak memory.
 """
 
 from dataclasses import dataclass
@@ -40,11 +40,11 @@ import numpy as np
 from . import quat
 from .channel import mimo_convolve
 from .errors import DimensionMismatchError, InsufficientDataError, SingularMatrixError
-from .linalg import SINGULARITY_RTOL, identity, to_complex_adjoint, vector_from_adjoint, vector_to_adjoint
+from .linalg import SINGULARITY_RTOL, dot_left, identity, to_complex_adjoint, vector_from_adjoint, vector_to_adjoint
 
 # Not called here; perfbench/tracer.py wraps these module attributes by name.
 from .adaptive import lag_matrix  # noqa: F401
-from .linalg import dot_left, mean_outer_h, solve  # noqa: F401
+from .linalg import mean_outer_h, solve  # noqa: F401
 
 DB_FLOOR = -100.0
 
@@ -265,7 +265,7 @@ def statistics_mse(problem: WienerProblem, weights, reference) -> MseReport:
     if reference.ndim != p.ndim or reference.shape[:-2] != p.shape[:-2] or reference.shape[-2] < count:
         raise ValueError(f"reference {reference.shape} does not cover the problem's {count} samples")
     # u = R conj(w), and each Re(x y) is the dot product of x and conj(y)
-    u = quat.mul(r, quat.conj(weights)[..., None, :, :]).sum(axis=-2)
+    u = dot_left(r, quat.conj(weights)[..., None, :, :])
     cross = (weights * quat.conj(p)).sum(axis=(-2, -1))
     quadratic = (weights * quat.conj(u)).sum(axis=(-2, -1))
     reference_power = quat.norm_sq(reference[..., :count, :]).mean(axis=-1)

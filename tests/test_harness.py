@@ -240,14 +240,24 @@ class TestWorkersAndChunking:
 
     def test_slice_size_does_not_change_results(self, monkeypatch):
         """Every result array is the same for any run slicing of the draw and the
-        post-adaptation stage, which `_GROUP_LANES` sets for both, in both modes."""
-        for mode in ("siso", "mimo"):
-            config = small(mode=mode, num_runs=9, symbols_per_run=300)
+        post-adaptation stage, which `_GROUP_LANES` sets for both, in both modes.
+
+        The diverging configs put dead lanes in all-dead, mixed and all-live
+        slices: SISO runs 1-5 and MIMO runs 1, 2, 4 and 8 diverge."""
+        base = dict(num_runs=9, symbols_per_run=300)
+        diverging = dict(base, normalize_channel=False)
+        configs = (
+            small(mode="siso", **base), small(mode="mimo", **base),
+            small(mode="siso", step_size=0.04, **diverging), small(mode="mimo", step_size=0.14, **diverging),
+        )  # fmt: skip
+        for config in configs:
             results = []
             for group_lanes in (1, 3, 8):
                 with monkeypatch.context() as patch:
                     patch.setattr(harness, "_GROUP_LANES", group_lanes)
                     results.append(harness.run_experiment(config))
+            if not config.normalize_channel:
+                assert 0 < results[0].runs_diverged < config.num_runs
             for result in results[1:]:
                 assert_same_result(results[0], result)
 
@@ -529,7 +539,7 @@ class TestEqualizerDecisions:
 class TestWienerStage:
     @pytest.mark.parametrize("group_lanes", [1, 4, 8])
     def test_live_runs_match_one_run_solves(self, group_lanes, monkeypatch):
-        """The SISO Wiener stage runs inside the SER loop on each slice's live runs: a run that
+        """The SISO Wiener stage runs inside the SER loop on each slice's runs: a run that
         froze on an inf sample gets NaN, as does a live run whose sample moments overflow, and
         every other live run gets, bit for bit, the dB of its own one-run statistics, solve and
         score, however the runs are sliced."""

@@ -45,3 +45,5 @@ def test_traced_run_keeps_its_outputs_and_nests_the_noise(tmp_path, monkeypatch)
     assert all(tracer.spans[parent][0] == "channel.apply_mimo" for _, _, _, parent in noise)
     metrics = tracing.layer_metrics(tracer.spans, tracer.counts)
     assert metrics["harness.chunks"] == 1 and metrics["channel.busy_s"] > 0.0
+    # the Wiener stage scores its one slice's optimum through one dot_left call
+    assert names.count("linalg.dot_left") == 1 and metrics["linalg.dot_left.busy_s"] > 0.0
