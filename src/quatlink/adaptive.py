@@ -35,11 +35,9 @@ per run, however many lanes share it, and is transposed run by run into the
 second.  Each step writes its outputs and errors into buffers allocated
 once, and the block's references are looked up once per block.
 
-One rule freezes a lane: at the first step t whose squared error exceeds
-ERROR_ENERGY_LIMIT (or is NaN) or whose update leaves non-finite weights, the
-lane keeps the weights it used at step t and `diverged_at` is t.  A block
-runs unchecked and is scored once, at its end: its squared errors go into
-the traces, and it stands if no live lane's error passed the limit and its
+One rule freezes a lane, the one `run_qlms_batch` states.  A block runs
+unchecked and is scored once, at its end: its squared errors go into the
+traces, and it stands if no live lane's error passed the limit and its
 weights are all finite.  Otherwise the weights of its start are restored and
 that block alone runs again, applying the rule after every step's update.
 So every block starts with finite weights.
@@ -92,12 +90,11 @@ class QlmsBatch:
     """Lockstep QLMS over a batch of independent trials.
 
     weights: (B, C*L, 4) final weights per trial; a diverged trial's are the
-        weights it used at its diverged_at step.
+        ones `run_qlms_batch`'s freeze rule kept.
     traces: (B, N) per-iteration norm_sq(e); NaN during the warm-up prefix
         (iterations without a delayed reference) and after a divergence.
-    diverged_at: (B,) first iteration whose squared error exceeds
-        ERROR_ENERGY_LIMIT (or is NaN) or whose update leaves non-finite
-        weights, -1 for trials that stayed sane.
+    diverged_at: (B,) iteration at which that rule froze the trial, -1 for
+        trials that stayed sane.
     """
 
     weights: np.ndarray
@@ -114,9 +111,12 @@ def run_qlms_batch(received, indices, symbols, length: int, step_size: float, de
     indices (such as int8 symbol indices) into a (K, 4) table (such as the
     scaled constellation).  At iteration n the desired output is the one at
     n - delay; iterations with n < delay are logged as warm-up without
-    adapting.  A trial freezes at the first iteration whose squared error
-    exceeds ERROR_ENERGY_LIMIT (or is NaN) or whose update leaves non-finite
-    weights: it keeps the weights it used there, and `diverged_at` reports it.
+    adapting.
+
+    One rule freezes a lane: at the first step t whose squared error exceeds
+    ERROR_ENERGY_LIMIT (or is NaN) or whose update leaves non-finite weights,
+    the lane keeps the weights it used at step t and `diverged_at` is t.  So a
+    frozen lane's weights are finite.
     """
     received, symbols, indices = quat._q(received), quat._q(symbols), np.asarray(indices)
     if received.ndim != 4:
@@ -194,7 +194,7 @@ def run_qlms_batch(received, indices, symbols, length: int, step_size: float, de
             np.copyto(start_weights, weights)
             # The block first runs unchecked and is scored at its end.  If an active
             # lane blew up in it, or its weights are no longer finite, it runs again
-            # from its start with the module's freeze rule applied at every step.
+            # from its start with the freeze rule applied at every step.
             for checked in (False, True):
                 for t in range(begin, stop):
                     q = t - t0

@@ -38,23 +38,16 @@ def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-def gaussian_quaternions(rng: np.random.Generator, variance_per_component: float, count=None) -> np.ndarray:
+def gaussian_quaternions(rng: np.random.Generator, variance_per_component: float, shape) -> np.ndarray:
     """Zero-mean Gaussian quaternions, each component i.i.d. with the given variance.
 
-    Returns a (4,) sample when `count` is None, else (count, 4); `count` may
-    also be a shape tuple.  Expected norm_sq per draw is 4x the variance.
+    `shape` is a count or a shape tuple, and the draw is (*shape, 4): ``()``
+    gives one (4,) quaternion.  Expected norm_sq per draw is 4x the variance;
+    a zero variance draws exact +0.0 (numpy's normal returns 0.0 + 0.0 * z).
     """
     if not variance_per_component >= 0.0:
         raise ValueError("variance must be nonnegative")
-    if count is None:
-        shape = (4,)
-    elif isinstance(count, (int, np.integer)):
-        shape = (int(count), 4)
-    else:
-        shape = tuple(count) + (4,)
-    if variance_per_component == 0.0:
-        return np.zeros(shape)
-    return rng.normal(0.0, np.sqrt(variance_per_component), shape)
+    return rng.normal(0.0, np.sqrt(variance_per_component), np.broadcast_shapes(shape) + (4,))
 
 
 def random_channel_taps(rng: np.random.Generator, num_taps: int, normalize: bool = True) -> np.ndarray:

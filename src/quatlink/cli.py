@@ -1,7 +1,8 @@
 """Command-line front end.
 
 `quatlink run` resolves a configuration, runs the experiment, and writes
-three files into the output directory:
+its outputs into the output directory through `write_outputs`, every file
+UTF-8 text with LF line endings on every platform:
 
 * ``learning_curve.csv`` (or ``learning_curve_streamK.csv`` per stream in
   MIMO mode, the suffix that also names the summary metrics): header
@@ -190,14 +191,6 @@ def parse_args(argv) -> CliInvocation:
     return CliInvocation(config=config, out_dir=Path(ns.out or DEFAULT_OUT_DIR), workers=workers)
 
 
-def emit_learning_curve_csv(curve, path: Path) -> None:
-    """Write `iteration,mse_db` rows for a LearningCurve; LF line endings."""
-    with open(path, "w", encoding="utf-8", newline="\n") as stream:
-        stream.write("iteration,mse_db\n")
-        for iteration, value in enumerate(curve.mse_per_iteration):
-            stream.write(f"{iteration},{_format_value(float(value))}\n")
-
-
 def _stream_suffixes(config: ExperimentConfig) -> list[str]:
     """Per-stream name suffixes, keyed on the mode: none for SISO's one stream,
     ``_streamK`` for each MIMO stream, even when it is the only one."""
@@ -218,34 +211,30 @@ def _summary_lines(result, config: ExperimentConfig) -> list[str]:
     return lines + config_to_lines(config)
 
 
-def emit_summary(result, config: ExperimentConfig, path: Path) -> None:
-    """Flat key=value record: metrics first, then the config echo."""
-    path.write_text("\n".join(_summary_lines(result, config)) + "\n", encoding="utf-8")
+def write_outputs(result, config: ExperimentConfig, out_dir: Path) -> list[Path]:
+    """Write the learning-curve CSVs, ``summary.txt`` and ``manifest.txt`` into
+    `out_dir`, and return their paths in that order.
 
-
-def emit_manifest(config: ExperimentConfig, output_names: list[str], path: Path) -> None:
-    lines = [
+    Each file is built as its lines and written UTF-8 with LF line endings.
+    The manifest's ``outputN=`` lines name the curve files and the summary.
+    """
+    files = {}
+    for suffix, curve in zip(_stream_suffixes(config), result.curves, strict=True):
+        rows = [f"{i},{_format_value(float(v))}" for i, v in enumerate(curve.mse_per_iteration)]
+        files[f"learning_curve{suffix}.csv"] = ["iteration,mse_db"] + rows
+    files["summary.txt"] = _summary_lines(result, config)
+    manifest = [
         "artifact=quatlink",
         f"version={__version__}",
         f"created_utc={datetime.now(timezone.utc).isoformat(timespec='seconds')}",
     ]
-    lines += [f"output{index}={name}" for index, name in enumerate(output_names)]
-    lines += config_to_lines(config)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def write_outputs(result, config: ExperimentConfig, out_dir: Path) -> list[Path]:
+    manifest += [f"output{index}={name}" for index, name in enumerate(files)]
+    files["manifest.txt"] = manifest + config_to_lines(config)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    curve_names = [f"learning_curve{suffix}.csv" for suffix in _stream_suffixes(config)]
-    for name, curve in zip(curve_names, result.curves):
-        emit_learning_curve_csv(curve, out_dir / name)
-        written.append(out_dir / name)
-    emit_summary(result, config, out_dir / "summary.txt")
-    written.append(out_dir / "summary.txt")
-    emit_manifest(config, curve_names + ["summary.txt"], out_dir / "manifest.txt")
-    written.append(out_dir / "manifest.txt")
-    return written
+    for name, lines in files.items():
+        with open(out_dir / name, "w", encoding="utf-8", newline="\n") as stream:
+            stream.write("\n".join(lines) + "\n")
+    return [out_dir / name for name in files]
 
 
 def main(argv=None) -> int:

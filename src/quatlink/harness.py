@@ -8,11 +8,7 @@ configuration and runs can be chunked across processes without changing a
 single bit of the output.  Chunks are sized by received samples, not runs
 (`_CHUNK_SAMPLES`), so many short runs share one wide kernel batch.  Both
 per-run stages of a chunk, its draw and its post-adaptation, walk it in the
-same slices of max(1, `_GROUP_LANES` // S) runs for S transmit streams
-(`_slices`).  Slices amortize numpy's per-call cost over several runs while
-their temporaries stay small (whole-chunk post-adaptation slices raise the
-peak resident memory of a 64 x 5000 chunk from 57 to 90 MB in SISO and from
-68 to 115 MB in MIMO).  A chunk allocates its received streams
+run slices that `_slices` states.  A chunk allocates its received streams
 (R, rx, N, 4) and int8 symbol indices (R, tx, N) once and fills them slice
 by slice (`_draw`): the slice's runs draw their grids, symbols, noise
 variances and noise generators, and one `channel.apply_mimo` call filters
@@ -100,7 +96,7 @@ _MODES = {
 # result is bit-independent of its batch, so the chunking never changes the output)
 _CHUNK_SAMPLES = 64 * 2 * 5000
 
-# lanes per run slice of a chunk's draw and post-adaptation; see the module docstring
+# lanes per run slice of a chunk's draw and post-adaptation; see `_slices`
 _GROUP_LANES = 8
 
 # trailing moving-average window used when locating the convergence iteration,
@@ -263,7 +259,14 @@ def _equalizer_decisions(received: np.ndarray, weights: np.ndarray, start: int) 
 
 
 def _slices(runs: int, streams: int) -> list[slice]:
-    """The run slices of a chunk's draw and post-adaptation: max(1, _GROUP_LANES // S) runs of S streams."""
+    """The run slices that both per-run stages of a chunk, its draw (`_draw`) and its
+    post-adaptation (`_post_adaptation`), walk: consecutive slices of
+    max(1, _GROUP_LANES // S) runs for S transmit streams, the last one possibly shorter.
+
+    Slices amortize numpy's per-call cost over several runs while their temporaries
+    stay small (whole-chunk post-adaptation slices raise the peak resident memory of
+    a 64 x 5000 chunk from 57 to 90 MB in SISO and from 68 to 115 MB in MIMO).
+    """
     size = max(1, _GROUP_LANES // streams)
     return [slice(r0, min(r0 + size, runs)) for r0 in range(0, runs, size)]
 

@@ -29,8 +29,8 @@ Any weights can be evaluated on data with `channel.mimo_convolve`
 (`evaluate_mse`), or on the block the statistics came from with the
 quadratic cost J(w) in R, p and the reference power (`statistics_mse`),
 which costs O(L^2) per run instead of a pass over the block.  The harness
-passes each 8-run slice whole and solves its sane runs, which keeps the
-temporaries small; larger groups buy little speed and raise peak memory.
+passes each of its run slices (`harness._slices`) whole and solves its sane
+runs.
 """
 
 from dataclasses import dataclass
@@ -53,7 +53,8 @@ DB_FLOOR = -100.0
 class WienerProblem:
     """Sample autocorrelation (..., L, L, 4), cross-correlation (..., L, 4), sample count.
 
-    Leading axes, when present, index runs.
+    Leading axes, when present, index runs.  Both are stored as the float64
+    arrays they were checked as; an input that already is one is kept, not copied.
     """
 
     autocorrelation: np.ndarray
@@ -68,6 +69,8 @@ class WienerProblem:
         hermitian_gap = np.abs(r - quat.conj(r.swapaxes(-3, -2))).max(initial=0.0)
         if hermitian_gap > 1e-12 * max(1.0, float(np.abs(r).max(initial=0.0))):
             raise ValueError(f"autocorrelation is not Hermitian (max deviation {hermitian_gap:.3e})")
+        object.__setattr__(self, "autocorrelation", r)
+        object.__setattr__(self, "cross_correlation", p)
 
     @property
     def length(self) -> int:
@@ -257,7 +260,7 @@ def statistics_mse(problem: WienerProblem, weights, reference) -> MseReport:
     figure agrees with `evaluate_mse` to ~1e-12 dB at J 20 dB below the
     reference power, and loses a digit per further 10 dB.
     """
-    r, p = quat._q(problem.autocorrelation), quat._q(problem.cross_correlation)
+    r, p = problem.autocorrelation, problem.cross_correlation
     weights, reference = quat._q(weights), quat._q(reference)
     count = problem.sample_count
     if weights.shape != p.shape:

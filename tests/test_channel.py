@@ -34,6 +34,7 @@ class TestGaussianQuaternions:
     def test_zero_variance_is_zero(self):
         draws = channel.gaussian_quaternions(channel.make_rng(0), 0.0, 10)
         assert np.array_equal(draws, np.zeros((10, 4)))
+        assert not np.signbit(draws).any()
 
     def test_sample_statistics(self):
         draws = channel.gaussian_quaternions(channel.make_rng(1), 1.0, 100_000)
@@ -51,7 +52,7 @@ class TestGaussianQuaternions:
             channel.gaussian_quaternions(channel.make_rng(0), -1.0, 4)
 
     def test_single_draw_shape(self):
-        assert channel.gaussian_quaternions(channel.make_rng(0), 1.0).shape == (4,)
+        assert channel.gaussian_quaternions(channel.make_rng(0), 1.0, ()).shape == (4,)
 
 
 class TestRandomChannel:

@@ -284,18 +284,37 @@ class TestConfigEcho:
 
 
 class TestEmitters:
+    """`write_outputs` on a hand-built one-stream SISO result."""
+
+    @staticmethod
+    def write(curve_db, out_dir):
+        curve = LearningCurve(np.array(curve_db), curve_db[-1], 0)
+        zeros = np.zeros((1, 1))
+        result = harness.ExperimentResult((curve,), (0.25,), 0, np.zeros((1, 1, len(curve_db))), zeros, zeros, -3.0)
+        return cli.write_outputs(result, ExperimentConfig(), out_dir)
+
     def test_csv_schema(self, tmp_path):
-        curve = LearningCurve(np.array([-1.0, -2.5, -3.25]), -3.25, 0)
-        path = tmp_path / "curve.csv"
-        cli.emit_learning_curve_csv(curve, path)
-        raw = path.read_bytes()
+        self.write([-1.0, -2.5, -3.25], tmp_path)
+        raw = (tmp_path / "learning_curve.csv").read_bytes()
         assert raw == b"iteration,mse_db\n0,-1.0\n1,-2.5\n2,-3.25\n"
 
     def test_csv_is_reproducible(self, tmp_path):
-        curve = LearningCurve(np.array([-1.0, -2.0]), -2.0, 0)
-        cli.emit_learning_curve_csv(curve, tmp_path / "a.csv")
-        cli.emit_learning_curve_csv(curve, tmp_path / "b.csv")
-        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        self.write([-1.0, -2.0], tmp_path / "a")
+        self.write([-1.0, -2.0], tmp_path / "b")
+        a, b = (tmp_path / side / "learning_curve.csv" for side in "ab")
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_summary_and_manifest_are_utf8_lf_text(self, tmp_path):
+        written = self.write([-1.0, -2.5, -3.25], tmp_path)
+        assert written == [tmp_path / name for name in ("learning_curve.csv", "summary.txt", "manifest.txt")]
+        for path in written[1:]:
+            raw = path.read_bytes()
+            raw.decode("utf-8")
+            assert b"\r" not in raw
+            assert raw.endswith(b"\n") and not raw.endswith(b"\n\n")
+        manifest = cli.parse_kv_lines(written[2].read_text(encoding="utf-8"))
+        outputs = {key: value for key, value in manifest.items() if key.startswith("output")}
+        assert outputs == {"output0": "learning_curve.csv", "output1": "summary.txt"}
 
 
 class TestMainEndToEnd:

@@ -174,6 +174,15 @@ class TestSolveWiener:
         with pytest.raises(ValueError):
             wiener.WienerProblem(tilted, np.zeros((2, 4)), 1)
 
+    def test_problem_from_nested_lists_keeps_its_checked_arrays(self):
+        """R = 2 and p = 1 given as lists are stored as the float64 arrays they were
+        checked as, so the problem has a length and solves to w = 1/2."""
+        problem = wiener.WienerProblem([[[2.0, 0, 0, 0]]], [[1.0, 0, 0, 0]], 1)
+        assert problem.length == 1
+        assert problem.autocorrelation.dtype == problem.cross_correlation.dtype == np.float64
+        assert np.array_equal(wiener.solve_wiener(problem, 0.0), [[0.5, 0.0, 0.0, 0.0]])
+        assert np.allclose(wiener.solve_wiener(problem), [[0.5, 0.0, 0.0, 0.0]], rtol=1e-7)
+
 
 class TestOptimality:
     def test_sampled_orthogonality_principle(self):
