@@ -55,6 +55,9 @@ class WienerProblem:
 
     Leading axes, when present, index runs.  Both are stored as the float64
     arrays they were checked as; an input that already is one is kept, not copied.
+    Their entries may be non-finite, as sample moments that overflowed are:
+    `solve_wiener` rejects such a problem, and the harness masks its runs first.
+    The sample count is an integer of at least 1.
     """
 
     autocorrelation: np.ndarray
@@ -62,6 +65,9 @@ class WienerProblem:
     sample_count: int
 
     def __post_init__(self):
+        count = self.sample_count
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+            raise ValueError(f"sample_count: must be an integer of at least 1, got {count!r}")
         r = quat._q(self.autocorrelation)
         p = quat._q(self.cross_correlation)
         if r.ndim < 3 or r.shape[-3] != r.shape[-2] or p.shape != r.shape[:-2] + (4,):
@@ -185,14 +191,18 @@ def solve_wiener(problem: WienerProblem, ridge: float | np.ndarray | None = None
     """Optimal weights conj((R + ridge*I)^-1 p), for every run at once.
 
     `ridge` defaults to `default_ridge(problem)`; pass 0.0 for the exact
-    normal equations.  A run whose regularized R has an eigenvalue no larger
-    in magnitude than sqrt(SINGULARITY_RTOL) times its largest entry's norm
-    raises SingularMatrixError.  A sample R is positive semidefinite, so one
+    normal equations.  A non-finite R or p raises ValueError.  A run whose
+    regularized R has an eigenvalue no larger in magnitude than
+    sqrt(SINGULARITY_RTOL) times its largest entry's norm raises
+    SingularMatrixError.  A sample R is positive semidefinite, so one
     Cholesky factorization of the adjoint minus that bound certifies the
     batch (`_eigenvalues_exceed`); only when it fails, as it does for a
     singular R or for a Hermitian R that a caller built indefinite but
     invertible, are the eigenvalues computed.
     """
+    for name in ("autocorrelation", "cross_correlation"):
+        if not np.isfinite(getattr(problem, name)).all():
+            raise ValueError(f"{name} must be finite to solve, but it holds inf or NaN entries")
     if ridge is None:
         ridge = default_ridge(problem)
     ridge = np.asarray(ridge, dtype=np.float64)
@@ -216,10 +226,20 @@ def solve_wiener(problem: WienerProblem, ridge: float | np.ndarray | None = None
 
 
 def floored_db(linear: np.ndarray, reference_power: float | np.ndarray) -> np.ndarray:
-    """10 log10(linear / reference_power) of an array, floored at DB_FLOOR with no warning; NaN stays NaN."""
-    fitted = ~((linear <= 0.0) | (reference_power <= 0.0))
+    """10 log10(linear / reference_power) of an array, floored at DB_FLOOR with no warning; NaN stays NaN.
+
+    The quotient is converted in place, an array of the broadcast shape (0-d
+    for scalar inputs); the only other temporaries are the boolean masks of
+    the unfitted entries, one at a time.
+    """
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(fitted, np.maximum(10.0 * np.log10(linear / reference_power), DB_FLOOR), DB_FLOOR)
+        db = np.asarray(np.divide(linear, reference_power))
+        np.log10(db, out=db)
+        db *= 10.0
+        np.maximum(db, DB_FLOOR, out=db)
+    np.copyto(db, DB_FLOOR, where=np.less_equal(linear, 0.0))
+    np.copyto(db, DB_FLOOR, where=np.less_equal(reference_power, 0.0))
+    return db
 
 
 def _report(linear: np.ndarray, reference_power: np.ndarray, count: int) -> MseReport:

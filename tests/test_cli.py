@@ -392,6 +392,25 @@ class TestMainEndToEnd:
         assert proc.returncode == 0, proc.stderr
         assert (out / "summary.txt").exists()
 
+    def test_run_without_a_pool_leaves_multiprocessing_unimported(self, tmp_path):
+        """A `--workers 1` run in a fresh interpreter never imports the process pool's
+        machinery; `harness.ProcessPoolExecutor` imports it on first use."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = ["run", "--runs", "2", "--symbols", "60", "--workers", "1", "--out", str(tmp_path / "out")]
+        script = (
+            "import sys\n"
+            "import quatlink.cli\n"
+            f"assert quatlink.cli.main({argv!r}) == 0\n"
+            "assert 'multiprocessing' not in sys.modules, 'multiprocessing imported'\n"
+            "from quatlink import harness\n"
+            "assert harness.ProcessPoolExecutor.__module__ == 'concurrent.futures.process'\n"
+            "assert 'multiprocessing' in sys.modules\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "out" / "summary.txt").exists()
+
     @pytest.mark.parametrize(
         "mode,grid,symbols", [("siso", 1, 5000), ("mimo", 2, 5000), ("mimo", 3, 20000)], ids=["siso", "mimo", "mimo3x3"]
     )

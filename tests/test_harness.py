@@ -5,6 +5,7 @@ import itertools
 import os
 import tracemalloc
 import warnings
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -360,6 +361,50 @@ class TestChunkMemory:
         assert peak <= 2.5 * received_bytes
 
 
+class TestAssemblyMemory:
+    @pytest.mark.parametrize("mode,runs,diverging", [
+        ("siso", 160, False), ("siso", 160, True), ("mimo", 80, False), ("mimo", 80, True),
+    ])  # fmt: skip
+    def test_assembly_holds_the_merged_traces_once(self, mode, runs, diverging, monkeypatch):
+        """Merging three chunks and building the curves from them traces a peak within
+        1.25x the merged traces: no chunk is copied twice and no traces-sized dB or
+        live-run copy is made, also when runs diverge.  Every chunk is released before
+        the curves are built, and the result is the one the chunks give when
+        concatenated and averaged whole."""
+        config = small(mode=mode, num_runs=runs, symbols_per_run=1000)
+        if diverging:
+            config = dataclasses.replace(config, step_size=0.04 if mode == "siso" else 0.14, normalize_channel=False)
+        bounds = [(0, runs // 3), (runs // 3, 2 * runs // 3), (2 * runs // 3, runs)]
+        chunks = [harness._chunk(config, start, stop) for start, stop in bounds]
+        # run_experiment gets the only references to these copies
+        supplied = [[{name: array.copy() for name, array in chunk.items()} for chunk in chunks]]
+        copies = [weakref.ref(chunk["traces"]) for chunk in supplied[0]]
+        monkeypatch.setattr(harness, "_run_chunks", lambda config, workers: supplied.pop())
+        build_curve = harness._build_curve
+
+        def build_curve_after_release(*args):
+            assert all(copy() is None for copy in copies), "a chunk outlived its merge"
+            return build_curve(*args)
+
+        monkeypatch.setattr(harness, "_build_curve", build_curve_after_release)
+        traces = np.concatenate([chunk["traces"] for chunk in chunks])
+        diverged_at = np.concatenate([chunk["diverged_at"] for chunk in chunks])
+        assert (0 < (diverged_at >= 0).sum(axis=0)).all() == diverging
+        tracemalloc.start()
+        try:
+            result = harness.run_experiment(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * traces.nbytes
+        assert np.array_equal(result.per_run_traces, traces, equal_nan=True)
+        for stream, curve in enumerate(result.curves):
+            alive = diverged_at[:, stream] < 0
+            db = wiener.floored_db(traces[:, stream, config.delay :], harness._reference_power(config))
+            assert np.array_equal(curve.mse_per_iteration, db[alive].mean(axis=0))
+            assert curve.runs_diverged == (~alive).sum()
+
+
 class TestMimoExperiment:
     def test_shapes_and_determinism(self):
         for mode, streams in (("mimo", 2), ("siso", 1)):
@@ -472,6 +517,27 @@ class TestCurveAssembly:
         message = "on stream 1; the first was run 1 of master_seed 11, at iteration 3"
         with pytest.raises(ExperimentFailedError, match=message):
             harness._build_curve(small(delay=0), np.ones((2, 10)), np.array([7, 3]), 1)
+
+    @pytest.mark.parametrize("group_lanes", [8, 3])
+    def test_curve_equals_the_whole_mean(self, group_lanes, monkeypatch):
+        """Averaged slice by slice, the curve equals `.mean(axis=0)` of the live runs'
+        dB rows bit for bit, for run counts the slice size does not divide, with dead
+        runs in some slices and whole slices dead."""
+        monkeypatch.setattr(harness, "_GROUP_LANES", group_lanes)
+        rng = np.random.default_rng(61)
+        config = small(delay=5)
+        for runs in (1, 7, 13, 29, 69):
+            traces = 10.0 ** rng.uniform(-6.0, 1.0, (runs, 2, 393))
+            diverged_at = np.where(rng.random((runs, 2)) < 0.3, 100, -1)
+            diverged_at[0] = -1
+            diverged_at[group_lanes : 2 * group_lanes] = 100  # the second slice dies whole
+            traces[diverged_at >= 0, 100:] = np.nan
+            for stream in (0, 1):
+                alive = diverged_at[:, stream] < 0
+                curve = harness._build_curve(config, traces[:, stream], diverged_at[:, stream], stream)
+                db = wiener.floored_db(traces[:, stream, config.delay :], 4.0)[alive]
+                assert np.array_equal(curve.mse_per_iteration, db.mean(axis=0))
+                assert curve.runs_diverged == (~alive).sum()
 
     def test_floor_applies(self):
         traces = np.zeros((1, 50))

@@ -1,5 +1,6 @@
 """Tests for the block Wiener solution."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -174,6 +175,28 @@ class TestSolveWiener:
         with pytest.raises(ValueError):
             wiener.WienerProblem(tilted, np.zeros((2, 4)), 1)
 
+    @pytest.mark.parametrize("ridge", [0.0, None], ids=["ridge0", "default-ridge"])
+    @pytest.mark.parametrize("r", [np.full((1, 1, 4), np.nan), np.array([[[np.inf, 0, 0, 0]]])], ids=["nan", "inf"])
+    def test_nonfinite_statistics_rejected(self, r, ridge):
+        """A problem with a non-finite R or p is built, as the harness's overflowing
+        statistics are, but solving it raises an error naming the statistic instead
+        of returning NaN weights."""
+        with np.errstate(invalid="ignore"):  # the Hermitian check subtracts inf from inf
+            problem = wiener.WienerProblem(r, np.zeros((1, 4)), 1)
+        with pytest.raises(ValueError, match="autocorrelation must be finite"):
+            wiener.solve_wiener(problem, ridge)
+        problem = wiener.WienerProblem(2.0 * linalg.identity(2), np.array([quat.ONE, r[0, 0]]), 1)
+        with pytest.raises(ValueError, match="cross_correlation must be finite"):
+            wiener.solve_wiener(problem, ridge)
+
+    @pytest.mark.parametrize("count", [-3, 0, 2.0, True, "5"])
+    def test_sample_count_must_be_a_positive_integer(self, count):
+        """A count below 1 would score too few samples (-3 scores the first N - 3),
+        and one that is not an integer cannot slice the reference."""
+        with pytest.raises(ValueError, match=f"sample_count: must be an integer of at least 1, got {count!r}"):
+            wiener.WienerProblem(np.array([[[2.0, 0, 0, 0]]]), np.zeros((1, 4)), count)
+        assert wiener.WienerProblem(np.array([[[2.0, 0, 0, 0]]]), np.zeros((1, 4)), np.int64(5)).sample_count == 5
+
     def test_problem_from_nested_lists_keeps_its_checked_arrays(self):
         """R = 2 and p = 1 given as lists are stored as the float64 arrays they were
         checked as, so the problem has a length and solves to w = 1/2."""
@@ -317,6 +340,41 @@ class TestFlooredDb:
             silent = wiener.floored_db(np.array([0.0, 2.0]), np.array([0.0, 0.0]))
             assert wiener.floored_db(np.float64(2.0), 0.0) == wiener.DB_FLOOR
         assert np.array_equal(silent, [wiener.DB_FLOOR, wiener.DB_FLOOR])
+
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 50)], ids=["0-d", "1-d", "2-d"])
+    @pytest.mark.parametrize("per_run", [False, True], ids=["scalar-power", "per-run-power"])
+    def test_equals_the_masked_expression(self, shape, per_run):
+        """The in-place conversion is np.where(fitted, max(10 log10(x / p), floor), floor)
+        bit for bit, over NaN, zero, negative, infinite, tiny and huge values, with one
+        reference power or one per run (some zero or negative), and returns an array."""
+        rng = np.random.default_rng(41)
+        special = np.array([np.nan, 0.0, -0.0, -2.0, np.inf, 1e-300, 1e300, 1.0, 4.0])
+        linear = np.concatenate([special, 10.0 ** rng.uniform(-15.0, 5.0, 150)])[: int(np.prod(shape, dtype=int))]
+        linear = rng.permutation(linear).reshape(shape)
+        power = 4.0
+        if per_run:
+            power = rng.uniform(0.1, 5.0, shape[:1] + (1,) * max(len(shape) - 1, 0))
+            power.flat[:2] = [0.0, -1.0][: power.size]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fitted = ~((linear <= 0.0) | (power <= 0.0))
+            expected = np.where(fitted, np.maximum(10 * np.log10(linear / power), wiener.DB_FLOOR), wiener.DB_FLOOR)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            db = wiener.floored_db(linear, power)
+        assert isinstance(db, np.ndarray) and db.shape == expected.shape and db.dtype == np.float64
+        assert np.array_equal(db, expected, equal_nan=True)
+        assert np.array_equal(np.signbit(db), np.signbit(expected))
+
+    def test_converts_in_one_array(self):
+        """The conversion's traced peak is its result plus one boolean mask."""
+        linear = 10.0 ** np.random.default_rng(43).uniform(-12.0, 2.0, 100_000)
+        tracemalloc.start()
+        try:
+            db = wiener.floored_db(linear, 4.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * db.nbytes
 
 
 class TestStatisticsMse:
