@@ -164,7 +164,6 @@ def run_qlms_batch(received, indices, symbols, length: int, step_size: float, de
     errors = np.empty((4, _BLOCK, b))
     target_of, e_of = [targets[:, q] for q in range(_BLOCK)], [errors[:, q] for q in range(_BLOCK)]
     e_lanes_of = [e.T.reshape(runs, lanes, 4, 1) for e in e_of]
-    sums = np.empty((_BLOCK, b))
     traces = np.full((b, n), np.nan)
     diverged_at = np.full(b, -1, dtype=np.int64)
     active = np.ones(b, dtype=bool)
@@ -225,8 +224,7 @@ def run_qlms_batch(received, indices, symbols, length: int, step_size: float, de
                 # squared in place: the block's errors are spent, and a replay computes them again
                 block_errors = errors[:, begin - t0 : stop - t0]
                 np.multiply(block_errors, block_errors, out=block_errors)
-                err = np.add.reduce(block_errors, axis=0, out=sums[: stop - begin])
-                traces[:, begin:stop] = err.T
+                err = np.add.reduce(block_errors, axis=0, out=traces[:, begin:stop].T)
                 if np.isfinite(weights).all() and not (active & ~(err <= ERROR_ENERGY_LIMIT).all(axis=0)).any():
                     break
                 np.copyto(weights, start_weights)

@@ -22,8 +22,7 @@ results are reshaped once to the (run, stream) grid, which every later stage
 keeps.  The kernel
 shares each run's received streams among its lanes and looks the
 references up in the scaled constellation block by block, so the chunk
-holds its data once; on a 64 x 5000 MIMO chunk the traced peak is 1.45x the
-received batch.  Lanes advance in lockstep, which keeps ensemble averaging
+holds its data once.  Lanes advance in lockstep, which keeps ensemble averaging
 over hundreds of runs cheap.  After adaptation, every run of each slice goes
 through the SER stage, which filters each run once for all its S lanes
 with their final weights, as the S-output grid of `channel.mimo_convolve`;
@@ -38,16 +37,10 @@ pointwise across the runs that stayed sane; diverged runs are excluded from
 every average but counted and reported.  The per-run QLMS figure takes the
 same rule.
 
-Assembling the result keeps one memory rule: beyond the merged result, the
-process that runs `run_experiment` holds at most one traces-sized array.  Each
-chunk's arrays are copied into one preallocated merged array per field and
-the chunk is released once copied (`_merge`; a lone chunk is used as it is).
-Each curve is a running sum over the same run slices (`_slices`), each
-slice picking and converting only its own live runs (`_build_curve`), so no
-traces-sized dB or live-run copy is made.  At 128 x 5000 SISO with two pool
-workers the parent's peak resident memory is then 48-49 MB, about its
-workers' 47 MB (2-core x86_64 VM).  The process pool itself is imported
-only by a run that uses one (`ProcessPoolExecutor`).
+The result holds no traces: the process that runs `run_experiment` folds each
+chunk's traces into the curves as it takes the chunk, and frees them
+(`_fold_curves`).  The process pool itself is imported only by a run that
+uses one (`ProcessPoolExecutor`).
 """
 
 import os
@@ -189,7 +182,6 @@ class ExperimentResult:
     curves: tuple[LearningCurve, ...]
     symbol_error_rates: tuple[float, ...]
     runs_diverged: int  # runs with at least one diverged stream
-    per_run_traces: np.ndarray  # (runs, streams, N) linear, NaN in warm-up / after divergence
     per_run_qlms_db: np.ndarray  # (runs, streams) mean of the last quarter, NaN if diverged
     per_run_wiener_db: np.ndarray  # (runs, streams)
     wiener_mse_db: Optional[float]
@@ -230,8 +222,24 @@ def _steady_state_db(curve_db: np.ndarray) -> float:
     return float(curve_db[-tail:].mean())
 
 
-def _build_curve(config: ExperimentConfig, traces: np.ndarray, diverged_at: np.ndarray, stream: int) -> LearningCurve:
-    """The learning curve of one transmitted stream from its (runs, N) traces and
+def _fold_curves(config: ExperimentConfig, traces: np.ndarray, alive: np.ndarray, totals: list) -> None:
+    """Add one chunk's live dB rows to each stream's running sum `totals[s]` (None
+    before its first live row), from its (runs, streams, N) traces and (runs, streams)
+    `alive` mask.
+
+    Folded over the chunks in run order, the sum is the one `.mean(axis=0)` of
+    the live runs' dB rows takes, bit for bit.  Each run slice picks and converts
+    only its own rows, so no traces-sized dB or live-run copy is made.
+    """
+    for part in _slices(len(traces), 1):
+        for s in range(len(totals)):
+            for row in wiener.floored_db(traces[part, s, config.delay :][alive[part, s]], _reference_power(config)):
+                totals[s] = row.copy() if totals[s] is None else np.add(totals[s], row, out=totals[s])
+
+
+def _curve(config: ExperimentConfig, total: Optional[np.ndarray], diverged_at: np.ndarray,
+           stream: int) -> LearningCurve:
+    """The learning curve of one transmitted stream from its folded dB sum and its
     (runs,) divergence iterations.  If every run diverged, the error names the
     earliest divergence.  A run's draws depend only on the config and its
     (master_seed, run) key, so the same config with run + 1 runs replays it.
@@ -243,12 +251,6 @@ def _build_curve(config: ExperimentConfig, traces: np.ndarray, diverged_at: np.n
             f"all {alive.size} runs diverged on stream {stream}; the first was run {run} of master_seed"
             f" {config.master_seed}, at iteration {int(diverged_at[run])}"
         )
-    # a running sum over the rows in run order is what `.mean(axis=0)` of the live
-    # runs' dB rows computes, bit for bit, and each slice picks and converts its own rows
-    total = None
-    for part in _slices(alive.size, 1):
-        for row in wiener.floored_db(traces[part, config.delay :][alive[part]], _reference_power(config)):
-            total = row.copy() if total is None else np.add(total, row, out=total)
     curve_db = total / np.count_nonzero(alive)
     return LearningCurve(curve_db, _steady_state_db(curve_db), int((~alive).sum()))
 
@@ -277,7 +279,7 @@ def _slices(runs: int, streams: int) -> list[slice]:
     """The run slices that both per-run stages of a chunk, its draw (`_draw`) and its
     post-adaptation (`_post_adaptation`), walk: consecutive slices of
     max(1, _GROUP_LANES // S) runs for S transmit streams, the last one possibly shorter.
-    The curve assembly (`_build_curve`) walks one stream's merged runs in slices of S = 1.
+    The curve fold (`_fold_curves`) walks a chunk's runs in slices of S = 1.
 
     Slices amortize numpy's per-call cost over several runs while their temporaries
     stay small (whole-chunk post-adaptation slices raise the peak resident memory of
@@ -422,26 +424,6 @@ def _run_chunks(config: ExperimentConfig, workers: int) -> list[dict]:
         return [f.result() for f in futures]
 
 
-def _merge(chunks: list[dict]) -> dict:
-    """The chunks' arrays, joined along the run axis in chunk order.
-
-    A lone chunk is returned as it is.  Otherwise each array is copied into
-    one preallocated merged array, and each chunk is popped from `chunks` as
-    it is copied, so each chunk can be freed once copied.
-    """
-    if len(chunks) == 1:
-        return chunks.pop()
-    runs = sum(len(chunk["traces"]) for chunk in chunks)
-    merged = {name: np.empty((runs,) + array.shape[1:], array.dtype) for name, array in chunks[0].items()}
-    stop = 0
-    while chunks:
-        chunk = chunks.pop(0)
-        start, stop = stop, stop + len(chunk["traces"])
-        for name, array in chunk.items():
-            merged[name][start:stop] = array
-    return merged
-
-
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """Monte Carlo equalization (SISO) or rx-by-tx separation (MIMO).
 
@@ -452,11 +434,16 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     baseline on the same data.
     """
     config.validate()
-    merged = _merge(_run_chunks(config, workers))
-    traces, diverged_at, wiener_db = merged["traces"], merged["diverged_at"], merged["wiener_db"]
+    chunks = _run_chunks(config, workers)
+    totals = [None] * _MODES[config.mode].layout(config)[1]
+    for chunk in chunks:
+        # popped, so the chunk's traces are freed once folded
+        _fold_curves(config, chunk.pop("traces"), chunk["diverged_at"] < 0, totals)
+    merged = {name: np.concatenate([chunk[name] for chunk in chunks]) for name in chunks[0]}
+    diverged_at, wiener_db = merged["diverged_at"], merged["wiener_db"]
     alive = diverged_at < 0
     # raises unless each stream has a live run; dead lanes score 0 errors in 0 decisions
-    curves = tuple(_build_curve(config, traces[:, s], diverged_at[:, s], s) for s in range(traces.shape[1]))
+    curves = tuple(_curve(config, total, diverged_at[:, s], s) for s, total in enumerate(totals))
     rates = merged["errors"].sum(axis=0) / merged["decisions"].sum(axis=0)
     wiener_mse_db = None
     if _MODES[config.mode].with_wiener:
@@ -465,7 +452,6 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
         curves=curves,
         symbol_error_rates=tuple(rates.tolist()),
         runs_diverged=int((~alive).any(axis=1).sum()),
-        per_run_traces=traces,
         per_run_qlms_db=merged["qlms_db"],
         per_run_wiener_db=wiener_db,
         wiener_mse_db=wiener_mse_db,

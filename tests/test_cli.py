@@ -290,7 +290,7 @@ class TestEmitters:
     def write(curve_db, out_dir):
         curve = LearningCurve(np.array(curve_db), curve_db[-1], 0)
         zeros = np.zeros((1, 1))
-        result = harness.ExperimentResult((curve,), (0.25,), 0, np.zeros((1, 1, len(curve_db))), zeros, zeros, -3.0)
+        result = harness.ExperimentResult((curve,), (0.25,), 0, zeros, zeros, -3.0)
         return cli.write_outputs(result, ExperimentConfig(), out_dir)
 
     def test_csv_schema(self, tmp_path):

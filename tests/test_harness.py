@@ -38,6 +38,20 @@ def assert_same_result(a, b):
             assert x == y, field.name
 
 
+def chunk_traces(config, workers=1):
+    """Every run's (runs, streams, N) squared-error traces, joined from the chunks
+    that `run_experiment` folds into its curves."""
+    return np.concatenate([chunk["traces"] for chunk in harness._run_chunks(config, workers)])
+
+
+def folded_curve(config, traces, diverged_at, stream):
+    """The curve that `run_experiment` builds for one stream's (runs, N) traces,
+    folded as one chunk."""
+    totals = [None]
+    harness._fold_curves(config, traces[:, None], (diverged_at < 0)[:, None], totals)
+    return harness._curve(config, totals[0], diverged_at, stream)
+
+
 def run_channel(config, run):
     """One run's received streams, rebuilt from its own (master_seed, run, purpose,
     stream) generators and sent through `channel.apply_mimo` alone."""
@@ -128,7 +142,7 @@ class TestSisoExperiment:
         assert a.curve.steady_state_db == b.curve.steady_state_db
         assert a.wiener_mse_db == b.wiener_mse_db
         assert a.symbol_error_rate == b.symbol_error_rate
-        assert np.array_equal(a.per_run_traces, b.per_run_traces, equal_nan=True)
+        assert np.array_equal(chunk_traces(small()), chunk_traces(small()), equal_nan=True)
 
     def test_different_seeds_differ(self):
         a = harness.run_siso_experiment(small())
@@ -162,9 +176,8 @@ class TestSisoExperiment:
     def test_averaging_reduces_variance(self):
         """The averaged trace fluctuates less than a typical single run."""
         config = small(num_runs=16, symbols_per_run=1000)
-        result = harness.run_siso_experiment(config)
         floor = harness._reference_power(config) * 10.0 ** (wiener.DB_FLOOR / 10.0)
-        per_run_db = 10 * np.log10(np.maximum(result.per_run_traces[:, 0, config.delay :], floor) / 4.0)
+        per_run_db = 10 * np.log10(np.maximum(chunk_traces(config)[:, 0, config.delay :], floor) / 4.0)
         steady = per_run_db[:, 500:]
         averaged = steady.mean(axis=0)
         assert averaged.var() < steady.var(axis=1).mean()
@@ -222,7 +235,7 @@ class TestWorkersAndChunking:
         config = small(num_runs=10, symbols_per_run=400)
         serial = harness.run_siso_experiment(config, workers=1)
         parallel = harness.run_siso_experiment(config, workers=2)
-        assert np.array_equal(serial.per_run_traces, parallel.per_run_traces, equal_nan=True)
+        assert np.array_equal(chunk_traces(config, 1), chunk_traces(config, 2), equal_nan=True)
         assert serial.curve.steady_state_db == parallel.curve.steady_state_db
         assert serial.symbol_error_rate == parallel.symbol_error_rate
 
@@ -289,7 +302,8 @@ class TestWorkersAndChunking:
         config = small(mode="mimo", num_runs=4, symbols_per_run=300)
         serial = harness.run_mimo_experiment(config, workers=1)
         parallel = harness.run_mimo_experiment(config, workers=2)
-        assert np.array_equal(serial.per_run_traces, parallel.per_run_traces, equal_nan=True)
+        assert_same_result(serial, parallel)
+        assert np.array_equal(chunk_traces(config, 1), chunk_traces(config, 2), equal_nan=True)
 
 
 class TestDataGeneration:
@@ -365,12 +379,13 @@ class TestAssemblyMemory:
     @pytest.mark.parametrize("mode,runs,diverging", [
         ("siso", 160, False), ("siso", 160, True), ("mimo", 80, False), ("mimo", 80, True),
     ])  # fmt: skip
-    def test_assembly_holds_the_merged_traces_once(self, mode, runs, diverging, monkeypatch):
-        """Merging three chunks and building the curves from them traces a peak within
-        1.25x the merged traces: no chunk is copied twice and no traces-sized dB or
-        live-run copy is made, also when runs diverge.  Every chunk is released before
-        the curves are built, and the result is the one the chunks give when
-        concatenated and averaged whole."""
+    def test_assembly_folds_and_frees_each_chunk(self, mode, runs, diverging, monkeypatch):
+        """Assembling three chunks traces a peak within 4x one run slice's dB rows (a
+        slice's live rows and their dB, plus the last slice's dB until they are made),
+        under one chunk's traces: no traces-sized dB, live-run or merged copy is made,
+        also when runs diverge.  Each chunk's traces are released once folded,
+        before the next chunk is, and every curve equals `.mean(axis=0)` of the live
+        runs' dB rows of the chunks' joined traces, bit for bit."""
         config = small(mode=mode, num_runs=runs, symbols_per_run=1000)
         if diverging:
             config = dataclasses.replace(config, step_size=0.04 if mode == "siso" else 0.14, normalize_channel=False)
@@ -380,13 +395,14 @@ class TestAssemblyMemory:
         supplied = [[{name: array.copy() for name, array in chunk.items()} for chunk in chunks]]
         copies = [weakref.ref(chunk["traces"]) for chunk in supplied[0]]
         monkeypatch.setattr(harness, "_run_chunks", lambda config, workers: supplied.pop())
-        build_curve = harness._build_curve
+        fold_curves, folded = harness._fold_curves, []
 
-        def build_curve_after_release(*args):
-            assert all(copy() is None for copy in copies), "a chunk outlived its merge"
-            return build_curve(*args)
+        def fold_after_release(config, traces, *args):
+            assert [copy() is None for copy in copies] == [True] * len(folded) + [False] * (3 - len(folded))
+            folded.append(traces is copies[len(folded)]())
+            return fold_curves(config, traces, *args)
 
-        monkeypatch.setattr(harness, "_build_curve", build_curve_after_release)
+        monkeypatch.setattr(harness, "_fold_curves", fold_after_release)
         traces = np.concatenate([chunk["traces"] for chunk in chunks])
         diverged_at = np.concatenate([chunk["diverged_at"] for chunk in chunks])
         assert (0 < (diverged_at >= 0).sum(axis=0)).all() == diverging
@@ -396,8 +412,10 @@ class TestAssemblyMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * traces.nbytes
-        assert np.array_equal(result.per_run_traces, traces, equal_nan=True)
+        assert folded == [True] * 3
+        assert all(copy() is None for copy in copies), "a chunk's traces outlived the result"
+        slice_bytes = harness._GROUP_LANES * (config.symbols_per_run - config.delay) * 8
+        assert peak <= 4 * slice_bytes < traces.nbytes / 3
         for stream, curve in enumerate(result.curves):
             alive = diverged_at[:, stream] < 0
             db = wiener.floored_db(traces[:, stream, config.delay :], harness._reference_power(config))
@@ -415,7 +433,9 @@ class TestMimoExperiment:
             for ca, cb in zip(a.curves, b.curves):
                 assert np.array_equal(ca.mse_per_iteration, cb.mse_per_iteration)
             assert a.symbol_error_rates == b.symbol_error_rates
-            assert a.per_run_traces.shape == (4, streams, 500)
+            traces = chunk_traces(config)
+            assert traces.shape == (4, streams, 500)
+            assert np.array_equal(traces, chunk_traces(config), equal_nan=True)
             assert a.per_run_qlms_db.shape == a.per_run_wiener_db.shape == (4, streams)
             assert np.isfinite(a.per_run_qlms_db).all()
             assert np.isfinite(a.per_run_wiener_db).all() == (mode == "siso")
@@ -509,20 +529,20 @@ class TestCurveAssembly:
         traces = np.ones((4, 100))
         traces[2] = 1000.0  # pretend this run diverged; it must not pollute the curve
         diverged_at = np.array([-1, -1, 40, -1])
-        curve = harness._build_curve(small(delay=10), traces, diverged_at, 0)
+        curve = folded_curve(small(delay=10), traces, diverged_at, 0)
         assert curve.runs_diverged == 1
         assert np.allclose(curve.mse_per_iteration, 10 * np.log10(1.0 / 4.0))
 
     def test_all_dead_raises(self):
         message = "on stream 1; the first was run 1 of master_seed 11, at iteration 3"
         with pytest.raises(ExperimentFailedError, match=message):
-            harness._build_curve(small(delay=0), np.ones((2, 10)), np.array([7, 3]), 1)
+            folded_curve(small(delay=0), np.ones((2, 10)), np.array([7, 3]), 1)
 
     @pytest.mark.parametrize("group_lanes", [8, 3])
     def test_curve_equals_the_whole_mean(self, group_lanes, monkeypatch):
-        """Averaged slice by slice, the curve equals `.mean(axis=0)` of the live runs'
-        dB rows bit for bit, for run counts the slice size does not divide, with dead
-        runs in some slices and whole slices dead."""
+        """Folded slice by slice over one chunk or over three uneven ones, each stream's
+        curve equals `.mean(axis=0)` of the live runs' dB rows bit for bit, for run counts
+        the slice size does not divide, with dead runs in some slices and whole slices dead."""
         monkeypatch.setattr(harness, "_GROUP_LANES", group_lanes)
         rng = np.random.default_rng(61)
         config = small(delay=5)
@@ -532,16 +552,20 @@ class TestCurveAssembly:
             diverged_at[0] = -1
             diverged_at[group_lanes : 2 * group_lanes] = 100  # the second slice dies whole
             traces[diverged_at >= 0, 100:] = np.nan
-            for stream in (0, 1):
-                alive = diverged_at[:, stream] < 0
-                curve = harness._build_curve(config, traces[:, stream], diverged_at[:, stream], stream)
-                db = wiener.floored_db(traces[:, stream, config.delay :], 4.0)[alive]
-                assert np.array_equal(curve.mse_per_iteration, db.mean(axis=0))
-                assert curve.runs_diverged == (~alive).sum()
+            for cuts in ((0, runs), (0, runs // 5, runs // 2, runs)):
+                totals = [None, None]
+                for start, stop in itertools.pairwise(cuts):
+                    harness._fold_curves(config, traces[start:stop], diverged_at[start:stop] < 0, totals)
+                for stream in (0, 1):
+                    alive = diverged_at[:, stream] < 0
+                    curve = harness._curve(config, totals[stream], diverged_at[:, stream], stream)
+                    db = wiener.floored_db(traces[:, stream, config.delay :], 4.0)[alive]
+                    assert np.array_equal(curve.mse_per_iteration, db.mean(axis=0))
+                    assert curve.runs_diverged == (~alive).sum()
 
     def test_floor_applies(self):
         traces = np.zeros((1, 50))
-        curve = harness._build_curve(small(delay=0), traces, np.array([-1]), 0)
+        curve = folded_curve(small(delay=0), traces, np.array([-1]), 0)
         assert (curve.mse_per_iteration == wiener.DB_FLOOR).all()
 
 

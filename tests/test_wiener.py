@@ -176,13 +176,16 @@ class TestSolveWiener:
             wiener.WienerProblem(tilted, np.zeros((2, 4)), 1)
 
     @pytest.mark.parametrize("ridge", [0.0, None], ids=["ridge0", "default-ridge"])
-    @pytest.mark.parametrize("r", [np.full((1, 1, 4), np.nan), np.array([[[np.inf, 0, 0, 0]]])], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "r",
+        [np.full((1, 1, 4), np.nan), np.array([[[np.inf, 0, 0, 0]]]), np.full((1, 1, 4), np.inf)],
+        ids=["nan", "inf", "all-inf"],
+    )
     def test_nonfinite_statistics_rejected(self, r, ridge):
         """A problem with a non-finite R or p is built, as the harness's overflowing
-        statistics are, but solving it raises an error naming the statistic instead
-        of returning NaN weights."""
-        with np.errstate(invalid="ignore"):  # the Hermitian check subtracts inf from inf
-            problem = wiener.WienerProblem(r, np.zeros((1, 4)), 1)
+        statistics are, with no warning (the Hermitian check takes inf - inf), but
+        solving it raises an error naming the statistic instead of returning NaN weights."""
+        problem = wiener.WienerProblem(r, np.zeros((1, 4)), 1)
         with pytest.raises(ValueError, match="autocorrelation must be finite"):
             wiener.solve_wiener(problem, ridge)
         problem = wiener.WienerProblem(2.0 * linalg.identity(2), np.array([quat.ONE, r[0, 0]]), 1)
