@@ -35,7 +35,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .errors import ExperimentFailedError
+from .errors import ExperimentFailedError, KernelBuildError
 from .harness import ExperimentConfig, MODE_MIMO, run_experiment, summarize
 
 SEED_ENV_VAR = "QUATLINK_SEED"
@@ -243,6 +243,9 @@ def main(argv=None) -> int:
         result = run_experiment(invocation.config, workers=invocation.workers)
     except ExperimentFailedError as exc:
         print(f"experiment failed: {exc}", file=sys.stderr)
+        return 1
+    except KernelBuildError as exc:
+        print(f"cannot build the QLMS kernel: {exc}", file=sys.stderr)
         return 1
     try:
         written = write_outputs(result, invocation.config, invocation.out_dir)

@@ -15,3 +15,7 @@ class InsufficientDataError(ValueError):
 
 class ExperimentFailedError(RuntimeError):
     """Every Monte Carlo run of an experiment diverged."""
+
+
+class KernelBuildError(RuntimeError):
+    """The C compiler could not build the QLMS kernel."""

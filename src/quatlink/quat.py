@@ -8,8 +8,8 @@ scalars, a tap by a whole signal, or two stacked signals) and never mutates
 its inputs.
 
 `mul` is the one place the sign convention is written.  The hot paths use
-real 4x4 forms whose signs are read off it: L(a) with a*b = L(a) b, R(b) with
-a*b = R(b) a, and `from_moments`, which turns sum a b^T into sum a*conj(b).
+real 4x4 forms whose signs are read off it: L(a) with a*b = L(a) b, and
+`from_moments`, which turns sum a b^T into sum a*conj(b).
 """
 
 import numpy as np
@@ -74,30 +74,22 @@ def inverse(a) -> np.ndarray:
 
 # With the basis units E, E[m] * E[n] = +-E[m ^ n], so entry [i, j] of each
 # real form below is a sign times component i ^ j.  The signs are component i
-# of E[i ^ j] * E[j], of E[j] * E[i ^ j] and of E[i ^ j] * conj(E[j]).
+# of E[i ^ j] * E[j] and of E[i ^ j] * conj(E[j]).
 _ROWS, _COLS = np.indices((4, 4))
 _XOR = _ROWS ^ _COLS
 _E = np.eye(4)
 _LEFT_SIGNS = mul(_E[_XOR], _E)[_ROWS, _COLS, _ROWS]
-_RIGHT_SIGNS = mul(_E, _E[_XOR])[_ROWS, _COLS, _ROWS]
 _MOMENT_SIGNS = mul(_E[_XOR], conj(_E))[_ROWS, _COLS, _ROWS]
 
 
-def _signed_gather(signs, x) -> np.ndarray:
-    """signs * x[..., _XOR], signed in place: exact for every value, inf and NaN included."""
-    matrix = _q(x)[..., _XOR]
-    matrix *= signs
-    return matrix
-
-
 def left_matrix(a) -> np.ndarray:
-    """L(a), shape (..., 4, 4): the real matrix with a*b = L(a) b."""
-    return _signed_gather(_LEFT_SIGNS, a)
+    """L(a), shape (..., 4, 4): the real matrix with a*b = L(a) b.
 
-
-def right_matrix(b) -> np.ndarray:
-    """R(b), shape (..., 4, 4): the real matrix with a*b = R(b) a, so e*conj(b) = R(b)^T e."""
-    return _signed_gather(_RIGHT_SIGNS, b)
+    Gathered and signed in place, so exact for every value, inf and NaN included.
+    """
+    matrix = _q(a)[..., _XOR]
+    matrix *= _LEFT_SIGNS
+    return matrix
 
 
 def from_moments(moments) -> np.ndarray:

@@ -4,7 +4,9 @@ Everything here is deliberately written from first principles (basis-table
 multiplication, double loops, exhaustive searches) so the tests never reuse
 the vectorized production code paths they are checking.  The one exception
 is `apply_one_run`, the one-run call of `channel.apply_mimo` that the
-channel and harness tests share.
+channel and harness tests share.  `qlms_steps` multiplies through `quat.mul`,
+which the quat tests hold to the basis table, because the compiled QLMS
+kernel rounds in `quat.mul`'s order and the oracle must match it exactly.
 """
 
 import numpy as np
@@ -88,43 +90,39 @@ def solve_via_adjoint(a_adjoint, b_adjoint):
 
 
 def qlms_steps(received, reference, length, step_size, delay=0):
-    """QLMS on one (C, N, 4) run, stepped one real matrix-vector product at a time.
+    """QLMS on one (C, N, 4) run, stepped one tap at a time in `quat.mul` arithmetic.
 
-    The regressor's C*L samples x_k, in (lag, stream) order, give the 4 x 4CL
-    matrix A whose column (k, j) is e_j * x_k for the basis unit e_j, read off
-    the basis table, so that A w is the output sum_k w_k * x_k and A^T e
-    stacks e * conj(x_k).  A step is y = A w, e = reference[t - delay] - y,
-    then w + mu * (A^T e), both products column-major as the kernel takes
-    them.  The run freezes at the first step t whose norm_sq(e) is not
-    <= ERROR_ENERGY_LIMIT (NaN included) or whose update leaves non-finite
-    weights: it keeps the weights it used at step t, and every later trace
-    entry is NaN.  Returns the (N,) norm_sq(e) trace, NaN for t < delay, the (C*L, 4)
-    weights laid out [stream 0 lags, stream 1 lags, ...], and the step it
-    froze at, -1 if it never did.
+    The regressor's C*L samples x_k are taken in (lag, stream) order.  A step
+    starts from y = 0 and adds y = y + w_k * x_k tap by tap, sets
+    e = reference[t - delay] - y and norm_sq(e), then updates each tap to
+    w_k + mu * (e * conj(x_k)): the order the kernel states.  The run freezes
+    at the first step t whose norm_sq(e) is not <= ERROR_ENERGY_LIMIT (NaN
+    included) or whose update leaves non-finite weights: it keeps the weights
+    it used at step t, and every later trace entry is NaN.  Returns the (N,)
+    norm_sq(e) trace, NaN for t < delay, the (C*L, 4) weights laid out
+    [stream 0 lags, stream 1 lags, ...], and the step it froze at, -1 if it
+    never did.
     """
     streams, n, _ = received.shape
     padded = np.concatenate([np.zeros((streams, length - 1, 4)), received], axis=1)
-    weights = np.zeros((4 * streams * length, 1))
+    weights = np.zeros((length, streams, 4))
     trace = np.full(n, np.nan)
     diverged_at = -1
     with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is reported by diverged_at
         for t in range(delay, n):
             samples = padded[:, t : t + length][:, ::-1].swapaxes(0, 1)  # (L, C, 4), samples[l, c] = x_c[t - l]
-            # row (l, c, j) is e_j * x_c[t - l], by signed copies: no 0 * inf turns a column NaN
-            columns = np.zeros((length, streams, 4, 4))
-            for (j, m), (sign, unit) in HAMILTON_TABLE.items():
-                columns[:, :, j, unit] = sign * samples[:, :, m]
-            columns = columns.reshape(-1, 4)
-            a, a_t = columns.T, np.asfortranarray(columns)
-            e = reference[t - delay] - (a @ weights)[:, 0]
+            y = np.zeros(4)
+            for lag in range(length):
+                for c in range(streams):
+                    y = y + quat.mul(weights[lag, c], samples[lag, c])
+            e = reference[t - delay] - y
             trace[t] = quat.norm_sq(e)
-            updated = weights + step_size * (a_t @ e[:, None])
+            updated = weights + step_size * quat.mul(e, quat.conj(samples))
             if not (trace[t] <= ERROR_ENERGY_LIMIT and np.isfinite(updated).all()):
                 diverged_at = t
                 break
             weights = updated
-    weights = weights.reshape(length, streams, 4).swapaxes(0, 1).reshape(streams * length, 4)
-    return trace, weights, diverged_at
+    return trace, weights.swapaxes(0, 1).reshape(streams * length, 4), diverged_at
 
 
 def apply_one_run(grid, signals, variance, rng):

@@ -1,12 +1,16 @@
 """Tests for the QLMS adaptive equalizer."""
 
 import itertools
+import os
+import shutil
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from quatlink import adaptive, channel, modem, quat, wiener
+from quatlink import adaptive, channel, cli, modem, quat, wiener
 from quatlink.errors import DimensionMismatchError
 
 from oracles import dot_left_loop, qlms_steps, table_conj, table_mul
@@ -122,7 +126,7 @@ class TestQlmsStep:
 
 class TestRunQlms:
     def test_trace_matches_stepwise_iteration(self):
-        """The kernel must agree exactly with QLMS stepped one matrix-vector product at a time.
+        """The kernel must agree exactly with QLMS stepped one tap at a time.
 
         Past the first case, the inputs sit on the edges of the kernel's
         sample window: lengths either side of a block boundary, a delay past
@@ -249,8 +253,7 @@ class TestBatchKernel:
         signals = rng.normal(size=(2, 40, 4))
         references = rng.normal(size=(2, 40, 4))
         signals[0, 10, 1] = np.inf
-        with np.errstate(invalid="ignore"):  # lane 0's products with inf are NaN
-            batch = run_batch(signals[:, None], references, 4, 0.05, 0)
+        batch = run_batch(signals[:, None], references, 4, 0.05, 0)
         assert batch.diverged_at.tolist() == [10, -1]
         before = run_batch(signals[:1, None, :10], references[:1, :10], 4, 0.05, 0)
         assert np.isfinite(batch.weights[0]).all()
@@ -271,8 +274,7 @@ class TestBatchKernel:
         references[0] = 0.0
         references[0, at] = 1.0
         signals[0, at] = 1e308
-        with np.errstate(over="ignore", invalid="ignore"):
-            batch = run_batch(signals[:, None], references, 4, 0.05, 0)
+        batch = run_batch(signals[:, None], references, 4, 0.05, 0)
         assert batch.diverged_at.tolist() == [at, -1]
         assert np.isfinite(batch.traces[0, : at + 1]).all() and np.isnan(batch.traces[0, at + 1 :]).all()
         assert np.array_equal(batch.weights[0], np.zeros((4, 4)))
@@ -282,8 +284,7 @@ class TestBatchKernel:
 
     def test_frozen_lane_raises_no_warnings(self):
         """The inf that freezes a lane is reported by diverged_at, not by numpy warnings.
-        So is a weight overflow in the middle of a block, which the block's unchecked
-        run carries to its end before the replay freezes the lane; numpy's error
+        So is a weight overflow in the middle of a block; numpy's error
         settings are the caller's again afterwards."""
         rng = np.random.default_rng(73)
         signals = rng.normal(size=(2, 40, 4))
@@ -445,6 +446,65 @@ class TestBatchKernel:
             assert batch.diverged_at[lane] == -1
             assert np.allclose(batch.traces[lane, delay:], trace[delay:], rtol=1e-12, atol=0.0)
             assert np.allclose(batch.weights[lane], weights, rtol=1e-12, atol=1e-15)
+
+
+class TestCompiledKernel:
+    def test_bits_do_not_depend_on_the_instruction_set(self, tmp_path, monkeypatch):
+        """The kernel built at -O0, scalar code, gives the product library's bits on a
+        2x2 batch with one diverging lane: no contraction or reassociation lets the
+        SIMD width the product build picks change a result."""
+        scalar = tmp_path / "scalar.so"
+        subprocess.run(["cc", "-O0", "-fPIC", "-shared", "-o", str(scalar), str(adaptive._SOURCE)], check=True)
+        rng = np.random.default_rng(82)
+        runs, streams, n, length, mu, delay = 2, 2, 5 * BLOCK + 3, 15, 0.02, 7
+        received = rng.normal(size=(runs, streams, n, 4))
+        indices = rng.integers(0, modem.NUM_SYMBOLS, (runs * streams, n)).astype(np.int8)
+        indices[2, 40] = modem.NUM_SYMBOLS  # the table's huge row freezes lane 2 alone, at t = 47
+        table = np.concatenate([0.5 * modem.CONSTELLATION, [[1e200, 0.0, 0.0, 0.0]]])
+        product = adaptive.run_qlms_batch(received, indices, table, length, mu, delay)
+        monkeypatch.setattr(adaptive, "_kernel", lambda: adaptive._bind(scalar))
+        reference = adaptive.run_qlms_batch(received, indices, table, length, mu, delay)
+        assert product.diverged_at.tolist() == reference.diverged_at.tolist() == [-1, -1, 47, -1]
+        assert np.array_equal(product.traces, reference.traces, equal_nan=True)
+        assert np.array_equal(product.weights, reference.weights)
+
+    def test_processes_building_at_once_leave_one_library(self, tmp_path):
+        """Two processes that first use the kernel of a package copy with an empty
+        __pycache__ both succeed and leave one library; a later process loads it
+        without building again, so it does not even import subprocess."""
+        package = tmp_path / "quatlink"
+        shutil.copytree(adaptive._SOURCE.parent, package, ignore=shutil.ignore_patterns("__pycache__"))
+        script = (
+            "import sys; import numpy as np; from quatlink import adaptive, modem; "
+            "assert adaptive.__file__.startswith(sys.argv[1]); "
+            "adaptive.run_qlms_batch(np.ones((1, 1, 8, 4)), np.zeros((1, 8), dtype=np.int8), modem.CONSTELLATION, 2, 0.01); "
+            "print('subprocess' in sys.modules)"
+        )  # fmt: skip
+        env = {**os.environ, "PYTHONPATH": str(tmp_path)}
+        command = [sys.executable, "-c", script, str(package)]
+        first = [subprocess.Popen(command, env=env, cwd=tmp_path, stdout=subprocess.PIPE, text=True) for _ in range(2)]
+        assert [p.communicate(timeout=120)[0] for p in first] == ["True\n", "True\n"]
+        assert all(p.returncode == 0 for p in first)
+        libraries = list((package / "__pycache__").glob("_qlms-*"))
+        assert len(libraries) == 1 and libraries[0].suffix == ".so"
+        built = libraries[0].stat()
+        again = subprocess.run(command, env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+        assert again.returncode == 0 and again.stdout == "False\n"
+        assert (libraries[0].stat().st_ino, libraries[0].stat().st_mtime_ns) == (built.st_ino, built.st_mtime_ns)
+
+    @pytest.mark.parametrize(
+        "command,workers", [(("no-such-cc", "-O3"), 1), (("cc", "--no-such-option"), 1), (("cc", "--no-such-option"), 2)]
+    )
+    def test_failing_compiler_ends_the_run_with_one_line(self, command, workers, tmp_path, monkeypatch, capsys):
+        """`quatlink run` exits 1 with one line that names the compiler, in a pool worker too."""
+        monkeypatch.setattr(adaptive, "_COMPILE", command)
+        adaptive._kernel.cache_clear()  # the product library, if a test before this one loaded it
+        argv = ["run", "--runs", "2", "--symbols", "40", "--workers", str(workers), "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cannot build the QLMS kernel: ") and f"C compiler {command[0]!r}" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not list(adaptive._SOURCE.with_name("__pycache__").glob("*.tmp"))
 
 
 class TestStackedRegressors:

@@ -150,7 +150,7 @@ class TestInverse:
 
 
 class TestRealMatrices:
-    """L(a) and R(b), the real 4x4 forms of the product, against `mul`."""
+    """L(a), the real 4x4 form of the product, against `mul`."""
 
     def test_left_multiplication_matches_mul(self):
         """L(a) b = a * b, the product of an FIR tap a with a sample b."""
@@ -161,31 +161,18 @@ class TestRealMatrices:
         product = (quat.left_matrix(a) @ b[..., None])[..., 0]
         assert np.allclose(product, quat.mul(a, b), rtol=0.0, atol=1e-15)
 
-    def test_right_multiplication_identities(self):
-        """R(x) w = w * x and R(x)^T e = e * conj(x): the two products of a QLMS kernel step."""
-        rng = np.random.default_rng(78)
-        units = rng.normal(size=(200, 3, 4))
-        units /= np.sqrt(quat.norm_sq(units))[..., None]
-        x, w, e = units[:, 0], units[:, 1], units[:, 2]
-        a = quat.right_matrix(x)
-        assert np.allclose((a @ w[..., None])[..., 0], quat.mul(w, x), rtol=0.0, atol=1e-15)
-        assert np.allclose((a.mT @ e[..., None])[..., 0], quat.mul(e, quat.conj(x)), rtol=0.0, atol=1e-15)
-
     def test_exact_on_integers(self):
         rng = np.random.default_rng(77)
         a, b = rng.integers(-5, 6, (2, 300, 4)).astype(float)
         assert np.array_equal((quat.left_matrix(a) @ b[..., None])[..., 0], quat.mul(a, b))
-        assert np.array_equal((quat.right_matrix(b) @ a[..., None])[..., 0], quat.mul(a, b))
 
-    @pytest.mark.parametrize("form", ["left_matrix", "right_matrix"])
-    def test_inf_and_nan_land_unchanged(self, form):
+    def test_inf_and_nan_land_unchanged(self):
         """Entries are gathered and signed, so an inf or NaN component sits, signed, exactly
         where the matching finite component would, and no 0 * inf turns into NaN."""
-        build = getattr(quat, form)
-        finite = build(quat.quat(7.0, 11.0, -0.5, 3.0))
+        finite = quat.left_matrix(quat.quat(7.0, 11.0, -0.5, 3.0))
         expected = np.where(np.abs(finite) == 7.0, np.sign(finite) * np.inf, finite)
         expected = np.where(np.abs(finite) == 11.0, np.nan, expected)
-        assert np.array_equal(build(quat.quat(np.inf, np.nan, -0.5, 3.0)), expected, equal_nan=True)
+        assert np.array_equal(quat.left_matrix(quat.quat(np.inf, np.nan, -0.5, 3.0)), expected, equal_nan=True)
         assert np.isfinite(finite).all() and np.isinf(expected).sum() == 4 and np.isnan(expected).sum() == 4
 
 

@@ -5,16 +5,21 @@ COMMENT and NL token, then count each line that a remaining token other than
 NEWLINE, INDENT, DEDENT or ENDMARKER starts on, ends on or spans, except a
 STRING token that makes up a whole logical line (a docstring).  So blank
 lines, comment lines and docstrings do not count, and a multi-line
-expression counts every line it spans.
+expression counts every line it spans.  The total is over the Python
+modules; each C source of the package follows it on a row of its own, whose
+"code" counts the lines that hold something besides blanks and comments.
 
 Usage: python tools/code_lines.py [PACKAGE_DIR]   (default: src/quatlink)
 """
 
+import re
 import sys
 import tokenize
 from pathlib import Path
 
 _LAYOUT = (tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT)
+# a C comment, or a string or character literal, which may hold comment markers
+_C_COMMENT_OR_LITERAL = re.compile(r"//[^\n]*|/\*.*?\*/|\"(?:\\.|[^\"\\])*\"|'(?:\\.|[^'\\])*'", re.DOTALL)
 
 
 def code_lines(path) -> int:
@@ -31,6 +36,14 @@ def code_lines(path) -> int:
     return len(lines)
 
 
+def c_code_lines(path) -> int:
+    """The lines of one C source file that hold something besides blanks and comments."""
+    text = Path(path).read_text(encoding="utf-8")
+    # a comment becomes a blank that keeps its newlines, so later lines keep their numbers
+    code = _C_COMMENT_OR_LITERAL.sub(lambda m: m[0] if m[0][0] in "\"'" else " " + "\n" * m[0].count("\n"), text)
+    return sum(1 for line in code.splitlines() if line.strip())
+
+
 def wc_lines(path) -> int:
     """The newline count of a file, as `wc -l` gives it."""
     return Path(path).read_bytes().count(b"\n")
@@ -40,6 +53,7 @@ def main(argv: list[str]) -> None:
     package = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src" / "quatlink"
     rows = [(path.stem, wc_lines(path), code_lines(path)) for path in sorted(package.glob("*.py"))]
     rows.append(("total", sum(row[1] for row in rows), sum(row[2] for row in rows)))
+    rows += [(path.name, wc_lines(path), c_code_lines(path)) for path in sorted(package.glob("*.c"))]
     print(f"{'module':<12} {'lines':>6} {'code':>6}")
     for name, lines, code in rows:
         print(f"{name:<12} {lines:>6} {code:>6}")
