@@ -1,15 +1,18 @@
-/* The batched QLMS kernel behind quatlink.adaptive.run_qlms_batch, whose
-   docstring states its inputs, its freeze rule and the fixed order of its
-   arithmetic.
+/* quatlink's C kernels, built into one library by quatlink.kernels:
+   qlms_batch, the batched QLMS kernel behind quatlink.adaptive.run_qlms_batch,
+   and mimo_fir, the MIMO FIR behind quatlink.channel.mimo_convolve.  The
+   docstrings of those two state their inputs and the fixed order of their
+   arithmetic, which the build keeps by allowing no contraction.
 
-   Lanes go in groups of LANES with the lane index innermost in every buffer,
-   so each step runs across a group's lanes in SIMD registers.  A group holds
-   each lane's regressor window of length-1 + block samples, newest first, in
-   (position, stream, component, lane) order: tap k = (lag, stream) of the
-   step whose newest sample sits at position p is quaternion p*C + k, so a
-   regressor is contiguous.  The window is refilled from `received` one block
-   of samples at a time.  A last group short of LANES lanes fills the rest
-   with copies of the batch's last lane, which never write an output. */
+   qlms_batch takes lanes in groups of LANES with the lane index innermost in
+   every buffer, so each step runs across a group's lanes in SIMD registers.
+   A group holds each lane's regressor window of length-1 + block samples,
+   newest first, in (position, stream, component, lane) order: tap
+   k = (lag, stream) of the step whose newest sample sits at position p is
+   quaternion p*C + k, so a regressor is contiguous.  The window is refilled
+   from `received` one block of samples at a time.  A last group short of
+   LANES lanes fills the rest with copies of the batch's last lane, which
+   never write an output. */
 
 #include <stdint.h>
 #include <stdlib.h>
@@ -152,5 +155,49 @@ CLONES int qlms_batch(const double *received, const void *indices, int wide, con
                             w[((l * streams + c) * 4 + i) * LANES + j];
     }
     free(buffer);
+    return 0;
+}
+
+/* Returns 0, or -1 if the stream partial cannot be allocated.  Stream c of
+   run r is the n contiguous quaternions at signals + r*run_stride +
+   c*stream_stride, the strides in doubles; `grid` is (runs, outputs,
+   streams, length, 4) and `out` (runs, outputs, n, 4), both contiguous.
+   Taps go outer and time inner, so the inner loop runs along one output row
+   and vectorises over time. */
+CLONES int mimo_fir(const double *signals, int64_t run_stride, int64_t stream_stride, const double *grid,
+                    int64_t runs, int64_t outputs, int64_t streams, int64_t length, int64_t n, double *out)
+{
+    double *partial = NULL;
+    if (streams > 1 && !(partial = malloc(n * 4 * sizeof(double))))
+        return -1;
+    for (int64_t r = 0; r < runs; r++)
+        for (int64_t s = 0; s < outputs; s++) {
+            double *row = out + (r * outputs + s) * n * 4;
+            for (int64_t c = 0; c < streams; c++) {
+                const double *restrict x = signals + r * run_stride + c * stream_stride;
+                const double *taps = grid + ((r * outputs + s) * streams + c) * length * 4;
+                /* stream 0 sums into the output row, every later one into the partial added to it */
+                double *restrict o = c ? partial : row;
+                memset(o, 0, n * 4 * sizeof(double));
+                for (int64_t m = 0; m < length && m < n; m++) {
+                    const double *a = taps + m * 4;
+                    /* L(a), with a*b = L(a) b: row k holds the factors of b0..b3 in component k of quat.mul */
+                    const double L[4][4] = {{a[0], -a[1], -a[2], -a[3]},
+                                            {a[1], a[0], -a[3], a[2]},
+                                            {a[2], a[3], a[0], -a[1]},
+                                            {a[3], -a[2], a[1], a[0]}};
+                    for (int64_t t = m; t < n; t++) {
+                        const double *b = x + (t - m) * 4;
+                        for (int k = 0; k < 4; k++)
+                            o[t * 4 + k] = o[t * 4 + k] + (((L[k][0] * b[0] + L[k][1] * b[1]) + L[k][2] * b[2]) +
+                                                           L[k][3] * b[3]);
+                    }
+                }
+                if (c)
+                    for (int64_t i = 0; i < n * 4; i++)
+                        row[i] = row[i] + partial[i];
+            }
+        }
+    free(partial);
     return 0;
 }

@@ -22,29 +22,22 @@ single trial is the one-run batch.  The references are indices into a small
 symbol table, so int8 symbol indices stand in for a float copy of every
 lane's references.
 
-The kernel is C (`_qlms.c`), compiled with the system's `cc` on first use
-into `__pycache__` and called through `ctypes`.  It computes in one fixed
-order, the one a tap-by-tap loop over `quat.mul` gives: the output sums
-w[k] * x[k] over the taps k in (lag, stream) order, each product's
-components added left to right as `quat.mul` writes them; the squared error
-is ((e0^2 + e1^2) + e2^2) + e3^2; and the update is w + mu * (e * conj(x)).
-It is built without floating-point contraction or reassociation, so its bits
-do not depend on the CPU it runs on.
+The kernel is `qlms_batch` of the package's C library (`kernels`).  It
+computes in one fixed order, the one a tap-by-tap loop over `quat.mul`
+gives: the output sums w[k] * x[k] over the taps k in (lag, stream) order,
+each product's components added left to right as `quat.mul` writes them;
+the squared error is ((e0^2 + e1^2) + e2^2) + e3^2; and the update is
+w + mu * (e * conj(x)).
 """
 
 import ctypes
-import functools
-import os
-import tempfile
-import zlib
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from . import quat
+from . import kernels, quat
 from .channel import SYMBOL_ENERGY
-from .errors import DimensionMismatchError, KernelBuildError
+from .errors import DimensionMismatchError
 
 # A squared error beyond one million times the symbol energy means the filter
 # blew up; the kernel freezes and reports the lane instead of letting it
@@ -56,55 +49,18 @@ ERROR_ENERGY_LIMIT = 1e6 * SYMBOL_ENERGY
 # 4 to 64 ran equally fast within the noise (2-core x86_64 with AVX-512)
 _BLOCK = 16
 
-_SOURCE = Path(__file__).with_name("_qlms.c")
-# The command that builds the kernel's shared library, less its output and
-# source.  No contraction (FMA) or reassociation, so that every SIMD width
-# the source's target clones pick rounds the same.
-_COMPILE = ("cc", "-O3", "-ffp-contract=off", "-fPIC", "-shared")
 _FLOATS, _INTEGERS = (np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS") for dtype in (np.float64, np.int64))
 
 
-def _build(path: Path) -> None:
-    """Compile the kernel into `path` through a temporary file renamed into
-    place, so processes that build at once each leave a whole library."""
-    import subprocess  # only a build needs it
-
-    path.parent.mkdir(exist_ok=True)
-    fd, scratch = tempfile.mkstemp(prefix=path.stem, suffix=".tmp", dir=path.parent)
-    os.close(fd)
-    try:
-        try:
-            done = subprocess.run([*_COMPILE, "-o", scratch, str(_SOURCE)], capture_output=True, text=True)
-        except OSError as exc:
-            raise KernelBuildError(f"cannot run the C compiler {_COMPILE[0]!r}: {exc.strerror}") from None
-        if done.returncode:
-            last = (done.stderr.strip().splitlines() or ["no message"])[-1]
-            raise KernelBuildError(f"the C compiler {_COMPILE[0]!r} failed with status {done.returncode}: {last}")
-        os.replace(scratch, path)
-    finally:
-        if os.path.exists(scratch):
-            os.remove(scratch)
-
-
-def _bind(path):
-    """The kernel function of the shared library at `path`, its arguments declared."""
-    kernel = ctypes.CDLL(str(path)).qlms_batch
+def _kernel():
+    """`qlms_batch` of the package's C library, its arguments declared."""
+    kernel = kernels.library().qlms_batch
     i64, f64 = ctypes.c_int64, ctypes.c_double
     indices = np.ctypeslib.ndpointer(flags="C_CONTIGUOUS")  # int8, or int64 if the next argument is true
     kernel.argtypes = [_FLOATS, indices, ctypes.c_int, _FLOATS, i64, i64, i64, i64, i64, f64, i64, i64, f64,
                        _FLOATS, _FLOATS, _INTEGERS]  # fmt: skip
     kernel.restype = ctypes.c_int
     return kernel
-
-
-@functools.cache
-def _kernel():
-    """The kernel, built on first use into a library named by a checksum of its source and build command."""
-    key = zlib.crc32(_SOURCE.read_bytes() + " ".join(_COMPILE).encode())
-    path = _SOURCE.with_name("__pycache__") / f"_qlms-{key:08x}.so"
-    if not path.exists():
-        _build(path)
-    return _bind(path)
 
 
 def lag_matrix(signal, length: int) -> np.ndarray:

@@ -4,7 +4,9 @@ The received signal is the causal convolution of the transmitted signal with
 the channel taps plus per-sample noise.  Taps multiply the signal from the
 LEFT, matching the equalizer's weight convention (one consistent choice is
 required because quaternions do not commute).  `mimo_convolve` is the one
-FIR body: data generation and every equalizer output go through it.
+FIR body: data generation and every equalizer output go through it.  Its
+body is `mimo_fir` of the package's C library (`kernels`), which reads the
+signals in place and sums in one fixed order, stated in its docstring.
 `apply_mimo` is the channel of data generation: one `mimo_convolve` call
 filters R runs through their grids, and each run's noise is then added from
 its own generator.
@@ -15,9 +17,11 @@ isotropic: one variance shared by the four components, total noise power
 4x the per-component variance.
 """
 
+import ctypes
+
 import numpy as np
 
-from . import quat
+from . import kernels, quat
 from .errors import DimensionMismatchError
 
 SYMBOL_ENERGY = 4.0  # every 4-D QAM symbol has norm_sq exactly 4
@@ -75,33 +79,48 @@ def random_mimo_grid(rng: np.random.Generator, num_rx: int, num_tx: int, num_tap
     return grid
 
 
+def _fir():
+    """`mimo_fir` of the package's C library, its arguments declared."""
+    fir = kernels.library().mimo_fir
+    i64, floats = ctypes.c_int64, np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    fir.argtypes = [np.ctypeslib.ndpointer(np.float64, flags="ALIGNED"), i64, i64, floats, i64, i64, i64, i64, i64,
+                    floats]  # fmt: skip
+    fir.restype = ctypes.c_int
+    return fir
+
+
 def mimo_convolve(signals, grid) -> np.ndarray:
     """Causal MIMO FIR y[..., s, n] = sum_c sum_m grid[..., s, c, m] * signals[..., c, n-m].
 
     `signals` (..., C, N, 4) and `grid` (..., S, C, M, 4) broadcast over their
-    leading run axes; the (..., S, N, 4) result is a view as long as the
-    signals, with zeros before their start.  Input stream c gives the rows
-    sum_m signals[c, t - m] @ taps[c, m], taps[c, m] being the (4, 4S) blocks
-    L(grid[s, c, m])^T of `quat.left_matrix`: one GEMM per tap for every output.
-    Streams are summed last, so swapping two with their grid columns changes no bit.
+    leading run axes; the (..., S, N, 4) result is a new contiguous array as
+    long as the signals, with zeros before their start.  The body is
+    `mimo_fir` of the package's C library (`kernels`), which computes in one
+    fixed order: input stream c's partial of output s starts at +0.0 and adds
+    the taps m = 0, 1, ... in turn, component k of tap m's term at t being
+    ((L[k, 0] b0 + L[k, 1] b1) + L[k, 2] b2) + L[k, 3] b3 with
+    b = signals[c, t - m] and L the real 4x4 form of grid[s, c, m] (a*b = L(a) b,
+    its signs those of `quat.mul`); the stream partials are then summed in
+    stream order, so swapping two streams with their grid columns changes no bit.
+    The signals are read in place when each stream's (N, 4) samples are
+    contiguous, as in a time slice `signals[..., h:, :]` or a run-broadcast array.
     """
     signals, grid = quat._q(signals), quat._q(grid)
     if signals.ndim < 3 or grid.ndim < 4 or signals.shape[-3] != grid.shape[-3]:
         raise DimensionMismatchError(f"signals {signals.shape} do not fit a (..., S, C, M, 4) grid {grid.shape}")
     if signals.shape[-2] == 0 or grid.shape[-2] == 0:
         raise DimensionMismatchError("signals and taps must be nonempty quaternion sequences")
+    runs = np.broadcast_shapes(signals.shape[:-3], grid.shape[:-4])
     n, (outputs, streams, length) = signals.shape[-2], grid.shape[-4:-1]
-    # taps[..., c, m, j, 4s + i] = L(grid[..., s, c, m])[i, j]
-    taps = np.moveaxis(quat.left_matrix(grid), (-4, -3, -1, -5, -2), (-5, -4, -3, -2, -1))
-    taps = taps.reshape(grid.shape[:-4] + (streams, length, 4, 4 * outputs))
-    out = None
-    for c in range(streams):
-        x, stream_taps = signals[..., c, :, :], taps[..., c, :, :, :]
-        y = x @ stream_taps[..., 0, :, :]
-        for m in range(1, min(length, n)):
-            y[..., m:, :] += x[..., : n - m, :] @ stream_taps[..., m, :, :]
-        out = y if out is None else out + y
-    return out.reshape(out.shape[:-1] + (outputs, 4)).swapaxes(-3, -2)
+    # one run axis; a reshape copies only runs that broadcast over more than one axis
+    x = np.broadcast_to(signals, runs + signals.shape[-3:]).reshape((-1,) + signals.shape[-3:])
+    if x.strides[-2:] != (32, 8) or not x.flags.aligned:
+        x = np.ascontiguousarray(x)
+    taps = np.ascontiguousarray(np.broadcast_to(grid, runs + grid.shape[-4:]))
+    out = np.empty(runs + (outputs, n, 4))
+    if _fir()(x, x.strides[0] // 8, x.strides[1] // 8, taps, len(x), outputs, streams, length, n, out):
+        raise MemoryError("cannot allocate the FIR's stream partial")
+    return out
 
 
 def convolve(signal, taps) -> np.ndarray:

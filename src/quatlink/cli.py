@@ -245,7 +245,7 @@ def main(argv=None) -> int:
         print(f"experiment failed: {exc}", file=sys.stderr)
         return 1
     except KernelBuildError as exc:
-        print(f"cannot build the QLMS kernel: {exc}", file=sys.stderr)
+        print(f"cannot build quatlink's C kernels: {exc}", file=sys.stderr)
         return 1
     try:
         written = write_outputs(result, invocation.config, invocation.out_dir)

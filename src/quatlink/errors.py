@@ -18,4 +18,4 @@ class ExperimentFailedError(RuntimeError):
 
 
 class KernelBuildError(RuntimeError):
-    """The C compiler could not build the QLMS kernel."""
+    """The C compiler could not build quatlink's C kernels, the QLMS kernel and the FIR."""

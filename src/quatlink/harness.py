@@ -25,7 +25,8 @@ references up in the scaled constellation block by block, so the chunk
 holds its data once.  Lanes advance in lockstep, which keeps ensemble averaging
 over hundreds of runs cheap.  After adaptation, every run of each slice goes
 through the SER stage, which filters each run once for all its S lanes
-with their final weights, as the S-output grid of `channel.mimo_convolve`;
+with their final weights, as the S-output grid of `channel.mimo_convolve`,
+whose C body reads the received time slice in place;
 in SISO, the block Wiener baseline solves the slice's sane runs in the same
 pass and scores its optimum from the same statistics
 (`wiener.statistics_mse`), so the block is not filtered a second time.
@@ -261,17 +262,17 @@ def _equalizer_decisions(received: np.ndarray, weights: np.ndarray, start: int) 
     [stream 0 lags, stream 1 lags, ...] give (G, S, N - start) symbol indices.
 
     A run's S lanes are its S-output grid, so `mimo_convolve` filters the run
-    once for all of them.
+    once for all of them, reading the received time slice in place.  A lane's
+    last update can leave finite weights too large to filter with; the QLMS
+    kernel never filters with its final weights, so the freeze rule cannot
+    catch them, but the C FIR raises no warning on the inf or NaN outputs and
+    the hard decisions on them are well defined.
     """
     runs, streams = received.shape[:2]
     lanes, length = weights.shape[1], weights.shape[2] // streams
     # the output from `start` on needs only the L-1 samples before it
     history = max(start - (length - 1), 0)
-    # a lane's last update can leave finite weights too large to filter with; the
-    # kernel never filters with its final weights, so the freeze rule cannot catch
-    # them, and the hard decisions on the inf or NaN outputs are still well defined
-    with np.errstate(over="ignore", invalid="ignore"):
-        output = mimo_convolve(received[..., history:, :], weights.reshape(runs, lanes, streams, length, 4))
+    output = mimo_convolve(received[..., history:, :], weights.reshape(runs, lanes, streams, length, 4))
     return modem.hard_decisions(output[..., start - history :, :])
 
 
@@ -347,6 +348,7 @@ def _draw(config: ExperimentConfig, start: int, stop: int):
     num_rx, num_tx = mode.layout(config)
     runs, n, seed = stop - start, config.symbols_per_run, config.master_seed
     stream_power = _reference_power(config)
+    table = mode.stream_scale * modem.CONSTELLATION  # the kernel's table, as in `_chunk`
     received = np.empty((runs, num_rx, n, 4))
     indices = np.empty((runs, num_tx, n), dtype=np.int8)
     for rows in _slices(runs, num_tx):
@@ -359,8 +361,7 @@ def _draw(config: ExperimentConfig, start: int, stop: int):
         for k in part:
             for s in range(num_tx):
                 indices[k, s] = derive_rng(seed, start + k, _PURPOSE_SYMBOLS, s).integers(0, modem.NUM_SYMBOLS, n)
-        streams = modem.index_to_symbol(indices[rows])
-        streams *= mode.stream_scale  # in place: a second slice-sized temporary would set the chunk's peak
+        streams = table[indices[rows]]
         if config.snr_reference_point == SNR_REF_RECEIVER:
             powers = [expected_output_power(grid, stream_power) / num_rx for grid in grids]
         else:

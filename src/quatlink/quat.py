@@ -7,9 +7,10 @@ operation broadcasts over the leading axes (so the same `mul` multiplies two
 scalars, a tap by a whole signal, or two stacked signals) and never mutates
 its inputs.
 
-`mul` is the one place the sign convention is written.  The hot paths use
-real 4x4 forms whose signs are read off it: L(a) with a*b = L(a) b, and
-`from_moments`, which turns sum a b^T into sum a*conj(b).
+`mul` is the one place in Python that the sign convention is written.
+`from_moments`, which turns sum a b^T into sum a*conj(b), reads its signs
+off it, and the C kernels of `kernels` write the products out term by term
+in its order.
 """
 
 import numpy as np
@@ -72,24 +73,13 @@ def inverse(a) -> np.ndarray:
     return conj(a) / n[..., None]
 
 
-# With the basis units E, E[m] * E[n] = +-E[m ^ n], so entry [i, j] of each
-# real form below is a sign times component i ^ j.  The signs are component i
-# of E[i ^ j] * E[j] and of E[i ^ j] * conj(E[j]).
+# With the basis units E, E[m] * E[n] = +-E[m ^ n], so component i of
+# a*conj(b) is a sum over j of a sign times a[i ^ j] b[j].  The signs are
+# component i of E[i ^ j] * conj(E[j]).
 _ROWS, _COLS = np.indices((4, 4))
 _XOR = _ROWS ^ _COLS
 _E = np.eye(4)
-_LEFT_SIGNS = mul(_E[_XOR], _E)[_ROWS, _COLS, _ROWS]
 _MOMENT_SIGNS = mul(_E[_XOR], conj(_E))[_ROWS, _COLS, _ROWS]
-
-
-def left_matrix(a) -> np.ndarray:
-    """L(a), shape (..., 4, 4): the real matrix with a*b = L(a) b.
-
-    Gathered and signed in place, so exact for every value, inf and NaN included.
-    """
-    matrix = _q(a)[..., _XOR]
-    matrix *= _LEFT_SIGNS
-    return matrix
 
 
 def from_moments(moments) -> np.ndarray:

@@ -25,10 +25,11 @@ one batched Cholesky factorization certifies that no run's R is singular;
 the eigenvalues are computed only for a batch it fails on (on an 8-run
 batch at L = 15, 0.15 ms for the certificate against 0.45 ms for
 `eigvalsh` of the 30x30 complex images, 2-core x86_64, one BLAS thread).
-Any weights can be evaluated on data with `channel.mimo_convolve`
-(`evaluate_mse`), or on the block the statistics came from with the
-quadratic cost J(w) in R, p and the reference power (`statistics_mse`),
-which costs O(L^2) per run instead of a pass over the block.  The harness
+Any weights can be evaluated on data through the package's C FIR,
+`channel.mimo_convolve` (`evaluate_mse`), or on the block the statistics
+came from with the quadratic cost J(w) in R, p and the reference power
+(`statistics_mse`), which costs O(L^2) per run instead of a pass over the
+block.  The harness
 passes each of its run slices (`harness._slices`) whole and solves its sane
 runs.
 """
@@ -252,7 +253,7 @@ def evaluate_mse(weights, signal, reference, length: int, delay: int = 0) -> Mse
     """Empirical mean of norm_sq(r[n-d] - dot_left(w, x[n])) over the block.
 
     The equalizer output is the one-output `mimo_convolve` of the streams
-    with w.  The dB figure is normalized by the mean reference power and
+    with w, computed by the package's C FIR.  The dB figure is normalized by the mean reference power and
     floored at -100 dB so a perfect fit stays finite.
     """
     signal, reference, runs = _runs(signal, reference, length, delay)

@@ -7,6 +7,9 @@ is `apply_one_run`, the one-run call of `channel.apply_mimo` that the
 channel and harness tests share.  `qlms_steps` multiplies through `quat.mul`,
 which the quat tests hold to the basis table, because the compiled QLMS
 kernel rounds in `quat.mul`'s order and the oracle must match it exactly.
+`fir_steps` takes the compiled FIR's order for the same reason, while
+`convolve_loop` sums in its own order and pins the sign convention on inputs
+whose every product and sum is exact.
 """
 
 import numpy as np
@@ -75,6 +78,37 @@ def convolve_loop(signal, taps):
         for m in range(taps.shape[0]):
             if n - m >= 0:
                 out[n] += table_mul(taps[m], signal[n - m])
+    return out
+
+
+def left_rows(a):
+    """L(a) from the basis table, a*b = L(a) b: entry [unit, n] is sign * a[m] for each (m, n) -> (sign, unit)."""
+    rows = np.empty((4, 4))
+    for (m, n), (sign, unit) in HAMILTON_TABLE.items():
+        rows[unit, n] = sign * a[m]
+    return rows
+
+
+def fir_steps(signals, grid):
+    """`channel.mimo_convolve` on one run, (C, N, 4) signals and an (S, C, M, 4) grid,
+    in the order the C FIR states: each input stream's partial starts at +0.0 and
+    adds the taps in ascending m, component k of tap m's term being
+    ((L[k, 0] b0 + L[k, 1] b1) + L[k, 2] b2) + L[k, 3] b3 with b = signals[c, t - m];
+    the partials are summed in stream order.  The elementwise steps round as the
+    C loop's do, so the two agree bit for bit.
+    """
+    streams, n, _ = signals.shape
+    outputs, _, length, _ = grid.shape
+    out = np.empty((outputs, n, 4))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is NaN in both
+        for s in range(outputs):
+            for c in range(streams):
+                partial = np.zeros((n, 4))
+                for m in range(min(length, n)):
+                    rows, (b0, b1, b2, b3) = left_rows(grid[s, c, m]), signals[c, : n - m].T
+                    for k, (l0, l1, l2, l3) in enumerate(rows):
+                        partial[m:, k] = partial[m:, k] + (((l0 * b0 + l1 * b1) + l2 * b2) + l3 * b3)
+                out[s] = partial if c == 0 else out[s] + partial
     return out
 
 

@@ -1,5 +1,6 @@
 """Tests for the QLMS adaptive equalizer."""
 
+import ctypes
 import itertools
 import os
 import shutil
@@ -10,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from quatlink import adaptive, channel, cli, modem, quat, wiener
+from quatlink import adaptive, channel, cli, kernels, modem, quat, wiener
 from quatlink.errors import DimensionMismatchError
 
 from oracles import dot_left_loop, qlms_steps, table_conj, table_mul
@@ -450,30 +451,35 @@ class TestBatchKernel:
 
 class TestCompiledKernel:
     def test_bits_do_not_depend_on_the_instruction_set(self, tmp_path, monkeypatch):
-        """The kernel built at -O0, scalar code, gives the product library's bits on a
-        2x2 batch with one diverging lane: no contraction or reassociation lets the
-        SIMD width the product build picks change a result."""
+        """The library built at -O0, scalar code, gives the product library's bits: the
+        QLMS kernel on a 2x2 batch with one diverging lane, and the FIR on a 2x2 grid of
+        15 taps.  No contraction or reassociation lets the SIMD width the product build
+        picks change a result."""
         scalar = tmp_path / "scalar.so"
-        subprocess.run(["cc", "-O0", "-fPIC", "-shared", "-o", str(scalar), str(adaptive._SOURCE)], check=True)
+        subprocess.run(["cc", "-O0", "-fPIC", "-shared", "-o", str(scalar), str(kernels._SOURCE)], check=True)
         rng = np.random.default_rng(82)
         runs, streams, n, length, mu, delay = 2, 2, 5 * BLOCK + 3, 15, 0.02, 7
         received = rng.normal(size=(runs, streams, n, 4))
         indices = rng.integers(0, modem.NUM_SYMBOLS, (runs * streams, n)).astype(np.int8)
         indices[2, 40] = modem.NUM_SYMBOLS  # the table's huge row freezes lane 2 alone, at t = 47
         table = np.concatenate([0.5 * modem.CONSTELLATION, [[1e200, 0.0, 0.0, 0.0]]])
+        grid = rng.normal(size=(runs, 2, streams, length, 4))
         product = adaptive.run_qlms_batch(received, indices, table, length, mu, delay)
-        monkeypatch.setattr(adaptive, "_kernel", lambda: adaptive._bind(scalar))
+        product_fir = channel.mimo_convolve(received, grid)
+        monkeypatch.setattr(kernels, "library", lambda: ctypes.CDLL(str(scalar)))
         reference = adaptive.run_qlms_batch(received, indices, table, length, mu, delay)
         assert product.diverged_at.tolist() == reference.diverged_at.tolist() == [-1, -1, 47, -1]
         assert np.array_equal(product.traces, reference.traces, equal_nan=True)
         assert np.array_equal(product.weights, reference.weights)
+        fir = channel.mimo_convolve(received, grid)
+        assert np.array_equal(product_fir.view(np.int64), fir.view(np.int64))
 
     def test_processes_building_at_once_leave_one_library(self, tmp_path):
-        """Two processes that first use the kernel of a package copy with an empty
+        """Two processes that first use the library of a package copy with an empty
         __pycache__ both succeed and leave one library; a later process loads it
         without building again, so it does not even import subprocess."""
         package = tmp_path / "quatlink"
-        shutil.copytree(adaptive._SOURCE.parent, package, ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copytree(kernels._SOURCE.parent, package, ignore=shutil.ignore_patterns("__pycache__"))
         script = (
             "import sys; import numpy as np; from quatlink import adaptive, modem; "
             "assert adaptive.__file__.startswith(sys.argv[1]); "
@@ -485,7 +491,7 @@ class TestCompiledKernel:
         first = [subprocess.Popen(command, env=env, cwd=tmp_path, stdout=subprocess.PIPE, text=True) for _ in range(2)]
         assert [p.communicate(timeout=120)[0] for p in first] == ["True\n", "True\n"]
         assert all(p.returncode == 0 for p in first)
-        libraries = list((package / "__pycache__").glob("_qlms-*"))
+        libraries = list((package / "__pycache__").glob("_kernels-*"))
         assert len(libraries) == 1 and libraries[0].suffix == ".so"
         built = libraries[0].stat()
         again = subprocess.run(command, env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
@@ -497,14 +503,14 @@ class TestCompiledKernel:
     )
     def test_failing_compiler_ends_the_run_with_one_line(self, command, workers, tmp_path, monkeypatch, capsys):
         """`quatlink run` exits 1 with one line that names the compiler, in a pool worker too."""
-        monkeypatch.setattr(adaptive, "_COMPILE", command)
-        adaptive._kernel.cache_clear()  # the product library, if a test before this one loaded it
+        monkeypatch.setattr(kernels, "_COMPILE", command)
+        kernels.library.cache_clear()  # the product library, if a test before this one loaded it
         argv = ["run", "--runs", "2", "--symbols", "40", "--workers", str(workers), "--out", str(tmp_path / "out")]
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith("cannot build the QLMS kernel: ") and f"C compiler {command[0]!r}" in err
+        assert err.startswith("cannot build quatlink's C kernels: ") and f"C compiler {command[0]!r}" in err
         assert err.count("\n") == 1 and "Traceback" not in err
-        assert not list(adaptive._SOURCE.with_name("__pycache__").glob("*.tmp"))
+        assert not list(kernels._SOURCE.with_name("__pycache__").glob("*.tmp"))
 
 
 class TestStackedRegressors:

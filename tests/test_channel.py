@@ -6,7 +6,7 @@ import pytest
 from quatlink import channel, modem, quat
 from quatlink.errors import DimensionMismatchError
 
-from oracles import apply_one_run, convolve_loop
+from oracles import apply_one_run, convolve_loop, fir_steps
 
 
 class TestRng:
@@ -180,6 +180,69 @@ class TestMimoConvolve:
     def test_stream_count_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             channel.mimo_convolve(np.zeros((3, 10, 4)), np.zeros((2, 2, 1, 4)))
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestMimoConvolveBits:
+    """The C FIR pinned bit for bit on random floats against the stepwise oracle in its stated order."""
+
+    @STREAM_LAYOUTS
+    def test_matches_stepwise_oracle(self, outputs, streams):
+        rng = np.random.default_rng(63)
+        signals, grid = rng.normal(size=(streams, 40, 4)), rng.normal(size=(outputs, streams, 6, 4))
+        assert np.array_equal(channel.mimo_convolve(signals, grid), fir_steps(signals, grid))
+
+    @STREAM_LAYOUTS
+    def test_taps_longer_than_signal(self, outputs, streams):
+        rng = np.random.default_rng(64)
+        signals, grid = rng.normal(size=(streams, 7, 4)), rng.normal(size=(outputs, streams, 20, 4))
+        assert np.array_equal(channel.mimo_convolve(signals, grid), fir_steps(signals, grid))
+
+    @STREAM_LAYOUTS
+    def test_infinite_component(self, outputs, streams):
+        rng = np.random.default_rng(65)
+        signals, grid = rng.normal(size=(streams, 12, 4)), rng.normal(size=(outputs, streams, 4, 4))
+        signals[-1, 5, 2] = -np.inf
+        out = channel.mimo_convolve(signals, grid)
+        assert np.isinf(out[:, 5:9]).all() and np.isfinite(np.delete(out, range(5, 9), axis=1)).all()
+        assert np.array_equal(out, fir_steps(signals, grid), equal_nan=True)
+
+    @STREAM_LAYOUTS
+    def test_broadcast_run_axes(self, outputs, streams):
+        """Runs of signals against one grid, and one signal set against a (2, 3) block of grids."""
+        rng = np.random.default_rng(66)
+        signals, grids = rng.normal(size=(3, streams, 25, 4)), rng.normal(size=(2, 3, outputs, streams, 5, 4))
+        shared_grid = channel.mimo_convolve(signals, grids[0, 0])
+        shared_signals = channel.mimo_convolve(signals[0], grids)
+        for run in range(3):
+            assert np.array_equal(shared_grid[run], fir_steps(signals[run], grids[0, 0]))
+            for block in range(2):
+                assert np.array_equal(shared_signals[block, run], fir_steps(signals[0], grids[block, run]))
+
+    def test_time_slice_is_read_in_place(self):
+        """A time slice of a batch, as the SER stage filters, gives the bits of its contiguous copy."""
+        rng = np.random.default_rng(67)
+        received, grids = rng.normal(size=(4, 2, 300, 4)), rng.normal(size=(4, 3, 2, 15, 4))
+        window = received[..., 137:, :]
+        assert not window.flags.c_contiguous
+        assert same_bits(channel.mimo_convolve(window, grids), channel.mimo_convolve(window.copy(), grids))
+
+    def test_run_broadcast_signal_is_read_in_place(self):
+        rng = np.random.default_rng(68)
+        signals, grids = rng.normal(size=(2, 50, 4)), rng.normal(size=(5, 2, 2, 4, 4))
+        shared = np.broadcast_to(signals, (5,) + signals.shape)
+        assert shared.strides[0] == 0
+        assert same_bits(channel.mimo_convolve(shared, grids), channel.mimo_convolve(shared.copy(), grids))
+
+    def test_reversed_streams_match_their_copy(self):
+        """A negative stream stride, as a stream swap's view has, is read in place too."""
+        rng = np.random.default_rng(69)
+        signals, grid = rng.normal(size=(3, 2, 40, 4)), rng.normal(size=(2, 2, 3, 4))
+        swapped = signals[:, ::-1]
+        assert same_bits(channel.mimo_convolve(swapped, grid), channel.mimo_convolve(swapped.copy(), grid))
 
 
 def one_path(taps):

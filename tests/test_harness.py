@@ -579,7 +579,7 @@ def lag_matrix_decisions(received, weights, length, start):
 class TestEqualizerDecisions:
     @pytest.mark.parametrize("streams,start", [(1, 150), (2, 150), (1, 5)])
     def test_match_lag_matrix_route(self, streams, start):
-        """Decisions from the per-tap GEMMs equal those from materialized lag matrices, with one
+        """Decisions from the FIR equal those from materialized lag matrices, with one
         lane per run and with two lanes sharing each run's received streams."""
         rng = np.random.default_rng(98)
         runs, n, length = 4, 300, 15
@@ -591,6 +591,24 @@ class TestEqualizerDecisions:
             for run, lane in itertools.product(range(runs), range(lanes)):
                 oracle = lag_matrix_decisions(received[run], weights[run, lane], length, start)
                 assert np.array_equal(decided[run, lane], oracle)
+
+    def test_received_slice_is_not_copied(self):
+        """The SER stage filters the received time slice in place: four receive streams
+        against one lane trace a peak under the slice's own size (the lane's output and
+        the decisions' temporaries take about 60% of it), which a copy of the slice
+        would exceed as soon as the output was allocated."""
+        rng = np.random.default_rng(99)
+        runs, n, length, start = 4, 4000, 15, 2000
+        received = rng.normal(size=(runs, 4, n, 4))
+        weights = rng.normal(size=(runs, 1, 4 * length, 4))
+        slice_bytes = received[..., start - (length - 1) :, :].nbytes
+        tracemalloc.start()
+        try:
+            harness._equalizer_decisions(received, weights, start)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < slice_bytes
 
     @pytest.mark.parametrize("group_lanes", [1, 4, 8])
     def test_dead_lanes_and_grouping(self, group_lanes, monkeypatch):

@@ -149,33 +149,6 @@ class TestInverse:
             quat.inverse(batch)
 
 
-class TestRealMatrices:
-    """L(a), the real 4x4 form of the product, against `mul`."""
-
-    def test_left_multiplication_matches_mul(self):
-        """L(a) b = a * b, the product of an FIR tap a with a sample b."""
-        rng = np.random.default_rng(76)
-        units = rng.normal(size=(200, 2, 4))
-        units /= np.sqrt(quat.norm_sq(units))[..., None]
-        a, b = units[:, 0], units[:, 1]
-        product = (quat.left_matrix(a) @ b[..., None])[..., 0]
-        assert np.allclose(product, quat.mul(a, b), rtol=0.0, atol=1e-15)
-
-    def test_exact_on_integers(self):
-        rng = np.random.default_rng(77)
-        a, b = rng.integers(-5, 6, (2, 300, 4)).astype(float)
-        assert np.array_equal((quat.left_matrix(a) @ b[..., None])[..., 0], quat.mul(a, b))
-
-    def test_inf_and_nan_land_unchanged(self):
-        """Entries are gathered and signed, so an inf or NaN component sits, signed, exactly
-        where the matching finite component would, and no 0 * inf turns into NaN."""
-        finite = quat.left_matrix(quat.quat(7.0, 11.0, -0.5, 3.0))
-        expected = np.where(np.abs(finite) == 7.0, np.sign(finite) * np.inf, finite)
-        expected = np.where(np.abs(finite) == 11.0, np.nan, expected)
-        assert np.array_equal(quat.left_matrix(quat.quat(np.inf, np.nan, -0.5, 3.0)), expected, equal_nan=True)
-        assert np.isfinite(finite).all() and np.isinf(expected).sum() == 4 and np.isnan(expected).sum() == 4
-
-
 class TestFromMoments:
     """sum a * conj(b) from the real moments sum a b^T, against a direct sum of products."""
 
