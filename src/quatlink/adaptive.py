@@ -30,7 +30,6 @@ the squared error is ((e0^2 + e1^2) + e2^2) + e3^2; and the update is
 w + mu * (e * conj(x)).
 """
 
-import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,20 +47,6 @@ ERROR_ENERGY_LIMIT = 1e6 * SYMBOL_ENERGY
 # time; the results do not depend on it, and on 64-run 5000-symbol batches
 # 4 to 64 ran equally fast within the noise (2-core x86_64 with AVX-512)
 _BLOCK = 16
-
-_FLOATS, _INTEGERS = (np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS") for dtype in (np.float64, np.int64))
-
-
-def _kernel():
-    """`qlms_batch` of the package's C library, its arguments declared."""
-    kernel = kernels.library().qlms_batch
-    i64, f64 = ctypes.c_int64, ctypes.c_double
-    indices = np.ctypeslib.ndpointer(flags="C_CONTIGUOUS")  # int8, or int64 if the next argument is true
-    kernel.argtypes = [_FLOATS, indices, ctypes.c_int, _FLOATS, i64, i64, i64, i64, i64, f64, i64, i64, f64,
-                       _FLOATS, _FLOATS, _INTEGERS]  # fmt: skip
-    kernel.restype = ctypes.c_int
-    return kernel
-
 
 def lag_matrix(signal, length: int) -> np.ndarray:
     """All regressors of a signal: row n is [s[n], s[n-1], ..., s[n-L+1]].
@@ -138,12 +123,10 @@ def run_qlms_batch(received, indices, symbols, length: int, step_size: float, de
     traces = np.full((b, n), np.nan)
     diverged_at = np.full(b, -1, dtype=np.int64)
     index_type = np.int8 if indices.dtype == np.int8 else np.int64  # int8 indices are read in place
-    status = _kernel()(
+    kernels.library().qlms_batch(
         np.ascontiguousarray(received), np.ascontiguousarray(indices, dtype=index_type), index_type is np.int64,
         np.ascontiguousarray(symbols), runs, c, n, b, length, float(step_size), delay, _BLOCK, ERROR_ENERGY_LIMIT,
         weights, traces, diverged_at,
     )  # fmt: skip
-    if status:
-        raise MemoryError("cannot allocate the QLMS kernel's buffers")
     return QlmsBatch(weights, traces, diverged_at)
 

@@ -17,8 +17,6 @@ isotropic: one variance shared by the four components, total noise power
 4x the per-component variance.
 """
 
-import ctypes
-
 import numpy as np
 
 from . import kernels, quat
@@ -79,16 +77,6 @@ def random_mimo_grid(rng: np.random.Generator, num_rx: int, num_tx: int, num_tap
     return grid
 
 
-def _fir():
-    """`mimo_fir` of the package's C library, its arguments declared."""
-    fir = kernels.library().mimo_fir
-    i64, floats = ctypes.c_int64, np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-    fir.argtypes = [np.ctypeslib.ndpointer(np.float64, flags="ALIGNED"), i64, i64, floats, i64, i64, i64, i64, i64,
-                    floats]  # fmt: skip
-    fir.restype = ctypes.c_int
-    return fir
-
-
 def mimo_convolve(signals, grid) -> np.ndarray:
     """Causal MIMO FIR y[..., s, n] = sum_c sum_m grid[..., s, c, m] * signals[..., c, n-m].
 
@@ -118,8 +106,7 @@ def mimo_convolve(signals, grid) -> np.ndarray:
         x = np.ascontiguousarray(x)
     taps = np.ascontiguousarray(np.broadcast_to(grid, runs + grid.shape[-4:]))
     out = np.empty(runs + (outputs, n, 4))
-    if _fir()(x, x.strides[0] // 8, x.strides[1] // 8, taps, len(x), outputs, streams, length, n, out):
-        raise MemoryError("cannot allocate the FIR's stream partial")
+    kernels.library().mimo_fir(x, x.strides[0] // 8, x.strides[1] // 8, taps, len(x), outputs, streams, length, n, out)
     return out
 
 

@@ -6,30 +6,30 @@ the receiver noise from generators keyed by (master seed, run index,
 purpose, stream index), so the full result set is a pure function of the
 configuration and runs can be chunked across processes without changing a
 single bit of the output.  Chunks are sized by received samples, not runs
-(`_CHUNK_SAMPLES`), so many short runs share one wide kernel batch.  Both
-per-run stages of a chunk, its draw and its post-adaptation, walk it in the
-run slices that `_slices` states.  A chunk allocates its received streams
-(R, rx, N, 4) and int8 symbol indices (R, tx, N) once and fills them slice
-by slice (`_draw`): the slice's runs draw their grids, symbols, noise
-variances and noise generators, and one `channel.apply_mimo` call filters
-them all with one `mimo_convolve` call, then adds each run's noise from its
-own generator.
-One run's data is the one-run case of the same draw,
-`_draw(config, run, run + 1)`, bit for bit.
-Each (run, transmitted stream) pair is one lane of the batched QLMS kernel:
-the run's received streams against that stream's symbols.  The kernel's
-results are reshaped once to the (run, stream) grid, which every later stage
-keeps.  The kernel
-shares each run's received streams among its lanes and looks the
-references up in the scaled constellation block by block, so the chunk
-holds its data once.  Lanes advance in lockstep, which keeps ensemble averaging
-over hundreds of runs cheap.  After adaptation, every run of each slice goes
-through the SER stage, which filters each run once for all its S lanes
-with their final weights, as the S-output grid of `channel.mimo_convolve`,
-whose C body reads the received time slice in place;
-in SISO, the block Wiener baseline solves the slice's sane runs in the same
-pass and scores its optimum from the same statistics
-(`wiener.statistics_mse`), so the block is not filtered a second time.
+(`_CHUNK_SAMPLES`), so many short runs share one chunk.
+
+A chunk (`_chunk`) is one loop over the run slices that `_slices` states,
+and each slice goes through every per-run stage in turn before the next
+is drawn:
+- the draw (`_draw`): the slice's runs draw their grids, symbols, noise
+  variances and noise generators, and one `channel.apply_mimo` call filters
+  them all with one `mimo_convolve` call, then adds each run's noise from
+  its own generator.  One run's data is the one-run case of the same draw,
+  `_draw(config, run, run + 1)`, bit for bit;
+- the batched QLMS kernel, one lane per (run, transmitted stream) pair: the
+  run's received streams against that stream's int8 symbol indices into
+  the scaled constellation.  Its results are reshaped once to the
+  (run, stream) grid, which every later stage keeps;
+- the post-adaptation stage (`_post_adaptation`): the SER stage filters
+  each run once for all its S lanes with their final weights, as the
+  S-output grid of `channel.mimo_convolve`, whose C body reads the received
+  time slice in place; in SISO, the block Wiener baseline solves the
+  slice's sane runs and scores its optimum from the same statistics
+  (`wiener.statistics_mse`), so the block is not filtered a second time.
+So a chunk holds one slice's received streams at a time and keeps only
+each run's traces and per-run figures, copied slice by slice into
+chunk-sized arrays.  A lane's bits depend neither on its slice nor on its
+chunk.
 `_MODES` holds everything that differs between the modes.
 
 Learning curves are the per-run error traces converted to dB relative to
@@ -95,12 +95,15 @@ _MODES = {
     MODE_MIMO: _Mode(lambda config: (config.mimo_rx, config.mimo_tx), MIMO_STREAM_SCALE, False),
 }
 
-# most received samples (runs x rx x N) per kernel batch: it bounds a chunk's
-# memory at the size of a 64-run 2x2 MIMO chunk of 5000 symbols (each lane's
-# result is bit-independent of its batch, so the chunking never changes the output)
+# most received samples (runs x rx x N) per chunk, that of a 64-run 2x2 MIMO
+# chunk of 5000 symbols.  A chunk keeps its traces whole but its received
+# streams one slice at a time, so the cap bounds a chunk's traces and, for runs
+# so long that a chunk holds fewer runs than a slice, its slices (each lane's
+# result is bit-independent of its chunk, so the chunking never changes the output)
 _CHUNK_SAMPLES = 64 * 2 * 5000
 
-# lanes per run slice of a chunk's draw and post-adaptation; see `_slices`
+# lanes per run slice of a chunk, which is one kernel batch: the kernel
+# advances lanes in groups of 8, so a slice of 8 lanes fills one group; see `_slices`
 _GROUP_LANES = 8
 
 # trailing moving-average window used when locating the convergence iteration,
@@ -277,14 +280,14 @@ def _equalizer_decisions(received: np.ndarray, weights: np.ndarray, start: int) 
 
 
 def _slices(runs: int, streams: int) -> list[slice]:
-    """The run slices that both per-run stages of a chunk, its draw (`_draw`) and its
-    post-adaptation (`_post_adaptation`), walk: consecutive slices of
-    max(1, _GROUP_LANES // S) runs for S transmit streams, the last one possibly shorter.
-    The curve fold (`_fold_curves`) walks a chunk's runs in slices of S = 1.
+    """The run slices that a chunk (`_chunk`) draws, adapts and scores one at a time:
+    consecutive slices of max(1, _GROUP_LANES // S) runs for S transmit streams, the
+    last one possibly shorter.  The curve fold (`_fold_curves`) walks a chunk's runs
+    in slices of S = 1.
 
-    Slices amortize numpy's per-call cost over several runs while their temporaries
-    stay small (whole-chunk post-adaptation slices raise the peak resident memory of
-    a 64 x 5000 chunk from 57 to 90 MB in SISO and from 68 to 115 MB in MIMO).
+    A slice is large enough to spread the per-call cost of the draw, the kernel and
+    the post-adaptation stage over several runs, and small enough that its received
+    streams and the stages' temporaries stay a fraction of the chunk's traces.
     """
     size = max(1, _GROUP_LANES // streams)
     return [slice(r0, min(r0 + size, runs)) for r0 in range(0, runs, size)]
@@ -300,99 +303,99 @@ def _post_adaptation(config: ExperimentConfig, received: np.ndarray, indices: np
     (R, S, C*L, 4) against the symbol indices `indices[r, s]` (R, S, N) into
     `symbols`; `alive` (R, S) marks the sane lanes, and the results are (R, S).
     Decisions are scored over the iterations t in [max(N//2, delay), N), the
-    last half of the run where it has a delayed reference.  Both stages take
-    every run of each of the chunk's `_slices`, as a view of the chunk, and
-    what a diverged lane reports is set once per stage: after the slice loop
-    it scores 0 errors in 0 decisions, and the Wiener stage's one `sane` mask
-    solves neither it nor a run whose sample statistics overflow, so both keep
-    a NaN figure.  Under the kernel's freeze rule a diverged lane's final
-    weights are finite, so filtering with them is well defined.
+    last half of the run where it has a delayed reference.  `_chunk` hands it
+    one run slice at a time, and both stages take every run of it: a diverged
+    lane then scores 0 errors in 0 decisions, and the Wiener stage's one
+    `sane` mask solves neither it nor a run whose sample statistics overflow,
+    so both keep a NaN figure.  Under the kernel's freeze rule a diverged
+    lane's final weights are finite, so filtering with them is well defined.
     """
     runs, streams, n = indices.shape
     length, delay = config.equalizer_length, config.delay
     start = max(n // 2, delay)
-    errors = np.zeros((runs, streams), dtype=np.int64)
-    wiener_db = np.full((runs, streams), np.nan)
-    for part in _slices(runs, streams):
-        rx, sent = received[part], indices[part]
-        decided = _equalizer_decisions(rx, weights[part], start)
-        errors[part] = np.count_nonzero(decided != sent[:, :, start - delay : n - delay], axis=2)
-        if _MODES[config.mode].with_wiener:
-            references = symbols[sent[:, 0]]
-            # noise near the top of the float range overflows the sample moments
-            with np.errstate(over="ignore", invalid="ignore"):
-                problem = wiener.estimate_statistics(rx, references, length, delay)
-                ridge = wiener.default_ridge(problem)
-            r, p = problem.autocorrelation, problem.cross_correlation
-            finite = np.isfinite(ridge) & np.isfinite(r).all(axis=(1, 2, 3)) & np.isfinite(p).all(axis=(1, 2))
-            sane = alive[part, 0] & finite
-            if not sane.all():
-                problem = wiener.WienerProblem(r[sane], p[sane], problem.sample_count)
-                ridge, references = ridge[sane], references[sane]
-            optimum = wiener.solve_wiener(problem, ridge)
-            wiener_db[part, 0][sane] = wiener.statistics_mse(problem, optimum, references).db
+    decided = _equalizer_decisions(received, weights, start)
+    errors = np.count_nonzero(decided != indices[:, :, start - delay : n - delay], axis=2)
     errors[~alive] = 0
+    wiener_db = np.full((runs, streams), np.nan)
+    if _MODES[config.mode].with_wiener:
+        references = symbols[indices[:, 0]]
+        # noise near the top of the float range overflows the sample moments
+        with np.errstate(over="ignore", invalid="ignore"):
+            problem = wiener.estimate_statistics(received, references, length, delay)
+            ridge = wiener.default_ridge(problem)
+        r, p = problem.autocorrelation, problem.cross_correlation
+        finite = np.isfinite(ridge) & np.isfinite(r).all(axis=(1, 2, 3)) & np.isfinite(p).all(axis=(1, 2))
+        sane = alive[:, 0] & finite
+        if not sane.all():
+            problem = wiener.WienerProblem(r[sane], p[sane], problem.sample_count)
+            ridge, references = ridge[sane], references[sane]
+        optimum = wiener.solve_wiener(problem, ridge)
+        wiener_db[sane, 0] = wiener.statistics_mse(problem, optimum, references).db
     return {"errors": errors, "decisions": np.where(alive, n - start, 0), "wiener_db": wiener_db}
 
 
 def _draw(config: ExperimentConfig, start: int, stop: int):
-    """Runs [start, stop): their received streams (R, rx, N, 4) and int8 symbol
-    indices (R, tx, N), for the (rx, tx) layout of the mode.
+    """Runs [start, stop): their received streams (R, rx, N, 4), the array of one
+    `apply_mimo` call, and int8 symbol indices (R, tx, N), for the (rx, tx) layout
+    of the mode.
 
-    The chunk is filled one of its `_slices` at a time, with one
-    `apply_mimo` call per slice.  Each run draws its grid, symbols and noise
-    from its own (master_seed, run, purpose, stream) generators, so its data
-    do not depend on the runs drawn with it or on the slicing.
+    Each run draws its grid, symbols and noise from its own
+    (master_seed, run, purpose, stream) generators, so its data do not depend
+    on the runs drawn with it.
     """
     mode = _MODES[config.mode]
     num_rx, num_tx = mode.layout(config)
-    runs, n, seed = stop - start, config.symbols_per_run, config.master_seed
+    runs, n, seed = range(start, stop), config.symbols_per_run, config.master_seed
     stream_power = _reference_power(config)
     table = mode.stream_scale * modem.CONSTELLATION  # the kernel's table, as in `_chunk`
-    received = np.empty((runs, num_rx, n, 4))
-    indices = np.empty((runs, num_tx, n), dtype=np.int8)
-    for rows in _slices(runs, num_tx):
-        part = range(rows.start, rows.stop)
-        grids = [
-            random_mimo_grid(derive_rng(seed, start + k, _PURPOSE_CHANNEL, 0), num_rx, num_tx,
-                             config.num_channel_taps, config.normalize_channel)
-            for k in part
-        ]  # fmt: skip
-        for k in part:
-            for s in range(num_tx):
-                indices[k, s] = derive_rng(seed, start + k, _PURPOSE_SYMBOLS, s).integers(0, modem.NUM_SYMBOLS, n)
-        streams = table[indices[rows]]
-        if config.snr_reference_point == SNR_REF_RECEIVER:
-            powers = [expected_output_power(grid, stream_power) / num_rx for grid in grids]
-        else:
-            powers = [stream_power] * len(part)
-        variances = [noise_variance_for_snr(power, config.snr_db) for power in powers]
-        rngs = [derive_rng(seed, start + k, _PURPOSE_NOISE, 0) for k in part]
-        received[rows] = apply_mimo(grids, streams, variances, rngs)
-    return received, indices
+    grids = [
+        random_mimo_grid(derive_rng(seed, run, _PURPOSE_CHANNEL, 0), num_rx, num_tx, config.num_channel_taps,
+                         config.normalize_channel)
+        for run in runs
+    ]  # fmt: skip
+    indices = np.empty((len(runs), num_tx, n), dtype=np.int8)
+    for k, run in enumerate(runs):
+        for s in range(num_tx):
+            indices[k, s] = derive_rng(seed, run, _PURPOSE_SYMBOLS, s).integers(0, modem.NUM_SYMBOLS, n)
+    if config.snr_reference_point == SNR_REF_RECEIVER:
+        powers = [expected_output_power(grid, stream_power) / num_rx for grid in grids]
+    else:
+        powers = [stream_power] * len(runs)
+    variances = [noise_variance_for_snr(power, config.snr_db) for power in powers]
+    rngs = [derive_rng(seed, run, _PURPOSE_NOISE, 0) for run in runs]
+    return apply_mimo(grids, table[indices], variances, rngs), indices
 
 
 def _chunk(config: ExperimentConfig, start: int, stop: int) -> dict:
     """Runs [start, stop): every result array indexed (run, stream, ...).
 
-    The kernel and the post-adaptation stage read the chunk's received
-    streams and int8 symbol indices in place, with each lane's references
-    looked up in the scaled constellation.
+    Each of the chunk's `_slices` is drawn, adapted and scored in turn; the
+    kernel and the post-adaptation stage read the slice's received streams
+    and int8 symbol indices in place, with each lane's references looked up
+    in the scaled constellation.  Only the slice's per-run results outlive
+    it: each is copied into a chunk-sized array, made when the first slice
+    gives its shape and dtype.
     """
     mode = _MODES[config.mode]
     n = config.symbols_per_run
-    received, indices = _draw(config, start, stop)
     symbols = mode.stream_scale * modem.CONSTELLATION
-    lanes = indices.reshape(-1, n)  # the (run, stream) grid, flattened row-major into kernel lanes
-    batch = run_qlms_batch(received, lanes, symbols, config.equalizer_length, config.step_size, config.delay)
-    grid = indices.shape[:2]
-    traces, diverged_at = batch.traces.reshape(grid + (n,)), batch.diverged_at.reshape(grid)
-    alive = diverged_at < 0
-    qlms_db = np.full(grid, np.nan)
-    qlms_db[alive] = wiener.floored_db(np.nanmean(traces[alive, 3 * n // 4 :], axis=1), _reference_power(config))
-    weights = batch.weights.reshape(grid + batch.weights.shape[1:])
-    stage = _post_adaptation(config, received, indices, symbols, weights, alive)
-    return {"traces": traces, "diverged_at": diverged_at, "qlms_db": qlms_db, **stage}
+    chunk = {}
+    for part in _slices(stop - start, mode.layout(config)[1]):
+        received, indices = _draw(config, start + part.start, start + part.stop)
+        lanes = indices.reshape(-1, n)  # the (run, stream) grid, flattened row-major into kernel lanes
+        batch = run_qlms_batch(received, lanes, symbols, config.equalizer_length, config.step_size, config.delay)
+        grid = indices.shape[:2]
+        traces, diverged_at = batch.traces.reshape(grid + (n,)), batch.diverged_at.reshape(grid)
+        alive = diverged_at < 0
+        qlms_db = np.full(grid, np.nan)
+        qlms_db[alive] = wiener.floored_db(np.nanmean(traces[alive, 3 * n // 4 :], axis=1), _reference_power(config))
+        weights = batch.weights.reshape(grid + batch.weights.shape[1:])
+        stage = _post_adaptation(config, received, indices, symbols, weights, alive)
+        for name, value in {"traces": traces, "diverged_at": diverged_at, "qlms_db": qlms_db, **stage}.items():
+            if name not in chunk:
+                chunk[name] = np.empty((stop - start,) + value.shape[1:], value.dtype)
+            chunk[name][part] = value
+    return chunk
 
 
 def __getattr__(name: str):

@@ -4,10 +4,11 @@
 `adaptive.run_qlms_batch`, and `mimo_fir`, behind `channel.mimo_convolve`.
 `library` compiles it with the system's `cc` on first use into
 `__pycache__`, as a shared library named by a checksum of the source and
-the build command, and loads it through `ctypes`.  Each module that calls
-one of its functions declares that function's arguments.  The build has no
-floating-point contraction or reassociation, so the bits do not depend on
-the CPU it runs on.
+the build command, and loads it through `ctypes` (`_load`), which declares
+both functions' arguments and their `c_int` status once, from one table
+(`_ARGUMENTS`): a nonzero status, a failed allocation, raises `MemoryError`.
+The build has no floating-point contraction or reassociation, so the bits do
+not depend on the CPU it runs on.
 """
 
 import ctypes
@@ -17,6 +18,8 @@ import tempfile
 import zlib
 from pathlib import Path
 
+import numpy as np
+
 from .errors import KernelBuildError
 
 _SOURCE = Path(__file__).with_name("_kernels.c")
@@ -24,6 +27,18 @@ _SOURCE = Path(__file__).with_name("_kernels.c")
 # No contraction (FMA) or reassociation, so that every SIMD width the
 # source's target clones pick rounds the same.
 _COMPILE = ("cc", "-O3", "-ffp-contract=off", "-fPIC", "-shared")
+
+_I64, _FLOATS = ctypes.c_int64, np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+# each function's arguments, in the order `_kernels.c` declares them
+_ARGUMENTS = {
+    "qlms_batch": [
+        _FLOATS, np.ctypeslib.ndpointer(flags="C_CONTIGUOUS"), ctypes.c_int,  # int8 indices, or int64 if `wide`
+        _FLOATS, _I64, _I64, _I64, _I64, _I64, ctypes.c_double, _I64, _I64, ctypes.c_double,
+        _FLOATS, _FLOATS, np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS"),
+    ],
+    "mimo_fir": [np.ctypeslib.ndpointer(np.float64, flags="ALIGNED"), _I64, _I64, _FLOATS, _I64, _I64, _I64, _I64,
+                 _I64, _FLOATS],
+}  # fmt: skip
 
 
 def _build(path: Path) -> None:
@@ -48,6 +63,22 @@ def _build(path: Path) -> None:
             os.remove(temporary)
 
 
+def _check(status: int, function, arguments) -> int:
+    """The `errcheck` of both functions: each returns nonzero only when it cannot allocate its buffers."""
+    if status:
+        raise MemoryError(f"the C kernel {function.__name__} cannot allocate its buffers")
+    return status
+
+
+def _load(path) -> ctypes.CDLL:
+    """The library at `path`, with both functions' arguments, status and `errcheck` declared."""
+    lib = ctypes.CDLL(str(path))
+    for name, arguments in _ARGUMENTS.items():
+        function = getattr(lib, name)
+        function.argtypes, function.restype, function.errcheck = arguments, ctypes.c_int, _check
+    return lib
+
+
 @functools.cache
 def library() -> ctypes.CDLL:
     """The shared library, built on first use if no process has built this source with this command."""
@@ -55,4 +86,4 @@ def library() -> ctypes.CDLL:
     path = _SOURCE.with_name("__pycache__") / f"{_SOURCE.stem}-{key:08x}.so"
     if not path.exists():
         _build(path)
-    return ctypes.CDLL(str(path))
+    return _load(path)

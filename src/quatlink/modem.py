@@ -13,7 +13,8 @@ from .errors import DimensionMismatchError
 
 NUM_SYMBOLS = 16
 
-_BIT_WEIGHTS = np.array([1, 2, 4, 8])
+# uint8, so the decisions' matmul casts its bool operand to one byte per component, not to int64
+_BIT_WEIGHTS = np.array([1, 2, 4, 8], dtype=np.uint8)
 
 # Row s is the symbol with index s.
 CONSTELLATION = 2.0 * ((np.arange(NUM_SYMBOLS)[:, None] >> np.arange(4)[None, :]) & 1) - 1.0
@@ -41,7 +42,7 @@ def index_to_symbol(index) -> np.ndarray:
 
 
 def hard_decisions(received) -> np.ndarray:
-    """Indices of the nearest constellation points (componentwise sign, ties to +1)."""
+    """Indices of the nearest constellation points (componentwise sign, ties to +1), as uint8."""
     received = np.asarray(received, dtype=np.float64)
     if received.shape[-1:] != (4,):
         raise DimensionMismatchError(f"expected quaternion samples, got shape {received.shape}")

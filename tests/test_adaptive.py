@@ -454,7 +454,8 @@ class TestCompiledKernel:
         """The library built at -O0, scalar code, gives the product library's bits: the
         QLMS kernel on a 2x2 batch with one diverging lane, and the FIR on a 2x2 grid of
         15 taps.  No contraction or reassociation lets the SIMD width the product build
-        picks change a result."""
+        picks change a result.  The -O0 build goes through the product's loader, which
+        declares both functions."""
         scalar = tmp_path / "scalar.so"
         subprocess.run(["cc", "-O0", "-fPIC", "-shared", "-o", str(scalar), str(kernels._SOURCE)], check=True)
         rng = np.random.default_rng(82)
@@ -466,13 +467,23 @@ class TestCompiledKernel:
         grid = rng.normal(size=(runs, 2, streams, length, 4))
         product = adaptive.run_qlms_batch(received, indices, table, length, mu, delay)
         product_fir = channel.mimo_convolve(received, grid)
-        monkeypatch.setattr(kernels, "library", lambda: ctypes.CDLL(str(scalar)))
+        monkeypatch.setattr(kernels, "library", lambda: kernels._load(scalar))
         reference = adaptive.run_qlms_batch(received, indices, table, length, mu, delay)
         assert product.diverged_at.tolist() == reference.diverged_at.tolist() == [-1, -1, 47, -1]
         assert np.array_equal(product.traces, reference.traces, equal_nan=True)
         assert np.array_equal(product.weights, reference.weights)
         fir = channel.mimo_convolve(received, grid)
         assert np.array_equal(product_fir.view(np.int64), fir.view(np.int64))
+
+    def test_failed_allocation_raises_memory_error(self):
+        """Both functions return a c_int status, and the loader's errcheck turns a nonzero
+        one, a failed allocation, into a MemoryError that names the function."""
+        for name in ("qlms_batch", "mimo_fir"):
+            function = getattr(kernels.library(), name)
+            assert function.restype is ctypes.c_int
+            assert function.errcheck(0, function, ()) == 0
+            with pytest.raises(MemoryError, match=name):
+                function.errcheck(-1, function, ())
 
     def test_processes_building_at_once_leave_one_library(self, tmp_path):
         """Two processes that first use the library of a package copy with an empty

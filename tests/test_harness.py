@@ -253,8 +253,9 @@ class TestWorkersAndChunking:
                 assert_same_result(whole, chunked)
 
     def test_slice_size_does_not_change_results(self, monkeypatch):
-        """Every result array is the same for any run slicing of the draw and the
-        post-adaptation stage, which `_GROUP_LANES` sets for both, in both modes.
+        """Every result array is the same for any run slicing of a chunk, in both modes.
+        `_GROUP_LANES` sets the slices that are drawn, adapted and scored in turn, so it
+        sets the kernel's batches too.
 
         The diverging configs put dead lanes in all-dead, mixed and all-live
         slices: SISO runs 1-5 and MIMO runs 1, 2, 4 and 8 diverge."""
@@ -313,7 +314,7 @@ class TestDataGeneration:
     def test_chunk_data_are_the_one_run_draws(self, mode, reference_point, snr_db, monkeypatch):
         """The received samples and symbol indices a chunk hands the kernel equal each
         run's one-run draw bit for bit, in a chunk that starts mid-experiment and
-        with filter slices of two runs that end mid-chunk; each run's received
+        with run slices of two runs that end mid-chunk; each run's received
         samples are `channel.apply_mimo` of its own grid, streams, noise variance
         and noise generator."""
         config = small(mode=mode, snr_reference_point=reference_point, snr_db=snr_db, num_runs=7, symbols_per_run=300)
@@ -348,6 +349,21 @@ class TestDataGeneration:
 
 
 class TestChunkMemory:
+    @pytest.mark.parametrize("mode,runs,n", [("siso", 64, 5000), ("mimo", 32, 4000)])
+    def test_chunk_never_holds_its_received_batch(self, mode, runs, n):
+        """A chunk's traced peak stays below the bytes of its received streams: each run
+        slice is drawn, adapted and scored before the next is drawn, and only its
+        per-run results are kept."""
+        config = small(mode=mode, num_runs=runs, symbols_per_run=n)
+        rx = config.mimo_rx if mode == "mimo" else 1
+        tracemalloc.start()
+        try:
+            harness._chunk(config, 0, config.num_runs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < config.num_runs * rx * config.symbols_per_run * 4 * 8
+
     def test_chunk_holds_its_data_once(self):
         """A MIMO chunk's traced peak stays within 3x its received batch: no
         per-stream copy of the batch and no float copy of the references."""
@@ -613,8 +629,8 @@ class TestEqualizerDecisions:
     @pytest.mark.parametrize("group_lanes", [1, 4, 8])
     def test_dead_lanes_and_grouping(self, group_lanes, monkeypatch):
         """A diverged lane reports no errors and no decisions, whether its run lives on or froze
-        whole on an inf sample; live lanes count as the per-lane route does, in any grouping,
-        and nothing overflows on the way."""
+        whole on an inf sample; live lanes count as the per-lane route does, whatever
+        `_GROUP_LANES` is, and nothing overflows on the way."""
         monkeypatch.setattr(harness, "_GROUP_LANES", group_lanes)
         config = small(mode="mimo", num_runs=3, symbols_per_run=80, equalizer_length=5, delay=3)
         rng = np.random.default_rng(7)
@@ -647,10 +663,10 @@ class TestEqualizerDecisions:
 class TestWienerStage:
     @pytest.mark.parametrize("group_lanes", [1, 4, 8])
     def test_live_runs_match_one_run_solves(self, group_lanes, monkeypatch):
-        """The SISO Wiener stage runs inside the SER loop on each slice's runs: a run that
+        """The SISO Wiener stage runs beside the SER stage on the runs it is handed: a run that
         froze on an inf sample gets NaN, as does a live run whose sample moments overflow, and
         every other live run gets, bit for bit, the dB of its own one-run statistics, solve and
-        score, however the runs are sliced."""
+        score, whatever `_GROUP_LANES` is."""
         monkeypatch.setattr(harness, "_GROUP_LANES", group_lanes)
         config = small(num_runs=9, symbols_per_run=120, equalizer_length=5, delay=2)
         rng = np.random.default_rng(8)

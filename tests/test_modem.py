@@ -1,5 +1,7 @@
 """Tests for the 16-point 4-D QAM mapper and demapper."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,23 @@ class TestDemodulate:
         received = 3.0 * rng.normal(size=(10_000, 4))
         expected = nearest_symbol_indices(received, modem.CONSTELLATION)
         assert np.array_equal(modem.hard_decisions(received), expected)
+
+    def test_decisions_make_no_input_sized_temporary(self):
+        """An (8, 1, 2500, 4) input traces a peak under its own bytes, as uint8 indices
+        equal to the int64 sign rule's, +-0, NaN and inf included: the bool signs are
+        weighted in one byte each, not cast to int64 first."""
+        rng = np.random.default_rng(42)
+        received = rng.normal(size=(8, 1, 2500, 4))
+        received.reshape(-1)[:10] = [0.0, -0.0, np.nan, np.inf, -np.inf, -np.nan, 0.0, -0.0, np.inf, np.nan]
+        tracemalloc.start()
+        try:
+            decided = modem.hard_decisions(received)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert decided.dtype == np.uint8
+        assert np.array_equal(decided, (received >= 0.0).astype(np.int64) @ np.array([1, 2, 4, 8]))
+        assert peak < received.nbytes
 
     def test_zero_component_ties_to_plus_one(self):
         assert np.array_equal(modem.demodulate(quat.quat(0.0, -0.5, 0.0, 0.2)), quat.quat(1, -1, 1, 1))
