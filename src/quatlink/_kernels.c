@@ -1,8 +1,12 @@
 /* quatlink's C kernels, built into one library by quatlink.kernels:
-   qlms_batch, the batched QLMS kernel behind quatlink.adaptive.run_qlms_batch,
-   and mimo_fir, the MIMO FIR behind quatlink.channel.mimo_convolve.  The
-   docstrings of those two state their inputs and the fixed order of their
-   arithmetic, which the build keeps by allowing no contraction.
+   qlms_batch, the batched QLMS kernel behind quatlink.adaptive.run_qlms_batch;
+   mimo_fir, the MIMO FIR behind quatlink.channel.mimo_convolve; and
+   block_moments, the sample moments behind quatlink.wiener.estimate_statistics.
+   The docstrings of the first two and the comment on block_moments state their
+   inputs and the fixed order of their arithmetic, which the build keeps by
+   allowing no contraction.  A helper that a target_clones function calls is
+   always_inline, so that it is compiled for the clone's target and not for
+   the baseline one.
 
    qlms_batch takes lanes in groups of LANES with the lane index innermost in
    every buffer, so each step runs across a group's lanes in SIMD registers.
@@ -199,5 +203,110 @@ CLONES int mimo_fir(const double *signals, int64_t run_stride, int64_t stream_st
             }
         }
     free(partial);
+    return 0;
+}
+
+#define SPAN 64 /* time steps per window fill of block_moments */
+
+/* sums[a*4 + b] += x[a] * y[b] at each of `count` time steps, for a 4x4 block
+   of sums across a group's lanes; x and y advance by their steps. */
+static inline __attribute__((always_inline)) void accumulate(double *restrict sums, const double *x, int64_t x_step,
+                                                             const double *y, int64_t y_step, int64_t count)
+{
+    double s[16][LANES];
+    for (int k = 0; k < 16; k++)
+        for (int j = 0; j < LANES; j++)
+            s[k][j] = sums[k * LANES + j];
+    for (int64_t t = 0; t < count; t++) {
+        const double *a = x + t * x_step, *b = y + t * y_step;
+        for (int u = 0; u < 4; u++)
+            for (int v = 0; v < 4; v++)
+                for (int j = 0; j < LANES; j++)
+                    s[u * 4 + v][j] = s[u * 4 + v][j] + a[u * LANES + j] * b[v * LANES + j];
+    }
+    for (int k = 0; k < 16; k++)
+        for (int j = 0; j < LANES; j++)
+            sums[k * LANES + j] = s[k][j];
+}
+
+/* Returns 0, or -1 if the group's buffers cannot be allocated.  Stream c of
+   run r is the n contiguous quaternions at signals + r*run_stride +
+   c*stream_stride, and run r's reference the n - delay contiguous
+   quaternions at references + r*reference_stride, the strides in doubles.
+   With x_l of stream c at t the sample c[t - l], zero before the start, the
+   rows k = 0 of `moments` (runs, streams, length, 4, streams, length, 4)
+   receive sum_t x_0 of c [a] * x_l of c' [b] at [r, c, 0, a, c', l, b], and
+   `cross` (runs, streams, length, 4, 4) sum_t x_l of c [a] *
+   references[t - delay][b] at [r, c, l, a, b], over t in [delay, n); each of
+   these sums starts at +0.0 and adds t = delay, delay + 1, ... in turn.  The
+   other rows of `moments` are not written.
+   Runs go in groups of LANES with the run innermost in every buffer.  A
+   group's window holds the samples of length-1 + SPAN time steps in (time,
+   stream, component, run) order, and its targets the references of SPAN
+   steps; both are refilled SPAN time steps at a time.  A last group short of
+   LANES runs repeats the last run, whose copies write nothing. */
+CLONES int block_moments(const double *signals, int64_t run_stride, int64_t stream_stride,
+                         const double *references, int64_t reference_stride, int64_t runs, int64_t streams,
+                         int64_t length, int64_t n, int64_t delay, double *moments, double *cross)
+{
+    const int64_t stride = streams * QUAT; /* doubles per window time step */
+    const int64_t pairs = streams * streams * length, blocks = pairs + streams * length; /* 4x4 blocks of sums */
+    double *window = aligned_alloc(64, ((length - 1 + SPAN) * stride + SPAN * QUAT + blocks * 16 * LANES) *
+                                           sizeof(double));
+    if (!window)
+        return -1;
+    double *targets = window + (length - 1 + SPAN) * stride;
+    /* the sums of the first row's blocks (c, c', l) and then of cross's (c, l), each in (a, b, run) order */
+    double *sums = targets + SPAN * QUAT;
+
+    for (int64_t group = 0; group < runs; group += LANES) {
+        const double *run[LANES], *reference[LANES];
+        for (int j = 0; j < LANES; j++) {
+            const int64_t r = group + j < runs ? group + j : runs - 1;
+            run[j] = signals + r * run_stride;
+            reference[j] = references + r * reference_stride;
+        }
+        memset(sums, 0, blocks * 16 * LANES * sizeof(double));
+
+        for (int64_t t0 = delay; t0 < n; t0 += SPAN) {
+            const int64_t count = t0 + SPAN < n ? SPAN : n - t0;
+            /* window step i holds time t0 - (length-1) + i */
+            for (int64_t i = 0; i < length - 1 + count; i++) {
+                const int64_t t = t0 - (length - 1) + i;
+                double *slot = window + i * stride;
+                for (int64_t c = 0; c < streams; c++)
+                    for (int k = 0; k < 4; k++)
+                        for (int j = 0; j < LANES; j++)
+                            slot[(c * 4 + k) * LANES + j] = t < 0 ? 0.0 : run[j][c * stream_stride + t * 4 + k];
+            }
+            for (int64_t i = 0; i < count; i++)
+                for (int k = 0; k < 4; k++)
+                    for (int j = 0; j < LANES; j++)
+                        targets[i * QUAT + k * LANES + j] = reference[j][(t0 - delay + i) * 4 + k];
+
+            const double *now = window + (length - 1) * stride; /* time t0 */
+            for (int64_t b = 0; b < blocks; b++) {
+                /* x_0 of c with x_l of c', or x_l of c with the references */
+                const int64_t pair = b < pairs, l = b % length;
+                const int64_t c = pair ? b / (streams * length) : (b - pairs) / length;
+                const double *x = pair ? now + c * QUAT : now - l * stride + c * QUAT;
+                const double *y = pair ? now - l * stride + b / length % streams * QUAT : targets;
+                accumulate(sums + b * 16 * LANES, x, stride, y, pair ? stride : QUAT, count);
+            }
+        }
+
+        for (int j = 0; j < LANES && group + j < runs; j++) {
+            double *m = moments + (group + j) * pairs * length * 16, *x = cross + (group + j) * streams * length * 16;
+            for (int64_t c = 0; c < streams; c++)
+                for (int a = 0; a < 4; a++)
+                    for (int64_t i = 0; i < streams * length; i++) /* i = (c', l) */
+                        for (int b = 0; b < 4; b++)
+                            m[((c * length * 4 + a) * streams * length + i) * 4 + b] =
+                                sums[(((c * streams * length + i) * 4 + a) * 4 + b) * LANES + j];
+            for (int64_t i = 0; i < streams * length * 16; i++)
+                x[i] = sums[(pairs * 16 + i) * LANES + j];
+        }
+    }
+    free(window);
     return 0;
 }

@@ -101,9 +101,7 @@ def mimo_convolve(signals, grid) -> np.ndarray:
     runs = np.broadcast_shapes(signals.shape[:-3], grid.shape[:-4])
     n, (outputs, streams, length) = signals.shape[-2], grid.shape[-4:-1]
     # one run axis; a reshape copies only runs that broadcast over more than one axis
-    x = np.broadcast_to(signals, runs + signals.shape[-3:]).reshape((-1,) + signals.shape[-3:])
-    if x.strides[-2:] != (32, 8) or not x.flags.aligned:
-        x = np.ascontiguousarray(x)
+    x = kernels.in_place(np.broadcast_to(signals, runs + signals.shape[-3:]).reshape((-1,) + signals.shape[-3:]))
     taps = np.ascontiguousarray(np.broadcast_to(grid, runs + grid.shape[-4:]))
     out = np.empty(runs + (outputs, n, 4))
     kernels.library().mimo_fir(x, x.strides[0] // 8, x.strides[1] // 8, taps, len(x), outputs, streams, length, n, out)

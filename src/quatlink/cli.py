@@ -247,6 +247,10 @@ def main(argv=None) -> int:
     except KernelBuildError as exc:
         print(f"cannot build quatlink's C kernels: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("not enough memory for num_runs={num_runs}, symbols_per_run={symbols_per_run}, equalizer_length="
+              "{equalizer_length}".format_map(vars(invocation.config)), file=sys.stderr)
+        return 1
     try:
         written = write_outputs(result, invocation.config, invocation.out_dir)
     except OSError as exc:

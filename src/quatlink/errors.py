@@ -18,4 +18,4 @@ class ExperimentFailedError(RuntimeError):
 
 
 class KernelBuildError(RuntimeError):
-    """The C compiler could not build quatlink's C kernels, the QLMS kernel and the FIR."""
+    """quatlink's C kernels could not be built: the C compiler failed, or the cache directory cannot be written."""

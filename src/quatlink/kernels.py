@@ -1,14 +1,17 @@
 """The package's C kernels: one source, one build, one loader.
 
-`_kernels.c` holds both compiled functions: `qlms_batch`, behind
-`adaptive.run_qlms_batch`, and `mimo_fir`, behind `channel.mimo_convolve`.
-`library` compiles it with the system's `cc` on first use into
-`__pycache__`, as a shared library named by a checksum of the source and
-the build command, and loads it through `ctypes` (`_load`), which declares
-both functions' arguments and their `c_int` status once, from one table
-(`_ARGUMENTS`): a nonzero status, a failed allocation, raises `MemoryError`.
+`_kernels.c` holds the three compiled functions: `qlms_batch`, behind
+`adaptive.run_qlms_batch`; `mimo_fir`, behind `channel.mimo_convolve`; and
+`block_moments`, behind `wiener.estimate_statistics`.  `library` compiles it
+with the system's `cc` on first use into `__pycache__`, as a shared library
+named by a checksum of the source and the build command, and loads it
+through `ctypes` (`_load`), which declares every function's arguments and
+its `c_int` status once, from one table (`_ARGUMENTS`): a nonzero status, a
+failed allocation, raises `MemoryError`.  A cache directory the library
+cannot be written into raises `KernelBuildError`, as a failed build does.
 The build has no floating-point contraction or reassociation, so the bits do
-not depend on the CPU it runs on.
+not depend on the CPU it runs on.  `in_place` is the one rule for when a
+function reads an array in place through its strides.
 """
 
 import ctypes
@@ -29,6 +32,7 @@ _SOURCE = Path(__file__).with_name("_kernels.c")
 _COMPILE = ("cc", "-O3", "-ffp-contract=off", "-fPIC", "-shared")
 
 _I64, _FLOATS = ctypes.c_int64, np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+_STRIDED = np.ctypeslib.ndpointer(np.float64, flags="ALIGNED")  # read through the strides passed with it
 # each function's arguments, in the order `_kernels.c` declares them
 _ARGUMENTS = {
     "qlms_batch": [
@@ -36,9 +40,15 @@ _ARGUMENTS = {
         _FLOATS, _I64, _I64, _I64, _I64, _I64, ctypes.c_double, _I64, _I64, ctypes.c_double,
         _FLOATS, _FLOATS, np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS"),
     ],
-    "mimo_fir": [np.ctypeslib.ndpointer(np.float64, flags="ALIGNED"), _I64, _I64, _FLOATS, _I64, _I64, _I64, _I64,
-                 _I64, _FLOATS],
+    "mimo_fir": [_STRIDED, _I64, _I64, _FLOATS, _I64, _I64, _I64, _I64, _I64, _FLOATS],
+    "block_moments": [_STRIDED, _I64, _I64, _STRIDED, _I64, _I64, _I64, _I64, _I64, _I64, _FLOATS, _FLOATS],
 }  # fmt: skip
+
+
+def in_place(array: np.ndarray) -> np.ndarray:
+    """`array` if its last two axes are aligned contiguous quaternions, which the C
+    functions read in place through the strides of the other axes; else a contiguous copy."""
+    return array if array.strides[-2:] == (32, 8) and array.flags.aligned else np.ascontiguousarray(array)
 
 
 def _build(path: Path) -> None:
@@ -46,8 +56,11 @@ def _build(path: Path) -> None:
     place, so processes that build at once each leave a whole library."""
     import subprocess  # only a build needs it
 
-    path.parent.mkdir(exist_ok=True)
-    fd, temporary = tempfile.mkstemp(prefix=path.stem, suffix=".tmp", dir=path.parent)
+    try:
+        path.parent.mkdir(exist_ok=True)
+        fd, temporary = tempfile.mkstemp(prefix=path.stem, suffix=".tmp", dir=path.parent)
+    except OSError as exc:
+        raise KernelBuildError(f"cannot write the library into {str(path.parent)!r}: {exc.strerror}") from None
     os.close(fd)
     try:
         try:
@@ -64,14 +77,14 @@ def _build(path: Path) -> None:
 
 
 def _check(status: int, function, arguments) -> int:
-    """The `errcheck` of both functions: each returns nonzero only when it cannot allocate its buffers."""
+    """The `errcheck` of every function: each returns nonzero only when it cannot allocate its buffers."""
     if status:
         raise MemoryError(f"the C kernel {function.__name__} cannot allocate its buffers")
     return status
 
 
 def _load(path) -> ctypes.CDLL:
-    """The library at `path`, with both functions' arguments, status and `errcheck` declared."""
+    """The library at `path`, with every function's arguments, status and `errcheck` declared."""
     lib = ctypes.CDLL(str(path))
     for name, arguments in _ARGUMENTS.items():
         function = getattr(lib, name)

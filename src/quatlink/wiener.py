@@ -13,32 +13,31 @@ signal (G, N, 4) or (G, C, N, 4) with references (G, N, 4) is G runs,
 computed together.  Results take the run shape: float64 scalars for one
 run, (G,) arrays for G.  The statistics follow the covariance method
 (Makhoul 1975, "Linear prediction: a tutorial review") on the real moments
-M = sum x[n] x[n]^T of the 4CL-component regressor: one matmul per lag
-gives the first block row of M, symmetry the first column, and
+M = sum x[n] x[n]^T of the 4CL-component regressor: `block_moments` of the
+package's C library (`kernels`) sums the first block row of M and the cross
+moments in one pass that reads the signal and the references in place,
+symmetry gives the first column, and
 
     M[k+1, l+1] = M[k, l] + x[d-1-k] x[d-1-l]^T - x[N-1-k] x[N-1-l]^T
 
-the rest, so no (N, L, 4) lag matrix is ever built; `quat.from_moments`
-turns M's 4x4 blocks into R.  Only the solve takes the complex adjoint
-embedding (Zhang 1997, "Quaternions and matrices of quaternions"), where
-one batched Cholesky factorization certifies that no run's R is singular;
-the eigenvalues are computed only for a batch it fails on (on an 8-run
-batch at L = 15, 0.15 ms for the certificate against 0.45 ms for
-`eigvalsh` of the 30x30 complex images, 2-core x86_64, one BLAS thread).
-Any weights can be evaluated on data through the package's C FIR,
+the rest, so no (N, L, 4) lag matrix and no copy of the signal is built;
+`quat.from_moments` turns M's 4x4 blocks into R.  Only the solve takes the
+complex adjoint embedding (Zhang 1997, "Quaternions and matrices of
+quaternions"), where one batched Cholesky factorization certifies that no
+run's R is singular; the eigenvalues are computed only for a batch it fails
+on.  Any weights can be evaluated on data through the package's C FIR,
 `channel.mimo_convolve` (`evaluate_mse`), or on the block the statistics
 came from with the quadratic cost J(w) in R, p and the reference power
 (`statistics_mse`), which costs O(L^2) per run instead of a pass over the
-block.  The harness
-passes each of its run slices (`harness._slices`) whole and solves its sane
-runs.
+block.  The harness passes each of its run slices (`harness._slices`) whole
+and solves its sane runs.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import quat
+from . import kernels, quat
 from .channel import mimo_convolve
 from .errors import DimensionMismatchError, InsufficientDataError, SingularMatrixError
 from .linalg import SINGULARITY_RTOL, dot_left, identity, to_complex_adjoint, vector_from_adjoint, vector_to_adjoint
@@ -100,7 +99,10 @@ class MseReport:
 
 
 def _runs(signal, reference, length: int, delay: int):
-    """Signal (G, C, N, 4) and references (G, N, 4), with G = 1 for one run, and the run shape () or (G,)."""
+    """Signal (G, C, N, 4) and references (G, N, 4), with G = 1 for one run, and the run shape () or (G,).
+
+    Both are laid out as the package's C functions read them (`kernels.in_place`).
+    """
     signal, reference = quat._q(signal), quat._q(reference)
     if reference.ndim not in (2, 3) or signal.ndim not in (reference.ndim, reference.ndim + 1):
         raise ValueError(
@@ -121,50 +123,43 @@ def _runs(signal, reference, length: int, delay: int):
     n = signal.shape[2]
     if n - delay < 1:
         raise InsufficientDataError(f"no iteration has a valid delayed reference (N={n}, delay={delay})")
-    return signal, reference, runs
+    return kernels.in_place(signal), kernels.in_place(reference), runs
 
 
 def estimate_statistics(signal, reference, length: int, delay: int = 0) -> WienerProblem:
     """Sample R and p over the block; counts only iterations with a delayed reference.
 
     For stacked streams the estimate has length C*length, laid out
-    [stream 0 lags, stream 1 lags, ...].
+    [stream 0 lags, stream 1 lags, ...].  The C pass takes 8 runs across its
+    SIMD lanes, and each of its sums starts at +0.0 and adds the iterations
+    t = delay, delay + 1, ... in turn, so a run's bits do not depend on the
+    runs computed with it or on the CPU.  The signal and the references are
+    read in place when each stream's (N, 4) samples are contiguous.
     """
     signal, reference, runs = _runs(signal, reference, length, delay)
     g, c, n, _ = signal.shape
-    count = n - delay
-    # x_l[t] = s[t - l] is padded[..., t - l + length - 1]; zeros before the start.
-    # Component-major, so lagged[l], the components of x_l over t in [delay, n), is (G, 4C, count).
-    padded = np.zeros((g, c, 4, length - 1 + n))
-    padded[..., length - 1 :] = signal.swapaxes(-1, -2)
-    lagged = [
-        padded[..., delay + length - 1 - lag : n + length - 1 - lag].reshape(g, 4 * c, count) for lag in range(length)
-    ]
-    # component-major too, so both factors of a cross GEMM run along t: (G, 4, count)
-    targets = np.ascontiguousarray(reference[:, :count].swapaxes(-1, -2))
-
-    # moments[g, c, k, a, c', l, b] = sum_t x_k[t][a] x_l[t][b] of streams c and c', the
-    # 4CL x 4CL real matrix sum_t x[t] x[t]^T; cross[g, c, l] = sum_t x_l[t] r[t - delay]^T
-    moments = np.empty((g, c, length, 4, c, length, 4))
-    cross = np.empty((g, c, length, 4, 4))
-    for lag, samples in enumerate(lagged):
-        moments[:, :, 0, :, :, lag, :] = (lagged[0] @ samples.mT).reshape(g, c, 4, c, 4)
-        cross[:, :, lag] = (samples @ targets.mT).reshape(g, c, 4, 4)
-
+    # moments[g, c, k, a, c', l, b] = sum_t x_k[t][a] x_l[t][b] of streams c and c', the 4CL x 4CL
+    # real matrix sum_t x[t] x[t]^T with x_l[t] = s[t - l], zeros before the start; the C pass
+    # sums its first block row k = 0 and cross[g, c, l] = sum_t x_l[t] r[t - delay]^T
+    moments, cross = np.empty((g, c, length, 4, c, length, 4)), np.empty((g, c, length, 4, 4))
+    kernels.library().block_moments(signal, signal.strides[0] // 8, signal.strides[1] // 8, reference,
+                                    reference.strides[0] // 8, g, c, length, n, delay, moments, cross)
     # the matrix is symmetric, so the first column is the transposed first row
     moments[:, :, 1:, :, :, 0, :] = moments[:, :, 0, :, :, 1:, :].transpose(0, 3, 4, 5, 1, 2)
-    # sample d-1 enters and sample N-1 leaves the window when both lags grow by one
-    head = padded[..., delay : delay + length - 1][..., ::-1].swapaxes(-1, -2).reshape(g, 4 * c * (length - 1))
-    tail = padded[..., n : n + length - 1][..., ::-1].swapaxes(-1, -2).reshape(g, 4 * c * (length - 1))
+    # sample d-1 enters and sample N-1 leaves the window when both lags grow by one: head holds
+    # the samples d-1-k and tail the samples N-1-k of each stream, k < L-1, zeros before the start
+    at = np.subtract.outer([delay - 1, n - 1], np.arange(length - 1))
+    edges = np.where((at >= 0)[..., None], signal[:, :, np.maximum(at, 0)], 0.0)  # (G, C, 2, L-1, 4)
+    head, tail = edges.swapaxes(1, 2).reshape(g, 2, 4 * c * (length - 1)).swapaxes(0, 1)
     step = head[:, :, None] * head[:, None] - tail[:, :, None] * tail[:, None]
     step = step.reshape(g, c, length - 1, 4, c, length - 1, 4)
     for k in range(1, length):
         moments[:, :, k, :, :, 1:, :] = moments[:, :, k - 1, :, :, :-1, :] + step[:, :, k - 1]
 
     blocks = moments.transpose(0, 1, 2, 4, 5, 3, 6)  # (G, C, L, C, L, 4, 4)
-    autocorrelation = quat.from_moments(blocks).reshape(runs + (c * length, c * length, 4)) / count
-    cross_correlation = quat.from_moments(cross).reshape(runs + (c * length, 4)) / count
-    return WienerProblem(autocorrelation, cross_correlation, count)
+    autocorrelation = quat.from_moments(blocks).reshape(runs + (c * length, c * length, 4)) / (n - delay)
+    cross_correlation = quat.from_moments(cross).reshape(runs + (c * length, 4)) / (n - delay)
+    return WienerProblem(autocorrelation, cross_correlation, n - delay)
 
 
 def default_ridge(problem: WienerProblem) -> float | np.ndarray:
@@ -277,7 +272,11 @@ def statistics_mse(problem: WienerProblem, weights, reference) -> MseReport:
 
     so the block is not filtered again.  `reference` is the block's (N, 4)
     reference, or (G, N, 4) for a problem with a run axis; its first
-    `sample_count` samples give the reference power.  J is a difference of
+    `sample_count` samples give the reference power: each run's dot product
+    of its samples' components with themselves (one `np.einsum` over the
+    samples and components), over the count.  For
+    constellation points every square and partial sum is exact, so the order
+    of that sum changes no bit.  J is a difference of
     terms near that power, so its rounding error is a few ulps of it: the dB
     figure agrees with `evaluate_mse` to ~1e-12 dB at J 20 dB below the
     reference power, and loses a digit per further 10 dB.
@@ -293,5 +292,5 @@ def statistics_mse(problem: WienerProblem, weights, reference) -> MseReport:
     u = dot_left(r, quat.conj(weights)[..., None, :, :])
     cross = (weights * quat.conj(p)).sum(axis=(-2, -1))
     quadratic = (weights * quat.conj(u)).sum(axis=(-2, -1))
-    reference_power = quat.norm_sq(reference[..., :count, :]).mean(axis=-1)
+    reference_power = np.einsum("...ti,...ti->...", reference[..., :count, :], reference[..., :count, :]) / count
     return _report(reference_power - 2.0 * cross + quadratic, reference_power, count)

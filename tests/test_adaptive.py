@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -452,10 +453,11 @@ class TestBatchKernel:
 class TestCompiledKernel:
     def test_bits_do_not_depend_on_the_instruction_set(self, tmp_path, monkeypatch):
         """The library built at -O0, scalar code, gives the product library's bits: the
-        QLMS kernel on a 2x2 batch with one diverging lane, and the FIR on a 2x2 grid of
-        15 taps.  No contraction or reassociation lets the SIMD width the product build
-        picks change a result.  The -O0 build goes through the product's loader, which
-        declares both functions."""
+        QLMS kernel on a 2x2 batch with one diverging lane, the FIR on a 2x2 grid of
+        15 taps, and the block Wiener statistics of 3, 9 and 2 runs (short last groups)
+        of 1, 2 and 3 streams.  No contraction or reassociation lets the SIMD width the
+        product build picks change a result.  The -O0 build goes through the product's
+        loader, which declares all three functions."""
         scalar = tmp_path / "scalar.so"
         subprocess.run(["cc", "-O0", "-fPIC", "-shared", "-o", str(scalar), str(kernels._SOURCE)], check=True)
         rng = np.random.default_rng(82)
@@ -467,6 +469,9 @@ class TestCompiledKernel:
         grid = rng.normal(size=(runs, 2, streams, length, 4))
         product = adaptive.run_qlms_batch(received, indices, table, length, mu, delay)
         product_fir = channel.mimo_convolve(received, grid)
+        shapes = ((3, 1), (9, 2), (2, 3))  # (runs, streams)
+        problems = [(rng.normal(size=(g, c, 300, 4)), rng.normal(size=(g, 300, 4))) for g, c in shapes]
+        product_stats = [wiener.estimate_statistics(signal, refs, length, delay) for signal, refs in problems]
         monkeypatch.setattr(kernels, "library", lambda: kernels._load(scalar))
         reference = adaptive.run_qlms_batch(received, indices, table, length, mu, delay)
         assert product.diverged_at.tolist() == reference.diverged_at.tolist() == [-1, -1, 47, -1]
@@ -474,11 +479,15 @@ class TestCompiledKernel:
         assert np.array_equal(product.weights, reference.weights)
         fir = channel.mimo_convolve(received, grid)
         assert np.array_equal(product_fir.view(np.int64), fir.view(np.int64))
+        for (signal, refs), stats in zip(problems, product_stats):
+            again = wiener.estimate_statistics(signal, refs, length, delay)
+            assert np.array_equal(stats.autocorrelation.view(np.int64), again.autocorrelation.view(np.int64))
+            assert np.array_equal(stats.cross_correlation.view(np.int64), again.cross_correlation.view(np.int64))
 
     def test_failed_allocation_raises_memory_error(self):
-        """Both functions return a c_int status, and the loader's errcheck turns a nonzero
-        one, a failed allocation, into a MemoryError that names the function."""
-        for name in ("qlms_batch", "mimo_fir"):
+        """All three functions return a c_int status, and the loader's errcheck turns a
+        nonzero one, a failed allocation, into a MemoryError that names the function."""
+        for name in ("qlms_batch", "mimo_fir", "block_moments"):
             function = getattr(kernels.library(), name)
             assert function.restype is ctypes.c_int
             assert function.errcheck(0, function, ()) == 0
@@ -522,6 +531,58 @@ class TestCompiledKernel:
         assert err.startswith("cannot build quatlink's C kernels: ") and f"C compiler {command[0]!r}" in err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not list(kernels._SOURCE.with_name("__pycache__").glob("*.tmp"))
+
+    def test_sanitized_build_finds_no_fault(self, tmp_path):
+        """All three functions, built with AddressSanitizer and UBSan and loaded through
+        the product's loader in a child process, run their oracle tests without a report:
+        the QLMS kernel with tail groups, the FIR on time slices, broadcast runs and
+        reversed streams, and the block statistics with tail groups and strided views.
+        The bit-exact oracles would miss an out-of-bounds read that lands in valid
+        memory.  About 8 s on a 2-core x86_64 box, half of it the build."""
+        if shutil.which("gcc") is None:
+            pytest.skip("no gcc on the path")
+        runtime = subprocess.run(["gcc", "-print-file-name=libasan.so"], capture_output=True, text=True).stdout.strip()
+        if not os.path.isabs(runtime):
+            pytest.skip("gcc finds no libasan.so")
+        sanitized = tmp_path / "sanitized.so"
+        flags = ["-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all", "-ffp-contract=off"]
+        subprocess.run(["gcc", *flags, "-fPIC", "-shared", "-o", str(sanitized), str(kernels._SOURCE)], check=True)
+        tests = Path(__file__).parent
+        selected = [
+            "test_adaptive.py::TestBatchKernel::test_single_run_equals_batch_lane",
+            "test_adaptive.py::TestBatchKernel::test_block_length_does_not_change_results",
+            "test_channel.py::TestMimoConvolveBits",
+            "test_wiener.py::TestCompiledStatistics::test_matches_lag_matrix_outer_products[1-17]",
+            "test_wiener.py::TestCompiledStatistics::test_matches_lag_matrix_outer_products[3-9]",
+            "test_wiener.py::TestCompiledStatistics::test_views_are_read_in_place",
+        ]
+        script = (
+            "import sys, pytest\n"
+            "from quatlink import kernels\n"
+            f"library = kernels._load({str(sanitized)!r})\n"
+            "kernels.library = lambda: library\n"
+            f"sys.exit(pytest.main(['-q', '-s', '-p', 'no:cacheprovider', *{[str(tests / t) for t in selected]!r}]))\n"
+        )
+        src = str(kernels._SOURCE.parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "LD_PRELOAD": runtime, "ASAN_OPTIONS": "detect_leaks=0"}
+        done = subprocess.run([sys.executable, "-c", script], env=env, cwd=tests.parent, capture_output=True, text=True,
+                              timeout=300)
+        assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
+        assert " passed" in done.stdout and "failed" not in done.stdout
+
+    def test_unusable_cache_directory_ends_the_run_with_one_line(self, tmp_path):
+        """A package copy whose __pycache__ is a regular file cannot hold the library:
+        `quatlink run` exits 1 with one line that names the directory."""
+        package = tmp_path / "quatlink"
+        shutil.copytree(kernels._SOURCE.parent, package, ignore=shutil.ignore_patterns("__pycache__"))
+        (package / "__pycache__").write_text("")
+        command = [sys.executable, "-m", "quatlink", "run", "--runs", "2", "--symbols", "50", "--out", "out"]
+        env = {**os.environ, "PYTHONPATH": str(tmp_path)}
+        done = subprocess.run(command, env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1
+        assert done.stderr.startswith("cannot build quatlink's C kernels: ")
+        assert str(package / "__pycache__") in done.stderr
+        assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
 
 
 class TestStackedRegressors:

@@ -459,6 +459,25 @@ class TestMainEndToEnd:
         assert cli.main(args) == 1
         assert "failed" in capsys.readouterr().err
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status for the address space")
+    def test_config_too_large_for_memory_ends_with_one_line(self, tmp_path):
+        """An accepted config whose Wiener stage cannot be allocated under the address-space
+        limit exits 1 with one line naming the runs, symbols and equalizer length."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = ["run", "--runs", "1", "--symbols", "4000", "--eq-len", "3000", "--out", str(tmp_path / "out")]
+        script = (
+            "import resource, sys\n"
+            "import quatlink.cli\n"
+            "size = next(int(line.split()[1]) for line in open('/proc/self/status') if line.startswith('VmSize'))\n"
+            "limit = size * 1024 + (512 << 20)  # the Wiener moments of one run alone take 1.07 GiB\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+            f"sys.exit(quatlink.cli.main({argv!r}))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr == "not enough memory for num_runs=1, symbols_per_run=4000, equalizer_length=3000\n"
+
     @pytest.mark.parametrize("mode", ["siso", "mimo"])
     def test_failure_names_a_replayable_run(self, mode, tmp_path, capsys):
         """--mu 5 diverges every run; the error names the seed, run, stream and

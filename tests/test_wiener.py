@@ -22,6 +22,19 @@ def equalization_instance(seed, n=4000, snr_db=20.0):
     return received, symbols
 
 
+def outer_product_statistics(signal, reference, length, delay):
+    """One run's R and p as averages of lag-matrix outer products, for a (C, N, 4) signal."""
+    from quatlink.adaptive import lag_matrix
+
+    regressors = lag_matrix(signal, length)[delay:]
+    refs = reference[: signal.shape[-2] - delay]
+    return linalg.mean_outer_h(regressors), quat.mul(regressors, quat.conj(refs)[:, None, :]).mean(axis=0)
+
+
+def relative_gap(value, oracle):
+    return np.abs(value - oracle).max() / np.abs(oracle).max()
+
+
 class TestEstimateStatistics:
     def test_constant_signal(self):
         ones = np.broadcast_to(quat.ONE, (50, 4)).copy()
@@ -506,18 +519,14 @@ class TestBatchedRuns:
                 assert figure == batched, run
 
     def test_stacked_statistics_match_lag_matrix_outer_average(self):
-        from quatlink.adaptive import lag_matrix
-
         rng = np.random.default_rng(96)
         streams, reference = rng.normal(size=(2, 120, 4)), rng.normal(size=(120, 4))
         length, delay = 5, 3
         problem = wiener.estimate_statistics(streams, reference, length, delay)
-        regressors = lag_matrix(streams, length)[delay:]
-        refs = reference[: 120 - delay]
+        r, p = outer_product_statistics(streams, reference, length, delay)
         assert problem.autocorrelation.shape == (2 * length, 2 * length, 4)
-        assert np.allclose(problem.autocorrelation, linalg.mean_outer_h(regressors), rtol=0, atol=1e-13)
-        cross = quat.mul(regressors, quat.conj(refs)[:, None, :]).mean(axis=0)
-        assert np.allclose(problem.cross_correlation, cross, rtol=0, atol=1e-13)
+        assert np.allclose(problem.autocorrelation, r, rtol=0, atol=1e-13)
+        assert np.allclose(problem.cross_correlation, p, rtol=0, atol=1e-13)
 
     def test_indefinite_hermitian_problem_solves(self):
         """A Hermitian R with eigenvalues of both signs has no Cholesky factor but is invertible."""
@@ -530,3 +539,88 @@ class TestBatchedRuns:
         p = np.random.default_rng(97).normal(size=(3, 4))
         weights = wiener.solve_wiener(wiener.WienerProblem(r, p, 1), ridge=0.0)
         assert np.allclose(weights, quat.conj(linalg.solve(r, p)), rtol=0, atol=1e-12)
+
+
+class TestCompiledStatistics:
+    """`estimate_statistics` sums each accumulator of its first block row and of the cross
+    moments over t = delay, delay + 1, ... in one C pass that runs 8 runs across SIMD lanes."""
+
+    # (length, delay, N): delay 0, delay >= L, delay = N - 1 and N < L
+    CASES = [(1, 0, 40), (15, 0, 40), (15, 20, 40), (15, 39, 40), (1, 39, 40), (15, 3, 9)]
+
+    @pytest.mark.parametrize("runs", [1, 7, 8, 9, 17])
+    @pytest.mark.parametrize("streams", [1, 2, 3])
+    def test_matches_lag_matrix_outer_products(self, runs, streams):
+        rng = np.random.default_rng(runs * 10 + streams)
+        for length, delay, n in self.CASES:
+            signal, reference = rng.normal(size=(runs, streams, n, 4)), rng.normal(size=(runs, n, 4))
+            problem = wiener.estimate_statistics(signal, reference, length, delay)
+            assert problem.sample_count == n - delay
+            for run in range(runs):
+                r, p = outer_product_statistics(signal[run], reference[run], length, delay)
+                assert relative_gap(problem.autocorrelation[run], r) <= 1e-13
+                assert relative_gap(problem.cross_correlation[run], p) <= 1e-13
+
+    @pytest.mark.parametrize("streams", [1, 2])
+    def test_views_are_read_in_place(self, streams):
+        """A time slice, a run-broadcast input and reversed streams give the bits of their
+        contiguous copies, and the slice matches the oracle."""
+        rng = np.random.default_rng(120)
+        length, delay = 15, 4
+        received, symbols = rng.normal(size=(9, streams, 130, 4)), rng.normal(size=(9, 130, 4))
+        window, targets = received[..., 30:, :], symbols[:, 30:]
+        shared = np.broadcast_to(received[0], received.shape)
+        reference = np.broadcast_to(symbols[0], symbols.shape)
+        assert not window.flags.c_contiguous and shared.strides[0] == reference.strides[0] == 0
+        for signal, refs in ((window, targets), (shared, reference), (received[:, ::-1], symbols)):
+            problem = wiener.estimate_statistics(signal, refs, length, delay)
+            copied = wiener.estimate_statistics(signal.copy(), refs.copy(), length, delay)
+            assert np.array_equal(problem.autocorrelation, copied.autocorrelation)
+            assert np.array_equal(problem.cross_correlation, copied.cross_correlation)
+        problem = wiener.estimate_statistics(window, targets, length, delay)
+        for run in range(9):
+            r, p = outer_product_statistics(window[run], targets[run], length, delay)
+            assert relative_gap(problem.autocorrelation[run], r) <= 1e-13
+            assert relative_gap(problem.cross_correlation[run], p) <= 1e-13
+
+    def test_each_run_equals_its_entry_in_a_larger_batch(self):
+        """A run's bits depend neither on the lane nor on the group of 8 it lands in."""
+        rng = np.random.default_rng(121)
+        received, symbols = rng.normal(size=(17, 2, 200, 4)), rng.normal(size=(17, 200, 4))
+        whole = wiener.estimate_statistics(received, symbols, 6, 3)
+        part = wiener.estimate_statistics(received[5:14], symbols[5:14], 6, 3)
+        for run in range(17):
+            alone = wiener.estimate_statistics(received[run], symbols[run], 6, 3)
+            assert np.array_equal(alone.autocorrelation, whole.autocorrelation[run])
+            assert np.array_equal(alone.cross_correlation, whole.cross_correlation[run])
+        assert np.array_equal(part.autocorrelation, whole.autocorrelation[5:14])
+        assert np.array_equal(part.cross_correlation, whole.cross_correlation[5:14])
+
+    def test_non_finite_samples_stay_in_their_runs(self):
+        rng = np.random.default_rng(122)
+        received, symbols = rng.normal(size=(9, 2, 100, 4)), rng.normal(size=(9, 100, 4))
+        clean = wiener.estimate_statistics(received, symbols, 5, 2)
+        received[2, 1, 40, 3], symbols[6, 10, 0] = np.inf, np.nan
+        with np.errstate(invalid="ignore"):
+            spoiled = wiener.estimate_statistics(received, symbols, 5, 2)
+        for run in (0, 1, 3, 4, 5, 7, 8):
+            assert np.array_equal(spoiled.autocorrelation[run], clean.autocorrelation[run])
+            assert np.array_equal(spoiled.cross_correlation[run], clean.cross_correlation[run])
+        assert not np.isfinite(spoiled.autocorrelation[2]).all() and not np.isfinite(spoiled.cross_correlation[2]).all()
+        assert np.array_equal(spoiled.autocorrelation[6], clean.autocorrelation[6])
+        assert not np.isfinite(spoiled.cross_correlation[6]).all()
+
+    def test_traced_peak_stays_below_the_received_slice(self):
+        """No copy the size of the signal or the references: on an 8-run 5000-symbol SISO
+        slice the traced peak stays below the slice's received bytes.  The C pass's own
+        window and sums, 67 kB here, are not traced."""
+        instances = [equalization_instance(seed, n=5000) for seed in range(100, 108)]
+        received, symbols = np.stack([rx for rx, _ in instances])[:, None], np.stack([s for _, s in instances])
+        wiener.estimate_statistics(received, symbols, 15, 7)
+        tracemalloc.start()
+        try:
+            wiener.estimate_statistics(received, symbols, 15, 7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < received.nbytes
