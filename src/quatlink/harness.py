@@ -4,13 +4,12 @@ SISO is the 1x1 case of MIMO, so both modes take one path.  Every run draws
 a random (rx, tx) grid of FIR channels, one symbol stream per transmitter and
 the receiver noise from generators keyed by (master seed, run index,
 purpose, stream index), so the full result set is a pure function of the
-configuration and runs can be chunked across processes without changing a
-single bit of the output.  Chunks are sized by received samples, not runs
-(`_CHUNK_SAMPLES`), so many short runs share one chunk.
+configuration and runs can be spread across processes without changing a
+single bit of the output.
 
-A chunk (`_chunk`) is one loop over the run slices that `_slices` states,
-and each slice goes through every per-run stage in turn before the next
-is drawn:
+The unit of work is the run slice (`_slice`): the consecutive runs that
+`_slices` states, which go through every per-run stage in turn before the
+next slice is drawn:
 - the draw (`_draw`): the slice's runs draw their grids, symbols, noise
   variances and noise generators, and one `channel.apply_mimo` call filters
   them all with one `mimo_convolve` call, then adds each run's noise from
@@ -26,10 +25,8 @@ is drawn:
   time slice in place; in SISO, the block Wiener baseline solves the
   slice's sane runs and scores its optimum from the same statistics
   (`wiener.statistics_mse`), so the block is not filtered a second time.
-So a chunk holds one slice's received streams at a time and keeps only
-each run's traces and per-run figures, copied slice by slice into
-chunk-sized arrays.  A lane's bits depend neither on its slice nor on its
-chunk.
+A slice keeps only its runs' traces and per-run figures.  A lane's bits do
+not depend on its slice.
 `_MODES` holds everything that differs between the modes.
 
 Learning curves are the per-run error traces converted to dB relative to
@@ -38,15 +35,17 @@ pointwise across the runs that stayed sane; diverged runs are excluded from
 every average but counted and reported.  The per-run QLMS figure takes the
 same rule.
 
-The result holds no traces: the process that runs `run_experiment` folds each
-chunk's traces into the curves as it takes the chunk, and frees them
+The result holds no traces: the process that runs `run_experiment` takes the
+slices in run order, in-process or from a process pool (`_run_slices`), folds
+each slice's traces into the curves as it arrives and frees them
 (`_fold_curves`).  The process pool itself is imported only by a run that
 uses one (`ProcessPoolExecutor`).
 """
 
+import itertools
 import os
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -95,15 +94,14 @@ _MODES = {
     MODE_MIMO: _Mode(lambda config: (config.mimo_rx, config.mimo_tx), MIMO_STREAM_SCALE, False),
 }
 
-# most received samples (runs x rx x N) per chunk, that of a 64-run 2x2 MIMO
-# chunk of 5000 symbols.  A chunk keeps its traces whole but its received
-# streams one slice at a time, so the cap bounds a chunk's traces and, for runs
-# so long that a chunk holds fewer runs than a slice, its slices (each lane's
-# result is bit-independent of its chunk, so the chunking never changes the output)
-_CHUNK_SAMPLES = 64 * 2 * 5000
+# most received samples (runs x rx x N) per run slice, that of a 64-run 2x2 MIMO
+# experiment of 5000 symbols: runs so long that fewer than a lane group's runs
+# fit are taken fewer at a time (a lane's bits do not depend on its slice, so
+# the cap never changes the output)
+_SLICE_SAMPLES = 64 * 2 * 5000
 
-# lanes per run slice of a chunk, which is one kernel batch: the kernel
-# advances lanes in groups of 8, so a slice of 8 lanes fills one group; see `_slices`
+# lanes per run slice, which is one kernel batch: the kernel advances lanes in
+# groups of 8, so a slice of 8 lanes fills one group; see `_slices`
 _GROUP_LANES = 8
 
 # trailing moving-average window used when locating the convergence iteration,
@@ -221,28 +219,23 @@ def _reference_power(config: ExperimentConfig) -> float:
     return SYMBOL_ENERGY * scale * scale
 
 
-def _steady_state_db(curve_db: np.ndarray) -> float:
-    tail = max(1, curve_db.shape[0] // 10)
-    return float(curve_db[-tail:].mean())
+def _fold_curves(config: ExperimentConfig, part: dict, totals: list) -> dict:
+    """Add one slice's live dB rows to each stream's running sum `totals[s]` (None
+    before its first live row), from the (runs, streams, N) "traces" and the
+    (runs, streams) "diverged_at" of its results `part`, and give back the rest of
+    `part`: the traces are popped, so they are freed once folded.
 
-
-def _fold_curves(config: ExperimentConfig, traces: np.ndarray, alive: np.ndarray, totals: list) -> None:
-    """Add one chunk's live dB rows to each stream's running sum `totals[s]` (None
-    before its first live row), from its (runs, streams, N) traces and (runs, streams)
-    `alive` mask.
-
-    Folded over the chunks in run order, the sum is the one `.mean(axis=0)` of
-    the live runs' dB rows takes, bit for bit.  Each run slice picks and converts
-    only its own rows, so no traces-sized dB or live-run copy is made.
+    Folded over the slices in run order, the sum is the one `.mean(axis=0)` of
+    the live runs' dB rows takes, bit for bit.
     """
-    for part in _slices(len(traces), 1):
-        for s in range(len(totals)):
-            for row in wiener.floored_db(traces[part, s, config.delay :][alive[part, s]], _reference_power(config)):
-                totals[s] = row.copy() if totals[s] is None else np.add(totals[s], row, out=totals[s])
+    traces, alive = part.pop("traces"), part["diverged_at"] < 0
+    for s in range(len(totals)):
+        for row in wiener.floored_db(traces[:, s, config.delay :][alive[:, s]], _reference_power(config)):
+            totals[s] = row.copy() if totals[s] is None else np.add(totals[s], row, out=totals[s])
+    return part
 
 
-def _curve(config: ExperimentConfig, total: Optional[np.ndarray], diverged_at: np.ndarray,
-           stream: int) -> LearningCurve:
+def _curve(config: ExperimentConfig, total: np.ndarray | None, diverged_at: np.ndarray, stream: int) -> LearningCurve:
     """The learning curve of one transmitted stream from its folded dB sum and its
     (runs,) divergence iterations.  If every run diverged, the error names the
     earliest divergence.  A run's draws depend only on the config and its
@@ -256,7 +249,8 @@ def _curve(config: ExperimentConfig, total: Optional[np.ndarray], diverged_at: n
             f" {config.master_seed}, at iteration {int(diverged_at[run])}"
         )
     curve_db = total / np.count_nonzero(alive)
-    return LearningCurve(curve_db, _steady_state_db(curve_db), int((~alive).sum()))
+    tail = max(1, curve_db.shape[0] // 10)  # the steady state is the mean of the last 10%
+    return LearningCurve(curve_db, float(curve_db[-tail:].mean()), int((~alive).sum()))
 
 
 def _equalizer_decisions(received: np.ndarray, weights: np.ndarray, start: int) -> np.ndarray:
@@ -279,18 +273,18 @@ def _equalizer_decisions(received: np.ndarray, weights: np.ndarray, start: int) 
     return modem.hard_decisions(output[..., start - history :, :])
 
 
-def _slices(runs: int, streams: int) -> list[slice]:
-    """The run slices that a chunk (`_chunk`) draws, adapts and scores one at a time:
-    consecutive slices of max(1, _GROUP_LANES // S) runs for S transmit streams, the
-    last one possibly shorter.  The curve fold (`_fold_curves`) walks a chunk's runs
-    in slices of S = 1.
+def _slices(config: ExperimentConfig) -> list[tuple[int, int]]:
+    """The [start, stop) bounds of the run slices (`_slice`), in run order: consecutive
+    slices of max(1, min(_GROUP_LANES // S, _SLICE_SAMPLES // (rx * N))) runs for S
+    transmit and rx receive streams of N symbols, the last one possibly shorter.
 
     A slice is large enough to spread the per-call cost of the draw, the kernel and
     the post-adaptation stage over several runs, and small enough that its received
-    streams and the stages' temporaries stay a fraction of the chunk's traces.
+    streams and the stages' temporaries, not the number of runs, set the memory peak.
     """
-    size = max(1, _GROUP_LANES // streams)
-    return [slice(r0, min(r0 + size, runs)) for r0 in range(0, runs, size)]
+    num_rx, num_tx = _MODES[config.mode].layout(config)
+    size = max(1, min(_GROUP_LANES // num_tx, _SLICE_SAMPLES // (num_rx * config.symbols_per_run)))
+    return [(start, min(start + size, config.num_runs)) for start in range(0, config.num_runs, size)]
 
 
 def _post_adaptation(config: ExperimentConfig, received: np.ndarray, indices: np.ndarray, symbols: np.ndarray,
@@ -303,25 +297,24 @@ def _post_adaptation(config: ExperimentConfig, received: np.ndarray, indices: np
     (R, S, C*L, 4) against the symbol indices `indices[r, s]` (R, S, N) into
     `symbols`; `alive` (R, S) marks the sane lanes, and the results are (R, S).
     Decisions are scored over the iterations t in [max(N//2, delay), N), the
-    last half of the run where it has a delayed reference.  `_chunk` hands it
-    one run slice at a time, and both stages take every run of it: a diverged
+    last half of the run where it has a delayed reference.  `_adapted` hands it
+    its whole run slice, and both stages take every run of it: a diverged
     lane then scores 0 errors in 0 decisions, and the Wiener stage's one
     `sane` mask solves neither it nor a run whose sample statistics overflow,
     so both keep a NaN figure.  Under the kernel's freeze rule a diverged
     lane's final weights are finite, so filtering with them is well defined.
     """
-    runs, streams, n = indices.shape
-    length, delay = config.equalizer_length, config.delay
+    n, delay = indices.shape[2], config.delay
     start = max(n // 2, delay)
     decided = _equalizer_decisions(received, weights, start)
     errors = np.count_nonzero(decided != indices[:, :, start - delay : n - delay], axis=2)
     errors[~alive] = 0
-    wiener_db = np.full((runs, streams), np.nan)
+    wiener_db = np.full(alive.shape, np.nan)
     if _MODES[config.mode].with_wiener:
         references = symbols[indices[:, 0]]
         # noise near the top of the float range overflows the sample moments
         with np.errstate(over="ignore", invalid="ignore"):
-            problem = wiener.estimate_statistics(received, references, length, delay)
+            problem = wiener.estimate_statistics(received, references, config.equalizer_length, delay)
             ridge = wiener.default_ridge(problem)
         r, p = problem.autocorrelation, problem.cross_correlation
         finite = np.isfinite(ridge) & np.isfinite(r).all(axis=(1, 2, 3)) & np.isfinite(p).all(axis=(1, 2))
@@ -347,7 +340,7 @@ def _draw(config: ExperimentConfig, start: int, stop: int):
     num_rx, num_tx = mode.layout(config)
     runs, n, seed = range(start, stop), config.symbols_per_run, config.master_seed
     stream_power = _reference_power(config)
-    table = mode.stream_scale * modem.CONSTELLATION  # the kernel's table, as in `_chunk`
+    table = mode.stream_scale * modem.CONSTELLATION  # the kernel's table, as in `_adapted`
     grids = [
         random_mimo_grid(derive_rng(seed, run, _PURPOSE_CHANNEL, 0), num_rx, num_tx, config.num_channel_taps,
                          config.normalize_channel)
@@ -366,36 +359,31 @@ def _draw(config: ExperimentConfig, start: int, stop: int):
     return apply_mimo(grids, table[indices], variances, rngs), indices
 
 
-def _chunk(config: ExperimentConfig, start: int, stop: int) -> dict:
-    """Runs [start, stop): every result array indexed (run, stream, ...).
+def _adapted(config: ExperimentConfig, received: np.ndarray, indices: np.ndarray) -> dict:
+    """The runs of one draw (`_draw`) adapted and scored: every result array indexed
+    (run, stream, ...).
 
-    Each of the chunk's `_slices` is drawn, adapted and scored in turn; the
-    kernel and the post-adaptation stage read the slice's received streams
-    and int8 symbol indices in place, with each lane's references looked up
-    in the scaled constellation.  Only the slice's per-run results outlive
-    it: each is copied into a chunk-sized array, made when the first slice
-    gives its shape and dtype.
+    The kernel and the post-adaptation stage read the received streams and int8
+    symbol indices in place, with each lane's references looked up in the scaled
+    constellation.  Only the per-run results outlive the call.
     """
-    mode = _MODES[config.mode]
     n = config.symbols_per_run
-    symbols = mode.stream_scale * modem.CONSTELLATION
-    chunk = {}
-    for part in _slices(stop - start, mode.layout(config)[1]):
-        received, indices = _draw(config, start + part.start, start + part.stop)
-        lanes = indices.reshape(-1, n)  # the (run, stream) grid, flattened row-major into kernel lanes
-        batch = run_qlms_batch(received, lanes, symbols, config.equalizer_length, config.step_size, config.delay)
-        grid = indices.shape[:2]
-        traces, diverged_at = batch.traces.reshape(grid + (n,)), batch.diverged_at.reshape(grid)
-        alive = diverged_at < 0
-        qlms_db = np.full(grid, np.nan)
-        qlms_db[alive] = wiener.floored_db(np.nanmean(traces[alive, 3 * n // 4 :], axis=1), _reference_power(config))
-        weights = batch.weights.reshape(grid + batch.weights.shape[1:])
-        stage = _post_adaptation(config, received, indices, symbols, weights, alive)
-        for name, value in {"traces": traces, "diverged_at": diverged_at, "qlms_db": qlms_db, **stage}.items():
-            if name not in chunk:
-                chunk[name] = np.empty((stop - start,) + value.shape[1:], value.dtype)
-            chunk[name][part] = value
-    return chunk
+    symbols = _MODES[config.mode].stream_scale * modem.CONSTELLATION
+    lanes = indices.reshape(-1, n)  # the (run, stream) grid, flattened row-major into kernel lanes
+    batch = run_qlms_batch(received, lanes, symbols, config.equalizer_length, config.step_size, config.delay)
+    grid = indices.shape[:2]
+    traces, diverged_at = batch.traces.reshape(grid + (n,)), batch.diverged_at.reshape(grid)
+    alive = diverged_at < 0
+    qlms_db = np.full(grid, np.nan)
+    qlms_db[alive] = wiener.floored_db(np.nanmean(traces[alive, 3 * n // 4 :], axis=1), _reference_power(config))
+    weights = batch.weights.reshape(grid + batch.weights.shape[1:])
+    stage = _post_adaptation(config, received, indices, symbols, weights, alive)
+    return {"traces": traces, "diverged_at": diverged_at, "qlms_db": qlms_db, **stage}
+
+
+def _slice(config: ExperimentConfig, start: int, stop: int) -> dict:
+    """Runs [start, stop) drawn, adapted and scored: every result array indexed (run, stream, ...)."""
+    return _adapted(config, *_draw(config, start, stop))
 
 
 def __getattr__(name: str):
@@ -409,23 +397,24 @@ def __getattr__(name: str):
     return globals().setdefault(name, ProcessPoolExecutor)
 
 
-def _run_chunks(config: ExperimentConfig, workers: int) -> list[dict]:
-    """Every run, in chunks of at most _CHUNK_SAMPLES received samples (but at
-    least one run) whose sizes differ by at most one run, and at least one
-    chunk per pool worker.
+def _run_slices(config: ExperimentConfig, workers: int) -> Iterator[dict]:
+    """Every run slice's results (`_slice`), in run order: in this process, or from
+    a pool of up to `workers` processes when more than one can be used.
+
+    In this process each slice's draw is freed only once the next slice's draw
+    is made.  glibc then reuses the freed pages for the next slice; freed first,
+    they would leave the heap top empty, and glibc would trim it and fault the
+    pages in again for every slice.
     """
-    runs = config.num_runs
-    num_rx, _ = _MODES[config.mode].layout(config)
-    chunk_runs = max(1, _CHUNK_SAMPLES // (num_rx * config.symbols_per_run))
-    pool_size = max(1, min(workers, os.cpu_count() or 1))
-    count = min(max(pool_size, -(-runs // chunk_runs)), runs)
-    bounds = [(runs * k // count, runs * (k + 1) // count) for k in range(count)]
-    if pool_size == 1 or count == 1:
-        return [_chunk(config, start, stop) for start, stop in bounds]
+    bounds = _slices(config)
+    pool_size = min(workers, os.cpu_count() or 1, len(bounds))
+    if pool_size <= 1:
+        draws = (_draw(config, start, stop) for start, stop in bounds)
+        yield from (_adapted(config, *draw) for draw in draws)  # `draw` is rebound after the next draw
+        return
     # a replaced binding, or else the pool class, imported on first use
-    with __getattr__("ProcessPoolExecutor")(max_workers=min(pool_size, count)) as pool:
-        futures = [pool.submit(_chunk, config, start, stop) for start, stop in bounds]
-        return [f.result() for f in futures]
+    with __getattr__("ProcessPoolExecutor")(max_workers=pool_size) as pool:
+        yield from pool.map(_slice, itertools.repeat(config), *zip(*bounds))
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
@@ -438,12 +427,9 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     baseline on the same data.
     """
     config.validate()
-    chunks = _run_chunks(config, workers)
     totals = [None] * _MODES[config.mode].layout(config)[1]
-    for chunk in chunks:
-        # popped, so the chunk's traces are freed once folded
-        _fold_curves(config, chunk.pop("traces"), chunk["diverged_at"] < 0, totals)
-    merged = {name: np.concatenate([chunk[name] for chunk in chunks]) for name in chunks[0]}
+    per_run = [_fold_curves(config, part, totals) for part in _run_slices(config, workers)]
+    merged = {name: np.concatenate([part[name] for part in per_run]) for name in per_run[0]}
     diverged_at, wiener_db = merged["diverged_at"], merged["wiener_db"]
     alive = diverged_at < 0
     # raises unless each stream has a live run; dead lanes score 0 errors in 0 decisions

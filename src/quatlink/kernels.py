@@ -14,6 +14,7 @@ not depend on the CPU it runs on.  `in_place` is the one rule for when a
 function reads an array in place through its strides.
 """
 
+import contextlib
 import ctypes
 import functools
 import os
@@ -94,9 +95,16 @@ def _load(path) -> ctypes.CDLL:
 
 @functools.cache
 def library() -> ctypes.CDLL:
-    """The shared library, built on first use if no process has built this source with this command."""
+    """The shared library, built on first use if no process has built this source with this command.
+
+    A build removes the cache's other libraries, which older sources or commands left.
+    """
     key = zlib.crc32(_SOURCE.read_bytes() + " ".join(_COMPILE).encode())
     path = _SOURCE.with_name("__pycache__") / f"{_SOURCE.stem}-{key:08x}.so"
     if not path.exists():
         _build(path)
+        # builds of an older source or command; a `.tmp` that another process is building is no `.so`
+        for stale in set(path.parent.glob(f"{_SOURCE.stem}-*.so")) - {path}:
+            with contextlib.suppress(OSError):  # another process removed it first
+                stale.unlink()
     return _load(path)

@@ -150,11 +150,12 @@ def estimate_statistics(signal, reference, length: int, delay: int = 0) -> Wiene
     # the samples d-1-k and tail the samples N-1-k of each stream, k < L-1, zeros before the start
     at = np.subtract.outer([delay - 1, n - 1], np.arange(length - 1))
     edges = np.where((at >= 0)[..., None], signal[:, :, np.maximum(at, 0)], 0.0)  # (G, C, 2, L-1, 4)
-    head, tail = edges.swapaxes(1, 2).reshape(g, 2, 4 * c * (length - 1)).swapaxes(0, 1)
-    step = head[:, :, None] * head[:, None] - tail[:, :, None] * tail[:, None]
-    step = step.reshape(g, c, length - 1, 4, c, length - 1, 4)
+    head, tail = np.moveaxis(edges, 2, 0)
     for k in range(1, length):
-        moments[:, :, k, :, :, 1:, :] = moments[:, :, k - 1, :, :, :-1, :] + step[:, :, k - 1]
+        # one lag row's step at a time: its samples' outer products with every lag's, (G, C, 4, C, L-1, 4)
+        step = head[:, :, k - 1, :, None, None, None] * head[:, None, None]
+        step -= tail[:, :, k - 1, :, None, None, None] * tail[:, None, None]
+        np.add(moments[:, :, k - 1, :, :, :-1, :], step, out=moments[:, :, k, :, :, 1:, :])
 
     blocks = moments.transpose(0, 1, 2, 4, 5, 3, 6)  # (G, C, L, C, L, 4, 4)
     autocorrelation = quat.from_moments(blocks).reshape(runs + (c * length, c * length, 4)) / (n - delay)

@@ -584,6 +584,24 @@ class TestCompiledKernel:
         assert str(package / "__pycache__") in done.stderr
         assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
 
+    def test_build_removes_stale_libraries(self, tmp_path):
+        """A build removes the cache's libraries of other sources or commands, and keeps
+        its own and a temporary file that another process is still building."""
+        package = tmp_path / "quatlink"
+        shutil.copytree(kernels._SOURCE.parent, package, ignore=shutil.ignore_patterns("__pycache__"))
+        cache = package / "__pycache__"
+        cache.mkdir()
+        stale, building = cache / "_kernels-00000000.so", cache / "_kernels-00000000x1y2.tmp"
+        stale.write_text("")
+        building.write_text("")
+        script = "from quatlink import kernels; print(kernels.library()._name)"
+        env = {**os.environ, "PYTHONPATH": str(tmp_path)}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        built = Path(done.stdout.strip())
+        assert built.parent == cache and built.suffix == ".so"
+        assert sorted(cache.iterdir()) == sorted([built, building])
+
 
 class TestStackedRegressors:
     def test_lag_matrix_layout(self):

@@ -489,8 +489,8 @@ class TestMainEndToEnd:
         stream, run, seed, iteration = (int(v) for v in found.groups())
         config = parse(*args[1:]).config
         assert seed == config.master_seed
-        assert iteration == harness._chunk(config, 0, config.num_runs)["diverged_at"][:, stream].min()
-        assert harness._chunk(config, run, run + 1)["diverged_at"][0, stream] == iteration
+        assert iteration == harness._slice(config, 0, config.num_runs)["diverged_at"][:, stream].min()
+        assert harness._slice(config, run, run + 1)["diverged_at"][0, stream] == iteration
 
     @pytest.mark.parametrize("mode", ["siso", "mimo"])
     def test_snr_beyond_float_range_runs_noiseless(self, mode, tmp_path):

@@ -38,17 +38,17 @@ def assert_same_result(a, b):
             assert x == y, field.name
 
 
-def chunk_traces(config, workers=1):
-    """Every run's (runs, streams, N) squared-error traces, joined from the chunks
+def run_traces(config, workers=1):
+    """Every run's (runs, streams, N) squared-error traces, joined from the run slices
     that `run_experiment` folds into its curves."""
-    return np.concatenate([chunk["traces"] for chunk in harness._run_chunks(config, workers)])
+    return np.concatenate([part["traces"] for part in harness._run_slices(config, workers)])
 
 
 def folded_curve(config, traces, diverged_at, stream):
     """The curve that `run_experiment` builds for one stream's (runs, N) traces,
-    folded as one chunk."""
+    folded as one slice."""
     totals = [None]
-    harness._fold_curves(config, traces[:, None], (diverged_at < 0)[:, None], totals)
+    harness._fold_curves(config, {"traces": traces[:, None], "diverged_at": diverged_at[:, None]}, totals)
     return harness._curve(config, totals[0], diverged_at, stream)
 
 
@@ -142,7 +142,7 @@ class TestSisoExperiment:
         assert a.curve.steady_state_db == b.curve.steady_state_db
         assert a.wiener_mse_db == b.wiener_mse_db
         assert a.symbol_error_rate == b.symbol_error_rate
-        assert np.array_equal(chunk_traces(small()), chunk_traces(small()), equal_nan=True)
+        assert np.array_equal(run_traces(small()), run_traces(small()), equal_nan=True)
 
     def test_different_seeds_differ(self):
         a = harness.run_siso_experiment(small())
@@ -177,7 +177,7 @@ class TestSisoExperiment:
         """The averaged trace fluctuates less than a typical single run."""
         config = small(num_runs=16, symbols_per_run=1000)
         floor = harness._reference_power(config) * 10.0 ** (wiener.DB_FLOOR / 10.0)
-        per_run_db = 10 * np.log10(np.maximum(chunk_traces(config)[:, 0, config.delay :], floor) / 4.0)
+        per_run_db = 10 * np.log10(np.maximum(run_traces(config)[:, 0, config.delay :], floor) / 4.0)
         steady = per_run_db[:, 500:]
         averaged = steady.mean(axis=0)
         assert averaged.var() < steady.var(axis=1).mean()
@@ -235,25 +235,25 @@ class TestWorkersAndChunking:
         config = small(num_runs=10, symbols_per_run=400)
         serial = harness.run_siso_experiment(config, workers=1)
         parallel = harness.run_siso_experiment(config, workers=2)
-        assert np.array_equal(chunk_traces(config, 1), chunk_traces(config, 2), equal_nan=True)
+        assert np.array_equal(run_traces(config, 1), run_traces(config, 2), equal_nan=True)
         assert serial.curve.steady_state_db == parallel.curve.steady_state_db
         assert serial.symbol_error_rate == parallel.symbol_error_rate
 
     def test_chunk_size_does_not_change_results(self, monkeypatch):
-        """Every result array is the same for any chunking and worker count, in both
-        modes: one run, four runs and the default cap per chunk."""
+        """Every result array is the same for any cap on a slice's received samples and
+        any worker count, in both modes: one run, four runs and the default cap per slice."""
         for mode, rx in (("siso", 1), ("mimo", 2)):
             config = small(mode=mode, num_runs=9, symbols_per_run=300)
             whole = harness.run_experiment(config)
-            caps = (1, 4 * rx * config.symbols_per_run, harness._CHUNK_SAMPLES)
+            caps = (1, 4 * rx * config.symbols_per_run, harness._SLICE_SAMPLES)
             for cap, workers in itertools.product(caps, (1, 2)):
                 with monkeypatch.context() as patch:
-                    patch.setattr(harness, "_CHUNK_SAMPLES", cap)
-                    chunked = harness.run_experiment(config, workers)
-                assert_same_result(whole, chunked)
+                    patch.setattr(harness, "_SLICE_SAMPLES", cap)
+                    sliced = harness.run_experiment(config, workers)
+                assert_same_result(whole, sliced)
 
     def test_slice_size_does_not_change_results(self, monkeypatch):
-        """Every result array is the same for any run slicing of a chunk, in both modes.
+        """Every result array is the same for any run slicing, in both modes.
         `_GROUP_LANES` sets the slices that are drawn, adapted and scored in turn, so it
         sets the kernel's batches too.
 
@@ -276,35 +276,57 @@ class TestWorkersAndChunking:
             for result in results[1:]:
                 assert_same_result(results[0], result)
 
-    def test_chunks_split_runs_evenly(self, monkeypatch):
-        """At most _CHUNK_SAMPLES received samples (or one run) per chunk, sizes
-        within one, a chunk per pool worker."""
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", ThreadPoolExecutor)
-        sizes = []
-        monkeypatch.setattr(harness, "_chunk", lambda config, start, stop: sizes.append(stop - start))
+    def test_slices_cover_the_runs_in_order(self):
+        """Consecutive slices of 8 // S runs for S transmit streams (at least one), fewer
+        when the slice would pass _SLICE_SAMPLES received samples (runs x rx x N), and one
+        run each when a run alone passes it; only the last slice may be shorter."""
+        cap = harness._SLICE_SAMPLES
         cases = (
-            ("siso", 200, 5000, 1, [100, 100]), ("siso", 200, 5000, 2, [100, 100]),
-            ("mimo", 200, 5000, 1, [50] * 4), ("mimo", 200, 5000, 2, [50] * 4),
-            ("siso", 64, 5000, 1, [64]), ("mimo", 64, 5000, 1, [64]), ("siso", 256, 400, 1, [256]),
-            ("siso", 128, 5000, 2, [64, 64]), ("siso", 130, 5000, 1, [65, 65]), ("mimo", 130, 5000, 1, [44, 43, 43]),
-            ("siso", 9, 600, 2, [5, 4]), ("siso", 9, 600, 8, [5, 4]), ("siso", 1, 600, 2, [1]),
-            ("siso", 3, 2 * harness._CHUNK_SAMPLES, 1, [1, 1, 1]),
-        )
-        for mode, runs, n, workers, expected in cases:
-            sizes.clear()
-            harness._run_chunks(small(mode=mode, num_runs=runs, symbols_per_run=n), workers)
-            assert sorted(sizes, reverse=True) == expected
-            rx = 2 if mode == "mimo" else 1
-            assert all(size * rx * n <= harness._CHUNK_SAMPLES or size == 1 for size in sizes)
+            (dict(num_runs=200, symbols_per_run=5000), 8), (dict(mode="mimo", num_runs=200, symbols_per_run=5000), 4),
+            (dict(num_runs=256, symbols_per_run=400), 8), (dict(num_runs=9), 8), (dict(num_runs=1), 8),
+            (dict(mode="mimo", mimo_tx=3, num_runs=9), 2), (dict(mode="mimo", mimo_tx=9, mimo_rx=1, num_runs=3), 1),
+            (dict(num_runs=7, symbols_per_run=cap // 3), 3), (dict(mode="mimo", num_runs=5, symbols_per_run=cap // 4), 2),
+            (dict(num_runs=3, symbols_per_run=2 * cap), 1), (dict(mode="mimo", num_runs=3, symbols_per_run=cap), 1),
+        )  # fmt: skip
+        for overrides, size in cases:
+            config = small(**overrides)
+            bounds = harness._slices(config)
+            assert [start for start, _ in bounds] == list(range(0, config.num_runs, size))
+            assert [stop for _, stop in bounds] == [start for start, _ in bounds[1:]] + [config.num_runs]
+            assert all(stop - start == size for start, stop in bounds[:-1]) and bounds[-1][1] - bounds[-1][0] <= size
+
+    def test_pool_takes_one_slice_per_task(self, monkeypatch):
+        """The pool binding stays replaceable by name: through a thread pool, each slice
+        is one task, submitted in run order, and the result is that of one worker."""
+        submitted = []
+
+        class CountingPool(ThreadPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                submitted.append(args[1:])
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        config = small(num_runs=30, symbols_per_run=200)
+        assert_same_result(harness.run_experiment(config), harness.run_experiment(config, workers=2))
+        assert submitted == harness._slices(config)
+
+    def test_one_slice_runs_in_process(self, monkeypatch):
+        """More workers than slices start no pool: a one-slice experiment at two workers
+        runs in this process and gives the bits of one worker."""
+        config = small(num_runs=5, symbols_per_run=300)
+        serial = harness.run_experiment(config, workers=1)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", None)  # calling it would raise
+        assert_same_result(serial, harness.run_experiment(config, workers=2))
 
     def test_workers_apply_to_mimo(self, monkeypatch):
-        monkeypatch.setattr(harness, "_CHUNK_SAMPLES", 2 * 2 * 300)  # two runs per chunk
+        monkeypatch.setattr(harness, "_SLICE_SAMPLES", 2 * 2 * 300)  # two runs per slice
         config = small(mode="mimo", num_runs=4, symbols_per_run=300)
         serial = harness.run_mimo_experiment(config, workers=1)
         parallel = harness.run_mimo_experiment(config, workers=2)
         assert_same_result(serial, parallel)
-        assert np.array_equal(chunk_traces(config, 1), chunk_traces(config, 2), equal_nan=True)
+        assert np.array_equal(run_traces(config, 1), run_traces(config, 2), equal_nan=True)
 
 
 class TestDataGeneration:
@@ -312,11 +334,10 @@ class TestDataGeneration:
     @pytest.mark.parametrize("reference_point", ["receiver", "transmitter"])
     @pytest.mark.parametrize("mode", ["siso", "mimo"])
     def test_chunk_data_are_the_one_run_draws(self, mode, reference_point, snr_db, monkeypatch):
-        """The received samples and symbol indices a chunk hands the kernel equal each
-        run's one-run draw bit for bit, in a chunk that starts mid-experiment and
-        with run slices of two runs that end mid-chunk; each run's received
-        samples are `channel.apply_mimo` of its own grid, streams, noise variance
-        and noise generator."""
+        """The received samples and symbol indices each run slice hands the kernel equal
+        each run's one-run draw bit for bit, with slices of two runs that start
+        mid-experiment and a shorter last one; each run's received samples are
+        `channel.apply_mimo` of its own grid, streams, noise variance and noise generator."""
         config = small(mode=mode, snr_reference_point=reference_point, snr_db=snr_db, num_runs=7, symbols_per_run=300)
         num_tx = config.mimo_tx if mode == "mimo" else 1
         monkeypatch.setattr(harness, "_GROUP_LANES", 2 * num_tx)
@@ -328,8 +349,9 @@ class TestDataGeneration:
             return kernel(received, lanes, *args)
 
         monkeypatch.setattr(harness, "run_qlms_batch", recorded)
-        for start, stop in ((0, 2), (2, 7)):
-            harness._chunk(config, start, stop)
+        assert harness._slices(config) == [(0, 2), (2, 4), (4, 6), (6, 7)]
+        for start, stop in harness._slices(config):
+            harness._slice(config, start, stop)
         received = np.concatenate([rx for rx, _ in seen])
         lanes = np.concatenate([lanes for _, lanes in seen]).reshape(config.num_runs, num_tx, -1)
         for run in range(config.num_runs):
@@ -348,47 +370,42 @@ class TestDataGeneration:
         assert (received == 0.0).all() and not np.signbit(received).any()
 
 
+def traced_peak(config):
+    """The traced peak of `run_experiment(config)` at one worker, after an untraced warm-up run."""
+    harness.run_experiment(config)
+    tracemalloc.start()
+    try:
+        harness.run_experiment(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
 class TestChunkMemory:
+    """Whole experiments, taken one run slice at a time: each slice is adapted and
+    scored before the next is drawn, its draw is freed once the next draw is made,
+    and only its per-run results are kept."""
+
     @pytest.mark.parametrize("mode,runs,n", [("siso", 64, 5000), ("mimo", 32, 4000)])
     def test_chunk_never_holds_its_received_batch(self, mode, runs, n):
-        """A chunk's traced peak stays below the bytes of its received streams: each run
-        slice is drawn, adapted and scored before the next is drawn, and only its
-        per-run results are kept."""
+        """An experiment's traced peak stays below the bytes of its received streams."""
         config = small(mode=mode, num_runs=runs, symbols_per_run=n)
         rx = config.mimo_rx if mode == "mimo" else 1
-        tracemalloc.start()
-        try:
-            harness._chunk(config, 0, config.num_runs)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < config.num_runs * rx * config.symbols_per_run * 4 * 8
+        assert traced_peak(config) < config.num_runs * rx * config.symbols_per_run * 4 * 8
 
     def test_chunk_holds_its_data_once(self):
-        """A MIMO chunk's traced peak stays within 3x its received batch: no
-        per-stream copy of the batch and no float copy of the references."""
+        """A MIMO experiment's traced peak stays within 4x one slice's received streams,
+        the previous slice's among them while the next is drawn: no per-stream copy
+        of a slice and no float copy of its references."""
         config = small(mode="mimo", num_runs=32, symbols_per_run=4000)
-        received_bytes = config.num_runs * config.mimo_rx * config.symbols_per_run * 4 * 8
-        tracemalloc.start()
-        try:
-            harness._chunk(config, 0, config.num_runs)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3 * received_bytes
+        slice_runs = harness._GROUP_LANES // config.mimo_tx
+        assert traced_peak(config) <= 4 * slice_runs * config.mimo_rx * config.symbols_per_run * 4 * 8
 
     def test_wide_siso_chunk_stays_small(self):
-        """A 256-lane SISO chunk of short runs peaks within 2.5x its received batch:
-        the kernel's window and per-block targets stay small however wide the batch."""
+        """A 256-run SISO experiment of short runs peaks within 2.5x its received streams."""
         config = small(num_runs=256, symbols_per_run=400)
-        received_bytes = config.num_runs * config.symbols_per_run * 4 * 8
-        tracemalloc.start()
-        try:
-            harness._chunk(config, 0, config.num_runs)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.5 * received_bytes
+        assert traced_peak(config) <= 2.5 * config.num_runs * config.symbols_per_run * 4 * 8
 
 
 class TestAssemblyMemory:
@@ -396,42 +413,40 @@ class TestAssemblyMemory:
         ("siso", 160, False), ("siso", 160, True), ("mimo", 80, False), ("mimo", 80, True),
     ])  # fmt: skip
     def test_assembly_folds_and_frees_each_chunk(self, mode, runs, diverging, monkeypatch):
-        """Assembling three chunks traces a peak within 4x one run slice's dB rows (a
-        slice's live rows and their dB, plus the last slice's dB until they are made),
-        under one chunk's traces: no traces-sized dB, live-run or merged copy is made,
-        also when runs diverge.  Each chunk's traces are released once folded,
-        before the next chunk is, and every curve equals `.mean(axis=0)` of the live
-        runs' dB rows of the chunks' joined traces, bit for bit."""
+        """Each run slice's traces are folded and released before the next slice is
+        drawn, and its draw once the next draw is made, so a whole experiment's traced
+        peak exceeds that of a two-slice experiment by less than a quarter of its
+        traces, also when runs diverge; the parts that grow with the runs are the
+        per-run figures.  Every curve equals `.mean(axis=0)` of the live runs' dB rows
+        of the joined traces, bit for bit."""
         config = small(mode=mode, num_runs=runs, symbols_per_run=1000)
         if diverging:
             config = dataclasses.replace(config, step_size=0.04 if mode == "siso" else 0.14, normalize_channel=False)
-        bounds = [(0, runs // 3), (runs // 3, 2 * runs // 3), (2 * runs // 3, runs)]
-        chunks = [harness._chunk(config, start, stop) for start, stop in bounds]
-        # run_experiment gets the only references to these copies
-        supplied = [[{name: array.copy() for name, array in chunk.items()} for chunk in chunks]]
-        copies = [weakref.ref(chunk["traces"]) for chunk in supplied[0]]
-        monkeypatch.setattr(harness, "_run_chunks", lambda config, workers: supplied.pop())
-        fold_curves, folded = harness._fold_curves, []
-
-        def fold_after_release(config, traces, *args):
-            assert [copy() is None for copy in copies] == [True] * len(folded) + [False] * (3 - len(folded))
-            folded.append(traces is copies[len(folded)]())
-            return fold_curves(config, traces, *args)
-
-        monkeypatch.setattr(harness, "_fold_curves", fold_after_release)
-        traces = np.concatenate([chunk["traces"] for chunk in chunks])
-        diverged_at = np.concatenate([chunk["diverged_at"] for chunk in chunks])
+        streams = config.mimo_tx if mode == "mimo" else 1
+        parts = list(harness._run_slices(config, 1))
+        traces = np.concatenate([part["traces"] for part in parts])
+        diverged_at = np.concatenate([part["diverged_at"] for part in parts])
         assert (0 < (diverged_at >= 0).sum(axis=0)).all() == diverging
-        tracemalloc.start()
-        try:
-            result = harness.run_experiment(config)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert folded == [True] * 3
-        assert all(copy() is None for copy in copies), "a chunk's traces outlived the result"
-        slice_bytes = harness._GROUP_LANES * (config.symbols_per_run - config.delay) * 8
-        assert peak <= 4 * slice_bytes < traces.nbytes / 3
+        two_slices = traced_peak(dataclasses.replace(config, num_runs=2 * harness._GROUP_LANES // streams))
+        assert traced_peak(config) < two_slices + traces.nbytes / 4
+
+        trace_refs, draw_refs, adapted, draw = [], [], harness._adapted, harness._draw
+
+        def watched_adapted(config, received, indices):
+            assert all(ref() is None for ref in draw_refs), "an earlier slice's draw outlived the next draw"
+            draw_refs.append(weakref.ref(received))
+            part = adapted(config, received, indices)
+            trace_refs.append(weakref.ref(part["traces"]))
+            return part
+
+        def checked_draw(config, start, stop):
+            assert all(ref() is None for ref in trace_refs), "a slice's traces outlived its fold"
+            return draw(config, start, stop)
+
+        monkeypatch.setattr(harness, "_adapted", watched_adapted)
+        monkeypatch.setattr(harness, "_draw", checked_draw)
+        result = harness.run_experiment(config)
+        assert len(trace_refs) == len(harness._slices(config)) and all(ref() is None for ref in trace_refs)
         for stream, curve in enumerate(result.curves):
             alive = diverged_at[:, stream] < 0
             db = wiener.floored_db(traces[:, stream, config.delay :], harness._reference_power(config))
@@ -449,9 +464,9 @@ class TestMimoExperiment:
             for ca, cb in zip(a.curves, b.curves):
                 assert np.array_equal(ca.mse_per_iteration, cb.mse_per_iteration)
             assert a.symbol_error_rates == b.symbol_error_rates
-            traces = chunk_traces(config)
+            traces = run_traces(config)
             assert traces.shape == (4, streams, 500)
-            assert np.array_equal(traces, chunk_traces(config), equal_nan=True)
+            assert np.array_equal(traces, run_traces(config), equal_nan=True)
             assert a.per_run_qlms_db.shape == a.per_run_wiener_db.shape == (4, streams)
             assert np.isfinite(a.per_run_qlms_db).all()
             assert np.isfinite(a.per_run_wiener_db).all() == (mode == "siso")
@@ -555,11 +570,10 @@ class TestCurveAssembly:
             folded_curve(small(delay=0), np.ones((2, 10)), np.array([7, 3]), 1)
 
     @pytest.mark.parametrize("group_lanes", [8, 3])
-    def test_curve_equals_the_whole_mean(self, group_lanes, monkeypatch):
-        """Folded slice by slice over one chunk or over three uneven ones, each stream's
-        curve equals `.mean(axis=0)` of the live runs' dB rows bit for bit, for run counts
-        the slice size does not divide, with dead runs in some slices and whole slices dead."""
-        monkeypatch.setattr(harness, "_GROUP_LANES", group_lanes)
+    def test_curve_equals_the_whole_mean(self, group_lanes):
+        """Folded as one slice, as slices of `group_lanes` runs or as three uneven ones, each
+        stream's curve equals `.mean(axis=0)` of the live runs' dB rows bit for bit, for run
+        counts the slice size does not divide, with dead runs in some slices and whole slices dead."""
         rng = np.random.default_rng(61)
         config = small(delay=5)
         for runs in (1, 7, 13, 29, 69):
@@ -568,10 +582,11 @@ class TestCurveAssembly:
             diverged_at[0] = -1
             diverged_at[group_lanes : 2 * group_lanes] = 100  # the second slice dies whole
             traces[diverged_at >= 0, 100:] = np.nan
-            for cuts in ((0, runs), (0, runs // 5, runs // 2, runs)):
+            for cuts in ((0, runs), (*range(0, runs, group_lanes), runs), (0, runs // 5, runs // 2, runs)):
                 totals = [None, None]
                 for start, stop in itertools.pairwise(cuts):
-                    harness._fold_curves(config, traces[start:stop], diverged_at[start:stop] < 0, totals)
+                    part = {"traces": traces[start:stop], "diverged_at": diverged_at[start:stop]}
+                    harness._fold_curves(config, part, totals)
                 for stream in (0, 1):
                     alive = diverged_at[:, stream] < 0
                     curve = harness._curve(config, totals[stream], diverged_at[:, stream], stream)
