@@ -8,15 +8,15 @@
    always_inline, so that it is compiled for the clone's target and not for
    the baseline one.
 
-   qlms_batch takes lanes in groups of LANES with the lane index innermost in
-   every buffer, so each step runs across a group's lanes in SIMD registers.
-   A group holds each lane's regressor window of length-1 + block samples,
-   newest first, in (position, stream, component, lane) order: tap
-   k = (lag, stream) of the step whose newest sample sits at position p is
-   quaternion p*C + k, so a regressor is contiguous.  The window is refilled
-   from `received` one block of samples at a time.  A last group short of
-   LANES lanes fills the rest with copies of the batch's last lane, which
-   never write an output. */
+   qlms_batch and block_moments take lanes in groups of LANES with the lane
+   index innermost in every buffer, so each step runs across a group's lanes
+   in SIMD registers, and share one window (`fill`).  It holds a group's
+   samples of length-1 + SPAN time steps newest first, in (position, stream,
+   component, lane) order: after the fill of the SPAN steps from t0, position
+   p holds time t0 + SPAN-1 - p, so the regressor of time t, tap k = (lag,
+   stream), is quaternion (t0 + SPAN-1 - t)*C + k and contiguous.  A last
+   group short of LANES lanes fills the rest with copies of its last lane,
+   which never write an output. */
 
 #include <stdint.h>
 #include <stdlib.h>
@@ -31,23 +31,44 @@
 #define CLONES
 #endif
 
-/* Returns 0, or -1 if the group's buffers cannot be allocated.  `indices`
-   are int64 if `wide`, else int8; `weights` is (lanes, streams*length, 4)
-   in [stream 0 lags, stream 1 lags, ...] order, and `traces` (lanes, n) and
-   `diverged_at` (lanes,) arrive filled with NaN and -1. */
-CLONES int qlms_batch(const double *received, const void *indices, int wide, const double *symbols,
-                      int64_t runs, int64_t streams, int64_t n, int64_t lanes, int64_t length,
-                      double mu, int64_t delay, int64_t block, double limit,
+#define SPAN 16 /* time steps per window fill */
+
+/* Fills a group's window with the `count` (at most SPAN) steps of each lane's
+   source from step `from`, behind the `keep` older steps it moves up.  Lane j
+   reads stream c of step t at source[j] + c*stream_stride + 4*t, in doubles. */
+static inline __attribute__((always_inline)) void fill(double *window, const double *const source[LANES],
+                                                       int64_t stream_stride, int64_t streams, int64_t keep,
+                                                       int64_t from, int64_t count)
+{
+    const int64_t stride = streams * QUAT; /* doubles per window position */
+    memmove(window + SPAN * stride, window, keep * stride * sizeof(double));
+    for (int64_t i = 0; i < count; i++)
+        for (int64_t c = 0; c < streams; c++)
+            for (int k = 0; k < 4; k++)
+                for (int j = 0; j < LANES; j++)
+                    window[((SPAN - 1 - i) * streams + c) * QUAT + k * LANES + j] =
+                        source[j][c * stream_stride + (from + i) * 4 + k];
+}
+
+/* Returns 0, or -1 if the group's buffers cannot be allocated.  Stream c of
+   run r is the n contiguous quaternions at received + r*run_stride +
+   c*stream_stride, the strides in doubles.  `indices` are int64 if `wide`,
+   else int8; `weights` is (lanes, streams*length, 4) in [stream 0 lags,
+   stream 1 lags, ...] order, and `traces` (lanes, n) and `diverged_at`
+   (lanes,) arrive filled with NaN and -1. */
+CLONES int qlms_batch(const double *received, int64_t run_stride, int64_t stream_stride, const void *indices,
+                      int wide, const double *symbols, int64_t runs, int64_t streams, int64_t n, int64_t lanes,
+                      int64_t length, double mu, int64_t delay, double limit,
                       double *weights, double *traces, int64_t *diverged_at)
 {
     const int64_t per_run = lanes / runs, taps = length * streams;
     const int64_t stride = streams * QUAT; /* doubles per window position */
-    const int64_t span = (length - 1 + block) * stride;
-    double *buffer = aligned_alloc(64, (span + 2 * taps * QUAT + block * QUAT) * sizeof(double));
+    const int64_t span = (length - 1 + SPAN) * stride;
+    double *buffer = aligned_alloc(64, (span + 2 * taps * QUAT + SPAN * QUAT) * sizeof(double));
     if (!buffer)
         return -1;
     double *window = buffer, *targets = window + span;
-    double *w = targets + block * QUAT, *updated = w + taps * QUAT;
+    double *w = targets + SPAN * QUAT, *updated = w + taps * QUAT;
 
     for (int64_t first = 0; first < lanes; first += LANES) {
         const double *run[LANES]; /* each lane's run of `received` */
@@ -55,23 +76,15 @@ CLONES int qlms_batch(const double *received, const void *indices, int wide, con
         for (int j = 0; j < LANES; j++) {
             active[j] = first + j < lanes;
             lane[j] = active[j] ? first + j : lanes - 1;
-            run[j] = received + lane[j] / per_run * streams * n * 4;
+            run[j] = received + lane[j] / per_run * run_stride;
             count += active[j];
         }
         memset(window, 0, span * sizeof(double));
         memset(w, 0, taps * QUAT * sizeof(double));
 
-        for (int64_t t0 = 0; t0 < n && count; t0 += block) {
-            const int64_t stop = t0 + block < n ? t0 + block : n;
-            /* the length-1 samples before t0 move behind the block */
-            memmove(window + block * stride, window, (length - 1) * stride * sizeof(double));
-            for (int64_t t = t0; t < stop; t++) {
-                double *slot = window + (block - 1 - (t - t0)) * stride;
-                for (int64_t c = 0; c < streams; c++)
-                    for (int i = 0; i < 4; i++)
-                        for (int j = 0; j < LANES; j++)
-                            slot[(c * 4 + i) * LANES + j] = run[j][(c * n + t) * 4 + i];
-            }
+        for (int64_t t0 = 0; t0 < n && count; t0 += SPAN) {
+            const int64_t stop = t0 + SPAN < n ? t0 + SPAN : n;
+            fill(window, run, stream_stride, streams, length - 1, t0, stop - t0);
             const int64_t begin = delay > t0 ? delay : t0;
             for (int64_t t = begin; t < stop; t++) {
                 double *target = targets + (t - t0) * QUAT;
@@ -84,7 +97,7 @@ CLONES int qlms_batch(const double *received, const void *indices, int wide, con
             }
 
             for (int64_t t = begin; t < stop && count; t++) {
-                const double *x = window + (block - 1 - (t - t0)) * stride;
+                const double *x = window + (SPAN - 1 - (t - t0)) * stride;
                 const double *r = targets + (t - t0) * QUAT;
                 double y0[LANES] = {0}, y1[LANES] = {0}, y2[LANES] = {0}, y3[LANES] = {0};
                 for (int64_t k = 0; k < taps; k++) {
@@ -206,8 +219,6 @@ CLONES int mimo_fir(const double *signals, int64_t run_stride, int64_t stream_st
     return 0;
 }
 
-#define SPAN 64 /* time steps per window fill of block_moments */
-
 /* sums[a*4 + b] += x[a] * y[b] at each of `count` time steps, for a 4x4 block
    of sums across a group's lanes; x and y advance by their steps. */
 static inline __attribute__((always_inline)) void accumulate(double *restrict sums, const double *x, int64_t x_step,
@@ -239,25 +250,20 @@ static inline __attribute__((always_inline)) void accumulate(double *restrict su
    `cross` (runs, streams, length, 4, 4) sum_t x_l of c [a] *
    references[t - delay][b] at [r, c, l, a, b], over t in [delay, n); each of
    these sums starts at +0.0 and adds t = delay, delay + 1, ... in turn.  The
-   other rows of `moments` are not written.
-   Runs go in groups of LANES with the run innermost in every buffer.  A
-   group's window holds the samples of length-1 + SPAN time steps in (time,
-   stream, component, run) order, and its targets the references of SPAN
-   steps; both are refilled SPAN time steps at a time.  A last group short of
-   LANES runs repeats the last run, whose copies write nothing. */
+   other rows of `moments` are not written.  The references of a span's
+   steps fill a window of their own, with no older steps kept. */
 CLONES int block_moments(const double *signals, int64_t run_stride, int64_t stream_stride,
                          const double *references, int64_t reference_stride, int64_t runs, int64_t streams,
                          int64_t length, int64_t n, int64_t delay, double *moments, double *cross)
 {
-    const int64_t stride = streams * QUAT; /* doubles per window time step */
+    const int64_t stride = streams * QUAT; /* doubles per window position */
     const int64_t pairs = streams * streams * length, blocks = pairs + streams * length; /* 4x4 blocks of sums */
-    double *window = aligned_alloc(64, ((length - 1 + SPAN) * stride + SPAN * QUAT + blocks * 16 * LANES) *
-                                           sizeof(double));
+    const int64_t span = (length - 1 + SPAN) * stride + blocks * 16 * LANES; /* the window and the sums */
+    double *window = aligned_alloc(64, (span + SPAN * QUAT) * sizeof(double));
     if (!window)
         return -1;
-    double *targets = window + (length - 1 + SPAN) * stride;
     /* the sums of the first row's blocks (c, c', l) and then of cross's (c, l), each in (a, b, run) order */
-    double *sums = targets + SPAN * QUAT;
+    double *sums = window + (length - 1 + SPAN) * stride, *targets = window + span;
 
     for (int64_t group = 0; group < runs; group += LANES) {
         const double *run[LANES], *reference[LANES];
@@ -266,32 +272,23 @@ CLONES int block_moments(const double *signals, int64_t run_stride, int64_t stre
             run[j] = signals + r * run_stride;
             reference[j] = references + r * reference_stride;
         }
-        memset(sums, 0, blocks * 16 * LANES * sizeof(double));
+        memset(window, 0, span * sizeof(double));
 
-        for (int64_t t0 = delay; t0 < n; t0 += SPAN) {
-            const int64_t count = t0 + SPAN < n ? SPAN : n - t0;
-            /* window step i holds time t0 - (length-1) + i */
-            for (int64_t i = 0; i < length - 1 + count; i++) {
-                const int64_t t = t0 - (length - 1) + i;
-                double *slot = window + i * stride;
-                for (int64_t c = 0; c < streams; c++)
-                    for (int k = 0; k < 4; k++)
-                        for (int j = 0; j < LANES; j++)
-                            slot[(c * 4 + k) * LANES + j] = t < 0 ? 0.0 : run[j][c * stream_stride + t * 4 + k];
-            }
-            for (int64_t i = 0; i < count; i++)
-                for (int k = 0; k < 4; k++)
-                    for (int j = 0; j < LANES; j++)
-                        targets[i * QUAT + k * LANES + j] = reference[j][(t0 - delay + i) * 4 + k];
-
-            const double *now = window + (length - 1) * stride; /* time t0 */
+        for (int64_t t0 = 0; t0 < n; t0 += SPAN) {
+            const int64_t stop = t0 + SPAN < n ? t0 + SPAN : n, begin = delay > t0 ? delay : t0;
+            fill(window, run, stream_stride, streams, length - 1, t0, stop - t0);
+            if (begin >= stop)
+                continue;
+            fill(targets, reference, 0, 1, 0, begin - delay, stop - begin);
+            /* time `begin`, in both windows; each later step is a position back */
+            const double *now = window + (SPAN - 1 - (begin - t0)) * stride;
             for (int64_t b = 0; b < blocks; b++) {
                 /* x_0 of c with x_l of c', or x_l of c with the references */
                 const int64_t pair = b < pairs, l = b % length;
                 const int64_t c = pair ? b / (streams * length) : (b - pairs) / length;
-                const double *x = pair ? now + c * QUAT : now - l * stride + c * QUAT;
-                const double *y = pair ? now - l * stride + b / length % streams * QUAT : targets;
-                accumulate(sums + b * 16 * LANES, x, stride, y, pair ? stride : QUAT, count);
+                const double *x = pair ? now + c * QUAT : now + l * stride + c * QUAT;
+                const double *y = pair ? now + l * stride + b / length % streams * QUAT : targets + (SPAN - 1) * QUAT;
+                accumulate(sums + b * 16 * LANES, x, -stride, y, pair ? -stride : -QUAT, stop - begin);
             }
         }
 

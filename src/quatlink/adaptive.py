@@ -43,10 +43,6 @@ from .errors import DimensionMismatchError
 # pollute Monte Carlo averages.
 ERROR_ENERGY_LIMIT = 1e6 * SYMBOL_ENERGY
 
-# samples taken from the received batch into each lane group's window at a
-# time; the results do not depend on it, and on 64-run 5000-symbol batches
-# 4 to 64 ran equally fast within the noise (2-core x86_64 with AVX-512)
-_BLOCK = 16
 
 def lag_matrix(signal, length: int) -> np.ndarray:
     """All regressors of a signal: row n is [s[n], s[n-1], ..., s[n-L+1]].
@@ -96,8 +92,11 @@ def run_qlms_batch(received, indices, symbols, length: int, step_size: float, de
     ERROR_ENERGY_LIMIT (or is NaN) or whose update leaves non-finite weights,
     the lane keeps the weights it used at step t and `diverged_at` is t.  So a
     frozen lane's weights are finite.
+
+    The received streams are read in place when each stream's (N, 4) samples
+    are contiguous (`kernels.in_place`), so a time slice costs no copy.
     """
-    received, symbols, indices = quat._q(received), quat._q(symbols), np.asarray(indices)
+    received, symbols, indices = kernels.in_place(quat._q(received)), quat._q(symbols), np.asarray(indices)
     if received.ndim != 4:
         raise DimensionMismatchError(f"expected a (R, C, N, 4) batch, got shape {received.shape}")
     runs, c, n, _ = received.shape
@@ -124,9 +123,9 @@ def run_qlms_batch(received, indices, symbols, length: int, step_size: float, de
     diverged_at = np.full(b, -1, dtype=np.int64)
     index_type = np.int8 if indices.dtype == np.int8 else np.int64  # int8 indices are read in place
     kernels.library().qlms_batch(
-        np.ascontiguousarray(received), np.ascontiguousarray(indices, dtype=index_type), index_type is np.int64,
-        np.ascontiguousarray(symbols), runs, c, n, b, length, float(step_size), delay, _BLOCK, ERROR_ENERGY_LIMIT,
-        weights, traces, diverged_at,
+        received, received.strides[0] // 8, received.strides[1] // 8, np.ascontiguousarray(indices, dtype=index_type),
+        index_type is np.int64, np.ascontiguousarray(symbols), runs, c, n, b, length, float(step_size), delay,
+        ERROR_ENERGY_LIMIT, weights, traces, diverged_at,
     )  # fmt: skip
     return QlmsBatch(weights, traces, diverged_at)
 

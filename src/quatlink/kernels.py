@@ -37,8 +37,8 @@ _STRIDED = np.ctypeslib.ndpointer(np.float64, flags="ALIGNED")  # read through t
 # each function's arguments, in the order `_kernels.c` declares them
 _ARGUMENTS = {
     "qlms_batch": [
-        _FLOATS, np.ctypeslib.ndpointer(flags="C_CONTIGUOUS"), ctypes.c_int,  # int8 indices, or int64 if `wide`
-        _FLOATS, _I64, _I64, _I64, _I64, _I64, ctypes.c_double, _I64, _I64, ctypes.c_double,
+        _STRIDED, _I64, _I64, np.ctypeslib.ndpointer(flags="C_CONTIGUOUS"), ctypes.c_int,  # int8, or int64 if `wide`
+        _FLOATS, _I64, _I64, _I64, _I64, _I64, ctypes.c_double, _I64, ctypes.c_double,
         _FLOATS, _FLOATS, np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS"),
     ],
     "mimo_fir": [_STRIDED, _I64, _I64, _FLOATS, _I64, _I64, _I64, _I64, _I64, _FLOATS],

@@ -13,6 +13,8 @@ off it, and the C kernels of `kernels` write the products out term by term
 in its order.
 """
 
+import functools
+
 import numpy as np
 
 
@@ -85,9 +87,13 @@ _MOMENT_SIGNS = mul(_E[_XOR], conj(_E))[_ROWS, _COLS, _ROWS]
 def from_moments(moments) -> np.ndarray:
     """sum a*conj(b) from the real moment matrices sum a b^T, (..., 4, 4) -> (..., 4).
 
-    A sign/XOR contraction: component i is sum_j sign[i, j] * moments[i ^ j, j].
+    A sign/XOR contraction: component i is sum_j sign[i, j] * moments[i ^ j, j],
+    its four terms added in turn from j = 0, one component at a time, so no
+    temporary is the size of `moments`.
     """
-    return (_MOMENT_SIGNS * np.asarray(moments, dtype=np.float64)[..., _XOR, _COLS]).sum(axis=-1)
+    m = np.asarray(moments, dtype=np.float64)
+    rows = (functools.reduce(np.add, (_MOMENT_SIGNS[i, j] * m[..., i ^ j, j] for j in range(4))) for i in range(4))
+    return np.stack(list(rows), axis=-1)
 
 
 def to_pairs(q) -> tuple[np.ndarray, np.ndarray]:

@@ -3,9 +3,11 @@
 import ctypes
 import itertools
 import os
+import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -17,8 +19,8 @@ from quatlink.errors import DimensionMismatchError
 
 from oracles import dot_left_loop, qlms_steps, table_conj, table_mul
 
-# samples per block of the batch kernel's sample window
-BLOCK = adaptive._BLOCK
+# time steps per fill of the C kernels' one sample window
+SPAN = int(re.search(r"^#define SPAN (\d+)", kernels._SOURCE.read_text(), re.MULTILINE).group(1))
 
 
 def random_symbols(seed, n):
@@ -131,20 +133,20 @@ class TestRunQlms:
         """The kernel must agree exactly with QLMS stepped one tap at a time.
 
         Past the first case, the inputs sit on the edges of the kernel's
-        sample window: lengths either side of a block boundary, a delay past
-        the first block, a run shorter than the filter, and a filter longer
-        than a block.
+        sample window: lengths either side of a span boundary, a delay past
+        the first span, a run shorter than the filter, and a filter longer
+        than a span.
         """
         rng = np.random.default_rng(66)
         cases = [
             (50, 4, 0.02, 2),
-            (BLOCK - 1, 4, 0.02, 2),
-            (BLOCK, 4, 0.02, 2),
-            (BLOCK + 1, 4, 0.02, 2),
+            (SPAN - 1, 4, 0.02, 2),
+            (SPAN, 4, 0.02, 2),
+            (SPAN + 1, 4, 0.02, 2),
             (600, 4, 0.02, 2),
-            (600, 4, 0.02, BLOCK + 44),
+            (600, 4, 0.02, SPAN + 44),
             (3, 5, 0.02, 1),
-            (2 * BLOCK + 100, BLOCK + 44, 0.0005, 3),
+            (2 * SPAN + 100, SPAN + 44, 0.0005, 3),
         ]
         for n, length, mu, delay in cases:
             signal = rng.normal(size=(n, 4))
@@ -264,10 +266,10 @@ class TestBatchKernel:
         assert np.array_equal(batch.weights[1], solo.weights[0])
         assert np.array_equal(batch.traces[1], solo.traces[0])
 
-    @pytest.mark.parametrize("at", [10, 39, BLOCK - 1, BLOCK, 2 * BLOCK - 1])
+    @pytest.mark.parametrize("at", [10, 39, SPAN - 1, SPAN, 2 * SPAN - 1])
     def test_weight_overflow_freezes_lane(self, at):
         """A finite error whose update overflows the weights freezes the lane at
-        that iteration with the weights it used there, at a block's last step
+        that iteration with the weights it used there, at a span's last step
         and at the run's last iteration too."""
         rng = np.random.default_rng(79)
         signals = rng.normal(size=(2, 40, 4))
@@ -286,7 +288,7 @@ class TestBatchKernel:
 
     def test_frozen_lane_raises_no_warnings(self):
         """The inf that freezes a lane is reported by diverged_at, not by numpy warnings.
-        So is a weight overflow in the middle of a block; numpy's error
+        So is a weight overflow in the middle of a span; numpy's error
         settings are the caller's again afterwards."""
         rng = np.random.default_rng(73)
         signals = rng.normal(size=(2, 40, 4))
@@ -298,9 +300,9 @@ class TestBatchKernel:
             batch = run_batch(signals[:, None], references, 4, 0.05, 0)
         assert batch.diverged_at.tolist() == [10, -1]
         # lane 0's update at step `at` overflows its weights; the next output shows it
-        at = BLOCK + BLOCK // 2
-        signals = rng.normal(size=(2, 3 * BLOCK, 4))
-        references = rng.normal(size=(2, 3 * BLOCK, 4))
+        at = SPAN + SPAN // 2
+        signals = rng.normal(size=(2, 3 * SPAN, 4))
+        references = rng.normal(size=(2, 3 * SPAN, 4))
         references[0] = 0.0
         references[0, at] = 1.0
         signals[0, at] = 1e308
@@ -311,12 +313,12 @@ class TestBatchKernel:
         assert np.geterr() == settings
 
     def test_lane_blown_mid_block_leaves_its_run_mate(self):
-        """One of a run's S = 2 lanes blows up in the middle of a block: it freezes
+        """One of a run's S = 2 lanes blows up in the middle of a span: it freezes
         at that step with the weights of its run cut before it, and its run-mate
         goes on, equal to its solo run bit for bit."""
         rng = np.random.default_rng(80)
-        n, length, mu, delay = 5 * BLOCK, 4, 0.01, 5
-        at = 2 * BLOCK + BLOCK // 2
+        n, length, mu, delay = 5 * SPAN, 4, 0.01, 5
+        at = 2 * SPAN + SPAN // 2
         received = rng.normal(size=(1, 2, n, 4))
         indices = rng.integers(0, modem.NUM_SYMBOLS, (2, n)).astype(np.int8)
         indices[0, at - delay] = modem.NUM_SYMBOLS  # the table's inf row
@@ -336,17 +338,17 @@ class TestBatchKernel:
     def test_freeze_rule_matches_stepwise_oracle(self, streams, per_run):
         """Every lane equals the stepwise oracle, which applies the freeze rule step by
         step: diverged_at, traces (NaN-equal) and weights, exactly.  Blow-ups sit at a
-        block's last and first steps, at the last step of a later block and at the
+        span's last and first steps, at the last step of a later span and at the
         run's last step, for several delays, each kind in a batch of its own: an
         error past the limit (a 1e200 reference), or a weight overflow with the error
         within it (zero references keep the weights at zero until a unit reference
         meets a 1e308 sample)."""
         rng = np.random.default_rng(81)
-        n, length, mu = 3 * BLOCK, 4, 0.02
+        n, length, mu = 3 * SPAN, 4, 0.02
         huge, zero, unit = modem.NUM_SYMBOLS, modem.NUM_SYMBOLS + 1, modem.NUM_SYMBOLS + 2
         table = np.concatenate([0.5 * modem.CONSTELLATION, [[1e200, 0.0, 0.0, 0.0], [0.0] * 4, [1.0] * 4]])
-        sites = [BLOCK - 1, BLOCK, 2 * BLOCK - 1, n - 1]
-        for delay, overflow in itertools.product((0, 5, BLOCK + 2), (False, True)):
+        sites = [SPAN - 1, SPAN, 2 * SPAN - 1, n - 1]
+        for delay, overflow in itertools.product((0, 5, SPAN + 2), (False, True)):
             runs = len(sites) + 1  # run k blows up at sites[k]; the last run is left alone
             received = rng.normal(size=(runs, streams, n, 4))
             indices = rng.integers(0, modem.NUM_SYMBOLS, (runs * per_run, n))
@@ -374,7 +376,7 @@ class TestBatchKernel:
         """S lanes sharing each run's window, with index references, equal the
         float call on np.repeat-ed lanes bit for bit, frozen lane included."""
         rng = np.random.default_rng(76)
-        runs, streams, n, length, mu, delay = 3, 2, 600, 4, 0.01, 300  # the run crosses BLOCK
+        runs, streams, n, length, mu, delay = 3, 2, 600, 4, 0.01, 300  # the run crosses spans
         received = rng.normal(size=(runs, streams, n, 4))
         received[1, 0, 450, 2] = np.inf  # freezes every lane of run 1
         indices = rng.integers(0, modem.NUM_SYMBOLS, (runs * per_run, n)).astype(np.int8)
@@ -389,30 +391,52 @@ class TestBatchKernel:
         frozen = np.repeat([False, True, False], per_run)
         assert (shared.diverged_at[frozen] == 450).all() and (shared.diverged_at[~frozen] == -1).all()
 
-    @pytest.mark.parametrize("length", [4, 70])
-    def test_block_length_does_not_change_results(self, monkeypatch, length):
-        """Traces, weights and diverged_at are the same bit for bit for any window
-        block, with S = 2 lanes per run, a delay across blocks, filters longer
-        than a block and one frozen lane."""
+    # (N, delay) on the window's edges for any span up to 64: N on either side of 16 and 64
+    # and past two windows of 64, delays from 0 to past the first window
+    EDGES = [(n, d) for n in (15, 16, 17, 63, 64, 65, 131) for d in (0, 1, 15, 16, 17, 63, 64, 65) if d < n]
+
+    @pytest.mark.parametrize(
+        "length,streams,edges", [(4, 2, EDGES), (70, 1, [(17, 1), (131, 65)])], ids=["short-filter", "long-filter"]
+    )
+    def test_window_edges_match_stepwise_oracle(self, length, streams, edges):
+        """Traces, weights and diverged_at equal the stepwise oracle bit for bit on the
+        window's edges, with S = 2 lanes per run and one lane frozen in the middle of its
+        run; a filter longer than any span takes fewer edges, as the oracle is slow."""
         rng = np.random.default_rng(77)
-        runs, streams, n, mu, delay = 3, 2, 600, 0.0005, 300
-        received = rng.normal(size=(runs, streams, n, 4))
-        indices = rng.integers(0, modem.NUM_SYMBOLS, (2 * runs, n)).astype(np.int8)
-        indices[3, 200] = modem.NUM_SYMBOLS  # the table's inf row freezes lane 3 alone, at t = 500
         table = np.concatenate([0.5 * modem.CONSTELLATION, [[np.inf, 0.0, 0.0, 0.0]]])
-        results = []
-        for block in (1, 3, 64, 256):
-            monkeypatch.setattr(adaptive, "_BLOCK", block)
-            results.append(adaptive.run_qlms_batch(received, indices, table, length, mu, delay))
-        assert results[0].diverged_at.tolist() == [-1, -1, -1, 500, -1, -1]
-        # the frozen lane reads NaN after its divergence; its run's other lane keeps going
-        traces = results[0].traces
-        assert np.isfinite(traces[3, delay:500]).all() and np.isnan(traces[3, 501:]).all()
-        assert np.isfinite(traces[2, delay:]).all()
-        for other in results[1:]:
-            assert np.array_equal(other.traces, results[0].traces, equal_nan=True)
-            assert np.array_equal(other.weights, results[0].weights)
-            assert np.array_equal(other.diverged_at, results[0].diverged_at)
+        for n, delay in edges:
+            received = rng.normal(size=(2, streams, n, 4))
+            indices = rng.integers(0, modem.NUM_SYMBOLS, (4, n)).astype(np.int8)
+            at = (delay + n) // 2
+            indices[1, at - delay] = modem.NUM_SYMBOLS  # the table's inf row freezes lane 1 alone
+            batch = adaptive.run_qlms_batch(received, indices, table, length, 0.01, delay)
+            for lane in range(4):
+                trace, weights, frozen = qlms_steps(received[lane // 2], table[indices[lane]], length, 0.01, delay)
+                assert batch.diverged_at[lane] == frozen == (at if lane == 1 else -1)
+                assert np.array_equal(batch.traces[lane], trace, equal_nan=True)
+                assert np.array_equal(batch.weights[lane], weights)
+
+    def test_strided_views_are_read_in_place(self):
+        """A time slice, reversed streams and every other run give the bits of their
+        contiguous copies, and the call makes no copy of the view: its traced peak
+        stays below the view's bytes."""
+        rng = np.random.default_rng(78)
+        received = rng.normal(size=(8, 2, 2000, 4))
+        for view in (received[..., 300:, :], received[:, ::-1], received[::2]):
+            runs, _, n, _ = view.shape
+            indices = rng.integers(0, modem.NUM_SYMBOLS, (2 * runs, n)).astype(np.int8)
+            table = 0.5 * modem.CONSTELLATION
+            copied = adaptive.run_qlms_batch(view.copy(), indices, table, 5, 0.01, 3)
+            tracemalloc.start()
+            try:
+                batch = adaptive.run_qlms_batch(view, indices, table, 5, 0.01, 3)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert not view.flags.c_contiguous and peak < view.nbytes
+            assert np.array_equal(batch.traces, copied.traces, equal_nan=True)
+            assert np.array_equal(batch.weights, copied.weights)
+            assert np.array_equal(batch.diverged_at, copied.diverged_at)
 
     def test_bad_symbol_indices_rejected(self):
         received = np.zeros((2, 1, 10, 4))
@@ -461,7 +485,7 @@ class TestCompiledKernel:
         scalar = tmp_path / "scalar.so"
         subprocess.run(["cc", "-O0", "-fPIC", "-shared", "-o", str(scalar), str(kernels._SOURCE)], check=True)
         rng = np.random.default_rng(82)
-        runs, streams, n, length, mu, delay = 2, 2, 5 * BLOCK + 3, 15, 0.02, 7
+        runs, streams, n, length, mu, delay = 2, 2, 5 * SPAN + 3, 15, 0.02, 7
         received = rng.normal(size=(runs, streams, n, 4))
         indices = rng.integers(0, modem.NUM_SYMBOLS, (runs * streams, n)).astype(np.int8)
         indices[2, 40] = modem.NUM_SYMBOLS  # the table's huge row freezes lane 2 alone, at t = 47
@@ -483,6 +507,14 @@ class TestCompiledKernel:
             again = wiener.estimate_statistics(signal, refs, length, delay)
             assert np.array_equal(stats.autocorrelation.view(np.int64), again.autocorrelation.view(np.int64))
             assert np.array_equal(stats.cross_correlation.view(np.int64), again.cross_correlation.view(np.int64))
+
+    def test_source_compiles_without_warnings(self, tmp_path):
+        """`_kernels.c` compiles with every common warning turned into an error."""
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler `cc` on the path")
+        command = ["cc", "-O2", "-Wall", "-Wextra", "-Werror", "-c", "-o", str(tmp_path / "kernels.o"), str(kernels._SOURCE)]
+        done = subprocess.run(command, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
     def test_failed_allocation_raises_memory_error(self):
         """All three functions return a c_int status, and the loader's errcheck turns a
@@ -550,7 +582,7 @@ class TestCompiledKernel:
         tests = Path(__file__).parent
         selected = [
             "test_adaptive.py::TestBatchKernel::test_single_run_equals_batch_lane",
-            "test_adaptive.py::TestBatchKernel::test_block_length_does_not_change_results",
+            "test_adaptive.py::TestBatchKernel::test_window_edges_match_stepwise_oracle",
             "test_channel.py::TestMimoConvolveBits",
             "test_wiener.py::TestCompiledStatistics::test_matches_lag_matrix_outer_products[1-17]",
             "test_wiener.py::TestCompiledStatistics::test_matches_lag_matrix_outer_products[3-9]",

@@ -16,7 +16,7 @@ from quatlink import cli
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # (mode, runs, symbols, workers) of the smoke workloads in perfbench/run.py;
-# smoke-siso spans a full and a partial 64-run chunk, through the pool.
+# smoke-siso is nine 8-run slices, through the pool.
 SMOKE = {
     "smoke-siso": ("siso", 72, 60, 2),
     "smoke-mimo": ("mimo", 4, 200, 1),

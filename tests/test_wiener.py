@@ -545,8 +545,12 @@ class TestCompiledStatistics:
     """`estimate_statistics` sums each accumulator of its first block row and of the cross
     moments over t = delay, delay + 1, ... in one C pass that runs 8 runs across SIMD lanes."""
 
-    # (length, delay, N): delay 0, delay >= L, delay = N - 1 and N < L
-    CASES = [(1, 0, 40), (15, 0, 40), (15, 20, 40), (15, 39, 40), (1, 39, 40), (15, 3, 9)]
+    # (length, delay, N): delay 0, delay >= L, delay = N - 1 and N < L, a filter longer than the
+    # window's span of 16; then N and the delay on the window's edges for any span up to 64: N on
+    # either side of 16 and 64 and past two windows of 64, delays from 0 to past the first window
+    CASES = [(1, 0, 40), (15, 0, 40), (15, 20, 40), (15, 39, 40), (1, 39, 40), (15, 3, 9), (20, 17, 40)] + [
+        (4, d, n) for n in (15, 16, 17, 63, 64, 65, 131) for d in (0, 1, 15, 16, 17, 63, 64, 65) if d < n
+    ]
 
     @pytest.mark.parametrize("runs", [1, 7, 8, 9, 17])
     @pytest.mark.parametrize("streams", [1, 2, 3])
@@ -626,9 +630,10 @@ class TestCompiledStatistics:
         assert peak < received.nbytes
 
     def test_recursion_steps_one_lag_row_at_a_time(self):
-        """The covariance recursion's step is formed one lag row at a time, so no
-        (4L)^2-sized step array sits beside the moment matrix: on one 2000-symbol run
-        at L = 300 the traced peak stays within 3.5x the real moment matrix's bytes."""
+        """The covariance recursion's step is formed one lag row at a time, and
+        `quat.from_moments` sums R one component at a time, so no (4L)^2-sized temporary
+        sits beside the moment matrix: on one 2000-symbol run at L = 300 the traced peak
+        stays within 2x the real moment matrix's bytes."""
         rng = np.random.default_rng(123)
         length = 300
         signal, reference = rng.normal(size=(2000, 4)), rng.normal(size=(2000, 4))
@@ -638,4 +643,4 @@ class TestCompiledStatistics:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 3.5 * (4 * length) ** 2 * 8
+        assert peak <= 2.0 * (4 * length) ** 2 * 8
