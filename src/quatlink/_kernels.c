@@ -1,10 +1,12 @@
 /* quatlink's C kernels, built into one library by quatlink.kernels:
    qlms_batch, the batched QLMS kernel behind quatlink.adaptive.run_qlms_batch;
    mimo_fir, the MIMO FIR behind quatlink.channel.mimo_convolve; and
-   block_moments, the sample moments behind quatlink.wiener.estimate_statistics.
-   The docstrings of the first two and the comment on block_moments state their
-   inputs and the fixed order of their arithmetic, which the build keeps by
-   allowing no contraction.  A helper that a target_clones function calls is
+   block_moments, the sample statistics R and p of
+   quatlink.wiener.estimate_statistics, moments, covariance recursion and
+   quaternion fold (`fold`, which states the fold's signs) included.  The
+   docstrings of the first two and the comments on block_moments and fold state
+   their inputs and the fixed order of their arithmetic, which the build keeps
+   by allowing no contraction.  A helper that a target_clones function calls is
    always_inline, so that it is compiled for the clone's target and not for
    the baseline one.
 
@@ -240,30 +242,65 @@ static inline __attribute__((always_inline)) void accumulate(double *restrict su
             sums[k * LANES + j] = s[k][j];
 }
 
+/* Writes the `entries` quaternions sum a*conj(b) / count of lane j to `out`, from
+   4x4 blocks of real sums m[u][v] = sum a[u] b[v] in (u, v, lane) order.
+   Component i is (((S[i][0] m[i][0] + S[i][1] m[i^1][1]) + S[i][2] m[i^2][2]) +
+   S[i][3] m[i^3][3]) / count, where S[i][v] is component i of E[i^v] *
+   conj(E[v]) for the basis units E = (1, i, j, k) under quat.mul. */
+static inline __attribute__((always_inline)) void fold(const double *sums, int j, int64_t entries, double count,
+                                                       double *out)
+{
+    static const double sign[4][4] = {{1, 1, 1, 1}, {1, -1, 1, -1}, {1, -1, -1, 1}, {1, 1, -1, -1}};
+    for (int64_t e = 0; e < entries; e++) {
+        const double *m = sums + e * 16 * LANES + j;
+        for (int i = 0; i < 4; i++) {
+            double q = sign[i][0] * m[i * 4 * LANES];
+            for (int v = 1; v < 4; v++)
+                q = q + sign[i][v] * m[((i ^ v) * 4 + v) * LANES];
+            out[e * 4 + i] = q / count;
+        }
+    }
+}
+
 /* Returns 0, or -1 if the group's buffers cannot be allocated.  Stream c of
    run r is the n contiguous quaternions at signals + r*run_stride +
    c*stream_stride, and run r's reference the n - delay contiguous
    quaternions at references + r*reference_stride, the strides in doubles.
-   With x_l of stream c at t the sample c[t - l], zero before the start, the
-   rows k = 0 of `moments` (runs, streams, length, 4, streams, length, 4)
-   receive sum_t x_0 of c [a] * x_l of c' [b] at [r, c, 0, a, c', l, b], and
-   `cross` (runs, streams, length, 4, 4) sum_t x_l of c [a] *
-   references[t - delay][b] at [r, c, l, a, b], over t in [delay, n); each of
-   these sums starts at +0.0 and adds t = delay, delay + 1, ... in turn.  The
-   other rows of `moments` are not written.  The references of a span's
-   steps fill a window of their own, with no older steps kept. */
+   Writes the sample statistics over t in [delay, n) of the covariance method:
+   `autocorrelation` (runs, streams*length, streams*length, 4) and `cross`
+   (runs, streams*length, 4), both contiguous and laid out [stream 0 lags,
+   stream 1 lags, ...].  With x_l of stream c at t the sample c[t - l], zero
+   before the start, they come from the real moments M[c, k][a, c', l][b] =
+   sum_t x_k of c [a] * x_l of c' [b] and P[c, l][a, b] = sum_t x_l of c [a] *
+   references[t - delay][b].  The first block row M[c, 0] and P are sums that
+   start at +0.0 and add t = delay, delay + 1, ... in turn; the references of
+   a span's steps fill a window of their own, with no older steps kept.  Then
+   one block row of M at a time, in place: the first column is the transposed
+   first row, M[c, k][a, c', 0][b] = M[c', 0][b, c, k][a], and for l >= 1
+   M[c, k][a, c', l][b] = M[c, k-1][a, c', l-1][b] +
+   (h_c[k-1][a] h_c'[l-1][b] - t_c[k-1][a] t_c'[l-1][b]), with h_c[i] the
+   sample delay-1-i and t_c[i] the sample n-1-i of stream c, +0.0 before the
+   start: a lag pair's sum gains one sample and loses another when both lags
+   grow by one.  Each 4x4 block, folded into a quaternion and divided by
+   n - delay (`fold`), is an entry of R; P's blocks give p the same way. */
 CLONES int block_moments(const double *signals, int64_t run_stride, int64_t stream_stride,
                          const double *references, int64_t reference_stride, int64_t runs, int64_t streams,
-                         int64_t length, int64_t n, int64_t delay, double *moments, double *cross)
+                         int64_t length, int64_t n, int64_t delay, double *autocorrelation, double *cross)
 {
     const int64_t stride = streams * QUAT; /* doubles per window position */
-    const int64_t pairs = streams * streams * length, blocks = pairs + streams * length; /* 4x4 blocks of sums */
+    const int64_t width = streams * length; /* quaternions per row of R */
+    const int64_t pairs = streams * width, blocks = pairs + width; /* 4x4 blocks of sums */
     const int64_t span = (length - 1 + SPAN) * stride + blocks * 16 * LANES; /* the window and the sums */
-    double *window = aligned_alloc(64, (span + SPAN * QUAT) * sizeof(double));
+    const int64_t edges = (length - 1) * stride; /* doubles of the head samples, and of the tail's */
+    double *window = aligned_alloc(64, (span + SPAN * QUAT + pairs * 16 * LANES + 2 * edges) * sizeof(double));
     if (!window)
         return -1;
-    /* the sums of the first row's blocks (c, c', l) and then of cross's (c, l), each in (a, b, run) order */
+    /* the sums of the first row's blocks (c, c', l) and then of P's (c, l), each in (a, b, run) order; then
+       the block row of M that the recursion steps, in the same order, and the head and tail samples in
+       (stream, k, component, run) order */
     double *sums = window + (length - 1 + SPAN) * stride, *targets = window + span;
+    double *row = targets + SPAN * QUAT, *head = row + pairs * 16 * LANES, *tail = head + edges;
+    const double count = (double)(n - delay);
 
     for (int64_t group = 0; group < runs; group += LANES) {
         const double *run[LANES], *reference[LANES];
@@ -285,24 +322,53 @@ CLONES int block_moments(const double *signals, int64_t run_stride, int64_t stre
             for (int64_t b = 0; b < blocks; b++) {
                 /* x_0 of c with x_l of c', or x_l of c with the references */
                 const int64_t pair = b < pairs, l = b % length;
-                const int64_t c = pair ? b / (streams * length) : (b - pairs) / length;
+                const int64_t c = pair ? b / width : (b - pairs) / length;
                 const double *x = pair ? now + c * QUAT : now + l * stride + c * QUAT;
                 const double *y = pair ? now + l * stride + b / length % streams * QUAT : targets + (SPAN - 1) * QUAT;
                 accumulate(sums + b * 16 * LANES, x, -stride, y, pair ? -stride : -QUAT, stop - begin);
             }
         }
 
-        for (int j = 0; j < LANES && group + j < runs; j++) {
-            double *m = moments + (group + j) * pairs * length * 16, *x = cross + (group + j) * streams * length * 16;
-            for (int64_t c = 0; c < streams; c++)
+        for (int64_t c = 0; c < streams; c++)
+            for (int64_t k = 0; k < length - 1; k++)
                 for (int a = 0; a < 4; a++)
-                    for (int64_t i = 0; i < streams * length; i++) /* i = (c', l) */
+                    for (int j = 0; j < LANES; j++) {
+                        const double *s = run[j] + c * stream_stride + a;
+                        const int64_t at = ((c * (length - 1) + k) * 4 + a) * LANES + j;
+                        head[at] = delay - 1 - k >= 0 ? s[(delay - 1 - k) * 4] : 0.0;
+                        tail[at] = n - 1 - k >= 0 ? s[(n - 1 - k) * 4] : 0.0;
+                    }
+        memcpy(row, sums, pairs * 16 * LANES * sizeof(double));
+        for (int64_t k = 0; k < length; k++) {
+            for (int64_t c = 0; c < streams && k; c++) /* row 0 is the first row's sums */
+                for (int64_t d = 0; d < streams; d++) { /* d = c' */
+                    double *block = row + (c * width + d * length) * 16 * LANES; /* (l, a, b, run) */
+                    const double *hk = head + (c * (length - 1) + k - 1) * QUAT;
+                    const double *tk = tail + (c * (length - 1) + k - 1) * QUAT;
+                    /* l descending, so each step reads column l - 1 of row k - 1 */
+                    for (int64_t l = length - 1; l > 0; l--) {
+                        const double *hl = head + (d * (length - 1) + l - 1) * QUAT;
+                        const double *tl = tail + (d * (length - 1) + l - 1) * QUAT;
+                        for (int a = 0; a < 4; a++)
+                            for (int b = 0; b < 4; b++)
+                                for (int j = 0; j < LANES; j++)
+                                    block[(l * 16 + a * 4 + b) * LANES + j] =
+                                        block[((l - 1) * 16 + a * 4 + b) * LANES + j] +
+                                        (hk[a * LANES + j] * hl[b * LANES + j] - tk[a * LANES + j] * tl[b * LANES + j]);
+                    }
+                    const double *mirror = sums + (d * width + c * length + k) * 16 * LANES;
+                    for (int a = 0; a < 4; a++)
                         for (int b = 0; b < 4; b++)
-                            m[((c * length * 4 + a) * streams * length + i) * 4 + b] =
-                                sums[(((c * streams * length + i) * 4 + a) * 4 + b) * LANES + j];
-            for (int64_t i = 0; i < streams * length * 16; i++)
-                x[i] = sums[(pairs * 16 + i) * LANES + j];
+                            for (int j = 0; j < LANES; j++)
+                                block[(a * 4 + b) * LANES + j] = mirror[(b * 4 + a) * LANES + j];
+                }
+            for (int j = 0; j < LANES && group + j < runs; j++)
+                for (int64_t c = 0; c < streams; c++)
+                    fold(row + c * width * 16 * LANES, j, width, count,
+                         autocorrelation + ((group + j) * width + c * length + k) * width * 4);
         }
+        for (int j = 0; j < LANES && group + j < runs; j++)
+            fold(sums + pairs * 16 * LANES, j, width, count, cross + (group + j) * width * 4);
     }
     free(window);
     return 0;

@@ -2,7 +2,8 @@
 
 `_kernels.c` holds the three compiled functions: `qlms_batch`, behind
 `adaptive.run_qlms_batch`; `mimo_fir`, behind `channel.mimo_convolve`; and
-`block_moments`, behind `wiener.estimate_statistics`.  `library` compiles it
+`block_moments`, which writes the Wiener statistics R and p of
+`wiener.estimate_statistics`.  `library` compiles it
 with the system's `cc` on first use into `__pycache__`, as a shared library
 named by a checksum of the source and the build command, and loads it
 through `ctypes` (`_load`), which declares every function's arguments and

@@ -7,13 +7,11 @@ operation broadcasts over the leading axes (so the same `mul` multiplies two
 scalars, a tap by a whole signal, or two stacked signals) and never mutates
 its inputs.
 
-`mul` is the one place in Python that the sign convention is written.
-`from_moments`, which turns sum a b^T into sum a*conj(b), reads its signs
-off it, and the C kernels of `kernels` write the products out term by term
-in its order.
+`mul` is the one place in Python that the sign convention is written.  The
+C kernels of `kernels` write its products out term by term in its order, and
+`block_moments` there states the signs that turn the real moments sum a b^T
+into sum a*conj(b).
 """
-
-import functools
 
 import numpy as np
 
@@ -73,27 +71,6 @@ def inverse(a) -> np.ndarray:
     if np.any(n == 0.0):
         raise ZeroDivisionError("zero quaternion has no inverse")
     return conj(a) / n[..., None]
-
-
-# With the basis units E, E[m] * E[n] = +-E[m ^ n], so component i of
-# a*conj(b) is a sum over j of a sign times a[i ^ j] b[j].  The signs are
-# component i of E[i ^ j] * conj(E[j]).
-_ROWS, _COLS = np.indices((4, 4))
-_XOR = _ROWS ^ _COLS
-_E = np.eye(4)
-_MOMENT_SIGNS = mul(_E[_XOR], conj(_E))[_ROWS, _COLS, _ROWS]
-
-
-def from_moments(moments) -> np.ndarray:
-    """sum a*conj(b) from the real moment matrices sum a b^T, (..., 4, 4) -> (..., 4).
-
-    A sign/XOR contraction: component i is sum_j sign[i, j] * moments[i ^ j, j],
-    its four terms added in turn from j = 0, one component at a time, so no
-    temporary is the size of `moments`.
-    """
-    m = np.asarray(moments, dtype=np.float64)
-    rows = (functools.reduce(np.add, (_MOMENT_SIGNS[i, j] * m[..., i ^ j, j] for j in range(4))) for i in range(4))
-    return np.stack(list(rows), axis=-1)
 
 
 def to_pairs(q) -> tuple[np.ndarray, np.ndarray]:

@@ -13,15 +13,17 @@ signal (G, N, 4) or (G, C, N, 4) with references (G, N, 4) is G runs,
 computed together.  Results take the run shape: float64 scalars for one
 run, (G,) arrays for G.  The statistics follow the covariance method
 (Makhoul 1975, "Linear prediction: a tutorial review") on the real moments
-M = sum x[n] x[n]^T of the 4CL-component regressor: `block_moments` of the
-package's C library (`kernels`) sums the first block row of M and the cross
-moments in one pass that reads the signal and the references in place,
-symmetry gives the first column, and
+M = sum x[n] x[n]^T of the 4CL-component regressor, all in `block_moments`
+of the package's C library (`kernels`): it sums the first block row of M and
+the cross moments in one pass that reads the signal and the references in
+place, symmetry gives the first column, and
 
     M[k+1, l+1] = M[k, l] + x[d-1-k] x[d-1-l]^T - x[N-1-k] x[N-1-l]^T
 
-the rest, so no (N, L, 4) lag matrix and no copy of the signal is built;
-`quat.from_moments` turns M's 4x4 blocks into R.  Only the solve takes the
+the rest, one block row at a time; it folds each 4x4 block into the
+quaternion sum a*conj(b) with the signs it states and divides by N - d,
+writing R and p.  So no (N, L, 4) lag matrix, no copy of the signal and no
+moment matrix is built in Python.  Only the solve takes the
 complex adjoint embedding (Zhang 1997, "Quaternions and matrices of
 quaternions"), where one batched Cholesky factorization certifies that no
 run's R is singular; the eigenvalues are computed only for a batch it fails
@@ -130,37 +132,20 @@ def estimate_statistics(signal, reference, length: int, delay: int = 0) -> Wiene
     """Sample R and p over the block; counts only iterations with a delayed reference.
 
     For stacked streams the estimate has length C*length, laid out
-    [stream 0 lags, stream 1 lags, ...].  The C pass takes 8 runs across its
-    SIMD lanes, and each of its sums starts at +0.0 and adds the iterations
-    t = delay, delay + 1, ... in turn, so a run's bits do not depend on the
-    runs computed with it or on the CPU.  The signal and the references are
-    read in place when each stream's (N, 4) samples are contiguous.
+    [stream 0 lags, stream 1 lags, ...].  One C pass finishes R and p: it
+    takes 8 runs across its SIMD lanes, each of its sums starts at +0.0 and
+    adds the iterations t = delay, delay + 1, ... in turn, and the recursion
+    and the fold (signs stated in `_kernels.c`) add in a fixed order, so a
+    run's bits do not depend on the runs computed with it or on the CPU.  The
+    signal and the references are read in place when each stream's (N, 4)
+    samples are contiguous.
     """
     signal, reference, runs = _runs(signal, reference, length, delay)
     g, c, n, _ = signal.shape
-    # moments[g, c, k, a, c', l, b] = sum_t x_k[t][a] x_l[t][b] of streams c and c', the 4CL x 4CL
-    # real matrix sum_t x[t] x[t]^T with x_l[t] = s[t - l], zeros before the start; the C pass
-    # sums its first block row k = 0 and cross[g, c, l] = sum_t x_l[t] r[t - delay]^T
-    moments, cross = np.empty((g, c, length, 4, c, length, 4)), np.empty((g, c, length, 4, 4))
+    r, p = np.empty((g, c * length, c * length, 4)), np.empty((g, c * length, 4))
     kernels.library().block_moments(signal, signal.strides[0] // 8, signal.strides[1] // 8, reference,
-                                    reference.strides[0] // 8, g, c, length, n, delay, moments, cross)
-    # the matrix is symmetric, so the first column is the transposed first row
-    moments[:, :, 1:, :, :, 0, :] = moments[:, :, 0, :, :, 1:, :].transpose(0, 3, 4, 5, 1, 2)
-    # sample d-1 enters and sample N-1 leaves the window when both lags grow by one: head holds
-    # the samples d-1-k and tail the samples N-1-k of each stream, k < L-1, zeros before the start
-    at = np.subtract.outer([delay - 1, n - 1], np.arange(length - 1))
-    edges = np.where((at >= 0)[..., None], signal[:, :, np.maximum(at, 0)], 0.0)  # (G, C, 2, L-1, 4)
-    head, tail = np.moveaxis(edges, 2, 0)
-    for k in range(1, length):
-        # one lag row's step at a time: its samples' outer products with every lag's, (G, C, 4, C, L-1, 4)
-        step = head[:, :, k - 1, :, None, None, None] * head[:, None, None]
-        step -= tail[:, :, k - 1, :, None, None, None] * tail[:, None, None]
-        np.add(moments[:, :, k - 1, :, :, :-1, :], step, out=moments[:, :, k, :, :, 1:, :])
-
-    blocks = moments.transpose(0, 1, 2, 4, 5, 3, 6)  # (G, C, L, C, L, 4, 4)
-    autocorrelation = quat.from_moments(blocks).reshape(runs + (c * length, c * length, 4)) / (n - delay)
-    cross_correlation = quat.from_moments(cross).reshape(runs + (c * length, 4)) / (n - delay)
-    return WienerProblem(autocorrelation, cross_correlation, n - delay)
+                                    reference.strides[0] // 8, g, c, length, n, delay, r, p)
+    return WienerProblem(r.reshape(runs + r.shape[1:]), p.reshape(runs + p.shape[1:]), n - delay)
 
 
 def default_ridge(problem: WienerProblem) -> float | np.ndarray:

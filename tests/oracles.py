@@ -7,10 +7,14 @@ is `apply_one_run`, the one-run call of `channel.apply_mimo` that the
 channel and harness tests share.  `qlms_steps` multiplies through `quat.mul`,
 which the quat tests hold to the basis table, because the compiled QLMS
 kernel rounds in `quat.mul`'s order and the oracle must match it exactly.
-`fir_steps` takes the compiled FIR's order for the same reason, while
-`convolve_loop` sums in its own order and pins the sign convention on inputs
-whose every product and sum is exact.
+`fir_steps` takes the compiled FIR's order for the same reason, and
+`recursion_statistics` the compiled block statistics' order, with
+`from_moments` reading its signs off `quat.mul`, while `convolve_loop` sums
+in its own order and pins the sign convention on inputs whose every product
+and sum is exact.
 """
+
+import functools
 
 import numpy as np
 
@@ -145,10 +149,10 @@ def qlms_steps(received, reference, length, step_size, delay=0):
     with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is reported by diverged_at
         for t in range(delay, n):
             samples = padded[:, t : t + length][:, ::-1].swapaxes(0, 1)  # (L, C, 4), samples[l, c] = x_c[t - l]
-            y = np.zeros(4)
+            products, y = quat.mul(weights, samples), np.zeros(4)
             for lag in range(length):
                 for c in range(streams):
-                    y = y + quat.mul(weights[lag, c], samples[lag, c])
+                    y = y + products[lag, c]
             e = reference[t - delay] - y
             trace[t] = quat.norm_sq(e)
             updated = weights + step_size * quat.mul(e, quat.conj(samples))
@@ -157,6 +161,62 @@ def qlms_steps(received, reference, length, step_size, delay=0):
                 break
             weights = updated
     return trace, weights.swapaxes(0, 1).reshape(streams * length, 4), diverged_at
+
+
+# With the basis units E, E[m] * E[n] = +-E[m ^ n], so component i of
+# a*conj(b) is a sum over j of a sign times a[i ^ j] b[j].  The signs are
+# component i of E[i ^ j] * conj(E[j]).
+_ROWS, _COLS = np.indices((4, 4))
+_E = np.eye(4)
+_MOMENT_SIGNS = quat.mul(_E[_ROWS ^ _COLS], quat.conj(_E))[_ROWS, _COLS, _ROWS]
+
+
+def from_moments(moments):
+    """sum a*conj(b) from the real moment matrices sum a b^T, (..., 4, 4) -> (..., 4).
+
+    A sign/XOR contraction: component i is sum_j sign[i, j] * moments[i ^ j, j],
+    its four terms added in turn from j = 0.
+    """
+    m = np.asarray(moments, dtype=np.float64)
+    rows = (functools.reduce(np.add, (_MOMENT_SIGNS[i, j] * m[..., i ^ j, j] for j in range(4))) for i in range(4))
+    return np.stack(list(rows), axis=-1)
+
+
+def recursion_statistics(signal, reference, length, delay):
+    """R (G, C*L, C*L, 4) and p (G, C*L, 4) of G runs, a (G, C, N, 4) signal and
+    (G, N, 4) references, by the covariance recursion in numpy, in the order
+    `wiener.estimate_statistics`' C pass states.
+
+    With x_l of stream c at t the sample c[t - l], zero before the start, the
+    first block row of the real moments M[g, c, k, a, c', l, b] = sum_t x_k of c
+    [a] x_l of c' [b] and the cross moments sum_t x_l of c [a] r[t - delay][b]
+    start at +0.0 and add t = delay, delay + 1, ... in turn.  The first column
+    is the transposed first row; each later row is the one before, shifted one
+    lag, plus the products of the sample that enters the window less those of
+    the one that leaves it, one lag row at a time.  `from_moments` folds the
+    4x4 blocks, and both are divided by N - delay.
+    """
+    g, c, n, _ = signal.shape
+    padded = np.concatenate([np.zeros((g, c, length - 1, 4)), signal], axis=2)
+    # (G, C, N, L, 4): lags[..., t, l, :] is x_l at t
+    lags = np.stack([padded[:, :, length - 1 - l : length - 1 - l + n] for l in range(length)], axis=3)
+    moments, cross = np.zeros((g, c, length, 4, c, length, 4)), np.zeros((g, c, length, 4, 4))
+    for t in range(delay, n):
+        x = lags[:, :, t]
+        moments[:, :, 0] = moments[:, :, 0] + x[:, :, 0, :, None, None, None] * x[:, None, None]
+        cross = cross + x[..., None] * reference[:, t - delay, None, None, None, :]
+    moments[:, :, 1:, :, :, 0, :] = moments[:, :, 0, :, :, 1:, :].transpose(0, 3, 4, 5, 1, 2)
+    # head holds the samples d-1-k and tail the samples N-1-k of each stream, k < L-1, zeros before the start
+    at = np.subtract.outer([delay - 1, n - 1], np.arange(length - 1))
+    edges = np.where((at >= 0)[..., None], signal[:, :, np.maximum(at, 0)], 0.0)  # (G, C, 2, L-1, 4)
+    head, tail = np.moveaxis(edges, 2, 0)
+    for k in range(1, length):
+        step = head[:, :, k - 1, :, None, None, None] * head[:, None, None]
+        step -= tail[:, :, k - 1, :, None, None, None] * tail[:, None, None]
+        np.add(moments[:, :, k - 1, :, :, :-1, :], step, out=moments[:, :, k, :, :, 1:, :])
+    blocks = moments.transpose(0, 1, 2, 4, 5, 3, 6)  # (G, C, L, C, L, 4, 4)
+    autocorrelation = from_moments(blocks).reshape(g, c * length, c * length, 4) / (n - delay)
+    return autocorrelation, from_moments(cross).reshape(g, c * length, 4) / (n - delay)
 
 
 def apply_one_run(grid, signals, variance, rng):

@@ -29,6 +29,20 @@ class TestRng:
     def test_negative_seed_accepted(self):
         channel.derive_rng(-5, 0).normal()
 
+    @pytest.mark.parametrize("master", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, -1, -5, 2**70 + 3])
+    def test_derive_rng_state_equals_the_tuple_seed(self, master):
+        """The uint32 words give the generator of SeedSequence's (masked seed, key...) tuple."""
+        keys = [(), (0,), (0, 0, 0), (3, 2, 1), (2**32, 0, 7), (2**32 - 1, 2**40 + 5, 0), (np.int64(9), 2**64 + 1)]
+        for key in keys:
+            entropy = (master & 0xFFFFFFFFFFFFFFFF,) + tuple(int(k) for k in key)
+            expected = np.random.default_rng(np.random.SeedSequence(entropy)).bit_generator.state
+            assert channel.derive_rng(master, *key).bit_generator.state == expected
+
+    def test_derive_rng_rejects_a_negative_key(self):
+        for key in ((-1,), (0, -5), (2**40, -(2**40))):
+            with pytest.raises(ValueError):
+                channel.derive_rng(0, *key)
+
 
 class TestGaussianQuaternions:
     def test_zero_variance_is_zero(self):

@@ -9,7 +9,7 @@ import pytest
 from quatlink import channel, linalg, modem, quat, wiener
 from quatlink.errors import DimensionMismatchError, InsufficientDataError, SingularMatrixError
 
-from oracles import hermitian_transpose_loop, matvec_loop, outer_h_loop, table_conj, table_mul
+from oracles import hermitian_transpose_loop, matvec_loop, outer_h_loop, recursion_statistics, table_conj, table_mul
 
 
 def equalization_instance(seed, n=4000, snr_db=20.0):
@@ -565,6 +565,19 @@ class TestCompiledStatistics:
                 assert relative_gap(problem.autocorrelation[run], r) <= 1e-13
                 assert relative_gap(problem.cross_correlation[run], p) <= 1e-13
 
+    @pytest.mark.parametrize("runs", [1, 7, 8, 9, 17])
+    @pytest.mark.parametrize("streams", [1, 2, 3])
+    def test_equals_the_recursion_oracle_bit_for_bit(self, runs, streams):
+        """R and p carry the bytes of `oracles.recursion_statistics`, the covariance recursion
+        and fold in numpy: the C pass adds in the order that oracle states."""
+        rng = np.random.default_rng(runs * 10 + streams + 500)
+        for length, delay, n in self.CASES:
+            signal, reference = rng.normal(size=(runs, streams, n, 4)), rng.normal(size=(runs, n, 4))
+            problem = wiener.estimate_statistics(signal, reference, length, delay)
+            r, p = recursion_statistics(signal, reference, length, delay)
+            assert problem.autocorrelation.shape == r.shape and problem.autocorrelation.tobytes() == r.tobytes()
+            assert problem.cross_correlation.shape == p.shape and problem.cross_correlation.tobytes() == p.tobytes()
+
     @pytest.mark.parametrize("streams", [1, 2])
     def test_views_are_read_in_place(self, streams):
         """A time slice, a run-broadcast input and reversed streams give the bits of their
@@ -630,10 +643,10 @@ class TestCompiledStatistics:
         assert peak < received.nbytes
 
     def test_recursion_steps_one_lag_row_at_a_time(self):
-        """The covariance recursion's step is formed one lag row at a time, and
-        `quat.from_moments` sums R one component at a time, so no (4L)^2-sized temporary
-        sits beside the moment matrix: on one 2000-symbol run at L = 300 the traced peak
-        stays within 2x the real moment matrix's bytes."""
+        """The covariance recursion and the fold run in the C pass, one block row of
+        the moments at a time, so the (4L)^2 real moment matrix never reaches the Python
+        heap: on one 2000-symbol run at L = 300 the traced peak, R and the temporaries of
+        `WienerProblem`'s Hermitian check, stays within 3.5x R's bytes."""
         rng = np.random.default_rng(123)
         length = 300
         signal, reference = rng.normal(size=(2000, 4)), rng.normal(size=(2000, 4))
@@ -643,4 +656,4 @@ class TestCompiledStatistics:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2.0 * (4 * length) ** 2 * 8
+        assert peak <= 3.5 * length**2 * 4 * 8
