@@ -26,8 +26,8 @@ SYMBOL_ENERGY = 4.0  # every 4-D QAM symbol has norm_sq exactly 4
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    """Deterministic generator for a 64-bit master seed."""
-    return np.random.default_rng(np.random.SeedSequence(seed & 0xFFFFFFFFFFFFFFFF))
+    """Deterministic generator for a 64-bit master seed: `derive_rng` with no key."""
+    return derive_rng(seed)
 
 
 def derive_rng(master_seed: int, *key: int) -> np.random.Generator:

@@ -23,8 +23,9 @@ next slice is drawn:
   each run once for all its S lanes with their final weights, as the
   S-output grid of `channel.mimo_convolve`, whose C body reads the received
   time slice in place; in SISO, the block Wiener baseline solves the
-  slice's sane runs and scores its optimum from the same statistics
-  (`wiener.statistics_mse`), so the block is not filtered a second time.
+  slice's sane runs and scores its optimum from the same statistics and the
+  mode's one reference power (`wiener.statistics_mse`), so the block is not
+  filtered a second time and no reference array outlives the statistics.
 A slice keeps only its runs' traces and per-run figures.  A lane's bits do
 not depend on its slice.
 `_MODES` holds everything that differs between the modes.
@@ -49,7 +50,7 @@ from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from . import modem, wiener
+from . import kernels, modem, wiener
 from .adaptive import run_qlms_batch
 from .channel import (
     SYMBOL_ENERGY,
@@ -101,8 +102,8 @@ _MODES = {
 _SLICE_SAMPLES = 64 * 2 * 5000
 
 # lanes per run slice, which is one kernel batch: the kernel advances lanes in
-# groups of 8, so a slice of 8 lanes fills one group; see `_slices`
-_GROUP_LANES = 8
+# groups of `kernels.LANES`, so a slice of that many lanes fills one group; see `_slices`
+_GROUP_LANES = kernels.LANES
 
 # trailing moving-average window used when locating the convergence iteration,
 # and how many dB above the steady state the smoothed curve counts as converged
@@ -215,8 +216,14 @@ class ExperimentSummary:
 
 
 def _reference_power(config: ExperimentConfig) -> float:
+    """The mode's stream power, which every symbol of its table (`_symbol_table`) has."""
     scale = _MODES[config.mode].stream_scale
     return SYMBOL_ENERGY * scale * scale
+
+
+def _symbol_table(config: ExperimentConfig) -> np.ndarray:
+    """The mode's scaled constellation: the draw's symbols and the kernel's references are its rows."""
+    return _MODES[config.mode].stream_scale * modem.CONSTELLATION
 
 
 def _fold_curves(config: ExperimentConfig, part: dict, totals: list) -> dict:
@@ -311,19 +318,18 @@ def _post_adaptation(config: ExperimentConfig, received: np.ndarray, indices: np
     errors[~alive] = 0
     wiener_db = np.full(alive.shape, np.nan)
     if _MODES[config.mode].with_wiener:
-        references = symbols[indices[:, 0]]
         # noise near the top of the float range overflows the sample moments
         with np.errstate(over="ignore", invalid="ignore"):
-            problem = wiener.estimate_statistics(received, references, config.equalizer_length, delay)
+            problem = wiener.estimate_statistics(received, symbols[indices[:, 0]], config.equalizer_length, delay)
             ridge = wiener.default_ridge(problem)
         r, p = problem.autocorrelation, problem.cross_correlation
         finite = np.isfinite(ridge) & np.isfinite(r).all(axis=(1, 2, 3)) & np.isfinite(p).all(axis=(1, 2))
         sane = alive[:, 0] & finite
         if not sane.all():
             problem = wiener.WienerProblem(r[sane], p[sane], problem.sample_count)
-            ridge, references = ridge[sane], references[sane]
+            ridge = ridge[sane]
         optimum = wiener.solve_wiener(problem, ridge)
-        wiener_db[sane, 0] = wiener.statistics_mse(problem, optimum, references).db
+        wiener_db[sane, 0] = wiener.statistics_mse(problem, optimum, _reference_power(config)).db
     return {"errors": errors, "decisions": np.where(alive, n - start, 0), "wiener_db": wiener_db}
 
 
@@ -340,7 +346,6 @@ def _draw(config: ExperimentConfig, start: int, stop: int):
     num_rx, num_tx = mode.layout(config)
     runs, n, seed = range(start, stop), config.symbols_per_run, config.master_seed
     stream_power = _reference_power(config)
-    table = mode.stream_scale * modem.CONSTELLATION  # the kernel's table, as in `_adapted`
     grids = [
         random_mimo_grid(derive_rng(seed, run, _PURPOSE_CHANNEL, 0), num_rx, num_tx, config.num_channel_taps,
                          config.normalize_channel)
@@ -356,7 +361,7 @@ def _draw(config: ExperimentConfig, start: int, stop: int):
         powers = [stream_power] * len(runs)
     variances = [noise_variance_for_snr(power, config.snr_db) for power in powers]
     rngs = [derive_rng(seed, run, _PURPOSE_NOISE, 0) for run in runs]
-    return apply_mimo(grids, table[indices], variances, rngs), indices
+    return apply_mimo(grids, _symbol_table(config)[indices], variances, rngs), indices
 
 
 def _adapted(config: ExperimentConfig, received: np.ndarray, indices: np.ndarray) -> dict:
@@ -368,7 +373,7 @@ def _adapted(config: ExperimentConfig, received: np.ndarray, indices: np.ndarray
     constellation.  Only the per-run results outlive the call.
     """
     n = config.symbols_per_run
-    symbols = _MODES[config.mode].stream_scale * modem.CONSTELLATION
+    symbols = _symbol_table(config)
     lanes = indices.reshape(-1, n)  # the (run, stream) grid, flattened row-major into kernel lanes
     batch = run_qlms_batch(received, lanes, symbols, config.equalizer_length, config.step_size, config.delay)
     grid = indices.shape[:2]

@@ -19,6 +19,7 @@ import contextlib
 import ctypes
 import functools
 import os
+import re
 import tempfile
 import zlib
 from pathlib import Path
@@ -28,6 +29,8 @@ import numpy as np
 from .errors import KernelBuildError
 
 _SOURCE = Path(__file__).with_name("_kernels.c")
+# lanes per group of `qlms_batch` and `block_moments`, read from the source's `#define`
+LANES = int(re.search(r"^#define LANES (\d+)", _SOURCE.read_text(), re.MULTILINE).group(1))
 # The command that builds the shared library, less its output and source.
 # No contraction (FMA) or reassociation, so that every SIMD width the
 # source's target clones pick rounds the same.

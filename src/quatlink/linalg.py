@@ -9,9 +9,10 @@ left factor, and `dot_left(w, s)` is sum_l w[l] * s[l].
 `solve` runs quaternion Gaussian elimination with partial pivoting.  The
 complex adjoint embedding of matrices (`to_complex_adjoint`) and of vectors
 (`vector_to_adjoint`, `vector_from_adjoint`) gives an independent route
-through ordinary complex linear algebra: the batched Wiener solve takes it,
-and the tests use it to cross-check `solve`.  `mean_outer_h`, the sample
-correlation matrix, averages the quaternion outer products directly.
+through ordinary complex linear algebra: the tests use it to cross-check
+`solve` and the pair-form Wiener solve, whose right-hand side is
+`vector_to_adjoint`.  `mean_outer_h`, the sample correlation matrix,
+averages the quaternion outer products directly.
 """
 
 import numpy as np

@@ -76,10 +76,10 @@ def inverse(a) -> np.ndarray:
 def to_pairs(q) -> tuple[np.ndarray, np.ndarray]:
     """Complex-pair form q = a + b*j with a = q0 + q1*i and b = q2 + q3*i.
 
-    It serves the complex adjoint maps of `linalg`, which the Wiener solve
-    takes.  The pairs are contiguous copies out of a complex view of the
-    components, exact for every value; q0 + 1j*q1 is not, as 1j*inf has the
-    real part 0*inf = NaN.
+    It serves the complex adjoint maps of `linalg` and the Wiener solve,
+    which works in pairs from R to w.  The pairs are contiguous copies out of
+    a complex view of the components, exact for every value; q0 + 1j*q1 is
+    not, as 1j*inf has the real part 0*inf = NaN.
     """
     pairs = np.ascontiguousarray(_q(q)).view(np.complex128)
     return pairs[..., 0].copy(), pairs[..., 1].copy()

@@ -23,16 +23,18 @@ place, symmetry gives the first column, and
 the rest, one block row at a time; it folds each 4x4 block into the
 quaternion sum a*conj(b) with the signs it states and divides by N - d,
 writing R and p.  So no (N, L, 4) lag matrix, no copy of the signal and no
-moment matrix is built in Python.  Only the solve takes the
-complex adjoint embedding (Zhang 1997, "Quaternions and matrices of
-quaternions"), where one batched Cholesky factorization certifies that no
-run's R is singular; the eigenvalues are computed only for a batch it fails
-on.  Any weights can be evaluated on data through the package's C FIR,
+moment matrix is built in Python.  Only the solve leaves the
+quaternions: it works in complex pairs from R to w, through the complex
+adjoint embedding (Zhang 1997, "Quaternions and matrices of quaternions"),
+where one batched Cholesky factorization certifies that no run's R is
+singular; the eigenvalues are computed only for a batch it fails on.  Any
+weights can be evaluated on data through the package's C FIR,
 `channel.mimo_convolve` (`evaluate_mse`), or on the block the statistics
-came from with the quadratic cost J(w) in R, p and the reference power
-(`statistics_mse`), which costs O(L^2) per run instead of a pass over the
-block.  The harness passes each of its run slices (`harness._slices`) whole
-and solves its sane runs.
+came from with the quadratic cost J(w) in R, p and a reference power the
+caller supplies (`statistics_mse`), which costs O(L^2) per run instead of a
+pass over the block.  The harness passes each of its run slices
+(`harness._slices`) whole, solves its sane runs and scores them against its
+one stream power.
 """
 
 from dataclasses import dataclass
@@ -42,7 +44,7 @@ import numpy as np
 from . import kernels, quat
 from .channel import mimo_convolve
 from .errors import DimensionMismatchError, InsufficientDataError, SingularMatrixError
-from .linalg import SINGULARITY_RTOL, dot_left, identity, to_complex_adjoint, vector_from_adjoint, vector_to_adjoint
+from .linalg import SINGULARITY_RTOL, dot_left, vector_to_adjoint
 
 # Not called here; perfbench/tracer.py wraps these module attributes by name.
 from .adaptive import lag_matrix  # noqa: F401
@@ -182,6 +184,11 @@ def solve_wiener(problem: WienerProblem, ridge: float | np.ndarray | None = None
     batch (`_eigenvalues_exceed`); only when it fails, as it does for a
     singular R or for a Hermitian R that a caller built indefinite but
     invertible, are the eigenvalues computed.
+
+    The solve stays in complex pairs from R to w: R = A + B j (`quat.to_pairs`)
+    takes the ridge on A's diagonal, its adjoint [[A, B], [-conj(B), conj(A)]]
+    is solved against the adjoint column of p, and the pairs of the solution,
+    conjugated, are w (`quat.from_pairs`).  So R is not copied as quaternions.
     """
     for name in ("autocorrelation", "cross_correlation"):
         if not np.isfinite(getattr(problem, name)).all():
@@ -191,11 +198,11 @@ def solve_wiener(problem: WienerProblem, ridge: float | np.ndarray | None = None
     ridge = np.asarray(ridge, dtype=np.float64)
     if not (np.isfinite(ridge) & (ridge >= 0.0)).all():
         raise ValueError("ridge must be finite and nonnegative")
-    regularized = problem.autocorrelation + ridge[..., None, None, None] * identity(problem.length)
-    adjoint = to_complex_adjoint(regularized)
-    # nested hypot, not sqrt(norm_sq): the squares of entries past ~1e154 overflow
-    q0, q1, q2, q3 = np.moveaxis(regularized, -1, 0)
-    scale = np.sqrt(SINGULARITY_RTOL) * np.hypot(np.hypot(q0, q1), np.hypot(q2, q3)).max(axis=(-2, -1))
+    a, b = quat.to_pairs(problem.autocorrelation)  # R = A + B j
+    a += ridge[..., None, None] * np.eye(problem.length)
+    # |R_lm| as hypot(|A_lm|, |B_lm|), not sqrt(norm_sq): the squares of entries past ~1e154 overflow
+    scale = np.sqrt(SINGULARITY_RTOL) * np.hypot(np.abs(a), np.abs(b)).max(axis=(-2, -1))
+    adjoint = np.block([[a, b], [-b.conj(), a.conj()]])
     if not _eigenvalues_exceed(adjoint, scale):
         smallest = np.abs(np.linalg.eigvalsh(adjoint)).min(axis=-1)
         if np.any(smallest <= scale):
@@ -203,9 +210,9 @@ def solve_wiener(problem: WienerProblem, ridge: float | np.ndarray | None = None
                 f"sample autocorrelation is singular (smallest |eigenvalue| {float(np.min(smallest)):.3e}"
                 f" with ridge {float(np.max(ridge)):.3e}); retry with a positive ridge"
             )
-    rhs = vector_to_adjoint(problem.cross_correlation)[..., None]
-    conjugate_weights = vector_from_adjoint(np.linalg.solve(adjoint, rhs)[..., 0])
-    return quat.conj(conjugate_weights)
+    # the solution z = [y_a, -conj(y_b)] of y = R^-1 p, so w = conj(y) = conj(z_a) + conj(z_b) j
+    z = np.linalg.solve(adjoint, vector_to_adjoint(problem.cross_correlation)[..., None])[..., 0]
+    return quat.from_pairs(z[..., : problem.length].conj(), z[..., problem.length :].conj())
 
 
 def floored_db(linear: np.ndarray, reference_power: float | np.ndarray) -> np.ndarray:
@@ -248,7 +255,7 @@ def evaluate_mse(weights, signal, reference, length: int, delay: int = 0) -> Mse
     return _report(linear, quat.norm_sq(refs).mean(axis=-1).reshape(runs), n - delay)
 
 
-def statistics_mse(problem: WienerProblem, weights, reference) -> MseReport:
+def statistics_mse(problem: WienerProblem, weights, reference_power: float | np.ndarray) -> MseReport:
     """`evaluate_mse` over the problem's block, from its statistics alone.
 
     With R and p estimated over the iterations [delay, N), the mean of
@@ -256,27 +263,22 @@ def statistics_mse(problem: WienerProblem, weights, reference) -> MseReport:
 
         J(w) = avg norm_sq(r) - 2 sum_l Re(w_l p_l) + sum_l,m Re(w_l R_lm conj(w_m)),
 
-    so the block is not filtered again.  `reference` is the block's (N, 4)
-    reference, or (G, N, 4) for a problem with a run axis; its first
-    `sample_count` samples give the reference power: each run's dot product
-    of its samples' components with themselves (one `np.einsum` over the
-    samples and components), over the count.  For
-    constellation points every square and partial sum is exact, so the order
-    of that sum changes no bit.  J is a difference of
+    so the block is not filtered again.  The caller supplies avg norm_sq(r),
+    the reference power over those iterations: a float, or an array that
+    broadcasts to the problem's run shape, and the report carries it in the
+    run shape; the harness passes its one stream power, which every
+    constellation symbol has exactly.  J is a difference of
     terms near that power, so its rounding error is a few ulps of it: the dB
     figure agrees with `evaluate_mse` to ~1e-12 dB at J 20 dB below the
     reference power, and loses a digit per further 10 dB.
     """
     r, p = problem.autocorrelation, problem.cross_correlation
-    weights, reference = quat._q(weights), quat._q(reference)
-    count = problem.sample_count
+    weights = quat._q(weights)
     if weights.shape != p.shape:
         raise DimensionMismatchError(f"weights {weights.shape[-2:]} do not match a problem of length {problem.length}")
-    if reference.ndim != p.ndim or reference.shape[:-2] != p.shape[:-2] or reference.shape[-2] < count:
-        raise ValueError(f"reference {reference.shape} does not cover the problem's {count} samples")
+    reference_power = np.broadcast_to(reference_power, p.shape[:-2]).astype(np.float64)  # ValueError if it does not fit
     # u = R conj(w), and each Re(x y) is the dot product of x and conj(y)
     u = dot_left(r, quat.conj(weights)[..., None, :, :])
     cross = (weights * quat.conj(p)).sum(axis=(-2, -1))
     quadratic = (weights * quat.conj(u)).sum(axis=(-2, -1))
-    reference_power = np.einsum("...ti,...ti->...", reference[..., :count, :], reference[..., :count, :]) / count
-    return _report(reference_power - 2.0 * cross + quadratic, reference_power, count)
+    return _report(reference_power - 2.0 * cross + quadratic, reference_power, problem.sample_count)

@@ -11,14 +11,16 @@ kernel rounds in `quat.mul`'s order and the oracle must match it exactly.
 `recursion_statistics` the compiled block statistics' order, with
 `from_moments` reading its signs off `quat.mul`, while `convolve_loop` sums
 in its own order and pins the sign convention on inputs whose every product
-and sum is exact.
+and sum is exact.  `solve_via_adjoint` is the Wiener solve built from the
+`linalg` maps, each step on a whole quaternion or adjoint array, which the
+pair-form solve of `wiener` must equal bit for bit.
 """
 
 import functools
 
 import numpy as np
 
-from quatlink import channel, quat
+from quatlink import channel, linalg, quat
 from quatlink.adaptive import ERROR_ENERGY_LIMIT
 
 # (unit, unit) -> (sign, unit) for the basis {1, i, j, k}
@@ -122,9 +124,18 @@ def nearest_symbol_indices(points, constellation):
     return np.argmin((diffs * diffs).sum(axis=-1), axis=1)
 
 
-def solve_via_adjoint(a_adjoint, b_adjoint):
-    """Complex linear solve in the adjoint domain (numpy does the work)."""
-    return np.linalg.solve(a_adjoint, b_adjoint)
+def solve_via_adjoint(r, p, ridge):
+    """Wiener weights conj((R + ridge*I)^-1 p) of every run, each step on a quaternion or an adjoint array.
+
+    The ridge is added to R as quaternions, R + ridge * I; the sum is embedded
+    by `linalg.to_complex_adjoint`, solved against `linalg.vector_to_adjoint(p)`
+    by `np.linalg.solve`, read back by `linalg.vector_from_adjoint` and
+    conjugated by `quat.conj`.
+    """
+    ridge = np.asarray(ridge, dtype=np.float64)
+    regularized = r + ridge[..., None, None, None] * linalg.identity(r.shape[-2])
+    solution = np.linalg.solve(linalg.to_complex_adjoint(regularized), linalg.vector_to_adjoint(p)[..., None])
+    return quat.conj(linalg.vector_from_adjoint(solution[..., 0]))
 
 
 def qlms_steps(received, reference, length, step_size, delay=0):

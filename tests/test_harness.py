@@ -11,7 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from quatlink import adaptive, channel, harness, linalg, modem, quat, wiener
+from quatlink import adaptive, channel, harness, kernels, linalg, modem, quat, wiener
 from quatlink.errors import ExperimentFailedError
 from quatlink.harness import ExperimentConfig, convergence_iteration, summarize
 
@@ -251,6 +251,11 @@ class TestWorkersAndChunking:
                     patch.setattr(harness, "_SLICE_SAMPLES", cap)
                     sliced = harness.run_experiment(config, workers)
                 assert_same_result(whole, sliced)
+
+    def test_slice_lanes_fill_one_kernel_lane_group(self):
+        """A full slice is one lane group of the compiled kernels, whose width `kernels`
+        reads from the C source: a slice of fewer lanes costs the kernel as much."""
+        assert harness._GROUP_LANES == kernels.LANES
 
     def test_slice_size_does_not_change_results(self, monkeypatch):
         """Every result array is the same for any run slicing, in both modes.
@@ -704,5 +709,6 @@ class TestWienerStage:
         for run in np.setdiff1d(np.flatnonzero(diverged_at < 0), [7]):
             references = symbols[indices[run]]
             problem = wiener.estimate_statistics(received[run], references, length, delay)
-            expected = wiener.statistics_mse(problem, wiener.solve_wiener(problem), references).db
+            power = quat.norm_sq(references[: problem.sample_count]).mean(-1)
+            expected = wiener.statistics_mse(problem, wiener.solve_wiener(problem), power).db
             assert stage["wiener_db"][run] == expected, run

@@ -6,10 +6,18 @@ import warnings
 import numpy as np
 import pytest
 
-from quatlink import channel, linalg, modem, quat, wiener
+from quatlink import channel, harness, linalg, modem, quat, wiener
 from quatlink.errors import DimensionMismatchError, InsufficientDataError, SingularMatrixError
 
-from oracles import hermitian_transpose_loop, matvec_loop, outer_h_loop, recursion_statistics, table_conj, table_mul
+from oracles import (
+    hermitian_transpose_loop,
+    matvec_loop,
+    outer_h_loop,
+    recursion_statistics,
+    solve_via_adjoint,
+    table_conj,
+    table_mul,
+)
 
 
 def equalization_instance(seed, n=4000, snr_db=20.0):
@@ -172,13 +180,33 @@ class TestSolveWiener:
         received, symbols = equalization_instance(84)
         problem = wiener.estimate_statistics(received, symbols, length=15, delay=7)
         weights = wiener.solve_wiener(problem, ridge=0.0)
-        adjoint_solution = np.linalg.solve(
-            linalg.to_complex_adjoint(problem.autocorrelation),
-            linalg.vector_to_adjoint(problem.cross_correlation),
-        )
-        expected = quat.conj(linalg.vector_from_adjoint(adjoint_solution))
+        expected = solve_via_adjoint(problem.autocorrelation, problem.cross_correlation, 0.0)
         rel = np.abs(weights - expected).max() / np.abs(expected).max()
         assert rel < 1e-9
+
+    @pytest.mark.parametrize("symbols,length", [(400, 15), (400, 40), (5000, 15), (5000, 40)])
+    def test_equals_the_adjoint_oracle_bit_for_bit(self, symbols, length):
+        """The weights equal `oracles.solve_via_adjoint`'s, signed zeros included, at ridge 0
+        and at the default ridge: for harness slices of 1, 8 and 9 SISO runs, and for
+        symbols with only a real or only a complex part, whose R and p hold exact zeros,
+        as computed (+0.0) and with every zero turned to -0.0."""
+        config = harness.ExperimentConfig(num_runs=9, symbols_per_run=symbols, master_seed=3)
+        problems = []
+        for runs in (1, 8, 9):
+            received, indices = harness._draw(config, 0, runs)
+            problems.append(wiener.estimate_statistics(received, modem.CONSTELLATION[indices[:, 0]], length, 7))
+        points = modem.CONSTELLATION[channel.make_rng(symbols).integers(0, modem.NUM_SYMBOLS, (2, symbols))]
+        for parts in (1, 2):  # real-only, complex-only
+            masked = points.copy()
+            masked[..., parts:] = 0.0
+            problem = wiener.estimate_statistics(masked, masked, length, 7)
+            r, p = (np.where(x == 0.0, -0.0, x) for x in (problem.autocorrelation, problem.cross_correlation))
+            problems += [problem, wiener.WienerProblem(r, p, problem.sample_count)]
+        for problem in problems:
+            for ridge in (0.0, wiener.default_ridge(problem)):
+                weights = wiener.solve_wiener(problem, ridge)
+                expected = solve_via_adjoint(problem.autocorrelation, problem.cross_correlation, ridge)
+                assert np.array_equal(weights.view(np.int64), expected.view(np.int64))
 
     def test_problem_validation(self):
         with pytest.raises(ValueError):
@@ -207,8 +235,8 @@ class TestSolveWiener:
 
     @pytest.mark.parametrize("count", [-3, 0, 2.0, True, "5"])
     def test_sample_count_must_be_a_positive_integer(self, count):
-        """A count below 1 would score too few samples (-3 scores the first N - 3),
-        and one that is not an integer cannot slice the reference."""
+        """A count below 1, or one that is not an integer, counts no samples; the
+        `MseReport`s of the problem would carry it."""
         with pytest.raises(ValueError, match=f"sample_count: must be an integer of at least 1, got {count!r}"):
             wiener.WienerProblem(np.array([[[2.0, 0, 0, 0]]]), np.zeros((1, 4)), count)
         assert wiener.WienerProblem(np.array([[[2.0, 0, 0, 0]]]), np.zeros((1, 4)), np.int64(5)).sample_count == 5
@@ -407,14 +435,13 @@ class TestStatisticsMse:
         perturbed = optimal + 0.05 * np.random.default_rng(97).normal(size=optimal.shape)
         for weights in (optimal, perturbed):
             expected = wiener.evaluate_mse(weights, received, symbols, length, delay)
-            report = wiener.statistics_mse(problem, weights, symbols)
+            report = wiener.statistics_mse(problem, weights, expected.reference_power)
             assert np.abs(report.db - expected.db).max() <= 1e-9
             assert np.allclose(report.linear, expected.linear, rtol=1e-9, atol=1e-12)
             assert np.array_equal(report.reference_power, expected.reference_power)
             assert report.sample_count == expected.sample_count == n - delay
-            single = wiener.statistics_mse(
-                wiener.estimate_statistics(received[0], symbols[0], length, delay), weights[0], symbols[0]
-            )
+            one_run = wiener.estimate_statistics(received[0], symbols[0], length, delay)
+            single = wiener.statistics_mse(one_run, weights[0], expected.reference_power[0])
             assert isinstance(single.db, float) and abs(single.db - expected.db[0]) <= 1e-9
 
     def test_perfect_fit_and_silence_hit_the_floor(self):
@@ -424,17 +451,22 @@ class TestStatisticsMse:
         silence = np.zeros_like(symbols)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fitted = wiener.statistics_mse(wiener.estimate_statistics(symbols, symbols, 1), weights, symbols)
-            silent = wiener.statistics_mse(wiener.estimate_statistics(silence, silence, 1), weights, silence)
+            fitted = wiener.statistics_mse(
+                wiener.estimate_statistics(symbols, symbols, 1), weights, quat.norm_sq(symbols).mean(-1)
+            )
+            silent = wiener.statistics_mse(
+                wiener.estimate_statistics(silence, silence, 1), weights, quat.norm_sq(silence).mean(-1)
+            )
         assert fitted.db == silent.db == wiener.DB_FLOOR
 
     def test_mismatched_inputs_rejected(self):
         received, symbols = equalization_instance(95, n=50)
         problem = wiener.estimate_statistics(received, symbols, 3, 2)
+        power = quat.norm_sq(symbols[: problem.sample_count]).mean(-1)
         with pytest.raises(DimensionMismatchError):
-            wiener.statistics_mse(problem, np.zeros((4, 4)), symbols)
-        with pytest.raises(ValueError, match="does not cover"):
-            wiener.statistics_mse(problem, np.zeros((3, 4)), symbols[:40])
+            wiener.statistics_mse(problem, np.zeros((4, 4)), power)
+        with pytest.raises(ValueError, match="broadcast"):
+            wiener.statistics_mse(problem, np.zeros((3, 4)), np.full(2, power))
 
 
 def quaternion_elimination_db(received, symbols, length, delay):
@@ -490,7 +522,7 @@ class TestBatchedRuns:
             warnings.simplefilter("error")
             problem = wiener.estimate_statistics(signal, reference, 5, 2)
             weights = wiener.solve_wiener(problem)
-            scored = wiener.statistics_mse(problem, weights, reference)
+            scored = wiener.statistics_mse(problem, weights, quat.norm_sq(reference[..., :48, :]).mean(-1))
             filtered = wiener.evaluate_mse(weights, signal, reference, 5, 2)
         assert problem.autocorrelation.shape == (0, 5 * streams, 5 * streams, 4)
         assert weights.shape == (0, 5 * streams, 4)
@@ -504,14 +536,14 @@ class TestBatchedRuns:
         problem = wiener.estimate_statistics(received, symbols, length, delay)
         weights = wiener.solve_wiener(problem)
         ridge = wiener.default_ridge(problem)
-        scored = wiener.statistics_mse(problem, weights, symbols)
         filtered = wiener.evaluate_mse(weights, received, symbols, length, delay)
+        scored = wiener.statistics_mse(problem, weights, filtered.reference_power)
         assert ridge.shape == scored.db.shape == filtered.linear.shape == (8,)
         for run in range(8):
             single = wiener.estimate_statistics(received[run], symbols[run], length, delay)
             figures = (
                 wiener.default_ridge(single),
-                wiener.statistics_mse(single, weights[run], symbols[run]).db,
+                wiener.statistics_mse(single, weights[run], filtered.reference_power[run]).db,
                 wiener.evaluate_mse(weights[run], received[run], symbols[run], length, delay).linear,
             )
             for figure, batched in zip(figures, (ridge[run], scored.db[run], filtered.linear[run])):
