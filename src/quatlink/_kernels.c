@@ -1,30 +1,36 @@
 /* quatlink's C kernels, built into one library by quatlink.kernels:
    qlms_batch, the batched QLMS kernel behind quatlink.adaptive.run_qlms_batch;
-   mimo_fir, the MIMO FIR behind quatlink.channel.mimo_convolve; and
+   mimo_fir, the MIMO FIR behind quatlink.channel.mimo_convolve;
    block_moments, the sample statistics R and p of
    quatlink.wiener.estimate_statistics, moments, covariance recursion and
-   quaternion fold (`fold`, which states the fold's signs) included.  The
-   docstrings of the first two and the comments on block_moments and fold state
+   quaternion fold (`fold`, which states the fold's signs) included; and
+   wiener_solve and wiener_cost, the block Wiener optimum and the two sums of
+   its quadratic cost behind quatlink.wiener.solve_wiener and statistics_mse.
+   The docstrings of the first two and the comments on the others state
    their inputs and the fixed order of their arithmetic, which the build keeps
    by allowing no contraction.  A helper that a target_clones function calls is
    always_inline, so that it is compiled for the clone's target and not for
    the baseline one.
 
-   qlms_batch and block_moments take lanes in groups of LANES with the lane
-   index innermost in every buffer, so each step runs across a group's lanes
-   in SIMD registers, and share one window (`fill`).  It holds a group's
-   samples of length-1 + SPAN time steps newest first, in (position, stream,
-   component, lane) order: after the fill of the SPAN steps from t0, position
-   p holds time t0 + SPAN-1 - p, so the regressor of time t, tap k = (lag,
-   stream), is quaternion (t0 + SPAN-1 - t)*C + k and contiguous.  A last
-   group short of LANES lanes fills the rest with copies of its last lane,
-   which never write an output. */
+   qlms_batch and block_moments take lanes in groups of LANES, which the build
+   command defines, with the lane index innermost in every buffer, so each step
+   runs across a group's lanes in SIMD registers, and share one window (`fill`).
+   It holds a group's samples of length-1 + SPAN time steps newest first, in
+   (position, stream, component, lane) order: after the fill of the SPAN steps
+   from t0, position p holds time t0 + SPAN-1 - p, so the regressor of time t,
+   tap k = (lag, stream), is quaternion (t0 + SPAN-1 - t)*C + k and contiguous.
+   A last group short of LANES lanes fills the rest with copies of its last
+   lane, which never write an output.  wiener_solve and wiener_cost take one
+   run at a time, so a run's bits do not depend on the runs beside it. */
 
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
-#define LANES 8
+#ifndef LANES
+#error "LANES, the lanes per group, comes from the build command: see quatlink.kernels._COMPILE"
+#endif
 #define QUAT (4 * LANES) /* doubles of one quaternion across a group */
 
 #if defined(__x86_64__)
@@ -371,5 +377,256 @@ CLONES int block_moments(const double *signals, int64_t run_stride, int64_t stre
             fold(sums + pairs * 16 * LANES, j, width, count, cross + (group + j) * width * 4);
     }
     free(window);
+    return 0;
+}
+
+/* One quaternion in scalars.  The solve and the cost take quaternions apart
+   and put them together by component, and the solve's block keeps each
+   component in a plane of its own, so a loop over entries runs the same
+   operation in every SIMD lane.  Vectorized across one quaternion's
+   components instead, a product's alternating subtractions and additions
+   were fused with its multiplications into an FMA (vfmaddsub) by gcc 12 at
+   -O3 for AVX-512, in spite of -ffp-contract=off. */
+typedef struct {
+    double q0, q1, q2, q3;
+} quaternion;
+
+/* a*b, component i in quat.mul's order. */
+static inline __attribute__((always_inline)) quaternion qmul(quaternion a, quaternion b)
+{
+    return (quaternion){((a.q0 * b.q0 - a.q1 * b.q1) - a.q2 * b.q2) - a.q3 * b.q3,
+                        ((a.q0 * b.q1 + a.q1 * b.q0) + a.q2 * b.q3) - a.q3 * b.q2,
+                        ((a.q0 * b.q2 - a.q1 * b.q3) + a.q2 * b.q0) + a.q3 * b.q1,
+                        ((a.q0 * b.q3 + a.q1 * b.q2) - a.q2 * b.q1) + a.q3 * b.q0};
+}
+
+static inline __attribute__((always_inline)) quaternion qconj(quaternion a)
+{
+    return (quaternion){a.q0, -a.q1, -a.q2, -a.q3};
+}
+
+static inline __attribute__((always_inline)) quaternion qsub(quaternion a, quaternion b)
+{
+    return (quaternion){a.q0 - b.q0, a.q1 - b.q1, a.q2 - b.q2, a.q3 - b.q3};
+}
+
+/* Entry `at` of an array whose component planes lie `plane` doubles apart (1
+   for (..., 4) quaternions), and its store. */
+static inline __attribute__((always_inline)) quaternion get(const double *array, int64_t plane, int64_t at)
+{
+    return (quaternion){array[at], array[plane + at], array[2 * plane + at], array[3 * plane + at]};
+}
+
+static inline __attribute__((always_inline)) void put(double *array, int64_t plane, int64_t at, quaternion a)
+{
+    array[at] = a.q0;
+    array[plane + at] = a.q1;
+    array[2 * plane + at] = a.q2;
+    array[3 * plane + at] = a.q3;
+}
+
+/* The largest magnitude of a's components. */
+static inline __attribute__((always_inline)) double largest(quaternion a)
+{
+    const double s = fabs(a.q0) > fabs(a.q1) ? fabs(a.q0) : fabs(a.q1);
+    const double t = fabs(a.q2) > fabs(a.q3) ? fabs(a.q2) : fabs(a.q3);
+    return s > t ? s : t;
+}
+
+/* a / s, component by component. */
+static inline __attribute__((always_inline)) quaternion qdiv(quaternion a, double s)
+{
+    return (quaternion){a.q0 / s, a.q1 / s, a.q2 / s, a.q3 / s};
+}
+
+/* a's squared norm, its squares added in component order. */
+static inline __attribute__((always_inline)) double norm_sq(quaternion a)
+{
+    return ((a.q0 * a.q0 + a.q1 * a.q1) + a.q2 * a.q2) + a.q3 * a.q3;
+}
+
+/* inv(a) = conj(t) * (1 / (norm_sq(t) * s)), with s the largest magnitude of
+   a's components and t = a / s, so no square overflows and a real a = c gives
+   exactly 1/c. */
+static inline __attribute__((always_inline)) quaternion qinv(quaternion a)
+{
+    const double s = largest(a);
+    const quaternion t = qdiv(a, s);
+    const double f = 1.0 / (norm_sq(t) * s);
+    return (quaternion){t.q0 * f, -t.q1 * f, -t.q2 * f, -t.q3 * f};
+}
+
+/* a[c] = a[c] - f * b[c] for c in [from, to), for rows a and b held in
+   component planes a0..a3 and b0..b3 that do not overlap. */
+static inline __attribute__((always_inline)) void eliminate(quaternion f, double *restrict a0, double *restrict a1,
+                                                            double *restrict a2, double *restrict a3,
+                                                            const double *restrict b0, const double *restrict b1,
+                                                            const double *restrict b2, const double *restrict b3,
+                                                            int64_t from, int64_t to)
+{
+    for (int64_t c = from; c < to; c++) {
+        const quaternion t = qmul(f, (quaternion){b0[c], b1[c], b2[c], b3[c]});
+        a0[c] = a0[c] - t.q0;
+        a1[c] = a1[c] - t.q1;
+        a2[c] = a2[c] - t.q2;
+        a3[c] = a3[c] - t.q3;
+    }
+}
+
+/* Writes A = R + ridge*I, the ridge added to the real part of each diagonal
+   entry, and p into a block of length x (length + 1) entries held in component
+   planes, A's row l followed by p_l. */
+static inline __attribute__((always_inline)) void load(double *block, int64_t plane, const double *R, const double *p,
+                                                       double ridge, int64_t length)
+{
+    for (int64_t l = 0; l < length; l++) {
+        for (int64_t m = 0; m < length; m++)
+            put(block, plane, l * (length + 1) + m, get(R, 1, (l * length + m) * 4));
+        put(block, plane, l * (length + 1) + length, get(p, 1, l * 4));
+        block[l * (length + 1) + l] = block[l * (length + 1) + l] + ridge;
+    }
+}
+
+/* 1 if A - bound*I in a block that `load` wrote has a Cholesky factor, which
+   takes the place of A's lower triangle, else 0.  Both as wiener_solve states. */
+static inline __attribute__((always_inline)) int cholesky(double *block, int64_t plane, int64_t length, double bound)
+{
+    const int64_t width = length + 1;
+    for (int64_t j = 0; j < length; j++) {
+        double d = block[j * width + j] - bound;
+        for (int64_t k = 0; k < j; k++)
+            d = d - norm_sq(get(block, plane, j * width + k));
+        if (!(d > 0.0 && d < INFINITY))
+            return 0;
+        const double diagonal = sqrt(d);
+        for (int64_t i = j + 1; i < length; i++) {
+            quaternion v = get(block, plane, i * width + j);
+            for (int64_t k = 0; k < j; k++)
+                v = qsub(v, qmul(get(block, plane, i * width + k), qconj(get(block, plane, j * width + k))));
+            put(block, plane, i * width + j, qdiv(v, diagonal));
+        }
+    }
+    return 1;
+}
+
+/* Returns 0, or -1 if the working block cannot be allocated.  `autocorrelation`
+   (runs, length, length, 4) holds each run's Hermitian R, `cross` (runs, length,
+   4) its p and `ridge` (runs,) its ridge, all contiguous.  One run at a time,
+   with A = R + ridge*I (the ridge added to the real part of each diagonal
+   entry), in a working block of length x (length + 1) quaternions, A's rows
+   each followed by p's entry, held in four component planes:
+   - bounds[r] = root_rtol * max_lm |A_lm|, computed as top * sqrt(max_lm
+     norm_sq(A_lm / top)) with top the largest magnitude of A's components,
+     so no square overflows;
+   - certified[r] = 1 when A - bound*I, read from its lower triangle and the
+     real parts of its diagonal, has a Cholesky factor G G^H (Golub & Van
+     Loan, Matrix Computations, sec. 4.2): column j's pivot d = ((A_jj - bound)
+     - norm_sq(G_j0)) - ... - norm_sq(G_j,j-1) is positive and finite, G_jj =
+     sqrt(d), and G_ij = (A_ij - G_i0 conj(G_j0) - ... - G_i,j-1 conj(G_j,j-1))
+     / G_jj below it.  So every eigenvalue of R + ridge*I, those of its
+     complex adjoint (Zhang 1997), exceeds the bound.  Else 0;
+   - weights[r] = conj(x), with A x = p solved by Gaussian elimination with
+     partial pivoting (sec. 3.4) in the block.  Column k's pivot is the first
+     row i >= k with the largest norm_sq(A_ik / s), s the largest magnitude of
+     the column's components from row k down, and rows k and i swap.  Each
+     row i > k takes f = A_ik * inv(A_kk) and then A_ic = A_ic - f * A_kc for
+     c = k+1, ..., length, p's column last.  Back substitution sets x_k =
+     inv(A_kk) * y for k = length-1 down to 0, with y = ((p_k - A_k,k+1 *
+     x_k+1) - ...) - A_k,length-1 * x_length-1, with inv as `qinv` states.
+   A zero pivot or a non-finite entry gives NaN weights, which no check
+   reads: the caller rejects an uncertified run that is singular. */
+CLONES int wiener_solve(const double *autocorrelation, const double *cross, const double *ridge, int64_t runs,
+                        int64_t length, double root_rtol, double *weights, double *bounds, int8_t *certified)
+{
+    const int64_t width = length + 1, plane = length * width; /* entries per row of the block, and per plane */
+    double *block = malloc(4 * plane * sizeof(double));
+    if (!block && length)
+        return -1;
+    for (int64_t r = 0; r < runs; r++) {
+        const double *R = autocorrelation + r * length * length * 4, *p = cross + r * length * 4;
+        load(block, plane, R, p, ridge[r], length);
+        double top = 0.0, peak = 0.0;
+        for (int64_t l = 0; l < length; l++)
+            for (int64_t m = 0; m < length; m++) {
+                const double s = largest(get(block, plane, l * width + m));
+                top = s > top ? s : top;
+            }
+        for (int64_t l = 0; l < length && top > 0.0; l++)
+            for (int64_t m = 0; m < length; m++) {
+                const double n = norm_sq(qdiv(get(block, plane, l * width + m), top));
+                peak = n > peak ? n : peak;
+            }
+        bounds[r] = root_rtol * (top * sqrt(peak));
+        certified[r] = cholesky(block, plane, length, bounds[r]);
+        load(block, plane, R, p, ridge[r], length); /* the factor took A's lower triangle */
+        for (int64_t k = 0; k < length; k++) {
+            double s = 0.0, best = 0.0;
+            int64_t pivot = k;
+            for (int64_t i = k; i < length; i++) {
+                const double m = largest(get(block, plane, i * width + k));
+                s = m > s ? m : s;
+            }
+            for (int64_t i = k; i < length && s > 0.0; i++) {
+                const double n = norm_sq(qdiv(get(block, plane, i * width + k), s));
+                if (i == k || n > best) {
+                    best = n;
+                    pivot = i;
+                }
+            }
+            for (int64_t c = k; c < width && pivot != k; c++) {
+                const quaternion t = get(block, plane, k * width + c);
+                put(block, plane, k * width + c, get(block, plane, pivot * width + c));
+                put(block, plane, pivot * width + c, t);
+            }
+            /* inv(A_kk) takes A_kk's place, for the back substitution */
+            const quaternion inverse = qinv(get(block, plane, k * width + k));
+            put(block, plane, k * width + k, inverse);
+            double *b = block + k * width;
+            for (int64_t i = k + 1; i < length; i++) {
+                double *a = block + i * width;
+                eliminate(qmul(get(a, plane, k), inverse), a, a + plane, a + 2 * plane, a + 3 * plane, b, b + plane,
+                          b + 2 * plane, b + 3 * plane, k + 1, width);
+            }
+        }
+        /* x_k takes p_k's place */
+        for (int64_t k = length - 1; k >= 0; k--) {
+            quaternion y = get(block, plane, k * width + length);
+            for (int64_t c = k + 1; c < length; c++)
+                y = qsub(y, qmul(get(block, plane, k * width + c), get(block, plane, c * width + length)));
+            put(block, plane, k * width + length, qmul(get(block, plane, k * width + k), y));
+        }
+        for (int64_t k = 0; k < length; k++)
+            put(weights, 1, (r * length + k) * 4, qconj(get(block, plane, k * width + length)));
+    }
+    free(block);
+    return 0;
+}
+
+/* Returns 0.  `autocorrelation` (runs, length, length, 4), `cross` (runs,
+   length, 4) and `weights` (runs, length, 4) are contiguous.  Writes the two
+   sums of each run's cost J(w) = power - 2 sums[r, 0] + sums[r, 1] to `sums`
+   (runs, 2): sums[r, 0] = Re(w_0 p_0) + ... + Re(w_L-1 p_L-1) and sums[r, 1] =
+   Re(w_0 u_0) + ... + Re(w_L-1 u_L-1), each from +0.0, with u_l = R_l0
+   conj(w_0) + ... + R_l,L-1 conj(w_L-1) from +0.0 and Re(a b) component 0 of
+   a*b in quat.mul's order. */
+CLONES int wiener_cost(const double *autocorrelation, const double *cross, const double *weights, int64_t runs,
+                       int64_t length, double *sums)
+{
+    for (int64_t r = 0; r < runs; r++) {
+        const double *R = autocorrelation + r * length * length * 4, *p = cross + r * length * 4;
+        const double *w = weights + r * length * 4;
+        double linear = 0.0, quadratic = 0.0;
+        for (int64_t l = 0; l < length; l++) {
+            quaternion u = {0.0, 0.0, 0.0, 0.0};
+            for (int64_t m = 0; m < length; m++) {
+                const quaternion t = qmul(get(R, 1, (l * length + m) * 4), qconj(get(w, 1, m * 4)));
+                u = (quaternion){u.q0 + t.q0, u.q1 + t.q1, u.q2 + t.q2, u.q3 + t.q3};
+            }
+            linear = linear + qmul(get(w, 1, l * 4), get(p, 1, l * 4)).q0;
+            quadratic = quadratic + qmul(get(w, 1, l * 4), u).q0;
+        }
+        sums[2 * r] = linear;
+        sums[2 * r + 1] = quadratic;
+    }
     return 0;
 }

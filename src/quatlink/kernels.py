@@ -1,17 +1,20 @@
 """The package's C kernels: one source, one build, one loader.
 
-`_kernels.c` holds the three compiled functions: `qlms_batch`, behind
-`adaptive.run_qlms_batch`; `mimo_fir`, behind `channel.mimo_convolve`; and
+`_kernels.c` holds the five compiled functions: `qlms_batch`, behind
+`adaptive.run_qlms_batch`; `mimo_fir`, behind `channel.mimo_convolve`;
 `block_moments`, which writes the Wiener statistics R and p of
-`wiener.estimate_statistics`.  `library` compiles it
+`wiener.estimate_statistics`; and `wiener_solve` and `wiener_cost`, which
+solve and score the block Wiener optimum one run at a time behind
+`wiener.solve_wiener` and `wiener.statistics_mse`.  `library` compiles it
 with the system's `cc` on first use into `__pycache__`, as a shared library
-named by a checksum of the source and the build command, and loads it
-through `ctypes` (`_load`), which declares every function's arguments and
-its `c_int` status once, from one table (`_ARGUMENTS`): a nonzero status, a
-failed allocation, raises `MemoryError`.  A cache directory the library
-cannot be written into raises `KernelBuildError`, as a failed build does.
-The build has no floating-point contraction or reassociation, so the bits do
-not depend on the CPU it runs on.  `in_place` is the one rule for when a
+named by a checksum of the source and the build command (`_COMPILE`, which
+also defines the source's `LANES`), and loads it through `ctypes` (`_load`),
+which declares every function's arguments and its `c_int` status once, from
+one table (`_ARGUMENTS`): a nonzero status, a failed allocation, raises
+`MemoryError`.  A cache directory the library cannot be written into
+raises `KernelBuildError`, as a failed build does.  The build has no
+floating-point contraction or reassociation, so the bits do not depend on
+the CPU it runs on.  `in_place` is the one rule for when a
 function reads an array in place through its strides.
 """
 
@@ -19,7 +22,6 @@ import contextlib
 import ctypes
 import functools
 import os
-import re
 import tempfile
 import zlib
 from pathlib import Path
@@ -29,12 +31,12 @@ import numpy as np
 from .errors import KernelBuildError
 
 _SOURCE = Path(__file__).with_name("_kernels.c")
-# lanes per group of `qlms_batch` and `block_moments`, read from the source's `#define`
-LANES = int(re.search(r"^#define LANES (\d+)", _SOURCE.read_text(), re.MULTILINE).group(1))
+# lanes per group of `qlms_batch` and `block_moments`; the build defines the source's LANES
+LANES = 8
 # The command that builds the shared library, less its output and source.
 # No contraction (FMA) or reassociation, so that every SIMD width the
 # source's target clones pick rounds the same.
-_COMPILE = ("cc", "-O3", "-ffp-contract=off", "-fPIC", "-shared")
+_COMPILE = ("cc", "-O3", "-ffp-contract=off", "-fPIC", "-shared", f"-DLANES={LANES}")
 
 _I64, _FLOATS = ctypes.c_int64, np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
 _STRIDED = np.ctypeslib.ndpointer(np.float64, flags="ALIGNED")  # read through the strides passed with it
@@ -47,6 +49,9 @@ _ARGUMENTS = {
     ],
     "mimo_fir": [_STRIDED, _I64, _I64, _FLOATS, _I64, _I64, _I64, _I64, _I64, _FLOATS],
     "block_moments": [_STRIDED, _I64, _I64, _STRIDED, _I64, _I64, _I64, _I64, _I64, _I64, _FLOATS, _FLOATS],
+    "wiener_solve": [_FLOATS, _FLOATS, _FLOATS, _I64, _I64, ctypes.c_double, _FLOATS, _FLOATS,
+                     np.ctypeslib.ndpointer(np.int8, flags="C_CONTIGUOUS")],
+    "wiener_cost": [_FLOATS, _FLOATS, _FLOATS, _I64, _I64, _FLOATS],
 }  # fmt: skip
 
 

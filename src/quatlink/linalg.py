@@ -10,8 +10,9 @@ left factor, and `dot_left(w, s)` is sum_l w[l] * s[l].
 complex adjoint embedding of matrices (`to_complex_adjoint`) and of vectors
 (`vector_to_adjoint`, `vector_from_adjoint`) gives an independent route
 through ordinary complex linear algebra: the tests use it to cross-check
-`solve` and the pair-form Wiener solve, whose right-hand side is
-`vector_to_adjoint`.  `mean_outer_h`, the sample correlation matrix,
+`solve` and the Wiener solve, and `wiener.solve_wiener` takes the
+eigenvalues of a run its Cholesky certificate fails on from
+`to_complex_adjoint`.  `mean_outer_h`, the sample correlation matrix,
 averages the quaternion outer products directly.
 """
 

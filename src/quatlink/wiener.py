@@ -23,18 +23,19 @@ place, symmetry gives the first column, and
 the rest, one block row at a time; it folds each 4x4 block into the
 quaternion sum a*conj(b) with the signs it states and divides by N - d,
 writing R and p.  So no (N, L, 4) lag matrix, no copy of the signal and no
-moment matrix is built in Python.  Only the solve leaves the
-quaternions: it works in complex pairs from R to w, through the complex
-adjoint embedding (Zhang 1997, "Quaternions and matrices of quaternions"),
-where one batched Cholesky factorization certifies that no run's R is
-singular; the eigenvalues are computed only for a batch it fails on.  Any
-weights can be evaluated on data through the package's C FIR,
+moment matrix is built in Python.  The solve stays in the quaternions too:
+`wiener_solve` of the C library eliminates each run's system with partial
+pivoting and certifies it non-singular with a quaternion Cholesky
+factorization (Golub & Van Loan, Matrix Computations, secs. 3.4 and 4.2);
+only for a run it fails on are the eigenvalues computed, through the complex
+adjoint embedding (Zhang 1997, "Quaternions and matrices of quaternions").
+Any weights can be evaluated on data through the package's C FIR,
 `channel.mimo_convolve` (`evaluate_mse`), or on the block the statistics
 came from with the quadratic cost J(w) in R, p and a reference power the
-caller supplies (`statistics_mse`), which costs O(L^2) per run instead of a
-pass over the block.  The harness passes each of its run slices
-(`harness._slices`) whole, solves its sane runs and scores them against its
-one stream power.
+caller supplies (`statistics_mse`, whose two sums `wiener_cost` adds in C),
+which costs O(L^2) per run instead of a pass over the block.  The harness
+passes each of its run slices (`harness._slices`) whole, solves its sane
+runs and scores them against its one stream power.
 """
 
 from dataclasses import dataclass
@@ -44,11 +45,11 @@ import numpy as np
 from . import kernels, quat
 from .channel import mimo_convolve
 from .errors import DimensionMismatchError, InsufficientDataError, SingularMatrixError
-from .linalg import SINGULARITY_RTOL, dot_left, vector_to_adjoint
+from .linalg import SINGULARITY_RTOL, to_complex_adjoint
 
 # Not called here; perfbench/tracer.py wraps these module attributes by name.
 from .adaptive import lag_matrix  # noqa: F401
-from .linalg import mean_outer_h, solve  # noqa: F401
+from .linalg import dot_left, mean_outer_h, solve  # noqa: F401
 
 DB_FLOOR = -100.0
 
@@ -159,19 +160,6 @@ def default_ridge(problem: WienerProblem) -> float | np.ndarray:
     return 1e-8 * diag.sum(axis=-1) / problem.length
 
 
-def _eigenvalues_exceed(adjoint: np.ndarray, scale: np.ndarray) -> bool:
-    """Whether every eigenvalue of each Hermitian matrix in `adjoint` (..., n, n)
-    exceeds its `scale` (...,): exactly when adjoint - scale*I has a Cholesky
-    factor (Golub & Van Loan, Matrix Computations, 4th ed., sec. 4.2).  A
-    non-finite factor, from a non-finite matrix, certifies nothing.
-    """
-    try:
-        factor = np.linalg.cholesky(adjoint - scale[..., None, None] * np.eye(adjoint.shape[-1]))
-    except np.linalg.LinAlgError:
-        return False
-    return bool(np.isfinite(factor).all())
-
-
 def solve_wiener(problem: WienerProblem, ridge: float | np.ndarray | None = None) -> np.ndarray:
     """Optimal weights conj((R + ridge*I)^-1 p), for every run at once.
 
@@ -179,40 +167,42 @@ def solve_wiener(problem: WienerProblem, ridge: float | np.ndarray | None = None
     normal equations.  A non-finite R or p raises ValueError.  A run whose
     regularized R has an eigenvalue no larger in magnitude than
     sqrt(SINGULARITY_RTOL) times its largest entry's norm raises
-    SingularMatrixError.  A sample R is positive semidefinite, so one
-    Cholesky factorization of the adjoint minus that bound certifies the
-    batch (`_eigenvalues_exceed`); only when it fails, as it does for a
-    singular R or for a Hermitian R that a caller built indefinite but
-    invertible, are the eigenvalues computed.
+    SingularMatrixError.
 
-    The solve stays in complex pairs from R to w: R = A + B j (`quat.to_pairs`)
-    takes the ridge on A's diagonal, its adjoint [[A, B], [-conj(B), conj(A)]]
-    is solved against the adjoint column of p, and the pairs of the solution,
-    conjugated, are w (`quat.from_pairs`).  So R is not copied as quaternions.
+    `wiener_solve` of the package's C library solves each run by quaternion
+    Gaussian elimination with partial pivoting, in the order `_kernels.c`
+    states, so a run's weights depend neither on the runs beside it nor on
+    the CPU.  A sample R is positive semidefinite, so the same call
+    certifies a run by a quaternion Cholesky factorization of R + ridge*I
+    minus that bound.  Only for the runs it fails on, as it does for a
+    singular R or for a Hermitian R that a caller built indefinite but
+    invertible, are the eigenvalues computed, those of the complex adjoint
+    (Zhang 1997); an invertible run keeps its eliminated weights.
     """
-    for name in ("autocorrelation", "cross_correlation"):
-        if not np.isfinite(getattr(problem, name)).all():
+    r, p = problem.autocorrelation, problem.cross_correlation
+    for name, statistic in (("autocorrelation", r), ("cross_correlation", p)):
+        if not np.isfinite(statistic).all():
             raise ValueError(f"{name} must be finite to solve, but it holds inf or NaN entries")
     if ridge is None:
         ridge = default_ridge(problem)
     ridge = np.asarray(ridge, dtype=np.float64)
     if not (np.isfinite(ridge) & (ridge >= 0.0)).all():
         raise ValueError("ridge must be finite and nonnegative")
-    a, b = quat.to_pairs(problem.autocorrelation)  # R = A + B j
-    a += ridge[..., None, None] * np.eye(problem.length)
-    # |R_lm| as hypot(|A_lm|, |B_lm|), not sqrt(norm_sq): the squares of entries past ~1e154 overflow
-    scale = np.sqrt(SINGULARITY_RTOL) * np.hypot(np.abs(a), np.abs(b)).max(axis=(-2, -1))
-    adjoint = np.block([[a, b], [-b.conj(), a.conj()]])
-    if not _eigenvalues_exceed(adjoint, scale):
+    runs, length = p.shape[:-2], problem.length
+    ridge = np.ascontiguousarray(np.broadcast_to(ridge, runs))
+    weights, bounds, certified = np.empty(p.shape), np.empty(runs), np.empty(runs, np.int8)
+    kernels.library().wiener_solve(np.ascontiguousarray(r), np.ascontiguousarray(p), ridge, bounds.size, length,
+                                   np.sqrt(SINGULARITY_RTOL), weights, bounds, certified)
+    failed = certified == 0
+    if failed.any():
+        adjoint = to_complex_adjoint(r[failed]) + ridge[failed, None, None] * np.eye(2 * length)
         smallest = np.abs(np.linalg.eigvalsh(adjoint)).min(axis=-1)
-        if np.any(smallest <= scale):
+        if np.any(smallest <= bounds[failed]):
             raise SingularMatrixError(
                 f"sample autocorrelation is singular (smallest |eigenvalue| {float(np.min(smallest)):.3e}"
                 f" with ridge {float(np.max(ridge)):.3e}); retry with a positive ridge"
             )
-    # the solution z = [y_a, -conj(y_b)] of y = R^-1 p, so w = conj(y) = conj(z_a) + conj(z_b) j
-    z = np.linalg.solve(adjoint, vector_to_adjoint(problem.cross_correlation)[..., None])[..., 0]
-    return quat.from_pairs(z[..., : problem.length].conj(), z[..., problem.length :].conj())
+    return weights
 
 
 def floored_db(linear: np.ndarray, reference_power: float | np.ndarray) -> np.ndarray:
@@ -267,18 +257,19 @@ def statistics_mse(problem: WienerProblem, weights, reference_power: float | np.
     the reference power over those iterations: a float, or an array that
     broadcasts to the problem's run shape, and the report carries it in the
     run shape; the harness passes its one stream power, which every
-    constellation symbol has exactly.  J is a difference of
-    terms near that power, so its rounding error is a few ulps of it: the dB
-    figure agrees with `evaluate_mse` to ~1e-12 dB at J 20 dB below the
-    reference power, and loses a digit per further 10 dB.
+    constellation symbol has exactly.  `wiener_cost` of the package's C
+    library adds the two sums one run at a time, in the order `_kernels.c`
+    states.  J is a difference of terms near that power, so its rounding
+    error is a few ulps of it: the dB figure agrees with `evaluate_mse` to
+    ~1e-12 dB at J 20 dB below the reference power, and loses a digit per
+    further 10 dB.
     """
     r, p = problem.autocorrelation, problem.cross_correlation
     weights = quat._q(weights)
     if weights.shape != p.shape:
         raise DimensionMismatchError(f"weights {weights.shape[-2:]} do not match a problem of length {problem.length}")
     reference_power = np.broadcast_to(reference_power, p.shape[:-2]).astype(np.float64)  # ValueError if it does not fit
-    # u = R conj(w), and each Re(x y) is the dot product of x and conj(y)
-    u = dot_left(r, quat.conj(weights)[..., None, :, :])
-    cross = (weights * quat.conj(p)).sum(axis=(-2, -1))
-    quadratic = (weights * quat.conj(u)).sum(axis=(-2, -1))
-    return _report(reference_power - 2.0 * cross + quadratic, reference_power, problem.sample_count)
+    sums = np.empty(p.shape[:-2] + (2,))
+    kernels.library().wiener_cost(np.ascontiguousarray(r), np.ascontiguousarray(p), np.ascontiguousarray(weights),
+                                  reference_power.size, problem.length, sums)
+    return _report(reference_power - 2.0 * sums[..., 0] + sums[..., 1], reference_power, problem.sample_count)

@@ -11,9 +11,10 @@ kernel rounds in `quat.mul`'s order and the oracle must match it exactly.
 `recursion_statistics` the compiled block statistics' order, with
 `from_moments` reading its signs off `quat.mul`, while `convolve_loop` sums
 in its own order and pins the sign convention on inputs whose every product
-and sum is exact.  `solve_via_adjoint` is the Wiener solve built from the
-`linalg` maps, each step on a whole quaternion or adjoint array, which the
-pair-form solve of `wiener` must equal bit for bit.
+and sum is exact.  `elimination_steps` and `cost_steps` take the compiled Wiener
+solve's and cost's order in `quat.mul` arithmetic, and `solve_via_adjoint`,
+the Wiener solve through the `linalg` maps and LAPACK, cross-checks the
+solve to a tolerance.
 """
 
 import functools
@@ -136,6 +137,72 @@ def solve_via_adjoint(r, p, ridge):
     regularized = r + ridge[..., None, None, None] * linalg.identity(r.shape[-2])
     solution = np.linalg.solve(linalg.to_complex_adjoint(regularized), linalg.vector_to_adjoint(p)[..., None])
     return quat.conj(linalg.vector_from_adjoint(solution[..., 0]))
+
+
+def elimination_steps(r, p, ridge):
+    """Wiener weights conj(x) of (R + ridge*I) x = p for G runs, (G, L, L, 4) R, (G, L, 4) p
+    and a ridge that broadcasts to (G,), in the order `wiener_solve` of `_kernels.c` states.
+
+    One elimination step, or one back-substitution product, at a time in
+    `quat.mul` arithmetic: the ridge goes on the real part of A's diagonal;
+    column k's pivot is the first row with the largest norm_sq of its entry
+    over the column's largest component magnitude s from row k down; each
+    row below takes f = A_ik * inv(A_kk) and subtracts f * A_kc, p's column
+    last; back substitution subtracts A_kc * x_c in ascending c from p_k and
+    multiplies by inv(A_kk) from the left.  inv(q) = conj(t) * (1 / (norm_sq(t) * s))
+    with s q's largest component magnitude and t = q / s.
+    """
+    g, length, _ = p.shape
+    ridge = np.broadcast_to(ridge, (g,))
+    weights = np.empty(p.shape)
+    for run in range(g):
+        block = np.concatenate([r[run], p[run][:, None]], axis=1)  # (L, L + 1, 4)
+        diagonal = np.arange(length)
+        block[diagonal, diagonal, 0] = block[diagonal, diagonal, 0] + ridge[run]
+        for k in range(length):
+            column = block[k:, k]
+            s = np.abs(column).max()
+            pivot = k
+            if s > 0.0:
+                t = column / s
+                pivot += int(np.argmax(((t[:, 0] * t[:, 0] + t[:, 1] * t[:, 1]) + t[:, 2] * t[:, 2]) + t[:, 3] * t[:, 3]))
+            block[[k, pivot], k:] = block[[pivot, k], k:]
+            q = block[k, k]
+            top = np.abs(q).max()
+            t = q / top
+            block[k, k] = quat.conj(t) * (1.0 / ((((t[0] * t[0] + t[1] * t[1]) + t[2] * t[2]) + t[3] * t[3]) * top))
+            factors = quat.mul(block[k + 1 :, k], block[k, k])
+            block[k + 1 :, k + 1 :] = block[k + 1 :, k + 1 :] - quat.mul(factors[:, None], block[k, k + 1 :])
+        x = np.empty((length, 4))
+        for k in range(length - 1, -1, -1):
+            y = block[k, length]
+            for product in quat.mul(block[k, k + 1 : length], x[k + 1 :]):
+                y = y - product
+            x[k] = quat.mul(block[k, k], y)
+        weights[run] = quat.conj(x)
+    return weights
+
+
+def cost_steps(r, p, w):
+    """The two sums of the Wiener cost J(w) = power - 2 s0 + s1 for G runs, (G, L, L, 4) R,
+    (G, L, 4) p and weights, in the order `wiener_cost` of `_kernels.c` states, as (G, 2).
+
+    In `quat.mul` arithmetic: u_l = R_l0 conj(w_0) + ... + R_l,L-1 conj(w_L-1),
+    s0 = Re(w_0 p_0) + ... and s1 = Re(w_0 u_0) + ..., each sum from +0.0 in
+    ascending index, one term at a time.
+    """
+    g, length, _ = p.shape
+    sums = np.empty((g, 2))
+    for run in range(g):
+        u = np.zeros((length, 4))
+        for column in quat.mul(r[run], quat.conj(w[run])[None]).swapaxes(0, 1):  # the terms of each u_l, m by m
+            u = u + column
+        for i, terms in enumerate((quat.mul(w[run], p[run])[:, 0], quat.mul(w[run], u)[:, 0])):
+            total = 0.0
+            for term in terms:
+                total = total + term
+            sums[run, i] = total
+    return sums
 
 
 def qlms_steps(received, reference, length, step_size, delay=0):

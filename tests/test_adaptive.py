@@ -478,12 +478,13 @@ class TestCompiledKernel:
     def test_bits_do_not_depend_on_the_instruction_set(self, tmp_path, monkeypatch):
         """The library built at -O0, scalar code, gives the product library's bits: the
         QLMS kernel on a 2x2 batch with one diverging lane, the FIR on a 2x2 grid of
-        15 taps, and the block Wiener statistics of 3, 9 and 2 runs (short last groups)
-        of 1, 2 and 3 streams.  No contraction or reassociation lets the SIMD width the
-        product build picks change a result.  The -O0 build goes through the product's
-        loader, which declares all three functions."""
+        15 taps, the block Wiener statistics of 3, 9 and 2 runs (short last groups)
+        of 1, 2 and 3 streams, and their Wiener weights and cost.  No contraction or
+        reassociation lets the SIMD width the product build picks change a result.
+        The -O0 build goes through the product's loader, which declares every function."""
         scalar = tmp_path / "scalar.so"
-        subprocess.run(["cc", "-O0", "-fPIC", "-shared", "-o", str(scalar), str(kernels._SOURCE)], check=True)
+        command = ["cc", "-O0", "-fPIC", "-shared", f"-DLANES={kernels.LANES}", "-o", str(scalar), str(kernels._SOURCE)]
+        subprocess.run(command, check=True)
         rng = np.random.default_rng(82)
         runs, streams, n, length, mu, delay = 2, 2, 5 * SPAN + 3, 15, 0.02, 7
         received = rng.normal(size=(runs, streams, n, 4))
@@ -496,6 +497,8 @@ class TestCompiledKernel:
         shapes = ((3, 1), (9, 2), (2, 3))  # (runs, streams)
         problems = [(rng.normal(size=(g, c, 300, 4)), rng.normal(size=(g, 300, 4))) for g, c in shapes]
         product_stats = [wiener.estimate_statistics(signal, refs, length, delay) for signal, refs in problems]
+        product_optima = [wiener.solve_wiener(stats) for stats in product_stats]
+        product_costs = [wiener.statistics_mse(s, w, 4.0).linear for s, w in zip(product_stats, product_optima)]
         monkeypatch.setattr(kernels, "library", lambda: kernels._load(scalar))
         reference = adaptive.run_qlms_batch(received, indices, table, length, mu, delay)
         assert product.diverged_at.tolist() == reference.diverged_at.tolist() == [-1, -1, 47, -1]
@@ -503,23 +506,27 @@ class TestCompiledKernel:
         assert np.array_equal(product.weights, reference.weights)
         fir = channel.mimo_convolve(received, grid)
         assert np.array_equal(product_fir.view(np.int64), fir.view(np.int64))
-        for (signal, refs), stats in zip(problems, product_stats):
+        for (signal, refs), stats, optimum, cost in zip(problems, product_stats, product_optima, product_costs):
             again = wiener.estimate_statistics(signal, refs, length, delay)
             assert np.array_equal(stats.autocorrelation.view(np.int64), again.autocorrelation.view(np.int64))
             assert np.array_equal(stats.cross_correlation.view(np.int64), again.cross_correlation.view(np.int64))
+            weights = wiener.solve_wiener(again)
+            assert np.array_equal(optimum.view(np.int64), weights.view(np.int64))
+            assert np.array_equal(cost.view(np.int64), wiener.statistics_mse(again, weights, 4.0).linear.view(np.int64))
 
     def test_source_compiles_without_warnings(self, tmp_path):
         """`_kernels.c` compiles with every common warning turned into an error."""
         if shutil.which("cc") is None:
             pytest.skip("no C compiler `cc` on the path")
-        command = ["cc", "-O2", "-Wall", "-Wextra", "-Werror", "-c", "-o", str(tmp_path / "kernels.o"), str(kernels._SOURCE)]
+        command = ["cc", "-O2", "-Wall", "-Wextra", "-Werror", f"-DLANES={kernels.LANES}", "-c",
+                   "-o", str(tmp_path / "kernels.o"), str(kernels._SOURCE)]  # fmt: skip
         done = subprocess.run(command, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
 
     def test_failed_allocation_raises_memory_error(self):
-        """All three functions return a c_int status, and the loader's errcheck turns a
+        """Every function returns a c_int status, and the loader's errcheck turns a
         nonzero one, a failed allocation, into a MemoryError that names the function."""
-        for name in ("qlms_batch", "mimo_fir", "block_moments"):
+        for name in kernels._ARGUMENTS:
             function = getattr(kernels.library(), name)
             assert function.restype is ctypes.c_int
             assert function.errcheck(0, function, ()) == 0
@@ -565,19 +572,21 @@ class TestCompiledKernel:
         assert not list(kernels._SOURCE.with_name("__pycache__").glob("*.tmp"))
 
     def test_sanitized_build_finds_no_fault(self, tmp_path):
-        """All three functions, built with AddressSanitizer and UBSan and loaded through
-        the product's loader in a child process, run their oracle tests without a report:
+        """Every function, built with AddressSanitizer and UBSan and loaded through the
+        product's loader in a child process, runs its oracle tests without a report:
         the QLMS kernel with tail groups, the FIR on time slices, broadcast runs and
-        reversed streams, and the block statistics with tail groups and strided views.
-        The bit-exact oracles would miss an out-of-bounds read that lands in valid
-        memory.  About 8 s on a 2-core x86_64 box, half of it the build."""
+        reversed streams, the block statistics with tail groups and strided views, and
+        the Wiener solve and cost on 0 to 9 runs of 1 to 40 lags, singular, indefinite
+        and huge runs among them.  The bit-exact oracles would miss an out-of-bounds
+        read that lands in valid memory.  About 13-16 s on a 2-core x86_64 box."""
         if shutil.which("gcc") is None:
             pytest.skip("no gcc on the path")
         runtime = subprocess.run(["gcc", "-print-file-name=libasan.so"], capture_output=True, text=True).stdout.strip()
         if not os.path.isabs(runtime):
             pytest.skip("gcc finds no libasan.so")
         sanitized = tmp_path / "sanitized.so"
-        flags = ["-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all", "-ffp-contract=off"]
+        flags = ["-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all", "-ffp-contract=off",
+                 f"-DLANES={kernels.LANES}"]  # fmt: skip
         subprocess.run(["gcc", *flags, "-fPIC", "-shared", "-o", str(sanitized), str(kernels._SOURCE)], check=True)
         tests = Path(__file__).parent
         selected = [
@@ -587,6 +596,13 @@ class TestCompiledKernel:
             "test_wiener.py::TestCompiledStatistics::test_matches_lag_matrix_outer_products[1-17]",
             "test_wiener.py::TestCompiledStatistics::test_matches_lag_matrix_outer_products[3-9]",
             "test_wiener.py::TestCompiledStatistics::test_views_are_read_in_place",
+            "test_wiener.py::TestSolveWiener::test_equals_the_elimination_oracle_bit_for_bit[400-15]",
+            "test_wiener.py::TestSolveWiener::test_equals_the_elimination_oracle_bit_for_bit[400-40]",
+            "test_wiener.py::TestSolveWiener::test_singular_run_in_a_well_conditioned_batch",
+            "test_wiener.py::TestSolveWiener::test_huge_well_conditioned_problem_solves",
+            "test_wiener.py::TestBatchedRuns::test_indefinite_hermitian_problem_solves",
+            "test_wiener.py::TestBatchedRuns::test_zero_runs_give_empty_figures",
+            "test_wiener.py::TestStatisticsMse::test_equals_the_cost_oracle_bit_for_bit",
         ]
         script = (
             "import sys, pytest\n"

@@ -5,11 +5,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quatlink import channel, harness, linalg, modem, quat, wiener
 from quatlink.errors import DimensionMismatchError, InsufficientDataError, SingularMatrixError
 
 from oracles import (
+    cost_steps,
+    elimination_steps,
     hermitian_transpose_loop,
     matvec_loop,
     outer_h_loop,
@@ -185,8 +189,8 @@ class TestSolveWiener:
         assert rel < 1e-9
 
     @pytest.mark.parametrize("symbols,length", [(400, 15), (400, 40), (5000, 15), (5000, 40)])
-    def test_equals_the_adjoint_oracle_bit_for_bit(self, symbols, length):
-        """The weights equal `oracles.solve_via_adjoint`'s, signed zeros included, at ridge 0
+    def test_equals_the_elimination_oracle_bit_for_bit(self, symbols, length):
+        """The weights equal `oracles.elimination_steps`', signed zeros included, at ridge 0
         and at the default ridge: for harness slices of 1, 8 and 9 SISO runs, and for
         symbols with only a real or only a complex part, whose R and p hold exact zeros,
         as computed (+0.0) and with every zero turned to -0.0."""
@@ -205,8 +209,64 @@ class TestSolveWiener:
         for problem in problems:
             for ridge in (0.0, wiener.default_ridge(problem)):
                 weights = wiener.solve_wiener(problem, ridge)
-                expected = solve_via_adjoint(problem.autocorrelation, problem.cross_correlation, ridge)
+                expected = elimination_steps(problem.autocorrelation, problem.cross_correlation, ridge)
                 assert np.array_equal(weights.view(np.int64), expected.view(np.int64))
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(
+        st.integers(1, 40),
+        st.sampled_from([0, 1, 7, 9, 17]),
+        st.sampled_from(["definite", "indefinite", "deficient"]),
+        st.integers(-20, 300),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(40, 17, "deficient", 300, False, 1)  # every run singular, entries near the top of the range
+    @example(40, 17, "deficient", 300, True, 2)
+    @example(40, 9, "indefinite", 300, True, 3)
+    @example(40, 7, "definite", -20, False, 4)
+    def test_random_problems_solve_or_are_named_singular(self, length, runs, kind, exponent, ridged, seed):
+        """Random Hermitian problems, positive definite, indefinite and rank-deficient, with
+        entries up to 1e300, at ridge 0 or the default ridge's size.  SingularMatrixError is raised
+        whenever a run's smallest |eigenvalue| (of the complex adjoint, `eigvalsh`) is at
+        most half the singularity bound, and never when every run's is above twice it;
+        in between either outcome is right.  Solved weights agree with
+        conj(`linalg.solve`(R + ridge*I, p)) to 64 L kappa eps of their largest entry, with
+        kappa the run's condition number.  Nothing warns."""
+        rng = np.random.default_rng(seed)
+        b = rng.normal(size=(runs, length, length if kind == "deficient" else length + 3, 4))
+        if kind == "deficient":
+            b[:, :, rng.integers(0, length) :] = 0.0  # rank below L
+        r = quat.mul(b[:, :, None], quat.conj(b)[:, None]).sum(axis=3)  # B B^H
+        if kind == "indefinite":
+            c = rng.normal(size=b.shape)
+            r = r - quat.mul(c[:, :, None], quat.conj(c)[:, None]).sum(axis=3)
+        r = (r + quat.conj(r.swapaxes(1, 2))) / 2.0  # Hermitian to the last bit
+        scale = 10.0**exponent / max(np.abs(r).max(initial=0.0), 1.0)
+        r, p = r * scale, rng.normal(size=(runs, length, 4)) * scale
+        problem = wiener.WienerProblem(r, p, 1)
+        ridge = np.abs(wiener.default_ridge(problem)) if ridged else np.zeros(runs)  # an indefinite trace is negative
+        # exponent-shifted copies, exact, on which norms, eigenvalues and linalg.solve cannot overflow
+        shift = 2.0 ** -np.frexp(np.abs(r).max(initial=1.0))[1]
+        shifted = r * shift + (ridge * shift)[:, None, None, None] * linalg.identity(length)
+        a, bb = quat.to_pairs(shifted)
+        bounds = np.sqrt(linalg.SINGULARITY_RTOL) * np.hypot(np.abs(a), np.abs(bb)).max(axis=(1, 2), initial=0.0)
+        eigenvalues = np.abs(np.linalg.eigvalsh(linalg.to_complex_adjoint(shifted))) if runs else np.zeros((0, 1))
+        smallest, largest = eigenvalues.min(axis=1), eigenvalues.max(axis=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                weights = wiener.solve_wiener(problem, ridge)
+            except SingularMatrixError:
+                assert not (smallest > 2.0 * bounds).all()
+                return
+        assert not (smallest <= 0.5 * bounds).any()
+        assert weights.shape == p.shape
+        for run in range(runs):
+            expected = quat.conj(linalg.solve(shifted[run], p[run] * shift))
+            kappa = largest[run] / smallest[run]
+            gap = np.abs(weights[run] - expected).max()
+            assert gap <= 64 * length * kappa * np.finfo(float).eps * np.abs(expected).max(), (run, kappa)
 
     def test_problem_validation(self):
         with pytest.raises(ValueError):
@@ -443,6 +503,22 @@ class TestStatisticsMse:
             one_run = wiener.estimate_statistics(received[0], symbols[0], length, delay)
             single = wiener.statistics_mse(one_run, weights[0], expected.reference_power[0])
             assert isinstance(single.db, float) and abs(single.db - expected.db[0]) <= 1e-9
+
+    @pytest.mark.parametrize("length", [15, 40])
+    def test_equals_the_cost_oracle_bit_for_bit(self, length):
+        """The MSE is power - 2 s0 + s1 with the sums of `oracles.cost_steps`, bit for bit,
+        for harness slices of 1, 8 and 9 SISO runs, at the optimum and at perturbed weights."""
+        config = harness.ExperimentConfig(num_runs=9, symbols_per_run=400, master_seed=4)
+        for runs in (1, 8, 9):
+            received, indices = harness._draw(config, 0, runs)
+            problem = wiener.estimate_statistics(received, modem.CONSTELLATION[indices[:, 0]], length, 7)
+            optimal = wiener.solve_wiener(problem)
+            perturbed = optimal + 0.05 * np.random.default_rng(runs).normal(size=optimal.shape)
+            for weights in (optimal, perturbed):
+                report = wiener.statistics_mse(problem, weights, 4.0)
+                sums = cost_steps(problem.autocorrelation, problem.cross_correlation, weights)
+                expected = 4.0 - 2.0 * sums[:, 0] + sums[:, 1]
+                assert np.array_equal(report.linear.view(np.int64), expected.view(np.int64))
 
     def test_perfect_fit_and_silence_hit_the_floor(self):
         symbols = modem.index_to_symbol(channel.make_rng(91).integers(0, 16, 500))
