@@ -4,8 +4,9 @@
    block_moments, the sample statistics R and p of
    quatlink.wiener.estimate_statistics, moments, covariance recursion and
    quaternion fold (`fold`, which states the fold's signs) included; and
-   wiener_solve and wiener_cost, the block Wiener optimum and the two sums of
-   its quadratic cost behind quatlink.wiener.solve_wiener and statistics_mse.
+   wiener_solve and wiener_cost, the block Wiener optimum, solved through one
+   LDL^H factorization (`ldl`), and the two sums of its quadratic cost behind
+   quatlink.wiener.solve_wiener and statistics_mse.
    The docstrings of the first two and the comments on the others state
    their inputs and the fixed order of their arithmetic, which the build keeps
    by allowing no contraction.  A helper that a target_clones function calls is
@@ -21,7 +22,8 @@
    tap k = (lag, stream), is quaternion (t0 + SPAN-1 - t)*C + k and contiguous.
    A last group short of LANES lanes fills the rest with copies of its last
    lane, which never write an output.  wiener_solve and wiener_cost take one
-   run at a time, so a run's bits do not depend on the runs beside it. */
+   run at a time, so a run's bits do not depend on the runs beside it, and
+   have no target clones, which made them no faster at 15 or 40 lags. */
 
 #include <math.h>
 #include <stdint.h>
@@ -380,19 +382,14 @@ CLONES int block_moments(const double *signals, int64_t run_stride, int64_t stre
     return 0;
 }
 
-/* One quaternion in scalars.  The solve and the cost take quaternions apart
-   and put them together by component, and the solve's block keeps each
-   component in a plane of its own, so a loop over entries runs the same
-   operation in every SIMD lane.  Vectorized across one quaternion's
-   components instead, a product's alternating subtractions and additions
-   were fused with its multiplications into an FMA (vfmaddsub) by gcc 12 at
-   -O3 for AVX-512, in spite of -ffp-contract=off. */
+/* One quaternion in scalars, which the solve and the cost read from and write
+   to (..., 4) arrays (`get`, `put`). */
 typedef struct {
     double q0, q1, q2, q3;
 } quaternion;
 
 /* a*b, component i in quat.mul's order. */
-static inline __attribute__((always_inline)) quaternion qmul(quaternion a, quaternion b)
+static inline quaternion qmul(quaternion a, quaternion b)
 {
     return (quaternion){((a.q0 * b.q0 - a.q1 * b.q1) - a.q2 * b.q2) - a.q3 * b.q3,
                         ((a.q0 * b.q1 + a.q1 * b.q0) + a.q2 * b.q3) - a.q3 * b.q2,
@@ -400,33 +397,32 @@ static inline __attribute__((always_inline)) quaternion qmul(quaternion a, quate
                         ((a.q0 * b.q3 + a.q1 * b.q2) - a.q2 * b.q1) + a.q3 * b.q0};
 }
 
-static inline __attribute__((always_inline)) quaternion qconj(quaternion a)
+static inline quaternion qconj(quaternion a)
 {
     return (quaternion){a.q0, -a.q1, -a.q2, -a.q3};
 }
 
-static inline __attribute__((always_inline)) quaternion qsub(quaternion a, quaternion b)
+static inline quaternion qsub(quaternion a, quaternion b)
 {
     return (quaternion){a.q0 - b.q0, a.q1 - b.q1, a.q2 - b.q2, a.q3 - b.q3};
 }
 
-/* Entry `at` of an array whose component planes lie `plane` doubles apart (1
-   for (..., 4) quaternions), and its store. */
-static inline __attribute__((always_inline)) quaternion get(const double *array, int64_t plane, int64_t at)
+/* Quaternion `at` of a (..., 4) array, and its store. */
+static inline quaternion get(const double *array, int64_t at)
 {
-    return (quaternion){array[at], array[plane + at], array[2 * plane + at], array[3 * plane + at]};
+    return (quaternion){array[4 * at], array[4 * at + 1], array[4 * at + 2], array[4 * at + 3]};
 }
 
-static inline __attribute__((always_inline)) void put(double *array, int64_t plane, int64_t at, quaternion a)
+static inline void put(double *array, int64_t at, quaternion a)
 {
-    array[at] = a.q0;
-    array[plane + at] = a.q1;
-    array[2 * plane + at] = a.q2;
-    array[3 * plane + at] = a.q3;
+    array[4 * at] = a.q0;
+    array[4 * at + 1] = a.q1;
+    array[4 * at + 2] = a.q2;
+    array[4 * at + 3] = a.q3;
 }
 
 /* The largest magnitude of a's components. */
-static inline __attribute__((always_inline)) double largest(quaternion a)
+static inline double largest(quaternion a)
 {
     const double s = fabs(a.q0) > fabs(a.q1) ? fabs(a.q0) : fabs(a.q1);
     const double t = fabs(a.q2) > fabs(a.q3) ? fabs(a.q2) : fabs(a.q3);
@@ -434,76 +430,53 @@ static inline __attribute__((always_inline)) double largest(quaternion a)
 }
 
 /* a / s, component by component. */
-static inline __attribute__((always_inline)) quaternion qdiv(quaternion a, double s)
+static inline quaternion qdiv(quaternion a, double s)
 {
     return (quaternion){a.q0 / s, a.q1 / s, a.q2 / s, a.q3 / s};
 }
 
 /* a's squared norm, its squares added in component order. */
-static inline __attribute__((always_inline)) double norm_sq(quaternion a)
+static inline double norm_sq(quaternion a)
 {
     return ((a.q0 * a.q0 + a.q1 * a.q1) + a.q2 * a.q2) + a.q3 * a.q3;
 }
 
-/* inv(a) = conj(t) * (1 / (norm_sq(t) * s)), with s the largest magnitude of
-   a's components and t = a / s, so no square overflows and a real a = c gives
-   exactly 1/c. */
-static inline __attribute__((always_inline)) quaternion qinv(quaternion a)
-{
-    const double s = largest(a);
-    const quaternion t = qdiv(a, s);
-    const double f = 1.0 / (norm_sq(t) * s);
-    return (quaternion){t.q0 * f, -t.q1 * f, -t.q2 * f, -t.q3 * f};
-}
-
-/* a[c] = a[c] - f * b[c] for c in [from, to), for rows a and b held in
-   component planes a0..a3 and b0..b3 that do not overlap. */
-static inline __attribute__((always_inline)) void eliminate(quaternion f, double *restrict a0, double *restrict a1,
-                                                            double *restrict a2, double *restrict a3,
-                                                            const double *restrict b0, const double *restrict b1,
-                                                            const double *restrict b2, const double *restrict b3,
-                                                            int64_t from, int64_t to)
-{
-    for (int64_t c = from; c < to; c++) {
-        const quaternion t = qmul(f, (quaternion){b0[c], b1[c], b2[c], b3[c]});
-        a0[c] = a0[c] - t.q0;
-        a1[c] = a1[c] - t.q1;
-        a2[c] = a2[c] - t.q2;
-        a3[c] = a3[c] - t.q3;
-    }
-}
-
 /* Writes A = R + ridge*I, the ridge added to the real part of each diagonal
-   entry, and p into a block of length x (length + 1) entries held in component
-   planes, A's row l followed by p_l. */
-static inline __attribute__((always_inline)) void load(double *block, int64_t plane, const double *R, const double *p,
-                                                       double ridge, int64_t length)
+   entry, and p into a block of length x (length + 1) quaternions, A's row l
+   followed by p_l. */
+static inline void load(double *block, const double *R, const double *p, double ridge, int64_t length)
 {
     for (int64_t l = 0; l < length; l++) {
-        for (int64_t m = 0; m < length; m++)
-            put(block, plane, l * (length + 1) + m, get(R, 1, (l * length + m) * 4));
-        put(block, plane, l * (length + 1) + length, get(p, 1, l * 4));
-        block[l * (length + 1) + l] = block[l * (length + 1) + l] + ridge;
+        memcpy(block + l * (length + 1) * 4, R + l * length * 4, length * 4 * sizeof(double));
+        put(block, l * (length + 1) + length, get(p, l));
+        block[(l * (length + 1) + l) * 4] = block[(l * (length + 1) + l) * 4] + ridge;
     }
 }
 
-/* 1 if A - bound*I in a block that `load` wrote has a Cholesky factor, which
-   takes the place of A's lower triangle, else 0.  Both as wiener_solve states. */
-static inline __attribute__((always_inline)) int cholesky(double *block, int64_t plane, int64_t length, double bound)
+/* 1 if A - shift*I, read from the lower triangle and the real diagonal of a
+   block that `load` wrote, has an LDL^H factorization with positive finite
+   pivots (Golub & Van Loan, Matrix Computations, secs. 4.1-4.2), else 0 at
+   the first pivot that is not.  For each column j, the pivot d_j = ((A_jj -
+   shift) - Re(L_j0 U_0j)) - ... - Re(L_j,j-1 U_j-1,j) takes the real part of
+   A_jj's place, and for each row i > j below it, v = ((A_ij - L_i0 U_0j) -
+   ...) - L_i,j-1 U_j-1,j gives U_ji = conj(v) in A_ji's place and L_ij = v /
+   d_j, component by component, in A_ij's. */
+static int ldl(double *block, int64_t length, double shift)
 {
     const int64_t width = length + 1;
     for (int64_t j = 0; j < length; j++) {
-        double d = block[j * width + j] - bound;
+        double d = block[(j * width + j) * 4] - shift;
         for (int64_t k = 0; k < j; k++)
-            d = d - norm_sq(get(block, plane, j * width + k));
+            d = d - qmul(get(block, j * width + k), get(block, k * width + j)).q0;
         if (!(d > 0.0 && d < INFINITY))
             return 0;
-        const double diagonal = sqrt(d);
+        block[(j * width + j) * 4] = d;
         for (int64_t i = j + 1; i < length; i++) {
-            quaternion v = get(block, plane, i * width + j);
+            quaternion v = get(block, i * width + j);
             for (int64_t k = 0; k < j; k++)
-                v = qsub(v, qmul(get(block, plane, i * width + k), qconj(get(block, plane, j * width + k))));
-            put(block, plane, i * width + j, qdiv(v, diagonal));
+                v = qsub(v, qmul(get(block, i * width + k), get(block, k * width + j)));
+            put(block, j * width + i, qconj(v));
+            put(block, i * width + j, qdiv(v, d));
         }
     }
     return 1;
@@ -512,91 +485,62 @@ static inline __attribute__((always_inline)) int cholesky(double *block, int64_t
 /* Returns 0, or -1 if the working block cannot be allocated.  `autocorrelation`
    (runs, length, length, 4) holds each run's Hermitian R, `cross` (runs, length,
    4) its p and `ridge` (runs,) its ridge, all contiguous.  One run at a time,
-   with A = R + ridge*I (the ridge added to the real part of each diagonal
-   entry), in a working block of length x (length + 1) quaternions, A's rows
-   each followed by p's entry, held in four component planes:
+   with A = R + ridge*I in a working block that `load` writes:
    - bounds[r] = root_rtol * max_lm |A_lm|, computed as top * sqrt(max_lm
      norm_sq(A_lm / top)) with top the largest magnitude of A's components,
      so no square overflows;
-   - certified[r] = 1 when A - bound*I, read from its lower triangle and the
-     real parts of its diagonal, has a Cholesky factor G G^H (Golub & Van
-     Loan, Matrix Computations, sec. 4.2): column j's pivot d = ((A_jj - bound)
-     - norm_sq(G_j0)) - ... - norm_sq(G_j,j-1) is positive and finite, G_jj =
-     sqrt(d), and G_ij = (A_ij - G_i0 conj(G_j0) - ... - G_i,j-1 conj(G_j,j-1))
-     / G_jj below it.  So every eigenvalue of R + ridge*I, those of its
-     complex adjoint (Zhang 1997), exceeds the bound.  Else 0;
-   - weights[r] = conj(x), with A x = p solved by Gaussian elimination with
-     partial pivoting (sec. 3.4) in the block.  Column k's pivot is the first
-     row i >= k with the largest norm_sq(A_ik / s), s the largest magnitude of
-     the column's components from row k down, and rows k and i swap.  Each
-     row i > k takes f = A_ik * inv(A_kk) and then A_ic = A_ic - f * A_kc for
-     c = k+1, ..., length, p's column last.  Back substitution sets x_k =
-     inv(A_kk) * y for k = length-1 down to 0, with y = ((p_k - A_k,k+1 *
-     x_k+1) - ...) - A_k,length-1 * x_length-1, with inv as `qinv` states.
-   A zero pivot or a non-finite entry gives NaN weights, which no check
-   reads: the caller rejects an uncertified run that is singular. */
-CLONES int wiener_solve(const double *autocorrelation, const double *cross, const double *ridge, int64_t runs,
-                        int64_t length, double root_rtol, double *weights, double *bounds, int8_t *certified)
+   - certified[r] = 1 when `ldl` factors A - bound*I, so that every eigenvalue
+     of R + ridge*I, those of its complex adjoint (Zhang 1997), exceeds the
+     bound, and then, with A loaded again, factors A itself (shift 0), which
+     only rounding could stop.  Else 0, and the run's weights are not written;
+   - weights[r] = conj(x), with A x = p solved through A's factor: forward,
+     y_i = ((p_i - L_i0 y_0) - ...) - L_i,i-1 y_i-1 for i ascending, and
+     back, x_i = ((y_i / d_i - conj(L_i+1,i) x_i+1) - ...) -
+     conj(L_length-1,i) x_length-1 for i descending, each in p_i's place.
+   The pivots are real, so every division is component by component: a real
+   pivot c gives exactly 1/c, and entries up to 1e300 do not overflow. */
+int wiener_solve(const double *autocorrelation, const double *cross, const double *ridge, int64_t runs,
+                 int64_t length, double root_rtol, double *weights, double *bounds, int8_t *certified)
 {
-    const int64_t width = length + 1, plane = length * width; /* entries per row of the block, and per plane */
-    double *block = malloc(4 * plane * sizeof(double));
+    const int64_t width = length + 1; /* quaternions per row of the block */
+    double *block = malloc(length * width * 4 * sizeof(double));
     if (!block && length)
         return -1;
     for (int64_t r = 0; r < runs; r++) {
         const double *R = autocorrelation + r * length * length * 4, *p = cross + r * length * 4;
-        load(block, plane, R, p, ridge[r], length);
+        load(block, R, p, ridge[r], length);
         double top = 0.0, peak = 0.0;
         for (int64_t l = 0; l < length; l++)
             for (int64_t m = 0; m < length; m++) {
-                const double s = largest(get(block, plane, l * width + m));
+                const double s = largest(get(block, l * width + m));
                 top = s > top ? s : top;
             }
         for (int64_t l = 0; l < length && top > 0.0; l++)
             for (int64_t m = 0; m < length; m++) {
-                const double n = norm_sq(qdiv(get(block, plane, l * width + m), top));
+                const double n = norm_sq(qdiv(get(block, l * width + m), top));
                 peak = n > peak ? n : peak;
             }
         bounds[r] = root_rtol * (top * sqrt(peak));
-        certified[r] = cholesky(block, plane, length, bounds[r]);
-        load(block, plane, R, p, ridge[r], length); /* the factor took A's lower triangle */
-        for (int64_t k = 0; k < length; k++) {
-            double s = 0.0, best = 0.0;
-            int64_t pivot = k;
-            for (int64_t i = k; i < length; i++) {
-                const double m = largest(get(block, plane, i * width + k));
-                s = m > s ? m : s;
-            }
-            for (int64_t i = k; i < length && s > 0.0; i++) {
-                const double n = norm_sq(qdiv(get(block, plane, i * width + k), s));
-                if (i == k || n > best) {
-                    best = n;
-                    pivot = i;
-                }
-            }
-            for (int64_t c = k; c < width && pivot != k; c++) {
-                const quaternion t = get(block, plane, k * width + c);
-                put(block, plane, k * width + c, get(block, plane, pivot * width + c));
-                put(block, plane, pivot * width + c, t);
-            }
-            /* inv(A_kk) takes A_kk's place, for the back substitution */
-            const quaternion inverse = qinv(get(block, plane, k * width + k));
-            put(block, plane, k * width + k, inverse);
-            double *b = block + k * width;
-            for (int64_t i = k + 1; i < length; i++) {
-                double *a = block + i * width;
-                eliminate(qmul(get(a, plane, k), inverse), a, a + plane, a + 2 * plane, a + 3 * plane, b, b + plane,
-                          b + 2 * plane, b + 3 * plane, k + 1, width);
-            }
+        certified[r] = ldl(block, length, bounds[r]);
+        if (certified[r]) {
+            load(block, R, p, ridge[r], length); /* the certificate's factor took A's place */
+            certified[r] = ldl(block, length, 0.0);
         }
-        /* x_k takes p_k's place */
-        for (int64_t k = length - 1; k >= 0; k--) {
-            quaternion y = get(block, plane, k * width + length);
-            for (int64_t c = k + 1; c < length; c++)
-                y = qsub(y, qmul(get(block, plane, k * width + c), get(block, plane, c * width + length)));
-            put(block, plane, k * width + length, qmul(get(block, plane, k * width + k), y));
+        if (!certified[r])
+            continue;
+        for (int64_t i = 0; i < length; i++) {
+            quaternion y = get(block, i * width + length);
+            for (int64_t k = 0; k < i; k++)
+                y = qsub(y, qmul(get(block, i * width + k), get(block, k * width + length)));
+            put(block, i * width + length, y);
         }
-        for (int64_t k = 0; k < length; k++)
-            put(weights, 1, (r * length + k) * 4, qconj(get(block, plane, k * width + length)));
+        for (int64_t i = length - 1; i >= 0; i--) {
+            quaternion x = qdiv(get(block, i * width + length), block[(i * width + i) * 4]);
+            for (int64_t k = i + 1; k < length; k++)
+                x = qsub(x, qmul(qconj(get(block, k * width + i)), get(block, k * width + length)));
+            put(block, i * width + length, x);
+            put(weights, r * length + i, qconj(x));
+        }
     }
     free(block);
     return 0;
@@ -609,8 +553,8 @@ CLONES int wiener_solve(const double *autocorrelation, const double *cross, cons
    Re(w_0 u_0) + ... + Re(w_L-1 u_L-1), each from +0.0, with u_l = R_l0
    conj(w_0) + ... + R_l,L-1 conj(w_L-1) from +0.0 and Re(a b) component 0 of
    a*b in quat.mul's order. */
-CLONES int wiener_cost(const double *autocorrelation, const double *cross, const double *weights, int64_t runs,
-                       int64_t length, double *sums)
+int wiener_cost(const double *autocorrelation, const double *cross, const double *weights, int64_t runs,
+                int64_t length, double *sums)
 {
     for (int64_t r = 0; r < runs; r++) {
         const double *R = autocorrelation + r * length * length * 4, *p = cross + r * length * 4;
@@ -619,11 +563,11 @@ CLONES int wiener_cost(const double *autocorrelation, const double *cross, const
         for (int64_t l = 0; l < length; l++) {
             quaternion u = {0.0, 0.0, 0.0, 0.0};
             for (int64_t m = 0; m < length; m++) {
-                const quaternion t = qmul(get(R, 1, (l * length + m) * 4), qconj(get(w, 1, m * 4)));
+                const quaternion t = qmul(get(R, l * length + m), qconj(get(w, m)));
                 u = (quaternion){u.q0 + t.q0, u.q1 + t.q1, u.q2 + t.q2, u.q3 + t.q3};
             }
-            linear = linear + qmul(get(w, 1, l * 4), get(p, 1, l * 4)).q0;
-            quadratic = quadratic + qmul(get(w, 1, l * 4), u).q0;
+            linear = linear + qmul(get(w, l), get(p, l)).q0;
+            quadratic = quadratic + qmul(get(w, l), u).q0;
         }
         sums[2 * r] = linear;
         sums[2 * r + 1] = quadratic;

@@ -4,18 +4,19 @@
 `adaptive.run_qlms_batch`; `mimo_fir`, behind `channel.mimo_convolve`;
 `block_moments`, which writes the Wiener statistics R and p of
 `wiener.estimate_statistics`; and `wiener_solve` and `wiener_cost`, which
-solve and score the block Wiener optimum one run at a time behind
-`wiener.solve_wiener` and `wiener.statistics_mse`.  `library` compiles it
-with the system's `cc` on first use into `__pycache__`, as a shared library
-named by a checksum of the source and the build command (`_COMPILE`, which
-also defines the source's `LANES`), and loads it through `ctypes` (`_load`),
-which declares every function's arguments and its `c_int` status once, from
-one table (`_ARGUMENTS`): a nonzero status, a failed allocation, raises
-`MemoryError`.  A cache directory the library cannot be written into
-raises `KernelBuildError`, as a failed build does.  The build has no
-floating-point contraction or reassociation, so the bits do not depend on
-the CPU it runs on.  `in_place` is the one rule for when a
-function reads an array in place through its strides.
+solve the block Wiener optimum through an LDL^H factorization and score it,
+one run at a time, behind `wiener.solve_wiener` and `wiener.statistics_mse`.
+`library` compiles it with the system's `cc` on first use into
+`__pycache__`, as a shared library named by a checksum of the source and the
+build command (`_COMPILE`, which also defines the source's `LANES`), and
+loads it through `ctypes` (`_load`), which declares every function's
+arguments and its `c_int` status once, from one table (`_ARGUMENTS`): a
+nonzero status, a failed allocation, raises `MemoryError`.  A cache
+directory the library cannot be written into raises `KernelBuildError`, as a
+failed build does.  The build has no floating-point contraction or
+reassociation, so the bits do not depend on the CPU it runs on.  `in_place`
+is the one rule for when a function reads an array in place through its
+strides.
 """
 
 import contextlib

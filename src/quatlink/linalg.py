@@ -11,8 +11,8 @@ complex adjoint embedding of matrices (`to_complex_adjoint`) and of vectors
 (`vector_to_adjoint`, `vector_from_adjoint`) gives an independent route
 through ordinary complex linear algebra: the tests use it to cross-check
 `solve` and the Wiener solve, and `wiener.solve_wiener` takes the
-eigenvalues of a run its Cholesky certificate fails on from
-`to_complex_adjoint`.  `mean_outer_h`, the sample correlation matrix,
+eigenvalues and the solve of a run its LDL^H certificate fails on through
+these maps.  `mean_outer_h`, the sample correlation matrix,
 averages the quaternion outer products directly.
 """
 

@@ -11,31 +11,28 @@ Runs sit on leading axes, as in `quat`.  A signal (N, 4), or (C, N, 4) for
 stacked multi-stream regressors, with a reference (N, 4) is one run; a
 signal (G, N, 4) or (G, C, N, 4) with references (G, N, 4) is G runs,
 computed together.  Results take the run shape: float64 scalars for one
-run, (G,) arrays for G.  The statistics follow the covariance method
-(Makhoul 1975, "Linear prediction: a tutorial review") on the real moments
-M = sum x[n] x[n]^T of the 4CL-component regressor, all in `block_moments`
-of the package's C library (`kernels`): it sums the first block row of M and
-the cross moments in one pass that reads the signal and the references in
-place, symmetry gives the first column, and
+run, (G,) arrays for G.
 
-    M[k+1, l+1] = M[k, l] + x[d-1-k] x[d-1-l]^T - x[N-1-k] x[N-1-l]^T
+Each stage is one call into the package's C library (`kernels`), in the
+order `_kernels.c` states:
+- `estimate_statistics`: `block_moments` forms R and p by the covariance
+  method (Makhoul 1975, "Linear prediction: a tutorial review") in one pass
+  that reads the signal and the references in place, so no lag matrix, copy
+  of the signal or moment matrix is built in Python;
+- `solve_wiener`: `wiener_solve` factors each run's R + ridge*I as L D L^H
+  (Golub & Van Loan, Matrix Computations, secs. 4.1-4.2), first shifted by
+  the singularity bound as a certificate, then unshifted to solve with.  Only
+  a run it fails on, singular or indefinite, goes through the complex
+  adjoint embedding (Zhang 1997, "Quaternions and matrices of quaternions")
+  for its eigenvalues and its solve;
+- `statistics_mse`: `wiener_cost` scores weights on the block the statistics
+  came from, through the quadratic cost J(w) in R, p and a reference power
+  the caller supplies, at O(L^2) per run instead of a pass over the block.
 
-the rest, one block row at a time; it folds each 4x4 block into the
-quaternion sum a*conj(b) with the signs it states and divides by N - d,
-writing R and p.  So no (N, L, 4) lag matrix, no copy of the signal and no
-moment matrix is built in Python.  The solve stays in the quaternions too:
-`wiener_solve` of the C library eliminates each run's system with partial
-pivoting and certifies it non-singular with a quaternion Cholesky
-factorization (Golub & Van Loan, Matrix Computations, secs. 3.4 and 4.2);
-only for a run it fails on are the eigenvalues computed, through the complex
-adjoint embedding (Zhang 1997, "Quaternions and matrices of quaternions").
-Any weights can be evaluated on data through the package's C FIR,
-`channel.mimo_convolve` (`evaluate_mse`), or on the block the statistics
-came from with the quadratic cost J(w) in R, p and a reference power the
-caller supplies (`statistics_mse`, whose two sums `wiener_cost` adds in C),
-which costs O(L^2) per run instead of a pass over the block.  The harness
-passes each of its run slices (`harness._slices`) whole, solves its sane
-runs and scores them against its one stream power.
+`evaluate_mse` scores any weights on data through the C FIR,
+`channel.mimo_convolve`.  The harness passes each of its run slices
+(`harness._slices`) whole, solves its sane runs and scores them against its
+one stream power.
 """
 
 from dataclasses import dataclass
@@ -45,7 +42,7 @@ import numpy as np
 from . import kernels, quat
 from .channel import mimo_convolve
 from .errors import DimensionMismatchError, InsufficientDataError, SingularMatrixError
-from .linalg import SINGULARITY_RTOL, to_complex_adjoint
+from .linalg import SINGULARITY_RTOL, to_complex_adjoint, vector_from_adjoint, vector_to_adjoint
 
 # Not called here; perfbench/tracer.py wraps these module attributes by name.
 from .adaptive import lag_matrix  # noqa: F401
@@ -169,15 +166,14 @@ def solve_wiener(problem: WienerProblem, ridge: float | np.ndarray | None = None
     sqrt(SINGULARITY_RTOL) times its largest entry's norm raises
     SingularMatrixError.
 
-    `wiener_solve` of the package's C library solves each run by quaternion
-    Gaussian elimination with partial pivoting, in the order `_kernels.c`
-    states, so a run's weights depend neither on the runs beside it nor on
-    the CPU.  A sample R is positive semidefinite, so the same call
-    certifies a run by a quaternion Cholesky factorization of R + ridge*I
-    minus that bound.  Only for the runs it fails on, as it does for a
+    A sample R is positive semidefinite, so `wiener_solve` of the package's C
+    library certifies each run by an LDL^H factorization of R + ridge*I minus
+    that bound and solves it through the factorization of R + ridge*I, in the
+    order `_kernels.c` states, so a run's weights depend neither on the runs
+    beside it nor on the CPU.  Only for the runs it fails on, as it does for a
     singular R or for a Hermitian R that a caller built indefinite but
     invertible, are the eigenvalues computed, those of the complex adjoint
-    (Zhang 1997); an invertible run keeps its eliminated weights.
+    (Zhang 1997); a run they show invertible is solved in the adjoint too.
     """
     r, p = problem.autocorrelation, problem.cross_correlation
     for name, statistic in (("autocorrelation", r), ("cross_correlation", p)):
@@ -202,6 +198,8 @@ def solve_wiener(problem: WienerProblem, ridge: float | np.ndarray | None = None
                 f"sample autocorrelation is singular (smallest |eigenvalue| {float(np.min(smallest)):.3e}"
                 f" with ridge {float(np.max(ridge)):.3e}); retry with a positive ridge"
             )
+        solution = np.linalg.solve(adjoint, vector_to_adjoint(p[failed])[..., None])[..., 0]
+        weights[failed] = quat.conj(vector_from_adjoint(solution))
     return weights
 
 

@@ -11,8 +11,8 @@ kernel rounds in `quat.mul`'s order and the oracle must match it exactly.
 `recursion_statistics` the compiled block statistics' order, with
 `from_moments` reading its signs off `quat.mul`, while `convolve_loop` sums
 in its own order and pins the sign convention on inputs whose every product
-and sum is exact.  `elimination_steps` and `cost_steps` take the compiled Wiener
-solve's and cost's order in `quat.mul` arithmetic, and `solve_via_adjoint`,
+and sum is exact.  `elimination_steps` (LDL^H) and `cost_steps` take the compiled
+Wiener solve's and cost's order in `quat.mul` arithmetic, and `solve_via_adjoint`,
 the Wiener solve through the `linalg` maps and LAPACK, cross-checks the
 solve to a tolerance.
 """
@@ -143,42 +143,36 @@ def elimination_steps(r, p, ridge):
     """Wiener weights conj(x) of (R + ridge*I) x = p for G runs, (G, L, L, 4) R, (G, L, 4) p
     and a ridge that broadcasts to (G,), in the order `wiener_solve` of `_kernels.c` states.
 
-    One elimination step, or one back-substitution product, at a time in
+    LDL^H, the symmetric form of elimination, one term at a time in
     `quat.mul` arithmetic: the ridge goes on the real part of A's diagonal;
-    column k's pivot is the first row with the largest norm_sq of its entry
-    over the column's largest component magnitude s from row k down; each
-    row below takes f = A_ik * inv(A_kk) and subtracts f * A_kc, p's column
-    last; back substitution subtracts A_kc * x_c in ascending c from p_k and
-    multiplies by inv(A_kk) from the left.  inv(q) = conj(t) * (1 / (norm_sq(t) * s))
-    with s q's largest component magnitude and t = q / s.
+    for each column j, the pivot d_j = ((A_jj - Re(L_j0 U_0j)) - ...) from
+    the real part of A_jj, and for each row i > j, v = ((A_ij - L_i0 U_0j) -
+    ...), U_ji = conj(v) and L_ij = v / d_j; forward, y_i = ((p_i - L_i0 y_0)
+    - ...) in ascending i; back, x_i = ((y_i / d_i - conj(L_i+1,i) x_i+1) -
+    ...) in descending i.  Every run must have positive pivots.
     """
     g, length, _ = p.shape
     ridge = np.broadcast_to(ridge, (g,))
     weights = np.empty(p.shape)
     for run in range(g):
-        block = np.concatenate([r[run], p[run][:, None]], axis=1)  # (L, L + 1, 4)
+        a = r[run].copy()
         diagonal = np.arange(length)
-        block[diagonal, diagonal, 0] = block[diagonal, diagonal, 0] + ridge[run]
-        for k in range(length):
-            column = block[k:, k]
-            s = np.abs(column).max()
-            pivot = k
-            if s > 0.0:
-                t = column / s
-                pivot += int(np.argmax(((t[:, 0] * t[:, 0] + t[:, 1] * t[:, 1]) + t[:, 2] * t[:, 2]) + t[:, 3] * t[:, 3]))
-            block[[k, pivot], k:] = block[[pivot, k], k:]
-            q = block[k, k]
-            top = np.abs(q).max()
-            t = q / top
-            block[k, k] = quat.conj(t) * (1.0 / ((((t[0] * t[0] + t[1] * t[1]) + t[2] * t[2]) + t[3] * t[3]) * top))
-            factors = quat.mul(block[k + 1 :, k], block[k, k])
-            block[k + 1 :, k + 1 :] = block[k + 1 :, k + 1 :] - quat.mul(factors[:, None], block[k, k + 1 :])
-        x = np.empty((length, 4))
-        for k in range(length - 1, -1, -1):
-            y = block[k, length]
-            for product in quat.mul(block[k, k + 1 : length], x[k + 1 :]):
-                y = y - product
-            x[k] = quat.mul(block[k, k], y)
+        a[diagonal, diagonal, 0] = a[diagonal, diagonal, 0] + ridge[run]
+        lower, upper, d = np.zeros_like(a), np.zeros_like(a), np.empty(length)
+        for j in range(length):
+            v = a[j:, j]  # rows i >= j; row j's real part is the pivot's
+            for terms in quat.mul(lower[j:, :j], upper[:j, j]).swapaxes(0, 1):  # k = 0, 1, ...
+                v = v - terms
+            d[j] = v[0, 0]
+            assert 0.0 < d[j] < np.inf, (run, j)
+            upper[j, j + 1 :], lower[j + 1 :, j] = quat.conj(v[1:]), v[1:] / d[j]
+        x = p[run].copy()
+        for k in range(length):  # each x_i subtracts its terms in ascending k
+            x[k + 1 :] = x[k + 1 :] - quat.mul(lower[k + 1 :, k], x[k])
+        for i in range(length - 1, -1, -1):
+            x[i] = x[i] / d[i]
+            for term in quat.mul(quat.conj(lower[i + 1 :, i]), x[i + 1 :]):
+                x[i] = x[i] - term
         weights[run] = quat.conj(x)
     return weights
 

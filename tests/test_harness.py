@@ -712,3 +712,33 @@ class TestWienerStage:
             power = quat.norm_sq(references[: problem.sample_count]).mean(-1)
             expected = wiener.statistics_mse(problem, wiener.solve_wiener(problem), power).db
             assert stage["wiener_db"][run] == expected, run
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"symbols_per_run": 30, "equalizer_length": 25, "delay": 3},
+            {"snr_db": np.inf},
+            {"symbols_per_run": 40, "delay": 39},
+            {"step_size": 0.034},
+        ],
+        ids=["short", "few-samples", "noiseless", "one-sample", "diverging"],
+    )
+    def test_runs_never_leave_the_compiled_solve(self, overrides, monkeypatch):
+        """The C factorization certifies every sample R a SISO run solves, so no run takes
+        the eigenvalue check or the adjoint solve: with `eigvalsh` and `np.linalg.solve`
+        made to raise, a short run, one of 27 samples for 25 lags, a noiseless one, one
+        whose Wiener window holds one sample and one where 2 of its 6 runs diverge give
+        the results of an unpatched run."""
+        config = small(**overrides)
+        expected = harness.run_experiment(config)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a harness run left the compiled Wiener solve")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        result = harness.run_experiment(config)
+        assert_same_result(result, expected)
+        if overrides.get("step_size"):
+            assert result.curves[0].runs_diverged == 2

@@ -147,7 +147,8 @@ class TestSolveWiener:
     def test_certificate_agrees_with_eigenvalues_near_the_bound(self, factor, monkeypatch):
         """An R whose smallest eigenvalue sits at `factor` times the singularity bound
         is accepted or rejected as its eigenvalues say; an accepted one is accepted
-        by the Cholesky certificate alone."""
+        by the LDL^H certificate alone, and solved through its factorization with no
+        eigenvalues and no LAPACK solve."""
         rng = np.random.default_rng(98)
         b = rng.normal(size=(5, 5, 4))
         r = quat.mul(b[:, None], quat.conj(b)[None]).sum(axis=2)  # B B^H
@@ -161,6 +162,7 @@ class TestSolveWiener:
         problem = wiener.WienerProblem(r, rng.normal(size=(5, 4)), 1)
         if smallest > bound:
             monkeypatch.setattr(np.linalg, "eigvalsh", None)
+            monkeypatch.setattr(np.linalg, "solve", None)
             wiener.solve_wiener(problem, ridge=0.0)
         else:
             with pytest.raises(SingularMatrixError):
@@ -647,6 +649,28 @@ class TestBatchedRuns:
         p = np.random.default_rng(97).normal(size=(3, 4))
         weights = wiener.solve_wiener(wiener.WienerProblem(r, p, 1), ridge=0.0)
         assert np.allclose(weights, quat.conj(linalg.solve(r, p)), rtol=0, atol=1e-12)
+
+    def test_indefinite_run_among_definite_runs(self):
+        """A positive definite, an indefinite but invertible and a positive definite run
+        in one call: the definite runs' weights are their one-run calls', bit for bit, so
+        the adjoint solve of the uncertified run writes only that run, and the indefinite
+        run's agree with conj(`linalg.solve`(R, p)) to 64 L kappa eps of their largest entry."""
+        rng = np.random.default_rng(99)
+        length = 6
+        b, c = rng.normal(size=(2, 3, length, length + 3, 4))
+        r = quat.mul(b[:, :, None], quat.conj(b)[:, None]).sum(axis=3)  # B B^H
+        r[1] = r[1] - quat.mul(c[1][:, None], quat.conj(c[1])[None]).sum(axis=2)
+        r = (r + quat.conj(r.swapaxes(1, 2))) / 2.0  # Hermitian to the last bit
+        p = rng.normal(size=(3, length, 4))
+        eigenvalues = np.linalg.eigvalsh(linalg.to_complex_adjoint(r))
+        assert (eigenvalues[[0, 2]] > 0.0).all() and eigenvalues[1].min() < 0.0 < eigenvalues[1].max()
+        weights = wiener.solve_wiener(wiener.WienerProblem(r, p, 1), ridge=0.0)
+        for run in (0, 2):
+            alone = wiener.solve_wiener(wiener.WienerProblem(r[run], p[run], 1), ridge=0.0)
+            assert np.array_equal(weights[run].view(np.int64), alone.view(np.int64)), run
+        expected = quat.conj(linalg.solve(r[1], p[1]))
+        kappa = np.abs(eigenvalues[1]).max() / np.abs(eigenvalues[1]).min()
+        assert np.abs(weights[1] - expected).max() <= 64 * length * kappa * np.finfo(float).eps * np.abs(expected).max()
 
 
 class TestCompiledStatistics:
